@@ -43,10 +43,6 @@ class NonConvergence(AutoAdError):
     """Iterative estimation exceeded its iteration cap."""
 
 
-class DegenerateStd(AutoAdError):
-    """Forecast standard deviation collapsed to (near) zero."""
-
-
 class NumericalBreakdown(AutoAdError):
     """Filter innovation variance became non-positive despite repair."""
 

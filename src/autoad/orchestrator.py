@@ -9,7 +9,11 @@ scoring always uses the pre-existing model and retraining evidence stays
 uncontaminated.
 
 All state lives as JSON/CSV documents under a data directory (written
-atomically), so every cycle is inspectable and re-runnable.
+atomically), so every cycle is inspectable and re-runnable.  The engine
+keeps in-memory copies of the registry, each metric's scoring state,
+score log and active model, and writes every change through to disk.
+The score log is not stored twice: it is the tail of the metric's
+scores CSV, read back when an engine first needs it.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import json
 import math
 import os
 import zlib
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,6 +48,7 @@ from .structural import StructuralModel, fit_structural, forecast
 
 RATE_WINDOW = 48  # scores considered by the anomaly-rate trigger
 MIN_EVAL_SCORES = 8  # fewer stable scores than this keeps a series in Y
+LOG_WINDOW = 500  # newest scores kept in a metric's score log
 
 
 @dataclass(frozen=True)
@@ -145,6 +151,12 @@ class Engine:
         self.n_mc = n_mc
         self.warmup_steps = warmup_steps
         self._series_cache: dict[str, TimeSeries] = {}
+        # in-memory copies of the store; _forget drops a metric's copies
+        self._jobs: Optional[list[JobSpec]] = None
+        self._states: dict[str, dict] = {}
+        self._logs: dict[str, ev.ScoreLog] = {}
+        self._records: dict[str, Optional[dict]] = {}
+        self._detectors: dict[str, tuple] = {}  # metric -> (model_id, model, config, forecast)
         meta = self._read_json(self.root / "meta.json")
         self.now = int(meta.get("now", 0)) if meta else 0
 
@@ -171,6 +183,14 @@ class Engine:
     def _health_path(self, metric_id: str) -> Path:
         return self.root / "health" / f"{metric_id}.json"
 
+    def _scores_path(self, metric_id: str) -> Path:
+        return self.root / "scores" / f"{metric_id}.csv"
+
+    def _forget(self, metric_id: str) -> None:
+        """Drop a metric's cached state, log and model; they reload from disk."""
+        for cache in (self._states, self._logs, self._records, self._detectors):
+            cache.pop(metric_id, None)
+
     # -- registry ----------------------------------------------------------
 
     def register_job(self, spec: JobSpec) -> str:
@@ -184,13 +204,14 @@ class Engine:
             if other.metric_id == spec.metric_id:
                 raise DuplicateId(f"metric {spec.metric_id!r} already registered under job {other.job_id!r}")
         _write_json(self._job_path(spec.job_id), spec.to_dict())
+        self._jobs = None
         return spec.job_id
 
     def jobs(self) -> list[JobSpec]:
-        specs = []
-        for path in sorted((self.root / "jobs").glob("*.json")):
-            specs.append(JobSpec.from_dict(json.loads(path.read_text())))
-        return specs
+        if self._jobs is None:
+            self._jobs = [JobSpec.from_dict(json.loads(path.read_text()))
+                          for path in sorted((self.root / "jobs").glob("*.json"))]
+        return list(self._jobs)
 
     def _series(self, spec: JobSpec) -> TimeSeries:
         cached = self._series_cache.get(spec.metric_id)
@@ -211,7 +232,28 @@ class Engine:
     # -- model store --------------------------------------------------------
 
     def _active_record(self, metric_id: str) -> Optional[dict]:
-        return self._read_json(self._model_path(metric_id))
+        if metric_id not in self._records:
+            self._records[metric_id] = self._read_json(self._model_path(metric_id))
+        return self._records[metric_id]
+
+    def _detector(self, record: dict):
+        """(model, config, forecast) of an active record, parsed once per model_id.
+
+        ``forecast`` is the transformed forecast table of a structural
+        model up to its TTL, which covers every scoring horizon; it is
+        None for a filter model.
+        """
+        cached = self._detectors.get(record["metric_id"])
+        if cached is None or cached[0] != record["model_id"]:
+            table = None
+            if record["method"] == "structural":
+                model = StructuralModel.from_dict(record["payload"])
+                table = forecast(model, record["expires_at"] - record["published_at"], transformed=True)
+            else:
+                model = StateSpaceModel.from_dict(record["payload"])
+            cached = (record["model_id"], model, ModelConfig.from_dict(record["config"]), table)
+            self._detectors[record["metric_id"]] = cached
+        return cached[1:]
 
     def _publish_model(self, spec: JobSpec, now: int, method: str, payload: dict,
                        config: ModelConfig, prof: DataProfile, generation: int,
@@ -229,6 +271,7 @@ class Engine:
             "tune_generation": generation,
         }
         _write_json(self._model_path(spec.metric_id), record)
+        self._records[spec.metric_id] = record
         state = self._scoring_state(spec.metric_id)
         state.update(
             origin=now,
@@ -242,24 +285,41 @@ class Engine:
     # -- scoring state / log ---------------------------------------------------
 
     def _scoring_state(self, metric_id: str) -> dict:
-        state = self._read_json(self._state_path(metric_id))
+        state = self._states.get(metric_id)
         if state is None:
-            state = {
-                "origin": None,
-                "last_scored": 0,
-                "filter_state": None,
-                "tune_generation": 0,
-                "last_training_failed": False,
-                "log": [],
-            }
+            state = self._read_json(self._state_path(metric_id))
+            if state is None:
+                state = {
+                    "origin": None,
+                    "last_scored": 0,
+                    "filter_state": None,
+                    "tune_generation": 0,
+                    "last_training_failed": False,
+                }
+            state.pop("log", None)  # older stores kept the score log here
+            self._states[metric_id] = state
         return state
 
     def _save_scoring_state(self, metric_id: str, state: dict) -> None:
+        self._states[metric_id] = state
         _write_json(self._state_path(metric_id), state)
 
-    def _score_log(self, metric_id: str, state: dict) -> ev.ScoreLog:
-        log = ev.ScoreLog(metric_id, window=500)
-        log.entries = [tuple(e) for e in state.get("log", [])]
+    def _score_log(self, metric_id: str) -> ev.ScoreLog:
+        """The metric's newest LOG_WINDOW scores, rebuilt from its scores CSV.
+
+        The CSV holds every (timestamp, probability, observed) the log
+        ever held, written with ``repr``, so the rebuilt log is exact.
+        """
+        log = self._logs.get(metric_id)
+        if log is None:
+            log = ev.ScoreLog(metric_id, window=LOG_WINDOW)
+            path = self._scores_path(metric_id)
+            if path.exists():
+                with open(path, newline="") as fh:
+                    rows = deque(csv.DictReader(fh), maxlen=LOG_WINDOW)
+                log.entries = [(int(r["timestamp"]), float(r["probability"]), float(r["observed"]))
+                               for r in rows]
+            self._logs[metric_id] = log
         return log
 
     # -- alerting -----------------------------------------------------------------
@@ -293,7 +353,9 @@ class Engine:
 
         Returns the ScoreRecords written this cycle.  Expired models skip
         the metric and force its health to R; metrics without a model are
-        skipped silently (they are still warming up).
+        skipped silently (they are still warming up).  Any other failure
+        is isolated to its metric: the metric's cached state is dropped
+        and its health forced to R with the error as the reason.
         """
         records: list[dict] = []
         for spec in self.jobs():
@@ -305,6 +367,9 @@ class Engine:
                 continue
             except ExpiredModel:
                 self._force_red(spec, now, reason="expired model")
+            except Exception as exc:  # noqa: BLE001 - cycle must survive any metric
+                self._forget(spec.metric_id)
+                self._force_red(spec, now, reason=f"scoring failed: {exc}")
         return records
 
     def _score_metric(self, spec: JobSpec, now: int) -> list[dict]:
@@ -320,20 +385,21 @@ class Engine:
         if end <= start:
             return []
 
-        config = ModelConfig.from_dict(record["config"])
-        log = self._score_log(spec.metric_id, state)
+        model, config, fc = self._detector(record)
+        log = self._score_log(spec.metric_id)
         out: list[dict] = []
 
+        # a missing observation gets no score and no log entry and leaves
+        # the filter where it was; last_scored still moves past it
         values = series.values
         if record["method"] == "structural":
-            model = StructuralModel.from_dict(record["payload"])
             origin = int(record["published_at"])
-            horizon = end - origin
-            fc = forecast(model, horizon, transformed=True)
             for i in range(start, end):  # i is the series index == tick-1 ... tick end
+                obs = float(values[i])
+                if math.isnan(obs):
+                    continue
                 h = i - origin  # index i is the (h+1)-th step after the train end
                 mean_t, std_t = fc[h]
-                obs = float(values[i])
                 if model.log_scale:
                     obs_t = math.log(max(obs + model.log_offset, 1e-300))
                     expected = float(np.exp(mean_t) - model.log_offset)
@@ -343,10 +409,11 @@ class Engine:
                 prob = float(gaussian_anomaly_probability(obs_t - mean_t, std_t))
                 out.append(self._finish_score(spec, series, i, obs, expected, prob, record, config, log))
         else:
-            model = StateSpaceModel.from_dict(record["payload"])
             fstate = FilterState.from_dict(state["filter_state"])
             for i in range(start, end):
                 obs = float(values[i])
+                if math.isnan(obs):
+                    continue
                 x = fstate.x_post
                 next_level = float(x[0] + x[1]) if model.state_dim == 2 else float(x[0])
                 if model.log_scale:
@@ -360,7 +427,6 @@ class Engine:
             state["filter_state"] = fstate.to_dict()
 
         state["last_scored"] = end
-        state["log"] = [list(e) for e in log.entries]
         self._save_scoring_state(spec.metric_id, state)
         self._append_score_rows(spec.metric_id, out)
         return out
@@ -384,7 +450,7 @@ class Engine:
     def _append_score_rows(self, metric_id: str, rows: list[dict]) -> None:
         if not rows:
             return
-        path = self.root / "scores" / f"{metric_id}.csv"
+        path = self._scores_path(metric_id)
         new = not path.exists()
         with open(path, "a", newline="") as fh:
             writer = csv.writer(fh)
@@ -425,8 +491,8 @@ class Engine:
     def _train_metric(self, spec: JobSpec, now: int) -> dict:
         outcome = {"metric_id": spec.metric_id, "at": now, "status": "trained",
                    "tuned": False, "method": None, "error": None}
-        state = self._scoring_state(spec.metric_id)
         try:
+            state = self._scoring_state(spec.metric_id)
             series = self._series(spec)
             data = TimeSeries(
                 start_epoch=series.start_epoch,
@@ -504,14 +570,20 @@ class Engine:
         except Exception as exc:  # noqa: BLE001 - cycle must survive any metric
             outcome["status"] = "failed"
             outcome["error"] = str(exc)
+            self._forget(spec.metric_id)
+            state = self._scoring_state(spec.metric_id)
             state["last_training_failed"] = True
             self._save_scoring_state(spec.metric_id, state)
         return outcome
 
     # -- evaluation cycle -----------------------------------------------------------------
 
-    def _force_red(self, spec: JobSpec, now: int, reason: str) -> None:
-        snapshot = self._evaluate_metric(spec, now, ev.HealthThresholds())
+    def _force_red(self, spec: JobSpec, now: int, reason: str) -> ev.HealthSnapshot:
+        try:
+            snapshot = self._evaluate_metric(spec, now, ev.HealthThresholds())
+        except Exception:  # noqa: BLE001 - the metric is labelled R regardless
+            self._forget(spec.metric_id)
+            snapshot = ev.HealthSnapshot(0.0, 0.0, 0.0, 0, 0.0, 1.0, "R")
         if snapshot.health != "R":
             snapshot = ev.HealthSnapshot(
                 mv_avg=snapshot.mv_avg,
@@ -526,6 +598,7 @@ class Engine:
             self._health_path(spec.metric_id),
             {"at": now, "reason": reason, "snapshot": snapshot.to_dict()},
         )
+        return snapshot
 
     def metric_scorer(self, spec: JobSpec, now: int):
         """(score_fn, stable_scores, domain) for a metric, or None.
@@ -538,8 +611,7 @@ class Engine:
         record = self._active_record(spec.metric_id)
         if record is None:
             return None
-        state = self._scoring_state(spec.metric_id)
-        log = self._score_log(spec.metric_id, state)
+        log = self._score_log(spec.metric_id)
         scores = log.stable_scores(spec.alert_threshold, guard=5)
         if scores.size < MIN_EVAL_SCORES:
             return None
@@ -548,10 +620,12 @@ class Engine:
         span = max(hi - lo, 1e-6 * max(abs(hi), 1.0), 1e-9)
         domain = (lo - 0.1 * span, hi + 0.1 * span)
 
+        model, _, table = self._detector(record)
         if record["method"] == "structural":
-            model = StructuralModel.from_dict(record["payload"])
             horizon = max(now - int(record["published_at"]), 1)
-            mean_t, std_t = forecast(model, horizon, transformed=True)[-1]
+            if horizon > len(table):  # past the TTL: the model has expired
+                table = forecast(model, horizon, transformed=True)
+            mean_t, std_t = table[horizon - 1]
 
             def score_fn(values):
                 values = np.asarray(values, dtype=float)
@@ -561,8 +635,7 @@ class Engine:
                 return 1.0 - probs
 
         else:
-            model = StateSpaceModel.from_dict(record["payload"])
-            fstate = FilterState.from_dict(state["filter_state"])
+            fstate = FilterState.from_dict(self._scoring_state(spec.metric_id)["filter_state"])
             prob_fn = frozen_scorer(model, fstate)
 
             def score_fn(values):
@@ -592,7 +665,7 @@ class Engine:
                          thresholds: ev.HealthThresholds,
                          curve_stats=None) -> ev.HealthSnapshot:
         state = self._scoring_state(spec.metric_id)
-        log = self._score_log(spec.metric_id, state)
+        log = self._score_log(spec.metric_id)
         record = self._active_record(spec.metric_id)
         if record is not None:
             ttl = record["expires_at"] - record["published_at"]
@@ -624,14 +697,22 @@ class Engine:
         return ev.HealthSnapshot(mv_avg, em_avg, rate, consec, cov, age, health)
 
     def run_evaluation_cycle(self, now: int) -> dict[str, ev.HealthSnapshot]:
-        """Label every registered metric G, Y or R (one label per metric)."""
+        """Label every registered metric G, Y or R (one label per metric).
+
+        A metric whose evaluation fails is labelled R with the error as
+        the reason; the other metrics are labelled as usual.
+        """
         specs = self.jobs()
         stats: dict[str, Optional[tuple[float, float]]] = {}
+        errors: dict[str, Exception] = {}
         for spec in specs:
             try:
                 stats[spec.metric_id] = self._curve_stats(spec, now)
             except AutoAdError:
                 stats[spec.metric_id] = None
+            except Exception as exc:  # noqa: BLE001 - cycle must survive any metric
+                stats[spec.metric_id] = None
+                errors[spec.metric_id] = exc
 
         mv_values = [s[0] for s in stats.values() if s is not None]
         em_values = [s[1] for s in stats.values() if s is not None]
@@ -642,12 +723,20 @@ class Engine:
 
         out: dict[str, ev.HealthSnapshot] = {}
         for spec in specs:
-            snapshot = self._evaluate_metric(spec, now, thresholds, stats[spec.metric_id])
+            error = errors.get(spec.metric_id)
+            if error is None:
+                try:
+                    snapshot = self._evaluate_metric(spec, now, thresholds, stats[spec.metric_id])
+                    _write_json(
+                        self._health_path(spec.metric_id),
+                        {"at": now, "snapshot": snapshot.to_dict()},
+                    )
+                except Exception as exc:  # noqa: BLE001 - cycle must survive any metric
+                    error = exc
+            if error is not None:
+                self._forget(spec.metric_id)
+                snapshot = self._force_red(spec, now, reason=f"evaluation failed: {error}")
             out[spec.metric_id] = snapshot
-            _write_json(
-                self._health_path(spec.metric_id),
-                {"at": now, "snapshot": snapshot.to_dict()},
-            )
         return out
 
     # -- clock ---------------------------------------------------------------------------

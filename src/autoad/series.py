@@ -43,10 +43,6 @@ def freq_label_for_step(step: int) -> str:
     return "custom"
 
 
-def is_missing(value) -> bool:
-    return value is None or (isinstance(value, float) and math.isnan(value))
-
-
 @dataclass(frozen=True)
 class TimeSeries:
     """Uniformly indexed univariate series with explicit missing markers.

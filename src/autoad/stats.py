@@ -78,22 +78,3 @@ def autocovariances(values, max_lag: int):
             gammas[k] = np.dot(centered[: n - k], centered[k:]) / n
     return gammas
 
-
-def ols_slope(values):
-    """Least-squares slope and its standard error over an index grid.
-
-    Returns (slope, stderr); stderr is 0 for a perfect (or length<3) fit.
-    """
-    y = np.asarray(values, dtype=float)
-    n = y.size
-    t = np.arange(n, dtype=float)
-    t_c = t - t.mean()
-    sxx = np.dot(t_c, t_c)
-    if sxx <= 0:
-        return 0.0, 0.0
-    slope = float(np.dot(t_c, y - y.mean()) / sxx)
-    if n < 3:
-        return slope, 0.0
-    resid = y - y.mean() - slope * t_c
-    s2 = float(np.dot(resid, resid) / (n - 2))
-    return slope, math.sqrt(max(s2, 0.0) / sxx)
