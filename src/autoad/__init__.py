@@ -18,7 +18,7 @@ from .evaluation import (
     scoring_function,
     summarize_criteria,
 )
-from .filtering import FilterState, StateSpaceModel, fit_filtering, kalman_step
+from .filtering import FilterState, StateSpaceModel, fit_filtering
 from .optimizer import (
     FilteringParams,
     LabeledSeries,
@@ -50,7 +50,7 @@ from .series import (
     read_csv,
     smooth,
 )
-from .structural import StructuralModel, anomaly_probability_structural, fit_structural, forecast
+from .structural import StructuralModel, fit_structural, forecast
 
 __version__ = "0.1.0"
 
@@ -75,7 +75,6 @@ __all__ = [
     "TimeSeries",
     "TuneResult",
     "aggregate",
-    "anomaly_probability_structural",
     "classify_health",
     "cost",
     "detect_change_points",
@@ -86,7 +85,6 @@ __all__ = [
     "forecast",
     "impute",
     "inject_synthetic_anomalies",
-    "kalman_step",
     "log_transform",
     "mv_curve",
     "profile",

@@ -16,11 +16,11 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .errors import InsufficientData, NumericalBreakdown
+from .series import TimeSeries, log_offset, to_log
 from .stats import gaussian_anomaly_probability
 
 if TYPE_CHECKING:  # pragma: no cover
     from .optimizer import ModelConfig
-    from .series import TimeSeries
 
 _ETA_VAR_FLOOR = 1e-12
 _R_FLOOR = 1e-10
@@ -30,13 +30,12 @@ _R_FLOOR = 1e-10
 class StateSpaceModel:
     """Canonical local-level / local-linear-trend state space.
 
-    state_dim 1 fixes A=[1], C=[1]; state_dim 2 fixes A=[1 0],
-    C=[[1,1],[0,1]].  Q and P0 must be symmetric PSD, R positive.
+    state_dim 1 is a random-walk level; state_dim 2 adds a random-walk
+    slope that feeds the level.  Q and P0 must be symmetric PSD, R
+    positive.
     """
 
     state_dim: int
-    A: np.ndarray
-    C: np.ndarray
     Q: np.ndarray
     R: float
     x0: np.ndarray
@@ -48,11 +47,9 @@ class StateSpaceModel:
     def __post_init__(self):
         if self.state_dim not in (1, 2):
             raise ValueError("state_dim must be 1 or 2")
-        for name in ("A", "C", "Q", "x0", "P0"):
+        for name in ("Q", "x0", "P0"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         m = self.state_dim
-        if self.A.shape != (1, m) or self.C.shape != (m, m):
-            raise ValueError("A must be 1xm and C mxm")
         if self.Q.shape != (m, m) or self.P0.shape != (m, m) or self.x0.shape != (m,):
             raise ValueError("Q, P0 must be mxm and x0 length m")
         if self.R <= 0:
@@ -67,8 +64,6 @@ class StateSpaceModel:
     def local_level(cls, q: float, r: float, x0: float = 0.0, p0: float = 1.0, **kw):
         return cls(
             state_dim=1,
-            A=np.array([[1.0]]),
-            C=np.array([[1.0]]),
             Q=np.array([[q]]),
             R=r,
             x0=np.array([x0]),
@@ -88,8 +83,6 @@ class StateSpaceModel:
     ):
         return cls(
             state_dim=2,
-            A=np.array([[1.0, 0.0]]),
-            C=np.array([[1.0, 1.0], [0.0, 1.0]]),
             Q=np.diag([q_level, q_slope]).astype(float),
             R=r,
             x0=np.asarray(x0, dtype=float),
@@ -113,13 +106,8 @@ class StateSpaceModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StateSpaceModel":
-        m = int(data["state_dim"])
-        A = np.array([[1.0]]) if m == 1 else np.array([[1.0, 0.0]])
-        C = np.array([[1.0]]) if m == 1 else np.array([[1.0, 1.0], [0.0, 1.0]])
         return cls(
-            state_dim=m,
-            A=A,
-            C=C,
+            state_dim=int(data["state_dim"]),
             Q=np.asarray(data["Q"], dtype=float),
             R=float(data["R"]),
             x0=np.asarray(data["x0"], dtype=float),
@@ -132,7 +120,7 @@ class StateSpaceModel:
 
 @dataclass(frozen=True)
 class FilterState:
-    """Value-semantics filter state; one kalman_step produces the next one."""
+    """Value-semantics filter state; a :func:`run_filter` pass produces the next one."""
 
     x_prior: np.ndarray
     x_post: np.ndarray
@@ -181,227 +169,142 @@ class FilterState:
         )
 
 
-def _forgetting_update(w_sum, mean, s_accum, eta, lam):
-    # weighted Welford recursion; lam=1 reproduces exact batch statistics
-    w_new = lam * w_sum + 1.0
-    delta = eta - mean
-    mean_new = mean + delta / w_new
-    s_new = lam * s_accum + delta * (eta - mean_new)
-    var_new = s_new / w_new
-    return w_new, mean_new, s_new, max(var_new, 0.0)
+def _as_trend(a: np.ndarray) -> list:
+    """A state vector or matrix of either size as the local linear trend's,
+    with any slope entries it lacks held at zero."""
+    if a.ndim == 1:
+        return (a.tolist() + [0.0])[:2]
+    return ([(row + [0.0])[:2] for row in a.tolist()] + [[0.0, 0.0]])[:2]
 
 
-def kalman_step(model: StateSpaceModel, state: FilterState, y: float) -> FilterState:
-    """One predict/update cycle; returns the successor state.
+def _kalman_pass(model: StateSpaceModel, state: FilterState, values) -> tuple:
+    """The one Kalman predict/update recursion, for both state sizes.
 
-    Covariances are re-symmetrized after the update.  A non-positive
-    innovation variance triggers one re-symmetrize-and-retry before
-    NumericalBreakdown is raised.
+    The local level runs as the local linear trend with its slope state,
+    slope noise and slope covariance held at zero; every level quantity
+    then comes out exactly as a scalar recursion would give it.  Returns
+    the per-step predicted level, level residual (posterior minus
+    predicted level), innovation and innovation variance, then the last
+    posterior and prior as (x, P) of the model's size.  An empty pass
+    returns the state's own posterior and prior.
     """
-    if not math.isfinite(y):
-        raise ValueError("observation must be finite")
-    A, C, Q, R = model.A, model.C, model.Q, model.R
-    x_prior = C @ state.x_post
-    P_prior = C @ state.P_post @ C.T + Q
-    P_prior = (P_prior + P_prior.T) / 2.0
-
-    s_innov = float((A @ P_prior @ A.T).item()) + R
-    if s_innov <= 0.0:
-        P_prior = (P_prior + P_prior.T) / 2.0
-        s_innov = float((A @ P_prior @ A.T).item()) + R
-        if s_innov <= 0.0:
-            raise NumericalBreakdown(f"innovation variance {s_innov} <= 0")
-
-    gain = (P_prior @ A.T).ravel() / s_innov
-    innovation = y - float((A @ x_prior).item())
-    x_post = x_prior + gain * innovation
-    P_post = (np.eye(model.state_dim) - np.outer(gain, A.ravel())) @ P_prior
-    P_post = (P_post + P_post.T) / 2.0
-
-    eta = float(x_post[0] - x_prior[0])
-    w_new, mean_new, s_new, var_new = _forgetting_update(
-        state.w_sum, state.eta_mean, state.s_accum, eta, model.forgetting
-    )
-    return FilterState(
-        x_prior=x_prior,
-        x_post=x_post,
-        P_prior=P_prior,
-        P_post=P_post,
-        eta=eta,
-        eta_mean=mean_new,
-        eta_var=var_new,
-        w_sum=w_new,
-        s_accum=s_new,
-    )
-
-
-def anomaly_probability_filtering(state: FilterState, model: StateSpaceModel, y: float) -> float:
-    """Anomaly probability of observation y given the trained residual law.
-
-    Applies one hypothetical Kalman step and scores the resulting level
-    residual against N(eta_mean, eta_var) accumulated so far (variance
-    floored).  Shares the two-sided Gaussian tail with the structural
-    scorer.
-    """
-    prob, _ = score_step(model, state, y)
-    return prob
-
-
-def score_step(model: StateSpaceModel, state: FilterState, y: float) -> tuple[float, FilterState]:
-    """Score y against the pre-update residual statistics, then advance."""
-    new_state = kalman_step(model, state, y)
-    sd = math.sqrt(max(state.eta_var, _ETA_VAR_FLOOR))
-    prob = float(gaussian_anomaly_probability(new_state.eta - state.eta_mean, sd))
-    return prob, new_state
+    m = model.state_dim
+    (q00, _), (_, q11) = _as_trend(model.Q)
+    r = model.R
+    x0, x1 = _as_trend(state.x_post)
+    (p00, p01), (_, p11) = _as_trend(state.P_post)
+    xp0, xp1 = _as_trend(state.x_prior)
+    (pp00, pp01), (_, pp11) = _as_trend(state.P_prior)
+    n = len(values)
+    level, eta, innovation, s_innov = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+    for i, y in enumerate(values):
+        # predict with the transition [[1, 1], [0, 1]]
+        xp0 = x0 + x1
+        xp1 = x1
+        pp00 = p00 + 2.0 * p01 + p11 + q00
+        pp01 = p01 + p11
+        pp11 = p11 + q11
+        s = pp00 + r
+        if s <= 0.0:
+            raise NumericalBreakdown(f"innovation variance {s} <= 0")
+        k0 = pp00 / s
+        k1 = pp01 / s
+        nu = y - xp0
+        x0 = xp0 + k0 * nu
+        x1 = xp1 + k1 * nu
+        p00 = (1.0 - k0) * pp00
+        p01 = (1.0 - k0) * pp01
+        p11 = pp11 - k1 * pp01
+        level[i] = xp0
+        eta[i] = x0 - xp0
+        innovation[i] = nu
+        s_innov[i] = s
+    post = (np.array([x0, x1])[:m], np.array([[p00, p01], [p01, p11]])[:m, :m])
+    prior = (np.array([xp0, xp1])[:m], np.array([[pp00, pp01], [pp01, pp11]])[:m, :m])
+    return level, eta, innovation, s_innov, post, prior
 
 
 def run_filter(
     model: StateSpaceModel, values: np.ndarray, state: Optional[FilterState] = None
-) -> tuple[np.ndarray, FilterState]:
-    """Filter a whole sequence, returning per-step anomaly probabilities.
+) -> tuple[np.ndarray, FilterState, np.ndarray]:
+    """Filter a whole sequence: per-step anomaly probabilities, the final
+    state and each step's predicted level (on the model's scale).
 
     Each observation is scored against the residual statistics before it
-    is absorbed, so the pass is causal end to end.  Uses an unrolled
-    scalar/2x2 fast path that is step-for-step equivalent to
-    :func:`kalman_step`.
+    is absorbed, so the pass is causal end to end, and a sequence split
+    into consecutive passes gives the same probabilities as one pass.
+    Raises ValueError on a non-finite observation before filtering any.
     """
     if state is None:
         state = FilterState.initial(model)
     values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("observations must be finite")
+    level, eta, _, _, (x_post, P_post), (x_prior, P_prior) = _kalman_pass(
+        model, state, values.tolist()
+    )
+
+    # weighted Welford recursion over the level residuals; forgetting 1
+    # reproduces exact batch statistics
     lam = model.forgetting
-    R = model.R
-    probs = np.empty(values.size)
+    w_sum, mean, s_accum, var = state.w_sum, state.eta_mean, state.s_accum, state.eta_var
+    means, variances = [0.0] * len(eta), [0.0] * len(eta)
+    for i, e in enumerate(eta):
+        means[i] = mean
+        variances[i] = var
+        w_sum = lam * w_sum + 1.0
+        delta = e - mean
+        mean = mean + delta / w_sum
+        s_accum = lam * s_accum + delta * (e - mean)
+        var = max(s_accum / w_sum, 0.0)
 
-    w_sum, mean, s_accum = state.w_sum, state.eta_mean, state.s_accum
-    var = state.eta_var
-
-    if model.state_dim == 1:
-        q = float(model.Q[0, 0])
-        x = float(state.x_post[0])
-        p = float(state.P_post[0, 0])
-        x_prior = p_prior = 0.0
-        eta = state.eta
-        for i, y in enumerate(values):
-            x_prior = x
-            p_prior = p + q
-            s_innov = p_prior + R
-            if s_innov <= 0.0:
-                raise NumericalBreakdown(f"innovation variance {s_innov} <= 0")
-            k = p_prior / s_innov
-            x = x_prior + k * (y - x_prior)
-            p = (1.0 - k) * p_prior
-            eta = x - x_prior
-            sd = math.sqrt(max(var, _ETA_VAR_FLOOR))
-            probs[i] = gaussian_anomaly_probability(eta - mean, sd)
-            w_sum, mean, s_accum, var = _forgetting_update(w_sum, mean, s_accum, eta, lam)
-        final = FilterState(
-            x_prior=np.array([x_prior]),
-            x_post=np.array([x]),
-            P_prior=np.array([[p_prior]]),
-            P_post=np.array([[p]]),
-            eta=eta,
-            eta_mean=mean,
-            eta_var=var,
-            w_sum=w_sum,
-            s_accum=s_accum,
-        )
-        return probs, final
-
-    q00 = float(model.Q[0, 0])
-    q11 = float(model.Q[1, 1])
-    x0_, x1_ = float(state.x_post[0]), float(state.x_post[1])
-    p00 = float(state.P_post[0, 0])
-    p01 = float(state.P_post[0, 1])
-    p11 = float(state.P_post[1, 1])
-    xp0 = xp1 = pp00 = pp01 = pp11 = 0.0
-    eta = state.eta
-    for i, y in enumerate(values):
-        # predict with C = [[1,1],[0,1]]
-        xp0 = x0_ + x1_
-        xp1 = x1_
-        pp00 = p00 + 2.0 * p01 + p11 + q00
-        pp01 = p01 + p11
-        pp11 = p11 + q11
-        s_innov = pp00 + R
-        if s_innov <= 0.0:
-            raise NumericalBreakdown(f"innovation variance {s_innov} <= 0")
-        k0 = pp00 / s_innov
-        k1 = pp01 / s_innov
-        innovation = y - xp0
-        x0_ = xp0 + k0 * innovation
-        x1_ = xp1 + k1 * innovation
-        p00 = (1.0 - k0) * pp00
-        p01 = (1.0 - k0) * pp01
-        p11 = pp11 - k1 * pp01
-        eta = x0_ - xp0
-        sd = math.sqrt(max(var, _ETA_VAR_FLOOR))
-        probs[i] = gaussian_anomaly_probability(eta - mean, sd)
-        w_sum, mean, s_accum, var = _forgetting_update(w_sum, mean, s_accum, eta, lam)
+    sd = np.sqrt(np.maximum(variances, _ETA_VAR_FLOOR))
+    probs = gaussian_anomaly_probability(np.array(eta) - np.array(means), sd)
     final = FilterState(
-        x_prior=np.array([xp0, xp1]),
-        x_post=np.array([x0_, x1_]),
-        P_prior=np.array([[pp00, pp01], [pp01, pp11]]),
-        P_post=np.array([[p00, p01], [p01, p11]]),
-        eta=eta,
+        x_prior=x_prior,
+        x_post=x_post,
+        P_prior=P_prior,
+        P_post=P_post,
+        eta=eta[-1] if eta else state.eta,
         eta_mean=mean,
         eta_var=var,
         w_sum=w_sum,
         s_accum=s_accum,
     )
-    return probs, final
+    return probs, final, np.array(level)
 
 
-def _concentrated_likelihood(values: np.ndarray, state_dim: int, rho: float, p0: float, x0):
-    """Prediction-error likelihood with R concentrated out at ratio rho = q/r."""
-    n = values.size
-    sum_log_s = 0.0
-    sum_ratio = 0.0
+def _noise_model(state_dim: int, q: float, r: float, x0: np.ndarray, p0: float, **kw) -> StateSpaceModel:
+    """Local level, or local linear trend with slope noise two orders below level noise."""
     if state_dim == 1:
-        x = float(x0[0])
-        p = p0
-        for y in values:
-            p_prior = p + rho
-            s = p_prior + 1.0
-            nu = y - x
-            sum_log_s += math.log(s)
-            sum_ratio += nu * nu / s
-            k = p_prior / s
-            x = x + k * nu
-            p = (1.0 - k) * p_prior
-    else:
-        x0_, x1_ = float(x0[0]), float(x0[1])
-        p00 = p11 = p0
-        p01 = 0.0
-        q00 = rho
-        q11 = rho * 0.01  # slope noise two orders below level noise
-        for y in values:
-            xp0 = x0_ + x1_
-            pp00 = p00 + 2.0 * p01 + p11 + q00
-            pp01 = p01 + p11
-            pp11 = p11 + q11
-            s = pp00 + 1.0
-            nu = y - xp0
-            sum_log_s += math.log(s)
-            sum_ratio += nu * nu / s
-            k0 = pp00 / s
-            k1 = pp01 / s
-            x0_ = xp0 + k0 * nu
-            x1_ = x1_ + k1 * nu
-            p00 = (1.0 - k0) * pp00
-            p01 = (1.0 - k0) * pp01
-            p11 = pp11 - k1 * pp01
+        return StateSpaceModel.local_level(q=q, r=r, x0=float(x0[0]), p0=p0, **kw)
+    return StateSpaceModel.local_linear_trend(q_level=q, q_slope=q * 0.01, r=r, x0=x0, p0=p0, **kw)
+
+
+def _concentrated_likelihood(values: np.ndarray, model: StateSpaceModel):
+    """Prediction-error likelihood of a model with R = 1, R concentrated out."""
+    _, _, nu, s, _, _ = _kalman_pass(model, FilterState.initial(model), values.tolist())
+    # in-order running totals (cumsum) of math.log terms, so the selected
+    # noise ratio does not depend on numpy's pairwise summation or vector log
+    sum_log_s = float(np.cumsum(list(map(math.log, s)))[-1])
+    nu, s = np.array(nu), np.array(s)
+    sum_ratio = float(np.cumsum(nu * nu / s)[-1])
+    n = values.size
     r_hat = max(sum_ratio / n, _R_FLOOR)
     loglik = -0.5 * (sum_log_s + n * math.log(r_hat) + n)
     return loglik, r_hat
 
 
-def fit_filtering(ts: "TimeSeries", config: "ModelConfig") -> tuple[StateSpaceModel, FilterState]:
+def fit_filtering(
+    ts: TimeSeries, config: "ModelConfig"
+) -> tuple[StateSpaceModel, FilterState, np.ndarray]:
     """Select noise parameters by likelihood and warm up the residual law.
 
     The q/r ratio is searched over 7 log-spaced values with one local
     refinement round; R is concentrated out of the likelihood
     analytically.  A full training pass then populates the residual
-    statistics under the configured forgetting factor.
+    statistics under the configured forgetting factor; its per-point
+    anomaly probabilities are returned with the model and final state.
     """
     params = config.filtering_params
     if params is None:
@@ -413,10 +316,10 @@ def fit_filtering(ts: "TimeSeries", config: "ModelConfig") -> tuple[StateSpaceMo
         raise ValueError("fit_filtering requires an imputed series")
 
     y = ts.values.astype(float)
-    log_offset = 0.0
+    offset = 0.0
     if config.log_scale:
-        log_offset = max(0.0, 1.0 - float(y.min()))
-        y = np.log(y + log_offset)
+        offset = log_offset(y)
+        y = to_log(y, offset)
 
     m = params.state_dim
     if m == 1:
@@ -429,7 +332,7 @@ def fit_filtering(ts: "TimeSeries", config: "ModelConfig") -> tuple[StateSpaceMo
     def scan(rhos):
         best = (-math.inf, None, None)
         for rho in rhos:
-            loglik, r_hat = _concentrated_likelihood(y, m, rho, p0_scale, x0)
+            loglik, r_hat = _concentrated_likelihood(y, _noise_model(m, rho, 1.0, x0, p0_scale))
             if loglik > best[0]:
                 best = (loglik, rho, r_hat)
         return best
@@ -438,29 +341,12 @@ def fit_filtering(ts: "TimeSeries", config: "ModelConfig") -> tuple[StateSpaceMo
     _, rho_best, r_hat = scan(rho_best * np.logspace(-0.5, 0.5, 5))
 
     r = max(r_hat, _R_FLOOR)
-    if m == 1:
-        model = StateSpaceModel.local_level(
-            q=rho_best * r,
-            r=r,
-            x0=float(x0[0]),
-            p0=p0_scale,
-            forgetting=params.forgetting,
-            log_scale=config.log_scale,
-            log_offset=log_offset,
-        )
-    else:
-        model = StateSpaceModel.local_linear_trend(
-            q_level=rho_best * r,
-            q_slope=rho_best * r * 0.01,
-            r=r,
-            x0=x0,
-            p0=p0_scale,
-            forgetting=params.forgetting,
-            log_scale=config.log_scale,
-            log_offset=log_offset,
-        )
-    _, state = run_filter(model, y)
-    return model, state
+    model = _noise_model(
+        m, rho_best * r, r, x0, p0_scale,
+        forgetting=params.forgetting, log_scale=config.log_scale, log_offset=offset,
+    )
+    probs, state, _ = run_filter(model, y)
+    return model, state, probs
 
 
 def frozen_scorer(model: StateSpaceModel, state: FilterState):
@@ -470,19 +356,17 @@ def frozen_scorer(model: StateSpaceModel, state: FilterState):
     through one hypothetical update from the current state without
     mutating anything.
     """
-    A, C, Q = model.A, model.C, model.Q
-    x_prior = C @ state.x_post
-    P_prior = C @ state.P_post @ C.T + Q
-    s_innov = float((A @ P_prior @ A.T).item()) + model.R
-    gain0 = float((P_prior @ A.T).ravel()[0]) / s_innov
-    center = float((A @ x_prior).item())
+    # the prior of a one-step pass does not depend on its observation
+    _, _, _, s_innov, _, (x_prior, P_prior) = _kalman_pass(model, state, [0.0])
+    gain0 = float(P_prior[0, 0]) / s_innov[0]
+    center = float(x_prior[0])
     sd = math.sqrt(max(state.eta_var, _ETA_VAR_FLOOR))
     mean = state.eta_mean
 
     def score(values):
         values = np.asarray(values, dtype=float)
         if model.log_scale:
-            values = np.log(np.maximum(values + model.log_offset, 1e-12))
+            values = to_log(values, model.log_offset)
         eta = gain0 * (values - center)
         return gaussian_anomaly_probability(eta - mean, np.full_like(eta, sd))
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import AutoAdError, RateTooHigh
 from .filtering import fit_filtering, run_filter
 from .profiling import DataProfile, profile as profile_series
-from .series import ImputePolicy, TimeSeries, impute, smooth
+from .series import ImputePolicy, TimeSeries, from_log, impute, smooth, to_log
 from .stats import gaussian_anomaly_probability, mad_std
 from .structural import fit_structural, forecast, in_sample_probabilities
 
@@ -224,30 +224,22 @@ def _structural_probabilities(train: TimeSeries, holdout: np.ndarray, prof, conf
         fc_t = forecast(model, holdout.size, transformed=True)
         obs = holdout
         if model.log_scale:
-            obs = np.log(np.maximum(holdout + model.log_offset, 1e-12))
+            obs = to_log(holdout, model.log_offset)
         means = np.array([m for m, _ in fc_t])
         stds = np.array([s for _, s in fc_t])
         probs[n_train:] = gaussian_anomaly_probability(obs - means, stds)
         if model.log_scale:
-            preds_raw = np.exp(means) - model.log_offset
+            preds_raw = from_log(means, model.log_offset)
         else:
             preds_raw = means
     return probs, preds_raw
 
 
 def _filtering_probabilities(train: TimeSeries, holdout: np.ndarray, config):
-    model, state = fit_filtering(train, config)
-    y_train = train.values
+    model, state, train_probs = fit_filtering(train, config)
     if model.log_scale:
-        y_train = np.log(y_train + model.log_offset)
-    train_probs, _ = run_filter(model, y_train)
-    if holdout.size:
-        h = holdout
-        if model.log_scale:
-            h = np.log(np.maximum(holdout + model.log_offset, 1e-12))
-        hold_probs, _ = run_filter(model, h, state)
-    else:
-        hold_probs = np.zeros(0)
+        holdout = to_log(holdout, model.log_offset)
+    hold_probs, _, _ = run_filter(model, holdout, state)
     return np.concatenate([train_probs, hold_probs])
 
 

@@ -39,10 +39,10 @@ from .errors import (
     InvalidSpec,
     MissingModel,
 )
-from .filtering import FilterState, StateSpaceModel, fit_filtering, frozen_scorer, score_step
+from .filtering import FilterState, StateSpaceModel, fit_filtering, frozen_scorer, run_filter
 from .optimizer import ModelConfig, default_config, tune
 from .profiling import DataProfile, profile as profile_series
-from .series import ImputePolicy, TimeSeries, impute, read_csv
+from .series import ImputePolicy, TimeSeries, from_log, impute, read_csv, to_log
 from .stats import gaussian_anomaly_probability
 from .structural import StructuralModel, fit_structural, forecast
 
@@ -240,15 +240,16 @@ class Engine:
         """(model, config, forecast) of an active record, parsed once per model_id.
 
         ``forecast`` is the transformed forecast table of a structural
-        model up to its TTL, which covers every scoring horizon; it is
-        None for a filter model.
+        model up to its TTL, which covers every scoring horizon, as an
+        array of (mean, std) rows; it is None for a filter model.
         """
         cached = self._detectors.get(record["metric_id"])
         if cached is None or cached[0] != record["model_id"]:
             table = None
             if record["method"] == "structural":
                 model = StructuralModel.from_dict(record["payload"])
-                table = forecast(model, record["expires_at"] - record["published_at"], transformed=True)
+                table = np.array(forecast(model, record["expires_at"] - record["published_at"],
+                                          transformed=True))
             else:
                 model = StateSpaceModel.from_dict(record["payload"])
             cached = (record["model_id"], model, ModelConfig.from_dict(record["config"]), table)
@@ -387,45 +388,26 @@ class Engine:
 
         model, config, fc = self._detector(record)
         log = self._score_log(spec.metric_id)
-        out: list[dict] = []
 
         # a missing observation gets no score and no log entry and leaves
         # the filter where it was; last_scored still moves past it
-        values = series.values
+        observed = series.values[start:end]
+        present = ~np.isnan(observed)
+        index, observed = np.arange(start, end)[present], observed[present]
+        obs_t = to_log(observed, model.log_offset) if model.log_scale else observed
         if record["method"] == "structural":
-            origin = int(record["published_at"])
-            for i in range(start, end):  # i is the series index == tick-1 ... tick end
-                obs = float(values[i])
-                if math.isnan(obs):
-                    continue
-                h = i - origin  # index i is the (h+1)-th step after the train end
-                mean_t, std_t = fc[h]
-                if model.log_scale:
-                    obs_t = math.log(max(obs + model.log_offset, 1e-300))
-                    expected = float(np.exp(mean_t) - model.log_offset)
-                else:
-                    obs_t = obs
-                    expected = mean_t
-                prob = float(gaussian_anomaly_probability(obs_t - mean_t, std_t))
-                out.append(self._finish_score(spec, series, i, obs, expected, prob, record, config, log))
+            # index i is the (h+1)-th step after the train end
+            predicted, std = fc[index - int(record["published_at"])].T
+            probs = gaussian_anomaly_probability(obs_t - predicted, std)
         else:
             fstate = FilterState.from_dict(state["filter_state"])
-            for i in range(start, end):
-                obs = float(values[i])
-                if math.isnan(obs):
-                    continue
-                x = fstate.x_post
-                next_level = float(x[0] + x[1]) if model.state_dim == 2 else float(x[0])
-                if model.log_scale:
-                    obs_t = math.log(max(obs + model.log_offset, 1e-300))
-                    expected = float(np.exp(next_level) - model.log_offset)
-                else:
-                    obs_t = obs
-                    expected = next_level
-                prob, fstate = score_step(model, fstate, obs_t)
-                out.append(self._finish_score(spec, series, i, obs, expected, prob, record, config, log))
+            probs, fstate, predicted = run_filter(model, obs_t, fstate)
             state["filter_state"] = fstate.to_dict()
+        expected = from_log(predicted, model.log_offset) if model.log_scale else predicted
 
+        out = [self._finish_score(spec, series, i, obs, exp, prob, record, config, log)
+               for i, obs, exp, prob in zip(index.tolist(), observed.tolist(),
+                                            expected.tolist(), probs.tolist())]
         state["last_scored"] = end
         self._save_scoring_state(spec.metric_id, state)
         self._append_score_rows(spec.metric_id, out)
@@ -561,7 +543,7 @@ class Engine:
                     config = fallback
                     method = "filtering"
             if method == "filtering" and payload is None:
-                fmodel, fstate = fit_filtering(prepared, config)
+                fmodel, fstate, _ = fit_filtering(prepared, config)
                 payload = fmodel.to_dict()
 
             self._publish_model(spec, now, method, payload, config, prof, generation, fstate)
@@ -630,7 +612,7 @@ class Engine:
             def score_fn(values):
                 values = np.asarray(values, dtype=float)
                 if model.log_scale:
-                    values = np.log(np.maximum(values + model.log_offset, 1e-300))
+                    values = to_log(values, model.log_offset)
                 probs = gaussian_anomaly_probability(values - mean_t, np.full_like(values, std_t))
                 return 1.0 - probs
 

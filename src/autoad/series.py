@@ -240,22 +240,40 @@ def aggregate(
     )
 
 
+#: Floor of the log argument, so a value far below the training range
+#: maps to a large negative number rather than -inf or NaN.
+LOG_FLOOR = 1e-12
+
+
+def log_offset(values) -> float:
+    """Additive offset that lifts the smallest finite value's log argument to 1."""
+    return max(0.0, 1.0 - float(np.nanmin(values)))
+
+
+def to_log(values, offset: float) -> np.ndarray:
+    """The log scale both model families work on: log(values + offset), floored."""
+    return np.log(np.maximum(np.asarray(values, dtype=float) + offset, LOG_FLOOR))
+
+
+def from_log(values, offset: float) -> np.ndarray:
+    """Inverse of :func:`to_log` above the floor: exp(values) - offset."""
+    return np.exp(values) - offset
+
+
 def log_transform(ts: TimeSeries) -> tuple[TimeSeries, float]:
     """Natural log with an additive offset keeping all arguments >= 1.
 
     Returns the transformed series and the offset; the inverse is
     exp(y) - offset.
     """
-    values = ts.values
-    finite = values[~np.isnan(values)]
-    if finite.size == 0:
+    if np.isnan(ts.values).all():
         raise AllMissing("cannot log-transform an all-missing series")
-    offset = max(0.0, 1.0 - float(finite.min()))
-    return ts.with_values(np.log(values + offset)), offset
+    offset = log_offset(ts.values)
+    return ts.with_values(to_log(ts.values, offset)), offset
 
 
 def inverse_log_transform(ts: TimeSeries, offset: float) -> TimeSeries:
-    return ts.with_values(np.exp(ts.values) - offset)
+    return ts.with_values(from_log(ts.values, offset))
 
 
 # -- CSV ingestion -------------------------------------------------------

@@ -21,7 +21,7 @@ from scipy.signal import lfilter
 
 from .errors import InsufficientData, NonConvergence
 from .profiling import DataProfile
-from .series import TimeSeries
+from .series import TimeSeries, from_log, log_offset, to_log
 from .stats import autocovariances, gaussian_anomaly_probability
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -156,10 +156,10 @@ def fit_structural(ts: TimeSeries, profile: DataProfile, config: "ModelConfig") 
         raise ValueError("fit_structural requires an imputed series")
 
     y = ts.values.astype(float)
-    log_offset = 0.0
+    offset = 0.0
     if config.log_scale:
-        log_offset = max(0.0, 1.0 - float(y.min()))
-        y = np.log(y + log_offset)
+        offset = log_offset(y)
+        y = to_log(y, offset)
 
     d = profile.diff_order
     tail_values = np.empty(d)
@@ -238,7 +238,7 @@ def fit_structural(ts: TimeSeries, profile: DataProfile, config: "ModelConfig") 
         frequencies=frequencies,
         d=d,
         log_scale=config.log_scale,
-        log_offset=log_offset,
+        log_offset=offset,
         sigma2=sigma2,
         train_mean=train_mean,
         residuals=eps,
@@ -307,21 +307,10 @@ def forecast(model: StructuralModel, h: int, transformed: bool = False) -> list[
     std = np.sqrt(var)
 
     if model.log_scale and not transformed:
-        raw_mean = np.exp(mean) - model.log_offset
+        raw_mean = from_log(mean, model.log_offset)
         raw_std = np.exp(mean) * std
         return list(zip(raw_mean.tolist(), raw_std.tolist()))
     return list(zip(mean.tolist(), std.tolist()))
-
-
-def anomaly_probability_structural(
-    model: StructuralModel | None,
-    observed: float,
-    forecast_mean: float,
-    forecast_std: float,
-    eps: float = 1e-12,
-) -> float:
-    """Two-sided Gaussian tail probability of the observation given the forecast."""
-    return float(gaussian_anomaly_probability(observed - forecast_mean, forecast_std, eps))
 
 
 def in_sample_probabilities(model: StructuralModel) -> np.ndarray:

@@ -9,16 +9,14 @@ from autoad.errors import InsufficientData
 from autoad.filtering import (
     FilterState,
     StateSpaceModel,
-    anomaly_probability_filtering,
+    _concentrated_likelihood,
     fit_filtering,
     frozen_scorer,
-    kalman_step,
     run_filter,
-    score_step,
 )
 from autoad.optimizer import FilteringParams, ModelConfig
 from autoad.series import TimeSeries
-from autoad.structural import anomaly_probability_structural
+from autoad.stats import gaussian_anomaly_probability
 
 ts_of = TimeSeries.from_values
 
@@ -31,32 +29,74 @@ def filtering_config(state_dim=1, forgetting=0.99, log_scale=False):
     )
 
 
-def oracle_recursion(A, C, Q, R, x0, P0, observations):
-    """Textbook Kalman recursion written directly with numpy matrix ops."""
-    x = np.array(x0, dtype=float)
-    P = np.array(P0, dtype=float)
-    m = x.size
+def oracle_recursion(model, observations):
+    """Textbook Kalman recursion written directly with numpy matrix ops.
+
+    Starts from the model's x0/P0 and builds the observation row A and
+    transition C from ``state_dim``.  Each step's level residual (the
+    posterior minus the prior level) is scored, before it is absorbed,
+    against the exponentially weighted mean and variance of the earlier
+    residuals, summed out in full with weights forgetting**age, through
+    the two-sided Gaussian tail erf(|z| / sqrt 2) with the variance
+    floored at 1e-12.  Returns the final x and P, each step's
+    probability, level residual, innovation and innovation variance,
+    and the final residual mean and variance.
+    """
+    m = model.state_dim
+    A = np.eye(1, m)
+    C = np.array([[1.0]]) if m == 1 else np.array([[1.0, 1.0], [0.0, 1.0]])
+    Q, R, lam = model.Q, model.R, model.forgetting
+    x = np.array(model.x0, dtype=float)
+    P = np.array(model.P0, dtype=float)
     I = np.eye(m)
+    etas, innovations, variances = [], [], []
     for y in observations:
         x_prior = C @ x
         P_prior = C @ P @ C.T + Q
         P_prior = (P_prior + P_prior.T) / 2
         S = (A @ P_prior @ A.T).item() + R
         K = (P_prior @ A.T) / S
-        x = x_prior + (K * (y - (A @ x_prior).item())).ravel()
+        nu = y - (A @ x_prior).item()
+        x = x_prior + (K * nu).ravel()
         P = (I - K @ A) @ P_prior
         P = (P + P.T) / 2
-    return x, P
+        etas.append(x[0] - x_prior[0])
+        innovations.append(nu)
+        variances.append(S)
+
+    # row t weighs residual i <= t by forgetting**(t - i)
+    e = np.array(etas)
+    age = np.subtract.outer(np.arange(e.size), np.arange(e.size))
+    weights = np.where(age >= 0, lam ** np.maximum(age, 0), 0.0)
+    means = weights @ e / weights.sum(axis=1)
+    var = (weights * (e[None, :] - means[:, None]) ** 2).sum(axis=1) / weights.sum(axis=1)
+    # step t is scored against the statistics of steps before it
+    before_mean = np.concatenate([[0.0], means[:-1]])
+    before_var = np.concatenate([[0.0], var[:-1]])
+    z = np.abs(e - before_mean) / np.sqrt(np.maximum(before_var, 1e-12))
+    probs = np.array([math.erf(v / math.sqrt(2.0)) for v in z])
+    return {
+        "x": x,
+        "P": P,
+        "probs": probs,
+        "etas": e,
+        "innovations": np.array(innovations),
+        "variances": np.array(variances),
+        "eta_mean": float(means[-1]),
+        "eta_var": float(var[-1]),
+    }
 
 
 def random_model(rng, state_dim):
     r = float(rng.uniform(0.05, 3.0))
+    forgetting = float(rng.uniform(0.9, 0.9999))
     if state_dim == 1:
         model = StateSpaceModel.local_level(
             q=float(rng.uniform(0.01, 2.0)),
             r=r,
             x0=float(rng.normal(0, 2)),
             p0=float(rng.uniform(0.1, 5.0)),
+            forgetting=forgetting,
         )
     else:
         model = StateSpaceModel.local_linear_trend(
@@ -65,24 +105,38 @@ def random_model(rng, state_dim):
             r=r,
             x0=rng.normal(0, 2, 2),
             p0=float(rng.uniform(0.1, 5.0)),
+            forgetting=forgetting,
         )
     return model
+
+
+def oracle_deviation(model, ys) -> float:
+    """Largest gap between one run_filter pass and the oracle: final state,
+    per-step probabilities and the final residual statistics."""
+    probs, state, _ = run_filter(model, ys)
+    oracle = oracle_recursion(model, ys)
+    return max(
+        float(np.max(np.abs(state.x_post - oracle["x"]))),
+        float(np.max(np.abs(state.P_post - oracle["P"]))),
+        float(np.max(np.abs(probs - oracle["probs"]))),
+        abs(state.eta_mean - oracle["eta_mean"]),
+        abs(state.eta_var - oracle["eta_var"]),
+    )
 
 
 class TestKalmanStep:
     def test_hand_evaluated_scalar_step(self):
         model = StateSpaceModel.local_level(q=0.1, r=1.0, x0=0.0, p0=1.0)
-        state = kalman_step(model, FilterState.initial(model), 1.0)
+        _, state, level = run_filter(model, [1.0])
         k = 1.1 / 2.1
         assert state.x_post[0] == pytest.approx(k, rel=1e-12)
         assert state.eta == pytest.approx(k, rel=1e-12)
         assert state.P_prior[0, 0] == pytest.approx(1.1)
+        assert level.tolist() == [0.0]
 
     def test_noiseless_constant_tracking(self):
         model = StateSpaceModel.local_level(q=0.0, r=1e-9, x0=0.0, p0=1.0)
-        state = FilterState.initial(model)
-        for _ in range(50):
-            state = kalman_step(model, state, 4.0)
+        _, state, _ = run_filter(model, np.full(50, 4.0))
         assert state.x_post[0] == pytest.approx(4.0, abs=1e-6)
         assert abs(state.eta) < 1e-6
 
@@ -90,27 +144,27 @@ class TestKalmanStep:
     def test_matches_direct_recursion_oracle(self, state_dim, rng):
         model = random_model(rng, state_dim)
         ys = rng.normal(0, 1, 500)
-        state = FilterState.initial(model)
-        for y in ys:
-            state = kalman_step(model, state, y)
-        x, P = oracle_recursion(model.A, model.C, model.Q, model.R, model.x0, model.P0, ys)
-        assert np.max(np.abs(state.x_post - x)) < 1e-10
-        assert np.max(np.abs(state.P_post - P)) < 1e-10
+        assert oracle_deviation(model, ys) < 1e-10
+        _, _, level = run_filter(model, ys)
+        oracle = oracle_recursion(model, ys)
+        assert np.allclose(level, ys - oracle["innovations"], rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("state_dim", [1, 2])
     def test_fast_path_equivalent_to_step(self, state_dim, rng):
+        """One point per pass, carrying the state, is one whole pass bit for bit."""
         model = random_model(rng, state_dim)
         ys = rng.normal(0, 1, 300)
         state = FilterState.initial(model)
-        probs = []
+        probs, levels = [], []
         for y in ys:
-            p, state = score_step(model, state, y)
-            probs.append(p)
-        fast_probs, fast_state = run_filter(model, ys)
-        assert np.allclose(probs, fast_probs, atol=1e-12)
-        assert np.allclose(state.x_post, fast_state.x_post, atol=1e-12)
-        assert np.allclose(state.P_post, fast_state.P_post, atol=1e-12)
-        assert state.eta_var == pytest.approx(fast_state.eta_var, abs=1e-14)
+            p, state, level = run_filter(model, [y], state)
+            probs.extend(p)
+            levels.extend(level)
+        whole_probs, whole_state, whole_levels = run_filter(model, ys)
+        assert np.array_equal(probs, whole_probs)
+        assert np.array_equal(levels, whole_levels)
+        assert state.to_dict() == whole_state.to_dict()
+        assert np.allclose(probs, oracle_recursion(model, ys)["probs"], rtol=0.0, atol=1e-12)
 
     def test_covariances_stay_symmetric_psd_long_run(self, rng):
         """10^5 randomized steps across fresh models keep P symmetric PSD."""
@@ -118,30 +172,30 @@ class TestKalmanStep:
         while steps_total < 100_000:
             model = random_model(rng, 2 if steps_total % 2 else 1)
             state = FilterState.initial(model)
-            for i, y in enumerate(rng.normal(0, 5, 10_000)):
-                state = kalman_step(model, state, y)
-                if i % 100 == 0:
-                    assert np.array_equal(state.P_post, state.P_post.T)
-                    assert np.linalg.eigvalsh(state.P_post).min() >= -1e-12
+            for chunk in rng.normal(0, 5, (100, 100)):
+                _, state, _ = run_filter(model, chunk, state)
+                assert np.array_equal(state.P_post, state.P_post.T)
+                assert np.linalg.eigvalsh(state.P_post).min() >= -1e-12
             steps_total += 10_000
 
     def test_rejects_non_finite_observation(self):
         model = StateSpaceModel.local_level(q=0.1, r=1.0)
-        with pytest.raises(ValueError):
-            kalman_step(model, FilterState.initial(model), float("nan"))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                run_filter(model, [1.0, bad, 2.0])
 
     @given(lam=st.floats(0.9, 0.9999), seed=st.integers(0, 50))
     @settings(max_examples=20, deadline=None)
     def test_full_memory_matches_batch_statistics(self, lam, seed):
         rng = np.random.default_rng(seed)
         model = StateSpaceModel.local_level(q=0.3, r=1.0, forgetting=1.0)
-        state = FilterState.initial(model)
-        etas = []
-        for y in rng.normal(0, 1, 200):
-            state = kalman_step(model, state, y)
-            etas.append(state.eta)
+        ys = rng.normal(0, 1, 200)
+        _, state, _ = run_filter(model, ys)
+        etas = oracle_recursion(model, ys)["etas"]
         assert state.eta_mean == pytest.approx(np.mean(etas), abs=1e-10)
         assert state.eta_var == pytest.approx(np.var(etas), abs=1e-10)
+        forgetful = StateSpaceModel.local_level(q=0.3, r=1.0, forgetting=lam)
+        assert oracle_deviation(forgetful, ys) < 1e-10
 
 
 class TestFitFiltering:
@@ -150,20 +204,24 @@ class TestFitFiltering:
         n = 1000
         level = np.cumsum(rng.normal(0, math.sqrt(0.1), n))
         y = level + rng.normal(0, 1.0, n)
-        model, _ = fit_filtering(ts_of(y), filtering_config())
+        model, _, _ = fit_filtering(ts_of(y), filtering_config())
         ratio = model.Q[0, 0] / model.R
         assert 0.1 / 3 <= ratio <= 0.1 * 3
 
     def test_constant_series_floors(self):
-        model, state = fit_filtering(ts_of(np.full(100, 4.2)), filtering_config())
+        model, state, _ = fit_filtering(ts_of(np.full(100, 4.2)), filtering_config())
         assert model.R <= 1e-8
         assert state.eta_var == pytest.approx(0.0, abs=1e-12)
 
     def test_white_noise_prediction_variance(self, rng):
         y = rng.normal(0, 1, 1000)
-        model, state = fit_filtering(ts_of(y), filtering_config())
+        model, state, probs = fit_filtering(ts_of(y), filtering_config())
         pred_var = state.P_prior[0, 0] + model.Q[0, 0] + model.R
         assert 0.8 <= pred_var <= 1.2
+        # the warm-up pass is a plain run_filter over the training values
+        again, again_state, _ = run_filter(model, y)
+        assert np.array_equal(probs, again)
+        assert again_state.to_dict() == state.to_dict()
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
@@ -171,8 +229,26 @@ class TestFitFiltering:
 
     def test_trend_model_tracks_slope(self, rng):
         y = 0.5 * np.arange(300.0) + rng.normal(0, 0.5, 300)
-        model, state = fit_filtering(ts_of(y), filtering_config(state_dim=2))
+        model, state, _ = fit_filtering(ts_of(y), filtering_config(state_dim=2))
         assert state.x_post[1] == pytest.approx(0.5, abs=0.2)
+
+    @pytest.mark.parametrize("state_dim", [1, 2])
+    def test_concentrated_likelihood_matches_oracle(self, state_dim, rng):
+        """The scan's likelihood is the Gaussian prediction-error likelihood
+        of the oracle's innovations with R concentrated out."""
+        if state_dim == 1:
+            model = StateSpaceModel.local_level(q=0.2, r=1.0, x0=0.5, p0=3.0)
+        else:
+            model = StateSpaceModel.local_linear_trend(q_level=0.2, q_slope=0.002, r=1.0,
+                                                       x0=(0.5, 0.1), p0=3.0)
+        ys = np.cumsum(rng.normal(0, 0.5, 400)) + rng.normal(0, 1, 400)
+        oracle = oracle_recursion(model, ys)
+        nu, s = oracle["innovations"], oracle["variances"]
+        r_hat = float(np.mean(nu**2 / s))
+        expected = -0.5 * (np.sum(np.log(s)) + ys.size * math.log(r_hat) + ys.size)
+        loglik, got_r = _concentrated_likelihood(ys, model)
+        assert got_r == pytest.approx(r_hat, rel=1e-10)
+        assert loglik == pytest.approx(expected, rel=1e-10)
 
 
 class TestAnomalyProbability:
@@ -188,9 +264,9 @@ class TestAnomalyProbability:
             w_sum=100.0,
         )
         # the observation whose update produces eta == eta_mean scores zero
-        prob, new_state = score_step(model, state, 0.0)
+        probs, new_state, _ = run_filter(model, [0.0], state)
         assert new_state.eta == pytest.approx(state.eta_mean)
-        assert prob == pytest.approx(0.0)
+        assert probs[0] == pytest.approx(0.0)
 
     def test_ninety_five_at_z196(self, rng):
         model = StateSpaceModel.local_level(q=0.1, r=1.0)
@@ -207,15 +283,15 @@ class TestAnomalyProbability:
         p_prior = 0.25 + 0.1
         gain = p_prior / (p_prior + 1.0)
         y = 1.959964 * 0.2 / gain
-        prob = anomaly_probability_filtering(state, model, y)
-        assert abs(prob - 0.95) <= 1e-4
+        probs, _, _ = run_filter(model, [y], state)
+        assert abs(probs[0] - 0.95) <= 1e-4
 
     def test_ten_sigma_spike_on_quiet_series(self, rng):
         y = rng.normal(10, 0.5, 300)
-        model, state = fit_filtering(ts_of(y), filtering_config())
+        model, state, _ = fit_filtering(ts_of(y), filtering_config())
         spike = 10 + 10 * 0.5 * 10
-        prob, _ = score_step(model, state, spike)
-        assert prob > 0.999
+        probs, _, _ = run_filter(model, [spike], state)
+        assert probs[0] > 0.999
 
     def test_shared_tail_with_structural_scorer(self):
         """Both scorers reduce to the same two-sided Gaussian tail."""
@@ -229,28 +305,31 @@ class TestAnomalyProbability:
             eta_var=0.09,
             w_sum=50.0,
         )
-        prob, new_state = score_step(model, state, 1.7)
+        probs, new_state, _ = run_filter(model, [1.7], state)
         z_equiv = (new_state.eta - state.eta_mean) / math.sqrt(state.eta_var)
-        structural = anomaly_probability_structural(None, z_equiv, 0.0, 1.0)
-        assert prob == pytest.approx(structural, abs=1e-12)
+        structural = gaussian_anomaly_probability(z_equiv, 1.0)
+        assert probs[0] == pytest.approx(structural, abs=1e-12)
 
     def test_frozen_scorer_matches_score_step(self, rng):
-        y = rng.normal(5, 1, 200)
-        model, state = fit_filtering(ts_of(y), filtering_config())
-        scorer = frozen_scorer(model, state)
-        candidates = np.array([4.0, 5.0, 6.0, 9.0])
-        frozen = scorer(candidates)
-        stepped = [score_step(model, state, float(v))[0] for v in candidates]
-        assert np.allclose(frozen, stepped, atol=1e-12)
+        """The frozen scorer gives what a one-point pass from the same state gives."""
+        for state_dim in (1, 2):
+            y = rng.normal(5, 1, 200)
+            model, state, _ = fit_filtering(ts_of(y), filtering_config(state_dim=state_dim))
+            scorer = frozen_scorer(model, state)
+            candidates = np.array([4.0, 5.0, 6.0, 9.0])
+            frozen = scorer(candidates)
+            stepped = [run_filter(model, [v], state)[0][0] for v in candidates]
+            assert np.allclose(frozen, stepped, atol=1e-12)
 
 
 class TestSerialization:
     def test_model_and_state_round_trip(self, rng):
         y = rng.normal(0, 1, 200)
-        model, state = fit_filtering(ts_of(y), filtering_config(state_dim=2, forgetting=0.95))
+        model, state, _ = fit_filtering(ts_of(y), filtering_config(state_dim=2, forgetting=0.95))
         model2 = StateSpaceModel.from_dict(model.to_dict())
         state2 = FilterState.from_dict(state.to_dict())
-        p1, s1 = run_filter(model, y[:50], state)
-        p2, s2 = run_filter(model2, y[:50], state2)
+        p1, s1, l1 = run_filter(model, y[:50], state)
+        p2, s2, l2 = run_filter(model2, y[:50], state2)
         assert np.array_equal(p1, p2)
+        assert np.array_equal(l1, l2)
         assert np.allclose(s1.x_post, s2.x_post)

@@ -1,6 +1,7 @@
 """The engine's in-memory store: caches, restarts, gaps and failure isolation."""
 
 import csv
+import dataclasses
 import json
 import math
 import tempfile
@@ -154,6 +155,26 @@ class TestMissingObservations:
         epoch, step = make_series().start_epoch, make_series().step
         assert stamps == [epoch + i * step for i in (*range(96, 100), *range(106, 110))]
         assert not engine._health_path("m1").exists()  # no failure forced it red
+
+    @pytest.mark.parametrize("method", ["structural", "filtering"])
+    def test_batch_cadence_writes_the_same_scores(self, tmp_path, monkeypatch, method):
+        """Scoring every tick and every sixth tick write the same bytes; the
+        batch at tick 204 covers indices 198..203, with a gap at 200..202."""
+        if method == "filtering":
+            def boom(*args, **kwargs):
+                raise NonConvergence("forced failure")
+
+            monkeypatch.setattr(orch, "fit_structural", boom)
+        written = {}
+        for every in (1, 6):
+            engine = fleet_engine(tmp_path / f"every{every}")
+            spec = dataclasses.replace(job_for(gapped_series(start=200, length=3)), score_every=every)
+            engine.register_job(spec)
+            engine.advance_clock(300)
+            assert engine._active_record("m1")["method"] == method
+            written[every] = engine._scores_path("m1").read_bytes()
+        assert written[1] == written[6]
+        assert written[1].count(b"\n") == 1 + 300 - 96 - 3
 
     def test_clock_runs_through_a_gap(self, tmp_path):
         engine = fleet_engine(tmp_path)

@@ -9,9 +9,9 @@ from autoad.errors import InsufficientData, NonConvergence
 from autoad.optimizer import ModelConfig, StructuralParams
 from autoad.profiling import DataProfile
 from autoad.series import TimeSeries
+from autoad.stats import gaussian_anomaly_probability
 from autoad.structural import (
     StructuralModel,
-    anomaly_probability_structural,
     fit_structural,
     forecast,
     in_sample_probabilities,
@@ -177,20 +177,20 @@ class TestForecast:
 
 class TestAnomalyProbability:
     def test_zero_at_mean(self):
-        assert anomaly_probability_structural(None, 10.0, 10.0, 2.0) == 0.0
+        assert gaussian_anomaly_probability(10.0 - 10.0, 2.0) == 0.0
 
     def test_ninety_five_at_z196(self):
-        prob = anomaly_probability_structural(None, 1.959964, 0.0, 1.0)
+        prob = gaussian_anomaly_probability(1.959964, 1.0)
         assert abs(prob - 0.95) <= 1e-4
 
     def test_tail_limit(self):
-        probs = [anomaly_probability_structural(None, z, 0.0, 1.0) for z in (5, 10, 20, 40)]
+        probs = [gaussian_anomaly_probability(z, 1.0) for z in (5, 10, 20, 40)]
         assert all(b >= a for a, b in zip(probs, probs[1:]))
         assert probs[-1] > 0.999999
 
     def test_degenerate_std(self):
-        assert anomaly_probability_structural(None, 1.0, 0.0, 0.0) == 1.0
-        assert anomaly_probability_structural(None, 0.0, 0.0, 0.0) == 0.0
+        assert gaussian_anomaly_probability(1.0, 0.0) == 1.0
+        assert gaussian_anomaly_probability(0.0, 0.0) == 0.0
 
     @given(
         z=st.floats(0.01, 30, allow_nan=False),
@@ -198,10 +198,10 @@ class TestAnomalyProbability:
         std=st.floats(0.01, 50),
     )
     def test_symmetric_and_monotone(self, z, mean, std):
-        up = anomaly_probability_structural(None, mean + z * std, mean, std)
-        down = anomaly_probability_structural(None, mean - z * std, mean, std)
+        up = gaussian_anomaly_probability((mean + z * std) - mean, std)
+        down = gaussian_anomaly_probability((mean - z * std) - mean, std)
         assert up == pytest.approx(down, abs=1e-12)
-        closer = anomaly_probability_structural(None, mean + 0.5 * z * std, mean, std)
+        closer = gaussian_anomaly_probability((mean + 0.5 * z * std) - mean, std)
         assert closer <= up
 
     def test_in_sample_probabilities_bounded(self):
