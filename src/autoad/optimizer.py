@@ -275,6 +275,8 @@ def cost(
             freq_label=series.freq_label,
         )
         labels = labels[config.truncate_at :]
+    if series.missing_mask.any():
+        return math.inf
 
     n = len(series)
     n_train = max(int(math.floor(n * (1.0 - HOLDOUT_FRACTION))), 1)

@@ -195,12 +195,12 @@ def smooth(ts: TimeSeries, window: int, kind: str = "median") -> TimeSeries:
         raise ValueError(f"unknown smoothing kind {kind!r}")
     half = window // 2
     values = ts.values
+    n = len(values)
     out = np.empty_like(values)
     stat = np.median if kind == "median" else np.mean
-    for i in range(len(values)):
-        lo = max(0, i - half)
-        hi = min(len(values), i + half + 1)
-        out[i] = stat(values[lo:hi])
+    out[half : n - half] = stat(np.lib.stride_tricks.sliding_window_view(values, window), axis=1)
+    for i in (*range(half), *range(n - half, n)):
+        out[i] = stat(values[max(0, i - half) : min(n, i + half + 1)])
     return ts.with_values(out)
 
 

@@ -103,11 +103,30 @@ def _fourier_design(t: np.ndarray, frequencies: Sequence[float]) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _ar_roots_stable(phi: np.ndarray) -> bool:
-    if phi.size == 0:
-        return True
-    roots = np.roots(np.concatenate([[1.0], -phi])[::-1])
-    return bool(np.all(np.abs(roots) > 1.0 + 1e-9)) if roots.size else True
+_ROOT_RADIUS = 1.0 + 1e-9
+
+
+def _stationary(phi: np.ndarray) -> bool:
+    """True when every root of 1 - sum_k phi_k B^k lies outside |B| = 1 + 1e-9.
+
+    The roots lie outside radius R exactly when the coefficients
+    phi_k R^k are stationary, and those are stationary exactly when every
+    partial autocorrelation of the Durbin-Levinson step-down lies in
+    (-1, 1) (Barndorff-Nielsen & Schou 1973; Monahan 1984).  A NaN
+    coefficient raises LinAlgError, which the tuner's cost absorbs as
+    +inf; an infinite one is not stationary.
+    """
+    a = phi.tolist()
+    if any(c != c for c in a):
+        raise np.linalg.LinAlgError("coefficients contain NaN")
+    a = [c * _ROOT_RADIUS ** k for k, c in enumerate(a, start=1)]
+    for k in range(len(a) - 1, -1, -1):
+        kappa = a[k]
+        if not -1.0 < kappa < 1.0:
+            return False
+        denom = 1.0 - kappa * kappa
+        a = [(a[j] + kappa * a[k - 1 - j]) / denom for j in range(k)]
+    return True
 
 
 def _css_innovations(phi: np.ndarray, omega: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -130,7 +149,7 @@ def _yule_walker(r: np.ndarray, p: int) -> np.ndarray:
     except (np.linalg.LinAlgError, ValueError):
         return np.zeros(p)
     phi = np.asarray(phi, dtype=float)
-    while not _ar_roots_stable(phi):
+    while not _stationary(phi):
         phi *= 0.95
     return phi
 
@@ -201,7 +220,7 @@ def fit_structural(ts: TimeSeries, profile: DataProfile, config: "ModelConfig") 
 
         def objective(x: np.ndarray) -> float:
             phi_x, omega_x = x[:p], x[p:]
-            if not (_ar_roots_stable(phi_x) and _ar_roots_stable(-omega_x)):
+            if not (_stationary(phi_x) and _stationary(-omega_x)):
                 return _UNSTABLE_PENALTY * scale
             eps_x = _css_innovations(phi_x, omega_x, r)
             css = float(np.mean(eps_x[burn:] ** 2))
@@ -225,7 +244,7 @@ def fit_structural(ts: TimeSeries, profile: DataProfile, config: "ModelConfig") 
         raise NonConvergence("innovation variance is not finite")
     sigma2 = max(sigma2, _SIGMA2_FLOOR)
 
-    if not _ar_roots_stable(phi):
+    if not _stationary(phi):
         warnings.warn("fitted AR polynomial has roots on or inside the unit circle", stacklevel=2)
 
     keep = max(p, 1)

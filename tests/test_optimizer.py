@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from autoad.errors import RateTooHigh
 from autoad.optimizer import (
     FilteringParams,
+    LabeledSeries,
     ModelConfig,
     StructuralParams,
     cost,
@@ -147,6 +149,30 @@ class TestCost:
         prof = DataProfile(missing_fraction=0.4)
         cfg = ModelConfig(method="filtering", max_missing_fraction=0.1)
         assert cost(cfg, labeled, 0.5, profile=prof) == math.inf
+
+    @pytest.mark.parametrize("index", [50, 190])
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ModelConfig(method="filtering"),
+            ModelConfig(method="structural", structural_params=StructuralParams(1, 1, 1)),
+        ],
+        ids=["filtering", "structural"],
+    )
+    def test_missing_value_is_infinite(self, cfg, index):
+        # index 50 lies in the training part, 190 in the holdout
+        labeled, prof = prepare_labeled(seasonal_ar_series(n=200), seed=2)
+        values = labeled.series.values.copy()
+        values[index] = np.nan
+        gappy = LabeledSeries(labeled.series.with_values(values), labeled.labels, labeled.injected)
+        assert math.isfinite(cost(cfg, labeled, 0.5, profile=prof))
+        assert cost(cfg, gappy, 0.5, profile=prof) == math.inf
+        # a gap that truncation cuts away leaves the cost as without it
+        values[index] = labeled.series.values[index]
+        values[5] = np.nan
+        early = LabeledSeries(labeled.series.with_values(values), labeled.labels, labeled.injected)
+        cut = replace(cfg, truncate_at=20)
+        assert cost(cut, early, 0.5, profile=prof) == cost(cut, labeled, 0.5, profile=prof)
 
     def test_truncation_too_tight_is_infinite(self):
         task = seasonal_ar_series(n=100)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -134,6 +134,23 @@ class TestSmooth:
     def test_median_constant_unchanged(self):
         out = smooth(ts_of(np.full(20, 3.3)), 5, "median")
         assert np.array_equal(out.values, np.full(20, 3.3))
+
+    @given(
+        kind=st.sampled_from(["median", "mean"]),
+        half=st.integers(0, 25),
+        extra=st.integers(0, 200),
+        data=st.data(),
+    )
+    @settings(deadline=None)
+    def test_matches_per_window_oracle(self, kind, half, extra, data):
+        window = 2 * half + 1
+        n = window + extra
+        values = data.draw(hnp.arrays(np.float64, n, elements=finite_values))
+        stat = np.median if kind == "median" else np.mean
+        oracle = np.array(
+            [stat(values[max(0, i - half) : min(n, i + half + 1)]) for i in range(n)]
+        )
+        assert np.array_equal(smooth(ts_of(values), window, kind).values, oracle)
 
 
 class TestAggregate:

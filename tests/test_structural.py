@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from autoad.errors import InsufficientData, NonConvergence
@@ -10,8 +11,10 @@ from autoad.optimizer import ModelConfig, StructuralParams
 from autoad.profiling import DataProfile
 from autoad.series import TimeSeries
 from autoad.stats import gaussian_anomaly_probability
+from autoad import structural
 from autoad.structural import (
     StructuralModel,
+    _stationary,
     fit_structural,
     forecast,
     in_sample_probabilities,
@@ -103,6 +106,93 @@ class TestFit:
         assert model.log_scale
         fc = forecast(model, 5)
         assert all(m > 0 for m, _ in fc)
+
+
+def roots_oracle(phi):
+    """Every root of 1 - sum_k phi_k B^k outside |B| = 1 + 1e-9, by eigenvalue solve."""
+    if phi.size == 0:
+        return True
+    roots = np.roots(np.concatenate([[1.0], -phi])[::-1])
+    return bool(np.all(np.abs(roots) > 1.0 + 1e-9)) if roots.size else True
+
+
+class TestStationary:
+    # An eigenvalue solve loses the small roots once the last nonzero
+    # coefficient is below about 1e-20 (for [0, 0.5, 1e-40] it reports
+    # roots at 0 instead of near 1.414), so the oracle only sees
+    # coefficients that are zero or at least 1e-6 in size.
+    @given(
+        phi=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-6, 2.5), st.floats(-2.5, -1e-6)),
+            max_size=3,
+        )
+    )
+    @settings(max_examples=500)
+    def test_matches_roots_oracle(self, phi):
+        phi = np.array(phi, dtype=float)
+        roots = np.roots(np.concatenate([[1.0], -phi])[::-1]) if phi.size else np.zeros(0)
+        if roots.size:
+            assume(abs(np.min(np.abs(roots)) - (1.0 + 1e-9)) > 1e-7)
+        assert _stationary(phi) == roots_oracle(phi)
+
+    @pytest.mark.parametrize(
+        "phi,expected",
+        [
+            ([(1.0 - 1e-12) / (1.0 + 1e-9)], True),
+            ([(1.0 + 1e-12) / (1.0 + 1e-9)], False),
+            ([-(1.0 - 1e-12) / (1.0 + 1e-9)], True),
+            ([-(1.0 + 1e-12) / (1.0 + 1e-9)], False),
+            ([0.5, 0.0], True),
+            ([0.0, 0.0, 0.0], True),
+            ([], True),
+            ([1.2, -0.5], True),
+            ([0.5, 0.6], False),
+            ([0.0, 0.0, 1.5], False),
+        ],
+    )
+    def test_edge_cases_agree_with_oracle(self, phi, expected):
+        phi = np.array(phi, dtype=float)
+        assert roots_oracle(phi) is expected
+        assert _stationary(phi) is expected
+
+    @pytest.mark.parametrize("phi", [[np.nan], [0.5, np.nan], [np.nan, 0.2, 0.1]])
+    def test_nan_raises_linalg_error(self, phi):
+        with pytest.raises(np.linalg.LinAlgError):
+            _stationary(np.array(phi))
+
+    @pytest.mark.parametrize("phi", [[np.inf], [-np.inf], [0.5, np.inf], [np.inf, 0.5]])
+    def test_inf_is_not_stationary(self, phi):
+        assert _stationary(np.array(phi)) is False
+
+
+def fit_outcome(ts, profile, config):
+    """(fitted values, warning messages) of one fit, or the exception it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            model = fit_structural(ts, profile, config)
+        except (InsufficientData, NonConvergence) as exc:
+            return repr(exc)
+    fitted = [model.phi.tolist(), model.omega.tolist(), model.sigma2, model.residuals.tolist()]
+    return fitted, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("log_scale", [False, True])
+@pytest.mark.parametrize("diff_order", [0, 1])
+def test_fit_path_identical_to_roots_oracle(monkeypatch, log_scale, diff_order):
+    rng = np.random.default_rng(100 + 2 * diff_order + int(log_scale))
+    y, _ = simulate_arma([0.6, -0.2], [0.3], 240, seed=int(rng.integers(1 << 30)))
+    values = 50.0 + np.cumsum(y) * 0.2 if diff_order else 50.0 + y
+    ts = ts_of(values)
+    profile = DataProfile(diff_order=diff_order, fourier_terms=((1 / 24, 1.0),))
+    for p in range(4):
+        for q in range(4):
+            config = structural_config(p, q, 1, log_scale=log_scale)
+            new = fit_outcome(ts, profile, config)
+            with monkeypatch.context() as m:
+                m.setattr(structural, "_stationary", roots_oracle)
+                old = fit_outcome(ts, profile, config)
+            assert new == old, (p, q)
 
 
 class TestForecast:
