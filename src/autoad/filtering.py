@@ -295,8 +295,42 @@ def _concentrated_likelihood(values: np.ndarray, model: StateSpaceModel):
     return loglik, r_hat
 
 
+def _initial_state(y: np.ndarray, state_dim: int) -> tuple:
+    """Initial state (first value, and the mean of the first ten steps as
+    slope) and the covariance scale, 10·var(y) + 1, for the values ``y``."""
+    if state_dim == 1:
+        x0 = np.array([y[0]])
+    else:
+        k0 = min(10, y.size - 1)
+        x0 = np.array([y[0], float(np.mean(np.diff(y[: k0 + 1])))])
+    return x0, 10.0 * float(np.var(y)) + 1.0
+
+
+def _select_noise(y: np.ndarray, state_dim: int) -> tuple:
+    """Likelihood-best noise ratio q/r for the values ``y``, and its R estimate.
+
+    Scans 7 log-spaced ratios, then 5 around the best; R is concentrated
+    out of the likelihood analytically.  The result depends only on the
+    values and the state size, never on the forgetting factor.
+    """
+    x0, p0_scale = _initial_state(y, state_dim)
+
+    def scan(rhos):
+        best = (-math.inf, None, None)
+        for rho in rhos:
+            model = _noise_model(state_dim, rho, 1.0, x0, p0_scale)
+            loglik, r_hat = _concentrated_likelihood(y, model)
+            if loglik > best[0]:
+                best = (loglik, rho, r_hat)
+        return best
+
+    _, rho_best, _ = scan(np.logspace(-3.0, 3.0, 7))
+    _, rho_best, r_hat = scan(rho_best * np.logspace(-0.5, 0.5, 5))
+    return rho_best, r_hat
+
+
 def fit_filtering(
-    ts: TimeSeries, config: "ModelConfig"
+    ts: TimeSeries, config: "ModelConfig", noise_memo: Optional[dict] = None
 ) -> tuple[StateSpaceModel, FilterState, np.ndarray]:
     """Select noise parameters by likelihood and warm up the residual law.
 
@@ -305,6 +339,13 @@ def fit_filtering(
     analytically.  A full training pass then populates the residual
     statistics under the configured forgetting factor; its per-point
     anomaly probabilities are returned with the model and final state.
+
+    ``noise_memo`` is an optional dict that a caller fitting several
+    configurations on the same series passes to every call: the noise
+    scan's result is kept there per (transformed training values, state
+    size), and a later call with the same pair reuses it, giving the same
+    model bit for bit.  The caller owns the dict and decides how long it
+    lives; ``None`` scans every time.
     """
     params = config.filtering_params
     if params is None:
@@ -322,23 +363,12 @@ def fit_filtering(
         y = to_log(y, offset)
 
     m = params.state_dim
-    if m == 1:
-        x0 = np.array([y[0]])
-    else:
-        k0 = min(10, n - 1)
-        x0 = np.array([y[0], float(np.mean(np.diff(y[: k0 + 1])))])
-    p0_scale = 10.0 * float(np.var(y)) + 1.0
-
-    def scan(rhos):
-        best = (-math.inf, None, None)
-        for rho in rhos:
-            loglik, r_hat = _concentrated_likelihood(y, _noise_model(m, rho, 1.0, x0, p0_scale))
-            if loglik > best[0]:
-                best = (loglik, rho, r_hat)
-        return best
-
-    _, rho_best, _ = scan(np.logspace(-3.0, 3.0, 7))
-    _, rho_best, r_hat = scan(rho_best * np.logspace(-0.5, 0.5, 5))
+    memo = {} if noise_memo is None else noise_memo
+    key = (y.tobytes(), m)
+    if key not in memo:
+        memo[key] = _select_noise(y, m)
+    rho_best, r_hat = memo[key]
+    x0, p0_scale = _initial_state(y, m)
 
     r = max(r_hat, _R_FLOOR)
     model = _noise_model(

@@ -235,8 +235,8 @@ def _structural_probabilities(train: TimeSeries, holdout: np.ndarray, prof, conf
     return probs, preds_raw
 
 
-def _filtering_probabilities(train: TimeSeries, holdout: np.ndarray, config):
-    model, state, train_probs = fit_filtering(train, config)
+def _filtering_probabilities(train: TimeSeries, holdout: np.ndarray, config, noise_memo):
+    model, state, train_probs = fit_filtering(train, config, noise_memo)
     if model.log_scale:
         holdout = to_log(holdout, model.log_offset)
     hold_probs, _, _ = run_filter(model, holdout, state)
@@ -248,13 +248,15 @@ def cost(
     labeled: LabeledSeries,
     alpha: float,
     profile: Optional[DataProfile] = None,
+    noise_memo: Optional[dict] = None,
 ) -> float:
     """Convex combination of anomaly cross-entropy and holdout MAPE.
 
     Structural configurations pay alpha*CE + (1-alpha)*MAPE; filtering
     configurations pay CE regardless of alpha.  Any training failure (or
     a series whose missing fraction exceeds the configuration allowance)
-    is absorbed as +inf.
+    is absorbed as +inf.  ``noise_memo`` is handed to
+    :func:`~autoad.filtering.fit_filtering`; it never changes the cost.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -287,7 +289,7 @@ def cost(
         if config.method == "structural":
             probs, preds = _structural_probabilities(train, holdout, prof, config)
         else:
-            probs = _filtering_probabilities(train, holdout, config)
+            probs = _filtering_probabilities(train, holdout, config, noise_memo)
     except (AutoAdError, np.linalg.LinAlgError):
         return math.inf
     if not np.all(np.isfinite(probs)):
@@ -347,19 +349,26 @@ class _CatDim:
     def prior_sample(self, rng):
         return self.choices[int(rng.integers(len(self.choices)))]
 
-    def weights(self, observed):
+    def density(self, observed) -> "_CatDensity":
         counts = [0.5] * len(self.choices)
         for v in observed:
             counts[self.choices.index(v)] += 1.0
         total = sum(counts)
-        return [c / total for c in counts]
+        return _CatDensity(self.choices, [c / total for c in counts])
 
-    def sample(self, rng, observed):
-        w = self.weights(observed)
-        return self.choices[int(rng.choice(len(self.choices), p=w))]
 
-    def log_pdf(self, value, observed):
-        return math.log(self.weights(observed)[self.choices.index(value)])
+@dataclass(frozen=True)
+class _CatDensity:
+    """Category frequencies of one observation set, half a count added to each."""
+
+    choices: tuple
+    weights: list
+
+    def sample(self, rng):
+        return self.choices[int(rng.choice(len(self.choices), p=self.weights))]
+
+    def log_pdf(self, value):
+        return math.log(self.weights[self.choices.index(value)])
 
 
 @dataclass(frozen=True)
@@ -371,33 +380,55 @@ class _FloatDim:
     def prior_sample(self, rng):
         return float(rng.uniform(self.lo, self.hi))
 
-    def _bandwidth(self, xs):
+    def density(self, observed) -> "_FloatDensity":
         span = self.hi - self.lo
-        if len(xs) < 2:
-            return span / 4.0
-        sd = float(np.std(xs))
-        return max(1.06 * sd * len(xs) ** -0.2, span / 50.0)
+        if len(observed) < 2:
+            bw = span / 4.0
+        else:
+            sd = float(np.std(observed))
+            bw = max(1.06 * sd * len(observed) ** -0.2, span / 50.0)
+        return _FloatDensity(self, np.asarray(observed, dtype=float), bw)
 
-    def sample(self, rng, observed):
-        if not observed or rng.random() < 1.0 / (len(observed) + 1.0):
-            return self.prior_sample(rng)
-        bw = self._bandwidth(observed)
-        center = observed[int(rng.integers(len(observed)))]
+
+@dataclass(frozen=True)
+class _FloatDensity:
+    """Gaussian kernels of bandwidth ``bw`` on one observation set, mixed
+    with the dimension's uniform prior as one more component."""
+
+    dim: _FloatDim
+    xs: np.ndarray
+    bw: float
+
+    def sample(self, rng):
+        dim, n = self.dim, self.xs.size
+        if not n or rng.random() < 1.0 / (n + 1.0):
+            return dim.prior_sample(rng)
+        center = self.xs[int(rng.integers(n))]
         for _ in range(50):
-            x = rng.normal(center, bw)
-            if self.lo <= x <= self.hi:
+            x = rng.normal(center, self.bw)
+            if dim.lo <= x <= dim.hi:
                 return float(x)
-        return self.prior_sample(rng)
+        return dim.prior_sample(rng)
 
-    def log_pdf(self, value, observed):
-        span = self.hi - self.lo
-        if not observed:
+    def log_pdf(self, value):
+        span = self.dim.hi - self.dim.lo
+        if not self.xs.size:
             return -math.log(span)
-        bw = self._bandwidth(observed)
-        xs = np.asarray(observed, dtype=float)
-        kernel = np.exp(-0.5 * ((value - xs) / bw) ** 2) / (bw * math.sqrt(2 * math.pi))
-        dens = (kernel.sum() + 1.0 / span) / (len(observed) + 1.0)
+        bw = self.bw
+        kernel = np.exp(-0.5 * ((value - self.xs) / bw) ** 2) / (bw * math.sqrt(2 * math.pi))
+        dens = (kernel.sum() + 1.0 / span) / (self.xs.size + 1.0)
         return math.log(max(dens, 1e-300))
+
+
+def _densities(dims: list, rows: list[dict], method: Optional[str] = None) -> list:
+    """Each dimension's density over the rows (of ``method`` only, if given) that carry it."""
+    return [
+        dim.density([
+            row[dim.name] for row in rows
+            if dim.name in row and (method is None or row["method"] == method)
+        ])
+        for dim in dims
+    ]
 
 
 def _build_space(prof: DataProfile, n: int):
@@ -513,6 +544,11 @@ def tune(
     each dimension is density-modeled within the good and bad sets, and
     the best of ``n_ei`` candidates by good/bad density ratio is
     evaluated.  Deterministic given the seed.
+
+    Filtering trials whose training values (after truncation and the log
+    transform) and state size are the same share one noise-ratio scan:
+    the forgetting factor, which is what tells them apart, never enters
+    it.  The scans are kept for this call only.
     """
     if budget < 10:
         raise ValueError("budget must be at least 10")
@@ -527,19 +563,8 @@ def tune(
     flat_history: list[dict] = []
     costs: list[float] = []
     cache: dict[tuple, float] = {}
+    noise_memo: dict = {}  # filtering noise scans of this call only; see fit_filtering
     missing_fraction = prof.missing_fraction
-
-    def observed(dims_subset: list, rows: list[dict], method_filter=None):
-        per_dim = {}
-        for dim in dims_subset:
-            vals = []
-            for row in rows:
-                if method_filter is not None and row["method"] != method_filter:
-                    continue
-                if dim.name in row:
-                    vals.append(row[dim.name])
-            per_dim[dim.name] = vals
-        return per_dim
 
     for i in range(budget):
         if i < n_startup or len(trials) < 2:
@@ -551,34 +576,31 @@ def tune(
             good_rows = [flat_history[j] for j in order[:n_good]]
             bad_rows = [flat_history[j] for j in order[n_good:]]
 
+            # every density depends only on the good/bad split, so it is
+            # built once here and shared by all n_ei candidates
+            good_method = method.density([row["method"] for row in good_rows])
+            bad_method = method.density([row["method"] for row in bad_rows])
+            good_shared, bad_shared = _densities(shared, good_rows), _densities(shared, bad_rows)
+            branches = {
+                name: (dims, _densities(dims, good_rows, name), _densities(dims, bad_rows, name))
+                for name, dims in (("structural", structural), ("filtering", filtering))
+            }
+
             scored: list[tuple[float, ModelConfig]] = []
             for _ in range(n_ei):
-                cand = {}
-                cand["method"] = method.sample(
-                    rng, [row["method"] for row in good_rows]
-                )
-                for dim in shared:
-                    cand[dim.name] = dim.sample(
-                        rng, [row[dim.name] for row in good_rows if dim.name in row]
-                    )
-                branch = structural if cand["method"] == "structural" else filtering
-                good_branch = observed(branch, good_rows, cand["method"])
-                bad_branch = observed(branch, bad_rows, cand["method"])
-                for dim in branch:
-                    cand[dim.name] = dim.sample(rng, good_branch[dim.name])
+                cand = {"method": good_method.sample(rng)}
+                for dim, good in zip(shared, good_shared):
+                    cand[dim.name] = good.sample(rng)
+                branch, good_branch, bad_branch = branches[cand["method"]]
+                for dim, good in zip(branch, good_branch):
+                    cand[dim.name] = good.sample(rng)
 
-                score = method.log_pdf(
-                    cand["method"], [row["method"] for row in good_rows]
-                ) - method.log_pdf(cand["method"], [row["method"] for row in bad_rows])
-                for dim in shared:
-                    g_obs = [row[dim.name] for row in good_rows if dim.name in row]
-                    b_obs = [row[dim.name] for row in bad_rows if dim.name in row]
-                    score += dim.log_pdf(cand[dim.name], g_obs) - dim.log_pdf(
-                        cand[dim.name], b_obs
-                    )
-                for dim in branch:
-                    score += dim.log_pdf(cand[dim.name], good_branch[dim.name])
-                    score -= dim.log_pdf(cand[dim.name], bad_branch[dim.name])
+                score = good_method.log_pdf(cand["method"]) - bad_method.log_pdf(cand["method"])
+                for dim, good, bad in zip(shared, good_shared, bad_shared):
+                    score += good.log_pdf(cand[dim.name]) - bad.log_pdf(cand[dim.name])
+                for dim, good, bad in zip(branch, good_branch, bad_branch):
+                    score += good.log_pdf(cand[dim.name])
+                    score -= bad.log_pdf(cand[dim.name])
                 scored.append((score, _assemble(cand)))
             # prefer the best not-yet-evaluated candidate: the cost is
             # deterministic, so re-evaluating a known configuration is a
@@ -592,7 +614,7 @@ def tune(
         key = _cost_key(config, missing_fraction)
         c = cache.get(key)
         if c is None:
-            c = cost(config, labeled, alpha, profile=prof)
+            c = cost(config, labeled, alpha, profile=prof, noise_memo=noise_memo)
             cache[key] = c
         trials.append((config, c))
         flat_history.append(_flatten(config))

@@ -250,6 +250,22 @@ class TestFitFiltering:
         assert got_r == pytest.approx(r_hat, rel=1e-10)
         assert loglik == pytest.approx(expected, rel=1e-10)
 
+    def test_noise_memo_shares_one_scan_per_values_and_state_size(self, rng):
+        y = 20.0 + np.cumsum(rng.normal(0, 0.3, 300)) + rng.normal(0, 1, 300)
+        memo = {}
+        configs = [
+            filtering_config(state_dim=d, forgetting=f, log_scale=log)
+            for log in (False, True) for d in (1, 2) for f in (0.95, 0.99, 0.9999)
+        ]
+        for cfg in configs:
+            model, state, probs = fit_filtering(ts_of(y), cfg, memo)
+            want_model, want_state, want_probs = fit_filtering(ts_of(y), cfg)
+            assert model.to_dict() == want_model.to_dict()
+            assert state.to_dict() == want_state.to_dict()
+            assert np.array_equal(probs, want_probs)
+        # one entry per (transformed values, state size); forgetting is not in it
+        assert len(memo) == 4
+
 
 class TestAnomalyProbability:
     def test_zero_at_residual_mean(self):

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from autoad import filtering
 from autoad.errors import RateTooHigh
 from autoad.optimizer import (
     FilteringParams,
     LabeledSeries,
     ModelConfig,
     StructuralParams,
+    _CatDim,
+    _FloatDim,
     cost,
     cross_entropy,
     default_config,
@@ -238,6 +241,201 @@ class TestTune:
         doc = result.to_dict()
         assert len(doc["trials"]) == 10
         assert doc["best_config"]["method"] in ("structural", "filtering")
+
+
+# trial lists of tune(seasonal_ar_series(n=300), budget=16, alpha=0.5, seed=s)
+# recorded before the Parzen densities were built once per trial:
+# (method, truncate_at, log_scale, max_missing_fraction, decision_threshold,
+#  (p, q, l) or (state_dim, forgetting), cost)
+PINNED_TRIALS = {
+    3: [
+        ("structural", None, True, 0.2368105065960997, 0.899835958137992, (3, 2, 0), 0.12245661070466807),
+        ("structural", None, False, 0.4331269402364738, 0.7390465977722762, (0, 2, 2), 0.2973950028739185),
+        ("structural", None, False, 0.39122819049566204, 0.7578533511280605, (1, 1, 1), 0.2877098462091884),
+        ("filtering", None, True, 0.7378377872921602, 0.9771773601632132, (1, 0.9647898659872746), 0.47032037067419996),
+        ("structural", None, True, 0.1483028147700044, 0.9252210640527929, (3, 1, 0), 0.18677500256371737),
+        ("structural", None, True, 0.13456021488255213, 0.9084526774416294, (3, 3, 0), 0.12241862496781605),
+        ("structural", None, True, 0.11985618978394369, 0.8995163417458089, (3, 2, 1), 0.20882187714877287),
+        ("structural", None, True, 0.09550457211375529, 0.9109732466282524, (0, 3, 0), 0.1887420067352631),
+        ("structural", None, True, 0.21980424813823762, 0.8952477220655272, (2, 2, 0), 0.18761381556637902),
+        ("structural", None, False, 0.16112147056195134, 0.9103329262705337, (3, 0, 0), 0.25235610270884534),
+        ("structural", None, True, 0.13018762709584097, 0.9009817510960176, (3, 0, 0), 0.18697410767135647),
+        ("structural", None, False, 0.1638247755665412, 0.9037234082361574, (3, 3, 0), 0.1634512964644576),
+        ("structural", None, False, 0.18988536188895228, 0.9102383548014126, (2, 3, 0), 0.16391007664272214),
+        ("structural", None, True, 0.15347073558779006, 0.8993166924542235, (2, 3, 0), 0.12257006274418444),
+        ("structural", None, True, 0.1866890407905475, 0.9014632776934527, (2, 3, 2), 0.22573176535480927),
+        ("filtering", None, True, 0.21888095503683508, 0.8965203872125386, (2, 0.913826646814291), 0.5951410584750051),
+    ],
+    4: [
+        ("filtering", None, True, 0.5113275528143616, 0.9871456091481443, (2, 0.9606748476163035), 0.5137160185225786),
+        ("filtering", None, False, 0.37648658437727256, 0.9001487022859178, (1, 0.9870763638913469), 0.6475421926893394),
+        ("filtering", None, False, 0.9022150797159884, 0.7380996083957639, (2, 0.9788157770826785), 0.6164760202585922),
+        ("filtering", None, False, 0.9841529999311214, 0.684493170533562, (2, 0.9928097361377655), 0.6557228492593978),
+        ("filtering", None, True, 0.49761700615443116, 0.997479043470369, (2, 0.9595119040594873), 0.5159788735830175),
+        ("filtering", None, True, 0.4885209811910344, 0.992952747097291, (2, 0.9602749961449055), 0.5144948260654902),
+        ("filtering", None, True, 0.5273516479216663, 0.9895239646708082, (2, 0.9600556052373241), 0.5149222102990729),
+        ("filtering", None, True, 0.5025702357240194, 0.9972186669401535, (2, 0.9611632814313368), 0.5127651086743343),
+        ("filtering", None, True, 0.503852170289671, 0.9951264942937956, (2, 0.9630776556375301), 0.5090517778035963),
+        ("filtering", None, True, 0.5109114370535968, 0.9968989110786627, (2, 0.9611047335866831), 0.5128792280547844),
+        ("filtering", None, True, 0.49557105215233077, 0.9984427173237059, (2, 0.9622852971824861), 0.5105881449086653),
+        ("filtering", None, True, 0.5104308606503373, 0.9937682102975555, (2, 0.9603649045088759), 0.5143195183895098),
+        ("filtering", None, True, 0.4996694649674607, 0.9925143122404109, (2, 0.9629410493866702), 0.5093146142697802),
+        ("filtering", None, True, 0.48680796789873304, 0.9968789084592746, (2, 0.9626127201919437), 0.5099523458368385),
+        ("filtering", None, True, 0.4879303990507098, 0.9854393325366138, (2, 0.9634742327778664), 0.5082905193014514),
+        ("filtering", None, True, 0.5117260056027827, 0.9874279279840371, (2, 0.9621741706103165), 0.51080371335584),
+    ],
+}
+
+
+class TestPinnedTrials:
+    @pytest.mark.parametrize("seed", sorted(PINNED_TRIALS))
+    def test_trials_match_recorded_run(self, seed):
+        result = tune(seasonal_ar_series(n=300), budget=16, alpha=0.5, seed=seed)
+        assert len(result.trials) == len(PINNED_TRIALS[seed])
+        for (cfg, got), row in zip(result.trials, PINNED_TRIALS[seed]):
+            method, truncate_at, log_scale, missing, threshold, params, want = row
+            expected = ModelConfig(
+                method=method,
+                truncate_at=truncate_at,
+                max_missing_fraction=missing,
+                log_scale=log_scale,
+                structural_params=StructuralParams(*params) if method == "structural" else None,
+                filtering_params=FilteringParams(*params) if method == "filtering" else None,
+                decision_threshold=threshold,
+            )
+            assert cfg == expected
+            assert math.isclose(got, want, rel_tol=1e-12)
+
+
+class TestNoiseMemo:
+    @pytest.mark.parametrize("case", ["white_noise", "seasonal"])
+    def test_memo_is_exact_and_lives_for_one_call(self, case, monkeypatch):
+        if case == "white_noise":
+            series, seed = ts_of(np.random.default_rng(1000).normal(0, 1, 300)), 0
+        else:
+            series, seed = seasonal_ar_series(n=300), 4
+        calls = []
+        likelihood = filtering._concentrated_likelihood
+
+        def counted(values, model):
+            calls.append(1)
+            return likelihood(values, model)
+
+        monkeypatch.setattr(filtering, "_concentrated_likelihood", counted)
+        result = tune(series, budget=16, alpha=0.5, seed=seed)
+        first = len(calls)
+
+        fits = [cfg for cfg, c in result.trials if cfg.method == "filtering"]
+        assert all(math.isfinite(c) for cfg, c in result.trials if cfg in fits)
+        # the training values of a filtering trial are set by truncation
+        # and the log transform
+        pairs = {(cfg.truncate_at, cfg.log_scale, cfg.filtering_params.state_dim) for cfg in fits}
+        evaluated = {(cfg.truncate_at, cfg.log_scale, cfg.filtering_params) for cfg in fits}
+        assert len(pairs) < len(evaluated), "no two filtering trials share a scan"
+        assert first == 12 * len(pairs)
+
+        tune(series, budget=16, alpha=0.5, seed=seed)
+        assert len(calls) == 2 * first
+
+        labeled, prof = prepare_labeled(series, seed=seed)
+        for cfg, c in result.trials:
+            assert cost(cfg, labeled, 0.5, profile=prof) == c
+        assert len(calls) == 2 * first + 12 * len(fits)
+
+
+# today's per-candidate Parzen formulas, spelled out: the densities built
+# once per trial must reproduce them bit for bit
+
+
+def oracle_cat_weights(choices, observed):
+    counts = [0.5] * len(choices)
+    for v in observed:
+        counts[choices.index(v)] += 1.0
+    total = sum(counts)
+    return [c / total for c in counts]
+
+
+def oracle_cat_sample(rng, choices, observed):
+    return choices[int(rng.choice(len(choices), p=oracle_cat_weights(choices, observed)))]
+
+
+def oracle_cat_log_pdf(choices, value, observed):
+    return math.log(oracle_cat_weights(choices, observed)[choices.index(value)])
+
+
+def oracle_bandwidth(lo, hi, xs):
+    span = hi - lo
+    if len(xs) < 2:
+        return span / 4.0
+    sd = float(np.std(xs))
+    return max(1.06 * sd * len(xs) ** -0.2, span / 50.0)
+
+
+def oracle_float_sample(rng, lo, hi, observed):
+    if not observed or rng.random() < 1.0 / (len(observed) + 1.0):
+        return float(rng.uniform(lo, hi))
+    bw = oracle_bandwidth(lo, hi, observed)
+    center = observed[int(rng.integers(len(observed)))]
+    for _ in range(50):
+        x = rng.normal(center, bw)
+        if lo <= x <= hi:
+            return float(x)
+    return float(rng.uniform(lo, hi))
+
+
+def oracle_float_log_pdf(lo, hi, value, observed):
+    span = hi - lo
+    if not observed:
+        return -math.log(span)
+    bw = oracle_bandwidth(lo, hi, observed)
+    xs = np.asarray(observed, dtype=float)
+    kernel = np.exp(-0.5 * ((value - xs) / bw) ** 2) / (bw * math.sqrt(2 * math.pi))
+    dens = (kernel.sum() + 1.0 / span) / (len(observed) + 1.0)
+    return math.log(max(dens, 1e-300))
+
+
+CAT_DIMS = [
+    _CatDim("method", ("structural", "filtering")),
+    _CatDim("truncate_at", (None, 120, 250)),
+    _CatDim("p", (0, 1, 2, 3)),
+]
+FLOAT_DIMS = [
+    _FloatDim("max_missing_fraction", 0.0, 1.0),
+    _FloatDim("decision_threshold", 0.5, 0.999),
+    _FloatDim("forgetting", 0.9, 0.9999),
+]
+
+
+class TestParzenDensities:
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_categorical_matches_per_candidate_oracle(self, data, seed):
+        dim = data.draw(st.sampled_from(CAT_DIMS))
+        observed = data.draw(st.lists(st.sampled_from(dim.choices), max_size=12))
+        density = dim.density(observed)
+        assert density.weights == oracle_cat_weights(dim.choices, observed)
+        for value in dim.choices:
+            assert density.log_pdf(value) == oracle_cat_log_pdf(dim.choices, value, observed)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [density.sample(a) for _ in range(8)]
+        assert got == [oracle_cat_sample(b, dim.choices, observed) for _ in range(8)]
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_float_matches_per_candidate_oracle(self, data, seed):
+        dim = data.draw(st.sampled_from(FLOAT_DIMS))
+        point = st.floats(dim.lo, dim.hi)
+        observed = data.draw(st.lists(point, max_size=12))
+        values = data.draw(st.lists(point, min_size=1, max_size=6))
+        density = dim.density(observed)
+        assert density.bw == oracle_bandwidth(dim.lo, dim.hi, observed)
+        for value in values:
+            assert density.log_pdf(value) == oracle_float_log_pdf(dim.lo, dim.hi, value, observed)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [density.sample(a) for _ in range(8)]
+        assert got == [oracle_float_sample(b, dim.lo, dim.hi, observed) for _ in range(8)]
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestDefaultConfig:
