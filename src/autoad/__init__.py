@@ -46,7 +46,6 @@ from .series import (
     TimeSeries,
     aggregate,
     impute,
-    log_transform,
     read_csv,
     smooth,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "forecast",
     "impute",
     "inject_synthetic_anomalies",
-    "log_transform",
     "mv_curve",
     "profile",
     "random_search",

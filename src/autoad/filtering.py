@@ -24,6 +24,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _ETA_VAR_FLOOR = 1e-12
 _R_FLOOR = 1e-10
+# passes up to this long are scored point by point: for them numpy's
+# array set-up costs more than the scalar arithmetic, with the same bits
+_SCALAR_PASS = 8
 
 
 @dataclass(frozen=True)
@@ -169,12 +172,20 @@ class FilterState:
         )
 
 
-def _as_trend(a: np.ndarray) -> list:
-    """A state vector or matrix of either size as the local linear trend's,
-    with any slope entries it lacks held at zero."""
-    if a.ndim == 1:
-        return (a.tolist() + [0.0])[:2]
-    return ([(row + [0.0])[:2] for row in a.tolist()] + [[0.0, 0.0]])[:2]
+def _trend_entries(x: np.ndarray, P: np.ndarray) -> tuple:
+    """(x0, x1, p00, p01, p11) of a state of either size, as the local
+    linear trend's, with any slope entries it lacks held at zero."""
+    if x.shape[0] == 1:
+        return x.item(), 0.0, P.item(), 0.0, 0.0
+    (x0, x1), ((p00, p01), (_, p11)) = x.tolist(), P.tolist()
+    return x0, x1, p00, p01, p11
+
+
+def _sized(m: int, x0: float, x1: float, p00: float, p01: float, p11: float) -> tuple:
+    """(x, P) of the model's size from the local linear trend's entries."""
+    if m == 1:
+        return np.array([x0]), np.array([[p00]])
+    return np.array([x0, x1]), np.array([[p00, p01], [p01, p11]])
 
 
 def _kalman_pass(model: StateSpaceModel, state: FilterState, values) -> tuple:
@@ -189,12 +200,10 @@ def _kalman_pass(model: StateSpaceModel, state: FilterState, values) -> tuple:
     returns the state's own posterior and prior.
     """
     m = model.state_dim
-    (q00, _), (_, q11) = _as_trend(model.Q)
+    q00, q11 = (model.Q.item(), 0.0) if m == 1 else model.Q.diagonal().tolist()
     r = model.R
-    x0, x1 = _as_trend(state.x_post)
-    (p00, p01), (_, p11) = _as_trend(state.P_post)
-    xp0, xp1 = _as_trend(state.x_prior)
-    (pp00, pp01), (_, pp11) = _as_trend(state.P_prior)
+    x0, x1, p00, p01, p11 = _trend_entries(state.x_post, state.P_post)
+    xp0, xp1, pp00, pp01, pp11 = _trend_entries(state.x_prior, state.P_prior)
     n = len(values)
     level, eta, innovation, s_innov = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
     for i, y in enumerate(values):
@@ -219,8 +228,8 @@ def _kalman_pass(model: StateSpaceModel, state: FilterState, values) -> tuple:
         eta[i] = x0 - xp0
         innovation[i] = nu
         s_innov[i] = s
-    post = (np.array([x0, x1])[:m], np.array([[p00, p01], [p01, p11]])[:m, :m])
-    prior = (np.array([xp0, xp1])[:m], np.array([[pp00, pp01], [pp01, pp11]])[:m, :m])
+    post = _sized(m, x0, x1, p00, p01, p11)
+    prior = _sized(m, xp0, xp1, pp00, pp01, pp11)
     return level, eta, innovation, s_innov, post, prior
 
 
@@ -237,12 +246,10 @@ def run_filter(
     """
     if state is None:
         state = FilterState.initial(model)
-    values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all():
+    points = np.asarray(values, dtype=float).tolist()
+    if not all(map(math.isfinite, points)):
         raise ValueError("observations must be finite")
-    level, eta, _, _, (x_post, P_post), (x_prior, P_prior) = _kalman_pass(
-        model, state, values.tolist()
-    )
+    level, eta, _, _, (x_post, P_post), (x_prior, P_prior) = _kalman_pass(model, state, points)
 
     # weighted Welford recursion over the level residuals; forgetting 1
     # reproduces exact batch statistics
@@ -258,8 +265,12 @@ def run_filter(
         s_accum = lam * s_accum + delta * (e - mean)
         var = max(s_accum / w_sum, 0.0)
 
-    sd = np.sqrt(np.maximum(variances, _ETA_VAR_FLOOR))
-    probs = gaussian_anomaly_probability(np.array(eta) - np.array(means), sd)
+    if len(eta) <= _SCALAR_PASS:
+        probs = np.array([gaussian_anomaly_probability(e - mu, math.sqrt(max(v, _ETA_VAR_FLOOR)))
+                          for e, mu, v in zip(eta, means, variances)])
+    else:
+        sd = np.sqrt(np.maximum(variances, _ETA_VAR_FLOOR))
+        probs = gaussian_anomaly_probability(np.array(eta) - np.array(means), sd)
     final = FilterState(
         x_prior=x_prior,
         x_post=x_post,

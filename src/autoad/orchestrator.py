@@ -8,17 +8,41 @@ a coincident tick the order is score, then train, then evaluate, so
 scoring always uses the pre-existing model and retraining evidence stays
 uncontaminated.
 
-All state lives as JSON/CSV documents under a data directory (written
-atomically), so every cycle is inspectable and re-runnable.  The engine
-keeps in-memory copies of the registry, each metric's scoring state,
-score log and active model, and writes every change through to disk.
-The score log is not stored twice: it is the tail of the metric's
-scores CSV, read back when an engine first needs it.
+All state lives as JSON/CSV documents under a data directory, so every
+cycle is inspectable and re-runnable.  The store is a write-ahead log
+with redo recovery (Mohan et al., "ARIES", 1992):
+
+- ``scores/*.csv`` and ``alerts/*.jsonl`` are appended during a tick.
+- Each tick then appends one line to ``journal.jsonl``, its commit
+  record: the tick, the full documents it changed (scoring states, model
+  records, health documents) and the byte length of every scores and
+  alerts file after it.  A tick with no work writes only its tick.
+- Model and health documents are held in memory until the commit record
+  is appended, and only then written (atomically).  ``tunes/*.json`` is
+  never read back and a replayed tick rewrites it byte for byte, so it
+  is written at once.
+- ``state/*.json`` and ``meta.json`` (the clock and the appended files'
+  lengths) are checkpoints, written after the commit record of every
+  tick that runs a training cycle; the journal is then emptied.
+- A new engine loads the checkpoint, redoes every complete journal line
+  in order (records hold full documents, so redo is idempotent), drops a
+  torn last line and cuts the appended files back to the lengths of the
+  last record.  A tick that crashed before its commit record is then
+  run again: its file and webhook-stub alerts come out exactly once, its
+  stdout alerts are printed again (at-least-once delivery).
+
+A cycle called on its own (not from :meth:`Engine.advance_clock`)
+commits its own changes before it returns.  Nothing calls ``fsync``:
+files are flushed when closed.  The engine keeps in-memory copies of
+the registry, each metric's scoring state, score log and active model.
+The score log is not stored twice: it is the tail of the metric's scores
+CSV, read back when an engine first needs it.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -49,6 +73,8 @@ from .structural import StructuralModel, fit_structural, forecast
 RATE_WINDOW = 48  # scores considered by the anomaly-rate trigger
 MIN_EVAL_SCORES = 8  # fewer stable scores than this keeps a series in Y
 LOG_WINDOW = 500  # newest scores kept in a metric's score log
+JOURNAL = "journal.jsonl"
+APPENDED = (("scores", "*.csv"), ("alerts", "*.jsonl"))  # files a tick appends to
 
 
 @dataclass(frozen=True)
@@ -122,8 +148,17 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _doc_text(data) -> str:
+    return json.dumps(data, indent=1, sort_keys=True)
+
+
 def _write_json(path: Path, data) -> None:
-    _atomic_write(path, json.dumps(data, indent=1, sort_keys=True))
+    _atomic_write(path, _doc_text(data))
+
+
+def _append(path: Path, data: bytes) -> None:
+    with open(path, "ab") as fh:
+        fh.write(data)
 
 
 class Engine:
@@ -157,8 +192,13 @@ class Engine:
         self._logs: dict[str, ev.ScoreLog] = {}
         self._records: dict[str, Optional[dict]] = {}
         self._detectors: dict[str, tuple] = {}  # metric -> (model_id, model, config, forecast)
-        meta = self._read_json(self.root / "meta.json")
-        self.now = int(meta.get("now", 0)) if meta else 0
+        # documents by store name: saved by the tick in progress, and state
+        # documents committed since the last checkpoint
+        self._pending: dict[str, dict] = {}
+        self._since_checkpoint: dict[str, dict] = {}
+        self._appended = False  # the tick in progress appended to scores/ or alerts/
+        self._ticking = False
+        self._recover()
 
     # -- storage helpers --------------------------------------------------
 
@@ -168,17 +208,112 @@ class Engine:
             return None
         return json.loads(path.read_text())
 
-    def _persist_clock(self) -> None:
-        _write_json(self.root / "meta.json", {"now": self.now})
+    def _recover(self) -> None:
+        """Load the checkpoint, redo the journal and cut the appended files
+        back to the last commit record."""
+        meta = self._read_json(self.root / "meta.json")
+        records = self._read_journal()
+        if meta is None or "lengths" not in meta:
+            # a new store, or one kept before the journal: adopt its files
+            self.now = int(meta.get("now", 0)) if meta else 0
+            self._lengths = self._appended_lengths()
+            self._checkpoint()
+            return
+        self.now = int(meta["now"])
+        self._lengths = dict(meta["lengths"])
+        docs: dict[str, dict] = {}
+        for record in records:
+            self.now = int(record["tick"])
+            self._lengths.update(record.get("lengths", {}))
+            docs.update(record.get("docs", {}))
+        for name, doc in sorted(docs.items()):
+            if name.startswith("state/"):
+                self._since_checkpoint[name] = doc
+            else:
+                path = self.root / name
+                if not path.exists() or path.read_text() != _doc_text(doc):
+                    _write_json(path, doc)
+        for name, size in self._appended_lengths().items():
+            committed = self._lengths.get(name)
+            if committed is None:
+                (self.root / name).unlink()
+            elif size > committed:
+                os.truncate(self.root / name, committed)
+        if records and records[-1].get("checkpoint"):
+            self._checkpoint()  # the crash came before its checkpoint was done
+
+    def _read_journal(self) -> list[dict]:
+        """The journal's complete records; a torn last line is cut off."""
+        path = self.root / JOURNAL
+        if not path.exists():
+            return []
+        data = path.read_bytes()
+        records, end = [], 0
+        for line in data.split(b"\n")[:-1]:
+            try:
+                records.append(json.loads(line))
+            except ValueError:
+                break
+            end += len(line) + 1
+        if end < len(data):
+            os.truncate(path, end)
+        return records
+
+    def _appended_lengths(self) -> dict[str, int]:
+        return {f"{sub}/{path.name}": path.stat().st_size
+                for sub, pattern in APPENDED for path in sorted((self.root / sub).glob(pattern))}
+
+    def _commit(self, checkpoint: bool = False) -> None:
+        """Append the commit record of the changes made since the last one,
+        then write the documents it holds; a checkpoint follows if asked."""
+        record: dict = {"tick": self.now}
+        if self._pending or self._appended:
+            record.update(docs=self._pending, lengths=self._lengths)
+        if checkpoint:
+            record["checkpoint"] = True
+        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        _append(self.root / JOURNAL, line.encode())
+        pending, self._pending, self._appended = self._pending, {}, False
+        for name, doc in sorted(pending.items()):
+            if name.startswith("state/"):
+                self._since_checkpoint[name] = doc
+            else:
+                _write_json(self.root / name, doc)
+        if checkpoint:
+            self._checkpoint()
+
+    def _checkpoint(self) -> None:
+        """Write the committed state documents and the clock, then empty the journal."""
+        for name, doc in sorted(self._since_checkpoint.items()):
+            _write_json(self.root / name, doc)
+        _write_json(self.root / "meta.json", {"lengths": self._lengths, "now": self.now})
+        _atomic_write(self.root / JOURNAL, "")
+        self._since_checkpoint.clear()
+
+    def _end_cycle(self) -> None:
+        """A cycle called on its own commits its changes; in a tick, the tick does."""
+        if not self._ticking:
+            self._commit()
+
+    def _doc(self, name: str) -> Optional[dict]:
+        """A store document as last saved: by the tick in progress, by a
+        committed tick since the last checkpoint, or on disk."""
+        for held in (self._pending, self._since_checkpoint):
+            if name in held:
+                return held[name]
+        return self._read_json(self.root / name)
+
+    def _append_file(self, name: str, text: str) -> None:
+        data = text.encode()
+        _append(self.root / name, data)
+        self._lengths[name] = self._lengths.get(name, 0) + len(data)
+        self._appended = True
 
     def _job_path(self, job_id: str) -> Path:
         return self.root / "jobs" / f"{job_id}.json"
 
     def _state_path(self, metric_id: str) -> Path:
         return self.root / "state" / f"{metric_id}.json"
-
-    def _model_path(self, metric_id: str) -> Path:
-        return self.root / "models" / f"{metric_id}.json"
 
     def _health_path(self, metric_id: str) -> Path:
         return self.root / "health" / f"{metric_id}.json"
@@ -187,7 +322,7 @@ class Engine:
         return self.root / "scores" / f"{metric_id}.csv"
 
     def _forget(self, metric_id: str) -> None:
-        """Drop a metric's cached state, log and model; they reload from disk."""
+        """Drop a metric's cached state, log and model; they reload as last saved."""
         for cache in (self._states, self._logs, self._records, self._detectors):
             cache.pop(metric_id, None)
 
@@ -233,7 +368,7 @@ class Engine:
 
     def _active_record(self, metric_id: str) -> Optional[dict]:
         if metric_id not in self._records:
-            self._records[metric_id] = self._read_json(self._model_path(metric_id))
+            self._records[metric_id] = self._doc(f"models/{metric_id}.json")
         return self._records[metric_id]
 
     def _detector(self, record: dict):
@@ -271,7 +406,7 @@ class Engine:
             "expires_at": now + spec.model_ttl,
             "tune_generation": generation,
         }
-        _write_json(self._model_path(spec.metric_id), record)
+        self._pending[f"models/{spec.metric_id}.json"] = record
         self._records[spec.metric_id] = record
         state = self._scoring_state(spec.metric_id)
         state.update(
@@ -288,8 +423,10 @@ class Engine:
     def _scoring_state(self, metric_id: str) -> dict:
         state = self._states.get(metric_id)
         if state is None:
-            state = self._read_json(self._state_path(metric_id))
-            if state is None:
+            saved = self._doc(f"state/{metric_id}.json")
+            if saved is not None:
+                state = dict(saved)
+            else:
                 state = {
                     "origin": None,
                     "last_scored": 0,
@@ -303,7 +440,7 @@ class Engine:
 
     def _save_scoring_state(self, metric_id: str, state: dict) -> None:
         self._states[metric_id] = state
-        _write_json(self._state_path(metric_id), state)
+        self._pending[f"state/{metric_id}.json"] = dict(state)
 
     def _score_log(self, metric_id: str) -> ev.ScoreLog:
         """The metric's newest LOG_WINDOW scores, rebuilt from its scores CSV.
@@ -343,8 +480,7 @@ class Engine:
                 if self.alert_channel == "file"
                 else "webhook_outbox.jsonl"
             )
-            with open(self.root / "alerts" / name, "a") as fh:
-                fh.write(json.dumps(event, sort_keys=True) + "\n")
+            self._append_file(f"alerts/{name}", json.dumps(event, sort_keys=True) + "\n")
         return event
 
     # -- scoring cycle ---------------------------------------------------------------
@@ -371,6 +507,7 @@ class Engine:
             except Exception as exc:  # noqa: BLE001 - cycle must survive any metric
                 self._forget(spec.metric_id)
                 self._force_red(spec, now, reason=f"scoring failed: {exc}")
+        self._end_cycle()
         return records
 
     def _score_metric(self, spec: JobSpec, now: int) -> list[dict]:
@@ -432,21 +569,21 @@ class Engine:
     def _append_score_rows(self, metric_id: str, rows: list[dict]) -> None:
         if not rows:
             return
-        path = self._scores_path(metric_id)
-        new = not path.exists()
-        with open(path, "a", newline="") as fh:
-            writer = csv.writer(fh)
-            if new:
-                writer.writerow(
-                    ["metric_id", "timestamp", "observed", "expected",
-                     "probability", "is_anomaly", "model_id"]
-                )
-            for r in rows:
-                writer.writerow(
-                    [r["metric_id"], r["timestamp"], repr(r["observed"]),
-                     repr(r["expected"]), repr(r["probability"]),
-                     r["is_anomaly"], r["model_id"]]
-                )
+        name = f"scores/{metric_id}.csv"
+        text = io.StringIO()
+        writer = csv.writer(text)
+        if name not in self._lengths:
+            writer.writerow(
+                ["metric_id", "timestamp", "observed", "expected",
+                 "probability", "is_anomaly", "model_id"]
+            )
+        for r in rows:
+            writer.writerow(
+                [r["metric_id"], r["timestamp"], repr(r["observed"]),
+                 repr(r["expected"]), repr(r["probability"]),
+                 r["is_anomaly"], r["model_id"]]
+            )
+        self._append_file(name, text.getvalue())
 
     # -- training cycle ------------------------------------------------------------------
 
@@ -460,12 +597,13 @@ class Engine:
         for spec in self.jobs():
             if force or (now % spec.train_every == 0 and now >= self._warmup(spec)):
                 due.append(spec)
-        if not due:
-            return []
         if self.workers > 1 and len(due) > 1:
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                return list(pool.map(lambda s: self._train_metric(s, now), due))
-        return [self._train_metric(spec, now) for spec in due]
+                outcomes = list(pool.map(lambda s: self._train_metric(s, now), due))
+        else:
+            outcomes = [self._train_metric(spec, now) for spec in due]
+        self._end_cycle()
+        return outcomes
 
     def _tune_seed(self, metric_id: str, generation: int) -> int:
         return (zlib.crc32(metric_id.encode()) + 7919 * generation + self.seed) % (2**31)
@@ -482,7 +620,7 @@ class Engine:
                 values=series.values[: min(now, len(series))],
                 freq_label=series.freq_label,
             )
-            health_doc = self._read_json(self._health_path(spec.metric_id))
+            health_doc = self._doc(f"health/{spec.metric_id}.json")
             health = health_doc["snapshot"]["health"] if health_doc else None
             record = self._active_record(spec.metric_id)
             generation = int(state.get("tune_generation", 0))
@@ -576,10 +714,8 @@ class Engine:
                 model_age_fraction=max(snapshot.model_age_fraction, 1.0),
                 health="R",
             )
-        _write_json(
-            self._health_path(spec.metric_id),
-            {"at": now, "reason": reason, "snapshot": snapshot.to_dict()},
-        )
+        self._pending[f"health/{spec.metric_id}.json"] = {
+            "at": now, "reason": reason, "snapshot": snapshot.to_dict()}
         return snapshot
 
     def metric_scorer(self, spec: JobSpec, now: int):
@@ -709,34 +845,44 @@ class Engine:
             if error is None:
                 try:
                     snapshot = self._evaluate_metric(spec, now, thresholds, stats[spec.metric_id])
-                    _write_json(
-                        self._health_path(spec.metric_id),
-                        {"at": now, "snapshot": snapshot.to_dict()},
-                    )
+                    self._pending[f"health/{spec.metric_id}.json"] = {
+                        "at": now, "snapshot": snapshot.to_dict()}
                 except Exception as exc:  # noqa: BLE001 - cycle must survive any metric
                     error = exc
             if error is not None:
                 self._forget(spec.metric_id)
                 snapshot = self._force_red(spec, now, reason=f"evaluation failed: {error}")
             out[spec.metric_id] = snapshot
+        self._end_cycle()
         return out
 
     # -- clock ---------------------------------------------------------------------------
 
     def advance_clock(self, steps: int) -> int:
-        """Advance the simulated clock tick by tick, firing due cycles."""
+        """Advance the simulated clock tick by tick, firing due cycles.
+
+        Each tick ends with its commit record, and a tick that trains with
+        a checkpoint.  If an exception escapes a tick, the store holds the
+        ticks committed before it, and a new engine on the same directory
+        carries on from there exactly.
+        """
         if steps < 1:
             raise ValueError("steps must be >= 1")
         specs = self.jobs()
         for _ in range(steps):
             self.now += 1
             tick = self.now
-            if any(tick % s.score_every == 0 for s in specs):
-                self.run_scoring_cycle(tick)
-            if any(tick % s.train_every == 0 and tick >= self._warmup(s) for s in specs):
-                self.run_training_cycle(tick)
-                self.run_evaluation_cycle(tick)
-        self._persist_clock()
+            training = any(tick % s.train_every == 0 and tick >= self._warmup(s) for s in specs)
+            self._ticking = True
+            try:
+                if any(tick % s.score_every == 0 for s in specs):
+                    self.run_scoring_cycle(tick)
+                if training:
+                    self.run_training_cycle(tick)
+                    self.run_evaluation_cycle(tick)
+            finally:
+                self._ticking = False
+            self._commit(checkpoint=training)
         return self.now
 
     # -- reporting ----------------------------------------------------------------------
@@ -744,7 +890,7 @@ class Engine:
     def status(self) -> list[dict]:
         rows = []
         for spec in self.jobs():
-            health_doc = self._read_json(self._health_path(spec.metric_id))
+            health_doc = self._doc(f"health/{spec.metric_id}.json")
             record = self._active_record(spec.metric_id)
             state = self._scoring_state(spec.metric_id)
             rows.append(

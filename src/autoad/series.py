@@ -260,22 +260,6 @@ def from_log(values, offset: float) -> np.ndarray:
     return np.exp(values) - offset
 
 
-def log_transform(ts: TimeSeries) -> tuple[TimeSeries, float]:
-    """Natural log with an additive offset keeping all arguments >= 1.
-
-    Returns the transformed series and the offset; the inverse is
-    exp(y) - offset.
-    """
-    if np.isnan(ts.values).all():
-        raise AllMissing("cannot log-transform an all-missing series")
-    offset = log_offset(ts.values)
-    return ts.with_values(to_log(ts.values, offset)), offset
-
-
-def inverse_log_transform(ts: TimeSeries, offset: float) -> TimeSeries:
-    return ts.with_values(from_log(ts.values, offset))
-
-
 # -- CSV ingestion -------------------------------------------------------
 
 

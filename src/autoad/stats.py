@@ -20,8 +20,13 @@ def gaussian_anomaly_probability(deviation, std, eps: float = 1e-12):
     std (<= eps) yields probability 1 unless the deviation is itself within
     eps of zero.
 
-    Accepts scalars or numpy arrays.
+    Accepts scalars or numpy arrays; two Python floats take a scalar path
+    that gives the same bits without the array set-up.
     """
+    if type(deviation) is float and type(std) is float:
+        if std <= eps:
+            return 1.0 if abs(deviation) > eps else 0.0
+        return float(1.0 - erfc(abs(deviation) / std / math.sqrt(2.0)))
     deviation = np.asarray(deviation, dtype=float)
     std = np.asarray(std, dtype=float)
     degenerate = std <= eps

@@ -166,6 +166,21 @@ class TestKalmanStep:
         assert state.to_dict() == whole_state.to_dict()
         assert np.allclose(probs, oracle_recursion(model, ys)["probs"], rtol=0.0, atol=1e-12)
 
+    def test_short_passes_floor_the_variance_as_long_ones(self, rng):
+        """Passes of up to _SCALAR_PASS points score point by point; where the
+        residual variance sits under its floor they still match one pass."""
+        model = StateSpaceModel.local_level(q=1.0, r=1e-4, x0=5.0, p0=1.0)
+        ys = 5.0 + rng.normal(0, 1e-7, 60)
+        whole_probs, whole_state, _ = run_filter(model, ys)
+        assert whole_state.eta_var < 1e-12  # the floor binds throughout
+        assert 0.0 < whole_probs.min() and whole_probs.max() < 1.0
+        state, probs = None, []
+        for chunk in np.split(ys, [1, 3, 8, 16, 24, 25]):
+            p, state, _ = run_filter(model, chunk, state)
+            probs.extend(p)
+        assert np.array_equal(probs, whole_probs)
+        assert state.to_dict() == whole_state.to_dict()
+
     def test_covariances_stay_symmetric_psd_long_run(self, rng):
         """10^5 randomized steps across fresh models keep P symmetric PSD."""
         steps_total = 0

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -20,6 +21,8 @@ from autoad.series import TimeSeries
 from .test_orchestrator import job_for, make_series
 
 RESTART_TICKS = 400
+TRAINING_TICKS = range(96, RESTART_TICKS + 1, 48)  # the fleet's checkpoint ticks
+RETUNE_TICK = 336  # the drifted metric's first retune
 
 
 def fleet_engine(root) -> Engine:
@@ -81,6 +84,164 @@ class TestRestart:
             assert len(engine._score_log(metric).entries) == 300 - 96
 
 
+class Crash(BaseException):
+    """A process dying mid-tick: no cycle's failure isolation catches it."""
+
+
+def crash_after(engine: Engine, cycle: str, tick: int) -> None:
+    """Make ``engine`` die right after its ``cycle`` has run at ``tick``."""
+    original = getattr(engine, cycle)
+
+    def crashing(now, *args, **kwargs):
+        result = original(now, *args, **kwargs)
+        if now == tick:
+            raise Crash(f"{cycle} at {tick}")
+        return result
+
+    setattr(engine, cycle, crashing)
+
+
+def finish_run(root: Path) -> None:
+    engine = fleet_engine(root)
+    engine.advance_clock(RESTART_TICKS - engine.now)
+
+
+crash_points = st.one_of(
+    st.tuples(st.just("run_scoring_cycle"), st.integers(1, RESTART_TICKS)),
+    st.tuples(st.sampled_from(["run_training_cycle", "run_evaluation_cycle"]),
+              st.sampled_from(TRAINING_TICKS)),
+)
+
+
+class TestCrashRecovery:
+    @settings(max_examples=10, deadline=None)
+    @example(point=("run_evaluation_cycle", 144))
+    @example(point=("run_evaluation_cycle", 192))
+    @example(point=("run_evaluation_cycle", 240))
+    @example(point=("run_evaluation_cycle", 288))
+    @example(point=("run_evaluation_cycle", 336))
+    @given(point=crash_points)
+    def test_restart_after_a_crashed_cycle_matches_single_run(self, single_run, point):
+        cycle, tick = point
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            engine = fleet_engine(root)
+            register_fleet(engine)
+            crash_after(engine, cycle, tick)
+            with pytest.raises(Crash):
+                engine.advance_clock(RESTART_TICKS)
+            assert fleet_engine(root).now == tick - 1
+            finish_run(root)
+            assert snapshot(root) == single_run
+
+    def test_crash_at_every_write_of_a_checkpoint_tick(self, single_run, tmp_path, monkeypatch):
+        """The retune tick's writes come in the order: appended rows and the
+        tune, the commit record, the held documents, the checkpoint, the
+        journal truncation.  A crash at any one of them restarts exactly."""
+        base = tmp_path / "base"
+        engine = fleet_engine(base)
+        register_fleet(engine)
+        engine.advance_clock(RETUNE_TICK - 1)
+        originals = {kind: getattr(orch, kind) for kind in ("_append", "_atomic_write")}
+
+        def run_tick(root, fail_at=None):
+            """Tick RETUNE_TICK on a copy of ``base``; its store writes, in order."""
+            shutil.copytree(base, root)
+            writes = []
+            for kind, original in originals.items():
+                def write(path, data, kind=kind, original=original):
+                    writes.append((kind, str(Path(path).relative_to(root))))
+                    if len(writes) == fail_at:
+                        raise Crash(f"write {fail_at}")
+                    return original(path, data)
+
+                monkeypatch.setattr(orch, kind, write)
+            try:
+                fleet_engine(root).advance_clock(1)
+            finally:
+                for kind, original in originals.items():
+                    monkeypatch.setattr(orch, kind, original)
+            return writes
+
+        writes = run_tick(tmp_path / "probe")
+        after_tick = snapshot(tmp_path / "probe")
+        names = [name for _, name in writes]
+        commit = names.index("journal.jsonl")
+        assert writes[commit][0] == "_append"
+        assert "tunes/drifted-g1.json" in names[:commit]
+        assert {n.split("/")[0] for n in names[:commit]} <= {"scores", "alerts", "tunes"}
+        assert [n.split("/")[0] for n in names[commit + 1:]] == [
+            "health", "health", "models", "models", "state", "state", "meta.json", "journal.jsonl"]
+        for k in range(1, len(writes) + 1):
+            root = tmp_path / f"crash{k}"
+            with pytest.raises(Crash):
+                run_tick(root, fail_at=k)
+            engine = fleet_engine(root)
+            assert engine.now == (RETUNE_TICK - 1 if k <= commit + 1 else RETUNE_TICK)
+            if engine.now < RETUNE_TICK:
+                engine.advance_clock(1)
+            assert snapshot(root) == after_tick, f"crash at write {k}: {writes[k - 1]}"
+            finish_run(root)
+            assert snapshot(root) == single_run, f"crash at write {k}: {writes[k - 1]}"
+
+    def test_torn_journal_line_and_uncommitted_rows_are_dropped(self, tmp_path):
+        engine = fleet_engine(tmp_path)
+        register_fleet(engine)
+        engine.advance_clock(300)
+        committed = snapshot(tmp_path)
+        with open(tmp_path / "journal.jsonl", "a") as fh:
+            fh.write('{"docs":{"state/quiet.json":{"last_sc')
+        with open(tmp_path / "scores" / "quiet.csv", "a") as fh:
+            fh.write("quiet,1,2.0,2.0,0.5,0,quiet-t288-g0\r\n")
+        (tmp_path / "alerts" / "fresh.jsonl").write_text("{}\n")
+        fresh = fleet_engine(tmp_path)
+        assert fresh.now == 300
+        assert snapshot(tmp_path) == committed
+
+    def test_scoring_tick_appends_one_journal_line_and_writes_no_document(self, tmp_path, monkeypatch):
+        engine = fleet_engine(tmp_path)
+        register_fleet(engine)
+        engine.advance_clock(96)
+        writes = []
+        for kind in ("_append", "_atomic_write"):
+            def write(path, data, kind=kind, original=getattr(orch, kind)):
+                writes.append((kind, str(Path(path).relative_to(tmp_path))))
+                return original(path, data)
+
+            monkeypatch.setattr(orch, kind, write)
+        engine.advance_clock(47)  # ticks 97..143 score and do not train
+        assert sorted(set(writes)) == [("_append", "alerts/drifted.jsonl"), ("_append", "alerts/quiet.jsonl"),
+                                       ("_append", "journal.jsonl"), ("_append", "scores/drifted.csv"),
+                                       ("_append", "scores/quiet.csv")]
+        assert writes.count(("_append", "journal.jsonl")) == 47
+        assert writes.count(("_append", "scores/quiet.csv")) == 47
+
+    def test_same_tick_training_sees_the_red_label_scoring_held(self, tmp_path):
+        """A model expiring at a training tick is labelled R by that tick's
+        scoring cycle; the training cycle that follows reads the label before
+        it is written and retunes."""
+        engine = fleet_engine(tmp_path)
+        engine.register_job(job_for(make_series(), train_every=48, ttl=48))
+        engine.advance_clock(144)  # the model of tick 96 expires at 144
+        assert engine.tune_generation("m1") == 1
+        assert (tmp_path / "tunes" / "m1-g1.json").exists()
+
+    def test_cycles_called_on_their_own_commit(self, tmp_path):
+        engine = fleet_engine(tmp_path)
+        register_fleet(engine)
+        engine.run_training_cycle(96, force=True)
+        for tick in range(97, 104):
+            engine.run_scoring_cycle(tick)
+        engine.run_evaluation_cycle(103)
+        fresh = fleet_engine(tmp_path)
+        assert fresh.now == 0
+        for metric in ("quiet", "drifted"):
+            assert fresh._scoring_state(metric) == engine._scoring_state(metric)
+            assert fresh._active_record(metric)["model_id"] == engine._active_record(metric)["model_id"]
+            assert fresh._score_log(metric).entries == engine._score_log(metric).entries
+            assert json.loads(fresh._health_path(metric).read_text())["at"] == 103
+
+
 class TestCaches:
     def test_registration_after_cached_jobs_is_seen(self, tmp_path):
         engine = fleet_engine(tmp_path)
@@ -111,7 +272,8 @@ class TestCaches:
         state = json.loads(engine._state_path("m1").read_text())
         assert set(state) == {"origin", "last_scored", "filter_state",
                               "tune_generation", "last_training_failed"}
-        assert state["last_scored"] == 100
+        # the file is the checkpoint of tick 96; ticks 97..100 are redone from the journal
+        assert fleet_engine(tmp_path)._scoring_state("m1")["last_scored"] == 100
 
     def test_old_state_log_is_ignored(self, tmp_path):
         engine = fleet_engine(tmp_path)
