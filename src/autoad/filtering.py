@@ -24,9 +24,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _ETA_VAR_FLOOR = 1e-12
 _R_FLOOR = 1e-10
-# passes up to this long are scored point by point: for them numpy's
-# array set-up costs more than the scalar arithmetic, with the same bits
-_SCALAR_PASS = 8
+# passes up to this long are scored point by point, with the same bits:
+# the array path costs about 17 us at any short length, the scalar one
+# about 1 us a point, and the two cross at 18-20 points
+_SCALAR_PASS = 16
 
 
 @dataclass(frozen=True)

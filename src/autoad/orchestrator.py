@@ -24,15 +24,20 @@ with redo recovery (Mohan et al., "ARIES", 1992):
 - ``state/*.json`` and ``meta.json`` (the clock and the appended files'
   lengths) are checkpoints, written after the commit record of every
   tick that runs a training cycle; the journal is then emptied.
-- A new engine loads the checkpoint, redoes every complete journal line
-  in order (records hold full documents, so redo is idempotent), drops a
-  torn last line and cuts the appended files back to the lengths of the
-  last record.  A tick that crashed before its commit record is then
-  run again: its file and webhook-stub alerts come out exactly once, its
-  stdout alerts are printed again (at-least-once delivery).
+- A new engine loads the checkpoint and redoes every complete journal
+  line in order into memory (records hold full documents, so redo is
+  idempotent); opening a store changes no file, so ``status`` may run
+  beside a running engine.  Before its first write, the engine drops a
+  torn last line, writes the committed documents the files lack, cuts
+  the appended files back to the lengths of the last record and
+  finishes an interrupted checkpoint.  A tick that crashed before its
+  commit record is then run again: its file and webhook-stub alerts come
+  out exactly once, its stdout alerts are printed again (at-least-once
+  delivery).
 
 A cycle called on its own (not from :meth:`Engine.advance_clock`)
-commits its own changes before it returns.  Nothing calls ``fsync``:
+commits its own changes, with a checkpoint, before it returns.  Only one
+engine may write to a directory at a time.  Nothing calls ``fsync``:
 files are flushed when closed.  The engine keeps in-memory copies of
 the registry, each metric's scoring state, score log and active model.
 The score log is not stored twice: it is the tail of the metric's scores
@@ -75,6 +80,12 @@ MIN_EVAL_SCORES = 8  # fewer stable scores than this keeps a series in Y
 LOG_WINDOW = 500  # newest scores kept in a metric's score log
 JOURNAL = "journal.jsonl"
 APPENDED = (("scores", "*.csv"), ("alerts", "*.jsonl"))  # files a tick appends to
+
+
+def _doc_name(kind: str, metric_id: str) -> str:
+    """The store name (path under the data directory) of a metric's file:
+    ``state``, ``models`` and ``health`` documents, or its ``scores`` CSV."""
+    return f"{kind}/{metric_id}.csv" if kind == "scores" else f"{kind}/{metric_id}.json"
 
 
 @dataclass(frozen=True)
@@ -192,13 +203,15 @@ class Engine:
         self._logs: dict[str, ev.ScoreLog] = {}
         self._records: dict[str, Optional[dict]] = {}
         self._detectors: dict[str, tuple] = {}  # metric -> (model_id, model, config, forecast)
-        # documents by store name: saved by the tick in progress, and state
-        # documents committed since the last checkpoint
+        # documents by store name: saved by the tick in progress, and
+        # committed since the last checkpoint but not in the files: state
+        # documents, and until _repair the journal's other documents
         self._pending: dict[str, dict] = {}
         self._since_checkpoint: dict[str, dict] = {}
         self._appended = False  # the tick in progress appended to scores/ or alerts/
         self._ticking = False
-        self._recover()
+        self._repaired = False
+        self._load()
 
     # -- storage helpers --------------------------------------------------
 
@@ -208,28 +221,54 @@ class Engine:
             return None
         return json.loads(path.read_text())
 
-    def _recover(self) -> None:
-        """Load the checkpoint, redo the journal and cut the appended files
-        back to the last commit record."""
+    def _load(self) -> None:
+        """Read the committed store: the checkpoint, then every complete
+        journal line in order.  Changes no file; see :meth:`_repair`."""
         meta = self._read_json(self.root / "meta.json")
-        records = self._read_journal()
+        records, self._journal_end = self._read_journal()
         if meta is None or "lengths" not in meta:
             # a new store, or one kept before the journal: adopt its files
             self.now = int(meta.get("now", 0)) if meta else 0
             self._lengths = self._appended_lengths()
-            self._checkpoint()
+            self._checkpoint_due = True
             return
         self.now = int(meta["now"])
         self._lengths = dict(meta["lengths"])
-        docs: dict[str, dict] = {}
         for record in records:
             self.now = int(record["tick"])
             self._lengths.update(record.get("lengths", {}))
-            docs.update(record.get("docs", {}))
-        for name, doc in sorted(docs.items()):
-            if name.startswith("state/"):
-                self._since_checkpoint[name] = doc
-            else:
+            self._since_checkpoint.update(record.get("docs", {}))
+        # a crash came between a checkpoint tick's record and its checkpoint
+        self._checkpoint_due = bool(records and records[-1].get("checkpoint"))
+
+    def _read_journal(self) -> tuple[list[dict], int]:
+        """The journal's complete records and their byte length; a torn
+        last line is not among them."""
+        path = self.root / JOURNAL
+        if not path.exists():
+            return [], 0
+        records, end = [], 0
+        for line in path.read_bytes().split(b"\n")[:-1]:
+            try:
+                records.append(json.loads(line))
+            except ValueError:
+                break
+            end += len(line) + 1
+        return records, end
+
+    def _repair(self) -> None:
+        """Before this engine's first write, bring the files in line with the
+        committed store: cut a torn journal line, write the committed model
+        and health documents the files lack, cut the appended files back to
+        their committed lengths and finish an interrupted checkpoint."""
+        if self._repaired:
+            return
+        journal = self.root / JOURNAL
+        if journal.exists() and journal.stat().st_size > self._journal_end:
+            os.truncate(journal, self._journal_end)
+        for name in sorted(self._since_checkpoint):
+            if not name.startswith("state/"):
+                doc = self._since_checkpoint.pop(name)
                 path = self.root / name
                 if not path.exists() or path.read_text() != _doc_text(doc):
                     _write_json(path, doc)
@@ -239,25 +278,9 @@ class Engine:
                 (self.root / name).unlink()
             elif size > committed:
                 os.truncate(self.root / name, committed)
-        if records and records[-1].get("checkpoint"):
-            self._checkpoint()  # the crash came before its checkpoint was done
-
-    def _read_journal(self) -> list[dict]:
-        """The journal's complete records; a torn last line is cut off."""
-        path = self.root / JOURNAL
-        if not path.exists():
-            return []
-        data = path.read_bytes()
-        records, end = [], 0
-        for line in data.split(b"\n")[:-1]:
-            try:
-                records.append(json.loads(line))
-            except ValueError:
-                break
-            end += len(line) + 1
-        if end < len(data):
-            os.truncate(path, end)
-        return records
+        if self._checkpoint_due:
+            self._checkpoint()
+        self._repaired = True
 
     def _appended_lengths(self) -> dict[str, int]:
         return {f"{sub}/{path.name}": path.stat().st_size
@@ -291,9 +314,10 @@ class Engine:
         self._since_checkpoint.clear()
 
     def _end_cycle(self) -> None:
-        """A cycle called on its own commits its changes; in a tick, the tick does."""
+        """A cycle called on its own commits its changes and checkpoints; in
+        a tick, the tick does."""
         if not self._ticking:
-            self._commit()
+            self._commit(checkpoint=True)
 
     def _doc(self, name: str) -> Optional[dict]:
         """A store document as last saved: by the tick in progress, by a
@@ -313,13 +337,13 @@ class Engine:
         return self.root / "jobs" / f"{job_id}.json"
 
     def _state_path(self, metric_id: str) -> Path:
-        return self.root / "state" / f"{metric_id}.json"
+        return self.root / _doc_name("state", metric_id)
 
     def _health_path(self, metric_id: str) -> Path:
-        return self.root / "health" / f"{metric_id}.json"
+        return self.root / _doc_name("health", metric_id)
 
     def _scores_path(self, metric_id: str) -> Path:
-        return self.root / "scores" / f"{metric_id}.csv"
+        return self.root / _doc_name("scores", metric_id)
 
     def _forget(self, metric_id: str) -> None:
         """Drop a metric's cached state, log and model; they reload as last saved."""
@@ -368,7 +392,7 @@ class Engine:
 
     def _active_record(self, metric_id: str) -> Optional[dict]:
         if metric_id not in self._records:
-            self._records[metric_id] = self._doc(f"models/{metric_id}.json")
+            self._records[metric_id] = self._doc(_doc_name("models", metric_id))
         return self._records[metric_id]
 
     def _detector(self, record: dict):
@@ -406,7 +430,7 @@ class Engine:
             "expires_at": now + spec.model_ttl,
             "tune_generation": generation,
         }
-        self._pending[f"models/{spec.metric_id}.json"] = record
+        self._pending[_doc_name("models", spec.metric_id)] = record
         self._records[spec.metric_id] = record
         state = self._scoring_state(spec.metric_id)
         state.update(
@@ -423,7 +447,7 @@ class Engine:
     def _scoring_state(self, metric_id: str) -> dict:
         state = self._states.get(metric_id)
         if state is None:
-            saved = self._doc(f"state/{metric_id}.json")
+            saved = self._doc(_doc_name("state", metric_id))
             if saved is not None:
                 state = dict(saved)
             else:
@@ -440,10 +464,11 @@ class Engine:
 
     def _save_scoring_state(self, metric_id: str, state: dict) -> None:
         self._states[metric_id] = state
-        self._pending[f"state/{metric_id}.json"] = dict(state)
+        self._pending[_doc_name("state", metric_id)] = dict(state)
 
     def _score_log(self, metric_id: str) -> ev.ScoreLog:
-        """The metric's newest LOG_WINDOW scores, rebuilt from its scores CSV.
+        """The metric's newest LOG_WINDOW scores, rebuilt from the committed
+        rows of its scores CSV.
 
         The CSV holds every (timestamp, probability, observed) the log
         ever held, written with ``repr``, so the rebuilt log is exact.
@@ -451,10 +476,11 @@ class Engine:
         log = self._logs.get(metric_id)
         if log is None:
             log = ev.ScoreLog(metric_id, window=LOG_WINDOW)
-            path = self._scores_path(metric_id)
-            if path.exists():
-                with open(path, newline="") as fh:
-                    rows = deque(csv.DictReader(fh), maxlen=LOG_WINDOW)
+            size = self._lengths.get(_doc_name("scores", metric_id), 0)
+            if size:  # another engine may be appending rows it has not committed
+                with open(self._scores_path(metric_id), "rb") as fh:
+                    text = io.StringIO(fh.read(size).decode(), newline="")
+                rows = deque(csv.DictReader(text), maxlen=LOG_WINDOW)
                 log.entries = [(int(r["timestamp"]), float(r["probability"]), float(r["observed"]))
                                for r in rows]
             self._logs[metric_id] = log
@@ -494,6 +520,7 @@ class Engine:
         is isolated to its metric: the metric's cached state is dropped
         and its health forced to R with the error as the reason.
         """
+        self._repair()
         records: list[dict] = []
         for spec in self.jobs():
             if not force and now % spec.score_every != 0:
@@ -569,7 +596,7 @@ class Engine:
     def _append_score_rows(self, metric_id: str, rows: list[dict]) -> None:
         if not rows:
             return
-        name = f"scores/{metric_id}.csv"
+        name = _doc_name("scores", metric_id)
         text = io.StringIO()
         writer = csv.writer(text)
         if name not in self._lengths:
@@ -593,6 +620,7 @@ class Engine:
         Per-metric failures are isolated: they are recorded (feeding the
         health evaluation) and never abort the cycle.
         """
+        self._repair()
         due = []
         for spec in self.jobs():
             if force or (now % spec.train_every == 0 and now >= self._warmup(spec)):
@@ -620,7 +648,7 @@ class Engine:
                 values=series.values[: min(now, len(series))],
                 freq_label=series.freq_label,
             )
-            health_doc = self._doc(f"health/{spec.metric_id}.json")
+            health_doc = self._doc(_doc_name("health", spec.metric_id))
             health = health_doc["snapshot"]["health"] if health_doc else None
             record = self._active_record(spec.metric_id)
             generation = int(state.get("tune_generation", 0))
@@ -714,7 +742,7 @@ class Engine:
                 model_age_fraction=max(snapshot.model_age_fraction, 1.0),
                 health="R",
             )
-        self._pending[f"health/{spec.metric_id}.json"] = {
+        self._pending[_doc_name("health", spec.metric_id)] = {
             "at": now, "reason": reason, "snapshot": snapshot.to_dict()}
         return snapshot
 
@@ -820,6 +848,7 @@ class Engine:
         A metric whose evaluation fails is labelled R with the error as
         the reason; the other metrics are labelled as usual.
         """
+        self._repair()
         specs = self.jobs()
         stats: dict[str, Optional[tuple[float, float]]] = {}
         errors: dict[str, Exception] = {}
@@ -845,7 +874,7 @@ class Engine:
             if error is None:
                 try:
                     snapshot = self._evaluate_metric(spec, now, thresholds, stats[spec.metric_id])
-                    self._pending[f"health/{spec.metric_id}.json"] = {
+                    self._pending[_doc_name("health", spec.metric_id)] = {
                         "at": now, "snapshot": snapshot.to_dict()}
                 except Exception as exc:  # noqa: BLE001 - cycle must survive any metric
                     error = exc
@@ -868,6 +897,7 @@ class Engine:
         """
         if steps < 1:
             raise ValueError("steps must be >= 1")
+        self._repair()
         specs = self.jobs()
         for _ in range(steps):
             self.now += 1
@@ -890,7 +920,7 @@ class Engine:
     def status(self) -> list[dict]:
         rows = []
         for spec in self.jobs():
-            health_doc = self._doc(f"health/{spec.metric_id}.json")
+            health_doc = self._doc(_doc_name("health", spec.metric_id))
             record = self._active_record(spec.metric_id)
             state = self._scoring_state(spec.metric_id)
             rows.append(

@@ -176,10 +176,14 @@ class TestCrashRecovery:
             root = tmp_path / f"crash{k}"
             with pytest.raises(Crash):
                 run_tick(root, fail_at=k)
+            crashed = snapshot(root)
             engine = fleet_engine(root)
+            assert snapshot(root) == crashed  # opening the store writes nothing
             assert engine.now == (RETUNE_TICK - 1 if k <= commit + 1 else RETUNE_TICK)
             if engine.now < RETUNE_TICK:
                 engine.advance_clock(1)
+            else:
+                engine._repair()  # what the engine's first write starts with
             assert snapshot(root) == after_tick, f"crash at write {k}: {writes[k - 1]}"
             finish_run(root)
             assert snapshot(root) == single_run, f"crash at write {k}: {writes[k - 1]}"
@@ -194,9 +198,69 @@ class TestCrashRecovery:
         with open(tmp_path / "scores" / "quiet.csv", "a") as fh:
             fh.write("quiet,1,2.0,2.0,0.5,0,quiet-t288-g0\r\n")
         (tmp_path / "alerts" / "fresh.jsonl").write_text("{}\n")
+        torn = snapshot(tmp_path)
         fresh = fleet_engine(tmp_path)
         assert fresh.now == 300
+        assert fresh._score_log("quiet").entries == engine._score_log("quiet").entries
+        assert snapshot(tmp_path) == torn  # opening the store writes nothing
+        fresh._repair()
         assert snapshot(tmp_path) == committed
+
+    def test_engine_opened_mid_tick_changes_nothing(self, single_run, tmp_path):
+        """An engine opened while another is inside a tick (``autoad status``
+        beside ``autoad run``) sees the last committed tick and leaves the
+        running engine's uncommitted rows and held documents alone."""
+        engine = fleet_engine(tmp_path)
+        register_fleet(engine)
+        train = engine.run_training_cycle
+        opened = []
+
+        def open_reader_then_train(now, *args, **kwargs):
+            before = snapshot(tmp_path)
+            reader = fleet_engine(tmp_path)
+            assert reader.now == now - 1
+            scored = now - 1 if now > TRAINING_TICKS[0] else 0  # the first model comes at 96
+            assert [row["last_scored"] for row in reader.status()] == [scored, scored]
+            for metric in ("quiet", "drifted"):
+                assert reader._score_log(metric).entries == engine._score_log(metric).entries[:-1]
+            assert snapshot(tmp_path) == before
+            opened.append(now)
+            return train(now, *args, **kwargs)
+
+        engine.run_training_cycle = open_reader_then_train
+        engine.advance_clock(RESTART_TICKS)
+        assert opened == list(TRAINING_TICKS)
+        assert snapshot(tmp_path) == single_run
+
+    def test_restart_after_a_red_label_between_checkpoints(self, tmp_path):
+        """A scoring failure labels its metric R at a tick that does not
+        train, so the health document waits in the journal; an engine opened
+        after it writes the document and carries on as one that never stopped."""
+
+        def fail_drifted_at_120(engine):
+            original = engine._finish_score
+
+            def flaky(spec, *args):
+                if spec.metric_id == "drifted" and engine.now == 120:
+                    raise RuntimeError("injected")
+                return original(spec, *args)
+
+            engine._finish_score = flaky
+
+        single, restarted = tmp_path / "single", tmp_path / "restarted"
+        engine = fleet_engine(single)
+        register_fleet(engine)
+        fail_drifted_at_120(engine)
+        engine.advance_clock(200)
+        engine = fleet_engine(restarted)
+        register_fleet(engine)
+        fail_drifted_at_120(engine)
+        engine.advance_clock(130)
+        assert '"health/drifted.json"' in (restarted / "journal.jsonl").read_text()
+        engine = fleet_engine(restarted)
+        engine.advance_clock(70)  # through the retune at 144 and the checkpoint at 192
+        assert engine.tune_generation("drifted") >= 1
+        assert snapshot(restarted) == snapshot(single)
 
     def test_scoring_tick_appends_one_journal_line_and_writes_no_document(self, tmp_path, monkeypatch):
         engine = fleet_engine(tmp_path)
@@ -233,6 +297,7 @@ class TestCrashRecovery:
         for tick in range(97, 104):
             engine.run_scoring_cycle(tick)
         engine.run_evaluation_cycle(103)
+        assert (tmp_path / "journal.jsonl").read_bytes() == b""  # each one checkpoints
         fresh = fleet_engine(tmp_path)
         assert fresh.now == 0
         for metric in ("quiet", "drifted"):
@@ -285,6 +350,29 @@ class TestCaches:
         fresh = fleet_engine(tmp_path)
         assert "log" not in fresh._scoring_state("m1")
         assert fresh._score_log("m1").entries == csv_log(fresh, "m1")
+
+    def test_pre_journal_store_drops_the_state_log(self, tmp_path):
+        """A store kept before the journal (``meta.json`` holds only the clock)
+        whose state document still holds the score log carries on as a run
+        that never had it."""
+        old, straight = tmp_path / "old", tmp_path / "straight"
+        engine = fleet_engine(old)
+        engine.register_job(job_for(make_series()))
+        engine.advance_clock(96)  # a checkpoint tick: the files hold the whole store
+        path = engine._state_path("m1")
+        state = json.loads(path.read_text())
+        path.write_text(json.dumps({**state, "log": [[0, 0.5, 1.0]]}))
+        (old / "meta.json").write_text(json.dumps({"now": 96}))
+        (old / "journal.jsonl").unlink()
+        fresh = fleet_engine(old)
+        assert fresh.now == 96
+        assert "log" not in fresh._scoring_state("m1")
+        fresh.advance_clock(48)  # to the next checkpoint
+        assert "log" not in json.loads(path.read_text())
+        engine = fleet_engine(straight)
+        engine.register_job(job_for(make_series()))
+        engine.advance_clock(144)
+        assert snapshot(old) == snapshot(straight)
 
 
 def gapped_series(start=100, length=6):
