@@ -40,10 +40,9 @@ def main() -> int:
         traces = {label: [] for label in ("drifted", "stationary")}
         for _ in range(10):
             engine.advance_clock(48)
-            for label in traces:
-                doc = engine._read_json(engine._health_path(label))
-                if doc:
-                    traces[label].append((engine.now, doc["snapshot"]["health"]))
+            for row in engine.status():
+                if row["health"] != "-":  # "-": not evaluated yet
+                    traces[row["metric_id"]].append((engine.now, row["health"]))
         for label, trace in traces.items():
             print(f"{label}: retunes={engine.tune_generation(label)}")
             print("  " + " ".join(f"t{t}:{h}" for t, h in trace))

@@ -460,76 +460,49 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     pooled_labels: list[np.ndarray] = []
     for name, base in tasks:
         for freq in config.freqs:
-            ref_auc = ref.AUTOAD_AUC.get(name, {}).get(freq, "")
-            ref_ret = ref.AUTOAD_RETUNES.get(name, {}).get(freq, "")
-            ref_fc = ref.AUTOAD_FORECAST.get(name, {}).get(freq, ("", ""))
             if base is None:
                 report.missing.append(name)
-                report.auc_rows.append(
-                    {
-                        "dataset": name,
-                        "freq": freq,
-                        "status": "missing",
-                        "n_points": "",
-                        "auc": "",
-                        "retunes": "",
-                        "reference_auc": ref_auc,
-                        "reference_retunes": ref_ret,
-                        "reference_prophet_auc": ref.PROPHET_AUC.get(name, {}).get(freq, ""),
-                        "reference_luminol_auc": ref.LUMINOL_AUC.get(name, {}).get(freq, ""),
-                        "reference_adtk_auc": ref.ADTK_AUC.get(name, {}).get(freq, ""),
-                    }
-                )
-                report.forecast_rows.append(
-                    {
-                        "dataset": name,
-                        "freq": freq,
-                        "status": "missing",
-                        "mdape_pct": "",
-                        "rmse": "",
-                        "reference_mdape_pct": ref_fc[0],
-                        "reference_rmse": ref_fc[1],
-                        "reference_prophet_mdape_pct": ref.PROPHET_FORECAST.get(name, {}).get(freq, ("", ""))[0],
-                        "reference_auto_arima_mdape_pct": ref.AUTO_ARIMA_FORECAST.get(name, {}).get(freq, ("", ""))[0],
-                    }
-                )
-                continue
-            try:
-                lbs = aggregate_labeled(base, freq, agg=config.agg)
-            except IncompatibleFrequency:
-                report.missing.append(f"{name}:{freq}")
-                continue
-            auc_value, retunes, mdape, rmse, probs, labels = _bench_one(lbs, freq, config)
-            pooled_probs.append(probs)
-            pooled_labels.append(labels)
-            report.auc_rows.append(
-                {
-                    "dataset": name,
-                    "freq": freq,
-                    "status": "ok",
+                status = "missing"
+                auc_cols = {"n_points": "", "auc": "", "retunes": ""}
+                forecast_cols = {"mdape_pct": "", "rmse": ""}
+            else:
+                try:
+                    lbs = aggregate_labeled(base, freq, agg=config.agg)
+                except IncompatibleFrequency:
+                    report.missing.append(f"{name}:{freq}")
+                    continue
+                auc_value, retunes, mdape, rmse, probs, labels = _bench_one(lbs, freq, config)
+                pooled_probs.append(probs)
+                pooled_labels.append(labels)
+                status = "ok"
+                auc_cols = {
                     "n_points": len(lbs.series),
                     "auc": round(auc_value, 5) if math.isfinite(auc_value) else "",
                     "retunes": retunes,
-                    "reference_auc": ref_auc,
-                    "reference_retunes": ref_ret,
-                    "reference_prophet_auc": ref.PROPHET_AUC.get(name, {}).get(freq, ""),
-                    "reference_luminol_auc": ref.LUMINOL_AUC.get(name, {}).get(freq, ""),
-                    "reference_adtk_auc": ref.ADTK_AUC.get(name, {}).get(freq, ""),
                 }
-            )
-            report.forecast_rows.append(
-                {
-                    "dataset": name,
-                    "freq": freq,
-                    "status": "ok",
+                forecast_cols = {
                     "mdape_pct": round(mdape, 3) if math.isfinite(mdape) else "",
                     "rmse": round(rmse, 3) if math.isfinite(rmse) else "",
-                    "reference_mdape_pct": ref_fc[0],
-                    "reference_rmse": ref_fc[1],
-                    "reference_prophet_mdape_pct": ref.PROPHET_FORECAST.get(name, {}).get(freq, ("", ""))[0],
-                    "reference_auto_arima_mdape_pct": ref.AUTO_ARIMA_FORECAST.get(name, {}).get(freq, ("", ""))[0],
                 }
-            )
+            ref_fc = ref.AUTOAD_FORECAST.get(name, {}).get(freq, ("", ""))
+            row = {"dataset": name, "freq": freq, "status": status}
+            report.auc_rows.append({
+                **row,
+                **auc_cols,
+                "reference_auc": ref.AUTOAD_AUC.get(name, {}).get(freq, ""),
+                "reference_retunes": ref.AUTOAD_RETUNES.get(name, {}).get(freq, ""),
+                "reference_prophet_auc": ref.PROPHET_AUC.get(name, {}).get(freq, ""),
+                "reference_luminol_auc": ref.LUMINOL_AUC.get(name, {}).get(freq, ""),
+                "reference_adtk_auc": ref.ADTK_AUC.get(name, {}).get(freq, ""),
+            })
+            report.forecast_rows.append({
+                **row,
+                **forecast_cols,
+                "reference_mdape_pct": ref_fc[0],
+                "reference_rmse": ref_fc[1],
+                "reference_prophet_mdape_pct": ref.PROPHET_FORECAST.get(name, {}).get(freq, ("", ""))[0],
+                "reference_auto_arima_mdape_pct": ref.AUTO_ARIMA_FORECAST.get(name, {}).get(freq, ("", ""))[0],
+            })
 
     if pooled_probs:
         all_p = np.concatenate(pooled_probs)

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .errors import InsufficientData, NumericalBreakdown
-from .series import TimeSeries, log_offset, to_log
+from .series import TimeSeries, from_model_scale, log_offset, to_log, to_model_scale
 from .stats import gaussian_anomaly_probability
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,8 +35,8 @@ class StateSpaceModel:
     """Canonical local-level / local-linear-trend state space.
 
     state_dim 1 is a random-walk level; state_dim 2 adds a random-walk
-    slope that feeds the level.  Q and P0 must be symmetric PSD, R
-    positive.
+    slope that feeds the level.  Q must be diagonal and non-negative (the
+    filter reads only its diagonal), P0 symmetric PSD and R positive.
     """
 
     state_dim: int
@@ -58,11 +58,17 @@ class StateSpaceModel:
             raise ValueError("Q, P0 must be mxm and x0 length m")
         if self.R <= 0:
             raise ValueError("R must be positive")
-        for mat in (self.Q, self.P0):
-            if not np.allclose(mat, mat.T):
-                raise ValueError("Q and P0 must be symmetric")
-            if np.linalg.eigvalsh(mat).min() < -1e-10:
-                raise ValueError("Q and P0 must be positive semi-definite")
+        q, p = self.Q.tolist(), self.P0.tolist()
+        if m == 2 and (q[0][1] != 0.0 or q[1][0] != 0.0):
+            raise ValueError("Q must be diagonal")
+        if not all(q[i][i] >= 0.0 for i in range(m)):
+            raise ValueError("Q must have non-negative diagonal entries")
+        if m == 2 and p[0][1] != p[1][0]:
+            raise ValueError("P0 must be symmetric")
+        # the smaller eigenvalue of a symmetric matrix of size 1 or 2, in closed form
+        a, b, c = p[0][0], p[0][-1] if m == 2 else 0.0, p[-1][-1]
+        if not 0.5 * (a + c) - math.hypot(0.5 * (a - c), b) >= -1e-10:
+            raise ValueError("P0 must be positive semi-definite")
 
     @classmethod
     def local_level(cls, q: float, r: float, x0: float = 0.0, p0: float = 1.0, **kw):
@@ -391,25 +397,41 @@ def fit_filtering(
     return model, state, probs
 
 
-def frozen_scorer(model: StateSpaceModel, state: FilterState):
-    """Vectorized map value -> anomaly probability with the filter frozen.
+class FilterDetector:
+    """A fitted filter model and its live filter state.
 
-    Used by the self-evaluation stage: candidate observations are pushed
-    through one hypothetical update from the current state without
-    mutating anything.
+    Scoring advances the state, so consecutive batches give what one pass
+    over them would.  :meth:`state` is the stored form of the live state;
+    the step counts the structural detector needs are not used.
     """
-    # the prior of a one-step pass does not depend on its observation
-    _, _, _, s_innov, _, (x_prior, P_prior) = _kalman_pass(model, state, [0.0])
-    gain0 = float(P_prior[0, 0]) / s_innov[0]
-    center = float(x_prior[0])
-    sd = math.sqrt(max(state.eta_var, _ETA_VAR_FLOOR))
-    mean = state.eta_mean
 
-    def score(values):
-        values = np.asarray(values, dtype=float)
-        if model.log_scale:
-            values = to_log(values, model.log_offset)
-        eta = gain0 * (values - center)
-        return gaussian_anomaly_probability(eta - mean, np.full_like(eta, sd))
+    def __init__(self, model: StateSpaceModel, state: FilterState):
+        self.model = model
+        self._state = state
 
-    return score
+    def score(self, steps, values) -> tuple[np.ndarray, np.ndarray]:
+        """Anomaly probabilities and expected raw values of the next raw
+        observations ``values``; advances the state past them."""
+        probs, self._state, level = run_filter(self.model, to_model_scale(values, self.model), self._state)
+        return probs, from_model_scale(level, self.model)
+
+    def frozen(self, step: int):
+        """The evaluation scorer: a vectorized map from raw candidate values
+        to the anomaly probabilities one more update from the live state
+        would give them, changing nothing."""
+        model, state = self.model, self._state
+        # the prior of a one-step pass does not depend on its observation
+        _, _, _, s_innov, _, (x_prior, P_prior) = _kalman_pass(model, state, [0.0])
+        gain0 = float(P_prior[0, 0]) / s_innov[0]
+        center = float(x_prior[0])
+        sd = math.sqrt(max(state.eta_var, _ETA_VAR_FLOOR))
+        mean = state.eta_mean
+
+        def score(values):
+            eta = gain0 * (to_model_scale(values, model) - center)
+            return gaussian_anomaly_probability(eta - mean, np.full_like(eta, sd))
+
+        return score
+
+    def state(self) -> dict:
+        return self._state.to_dict()

@@ -12,17 +12,17 @@ rather than exceptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import AutoAdError, RateTooHigh
-from .filtering import fit_filtering, run_filter
+from .filtering import FilterDetector, FilterState, StateSpaceModel, fit_filtering
 from .profiling import DataProfile, profile as profile_series
-from .series import ImputePolicy, TimeSeries, from_log, impute, smooth, to_log
-from .stats import gaussian_anomaly_probability, mad_std
-from .structural import fit_structural, forecast, in_sample_probabilities
+from .series import ImputePolicy, TimeSeries, impute, smooth
+from .stats import mad_std
+from .structural import StructuralDetector, StructuralModel, fit_structural, in_sample_probabilities
 
 PROB_CLIP = 1e-6
 WARMUP_POINTS = 10  # first points excluded from injection and cross-entropy
@@ -121,6 +121,49 @@ class ModelConfig:
         )
 
 
+Detector = Union[StructuralDetector, FilterDetector]
+
+
+def fit_detector(
+    ts: TimeSeries,
+    prof: DataProfile,
+    config: ModelConfig,
+    noise_memo: Optional[dict] = None,
+    horizon: int = 0,
+) -> tuple[Detector, np.ndarray]:
+    """Fit the configured model family on an imputed series.
+
+    Returns the detector, set to score the ``horizon`` steps after the
+    end of ``ts``, and the anomaly probability of each training point.
+    Every detector has the same four members:
+
+    - ``score(steps, values) -> (probs, expected)`` scores raw values and
+      gives the expected raw values; ``steps`` counts from the end of
+      training (0 is the first point after it), and a filter, which
+      advances its live state instead, ignores it;
+    - ``frozen(step)`` is the evaluation scorer, a map from raw candidate
+      values to anomaly probabilities that changes nothing;
+    - ``state()`` is the filter state to store (None for a structural
+      detector), which :func:`load_detector` takes back;
+    - ``model`` is the fitted model; its ``to_dict()`` is the stored payload.
+
+    ``noise_memo`` is handed to :func:`~autoad.filtering.fit_filtering`.
+    """
+    if config.method == "structural":
+        model = fit_structural(ts, prof, config)
+        return StructuralDetector(model, horizon), in_sample_probabilities(model)
+    model, state, probs = fit_filtering(ts, config, noise_memo)
+    return FilterDetector(model, state), probs
+
+
+def load_detector(payload: dict, filter_state: Optional[dict], horizon: int) -> Detector:
+    """The detector of a stored model payload, and of its stored filter
+    state for a filter model; it scores as the fitted one did."""
+    if payload["method"] == "structural":
+        return StructuralDetector(StructuralModel.from_dict(payload), horizon)
+    return FilterDetector(StateSpaceModel.from_dict(payload), FilterState.from_dict(filter_state))
+
+
 def default_config(profile: DataProfile, n: int) -> ModelConfig:
     """Profile-informed configuration used before any tuning has run."""
     l = 0
@@ -214,35 +257,6 @@ def mape(pred: np.ndarray, actual: np.ndarray, floor: float = 1e-8) -> float:
     return float(np.mean(np.abs(pred - actual) / np.maximum(np.abs(actual), floor)))
 
 
-def _structural_probabilities(train: TimeSeries, holdout: np.ndarray, prof, config):
-    model = fit_structural(train, prof, config)
-    n_train = len(train)
-    probs = np.full(n_train + holdout.size, 0.5)
-    probs[model.d : n_train] = in_sample_probabilities(model)
-    preds_raw = np.zeros(holdout.size)
-    if holdout.size:
-        fc_t = forecast(model, holdout.size, transformed=True)
-        obs = holdout
-        if model.log_scale:
-            obs = to_log(holdout, model.log_offset)
-        means = np.array([m for m, _ in fc_t])
-        stds = np.array([s for _, s in fc_t])
-        probs[n_train:] = gaussian_anomaly_probability(obs - means, stds)
-        if model.log_scale:
-            preds_raw = from_log(means, model.log_offset)
-        else:
-            preds_raw = means
-    return probs, preds_raw
-
-
-def _filtering_probabilities(train: TimeSeries, holdout: np.ndarray, config, noise_memo):
-    model, state, train_probs = fit_filtering(train, config, noise_memo)
-    if model.log_scale:
-        holdout = to_log(holdout, model.log_offset)
-    hold_probs, _, _ = run_filter(model, holdout, state)
-    return np.concatenate([train_probs, hold_probs])
-
-
 def cost(
     config: ModelConfig,
     labeled: LabeledSeries,
@@ -255,8 +269,8 @@ def cost(
     Structural configurations pay alpha*CE + (1-alpha)*MAPE; filtering
     configurations pay CE regardless of alpha.  Any training failure (or
     a series whose missing fraction exceeds the configuration allowance)
-    is absorbed as +inf.  ``noise_memo`` is handed to
-    :func:`~autoad.filtering.fit_filtering`; it never changes the cost.
+    is absorbed as +inf.  ``noise_memo`` is handed to :func:`fit_detector`;
+    it never changes the cost.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -270,12 +284,7 @@ def cost(
         if len(series) - config.truncate_at < 40:
             return math.inf
         start_epoch = int(series.start_epoch + config.truncate_at * series.step)
-        series = TimeSeries(
-            start_epoch=start_epoch,
-            step=series.step,
-            values=series.values[config.truncate_at :],
-            freq_label=series.freq_label,
-        )
+        series = replace(series, start_epoch=start_epoch, values=series.values[config.truncate_at :])
         labels = labels[config.truncate_at :]
     if series.missing_mask.any():
         return math.inf
@@ -286,12 +295,11 @@ def cost(
     holdout = series.values[n_train:]
 
     try:
-        if config.method == "structural":
-            probs, preds = _structural_probabilities(train, holdout, prof, config)
-        else:
-            probs = _filtering_probabilities(train, holdout, config, noise_memo)
+        detector, train_probs = fit_detector(train, prof, config, noise_memo, horizon=holdout.size)
+        hold_probs, preds = detector.score(np.arange(holdout.size), holdout)
     except (AutoAdError, np.linalg.LinAlgError):
         return math.inf
+    probs = np.concatenate([train_probs, hold_probs])
     if not np.all(np.isfinite(probs)):
         return math.inf
 

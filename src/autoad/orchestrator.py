@@ -47,6 +47,7 @@ CSV, read back when an engine first needs it.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -54,7 +55,6 @@ import os
 import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -68,12 +68,9 @@ from .errors import (
     InvalidSpec,
     MissingModel,
 )
-from .filtering import FilterState, StateSpaceModel, fit_filtering, frozen_scorer, run_filter
-from .optimizer import ModelConfig, default_config, tune
+from .optimizer import ModelConfig, default_config, fit_detector, load_detector, tune
 from .profiling import DataProfile, profile as profile_series
-from .series import ImputePolicy, TimeSeries, from_log, impute, read_csv, to_log
-from .stats import gaussian_anomaly_probability
-from .structural import StructuralModel, fit_structural, forecast
+from .series import ImputePolicy, TimeSeries, impute, read_csv
 
 RATE_WINDOW = 48  # scores considered by the anomaly-rate trigger
 MIN_EVAL_SCORES = 8  # fewer stable scores than this keeps a series in Y
@@ -88,7 +85,7 @@ def _doc_name(kind: str, metric_id: str) -> str:
     return f"{kind}/{metric_id}.csv" if kind == "scores" else f"{kind}/{metric_id}.json"
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class JobSpec:
     """One monitored metric: its source and its cycle cadences (in steps)."""
 
@@ -202,7 +199,7 @@ class Engine:
         self._states: dict[str, dict] = {}
         self._logs: dict[str, ev.ScoreLog] = {}
         self._records: dict[str, Optional[dict]] = {}
-        self._detectors: dict[str, tuple] = {}  # metric -> (model_id, model, config, forecast)
+        self._detectors: dict[str, tuple] = {}  # metric -> (model_id, detector)
         # documents by store name: saved by the tick in progress, and
         # committed since the last checkpoint but not in the files: state
         # documents, and until _repair the journal's other documents
@@ -396,34 +393,25 @@ class Engine:
         return self._records[metric_id]
 
     def _detector(self, record: dict):
-        """(model, config, forecast) of an active record, parsed once per model_id.
-
-        ``forecast`` is the transformed forecast table of a structural
-        model up to its TTL, which covers every scoring horizon, as an
-        array of (mean, std) rows; it is None for a filter model.
-        """
+        """The detector of an active record, loaded once per model_id from
+        the record and the stored filter state; it then keeps the live
+        state itself.  It scores up to the model's TTL."""
         cached = self._detectors.get(record["metric_id"])
         if cached is None or cached[0] != record["model_id"]:
-            table = None
-            if record["method"] == "structural":
-                model = StructuralModel.from_dict(record["payload"])
-                table = np.array(forecast(model, record["expires_at"] - record["published_at"],
-                                          transformed=True))
-            else:
-                model = StateSpaceModel.from_dict(record["payload"])
-            cached = (record["model_id"], model, ModelConfig.from_dict(record["config"]), table)
-            self._detectors[record["metric_id"]] = cached
-        return cached[1:]
+            state = self._scoring_state(record["metric_id"])
+            detector = load_detector(record["payload"], state["filter_state"],
+                                     horizon=record["expires_at"] - record["published_at"])
+            cached = self._detectors[record["metric_id"]] = (record["model_id"], detector)
+        return cached[1]
 
-    def _publish_model(self, spec: JobSpec, now: int, method: str, payload: dict,
-                       config: ModelConfig, prof: DataProfile, generation: int,
-                       filter_state: Optional[FilterState]) -> dict:
+    def _publish_model(self, spec: JobSpec, now: int, detector, config: ModelConfig,
+                       prof: DataProfile, generation: int) -> dict:
         record = {
             "schema": 1,
             "model_id": f"{spec.metric_id}-t{now}-g{generation}",
             "metric_id": spec.metric_id,
-            "method": method,
-            "payload": payload,
+            "method": config.method,
+            "payload": detector.model.to_dict(),
             "config": config.to_dict(),
             "profile": prof.to_dict(),
             "published_at": now,
@@ -432,11 +420,12 @@ class Engine:
         }
         self._pending[_doc_name("models", spec.metric_id)] = record
         self._records[spec.metric_id] = record
+        self._detectors[spec.metric_id] = (record["model_id"], detector)
         state = self._scoring_state(spec.metric_id)
         state.update(
             origin=now,
             last_scored=now,
-            filter_state=filter_state.to_dict() if filter_state is not None else None,
+            filter_state=detector.state(),
             last_training_failed=False,
         )
         self._save_scoring_state(spec.metric_id, state)
@@ -550,7 +539,7 @@ class Engine:
         if end <= start:
             return []
 
-        model, config, fc = self._detector(record)
+        detector = self._detector(record)
         log = self._score_log(spec.metric_id)
 
         # a missing observation gets no score and no log entry and leaves
@@ -558,18 +547,11 @@ class Engine:
         observed = series.values[start:end]
         present = ~np.isnan(observed)
         index, observed = np.arange(start, end)[present], observed[present]
-        obs_t = to_log(observed, model.log_offset) if model.log_scale else observed
-        if record["method"] == "structural":
-            # index i is the (h+1)-th step after the train end
-            predicted, std = fc[index - int(record["published_at"])].T
-            probs = gaussian_anomaly_probability(obs_t - predicted, std)
-        else:
-            fstate = FilterState.from_dict(state["filter_state"])
-            probs, fstate, predicted = run_filter(model, obs_t, fstate)
-            state["filter_state"] = fstate.to_dict()
-        expected = from_log(predicted, model.log_offset) if model.log_scale else predicted
+        probs, expected = detector.score(index - int(record["published_at"]), observed)
+        state["filter_state"] = detector.state()
 
-        out = [self._finish_score(spec, series, i, obs, exp, prob, record, config, log)
+        threshold = record["config"]["decision_threshold"]
+        out = [self._finish_score(spec, series, i, obs, exp, prob, record, threshold, log)
                for i, obs, exp, prob in zip(index.tolist(), observed.tolist(),
                                             expected.tolist(), probs.tolist())]
         state["last_scored"] = end
@@ -577,9 +559,9 @@ class Engine:
         self._append_score_rows(spec.metric_id, out)
         return out
 
-    def _finish_score(self, spec, series, index, observed, expected, prob, record, config, log) -> dict:
+    def _finish_score(self, spec, series, index, observed, expected, prob, record, threshold, log) -> dict:
         timestamp = int(series.start_epoch + index * series.step)
-        is_anomaly = prob >= config.decision_threshold
+        is_anomaly = prob >= threshold
         log.append(timestamp, prob, observed)
         if prob >= spec.alert_threshold:
             self._emit_alert(spec, timestamp, prob, observed, expected)
@@ -642,12 +624,7 @@ class Engine:
         try:
             state = self._scoring_state(spec.metric_id)
             series = self._series(spec)
-            data = TimeSeries(
-                start_epoch=series.start_epoch,
-                step=series.step,
-                values=series.values[: min(now, len(series))],
-                freq_label=series.freq_label,
-            )
+            data = series.with_values(series.values[: min(now, len(series))])
             health_doc = self._doc(_doc_name("health", spec.metric_id))
             health = health_doc["snapshot"]["health"] if health_doc else None
             record = self._active_record(spec.metric_id)
@@ -682,38 +659,22 @@ class Engine:
                 ImputePolicy(method="linear", max_gap_fraction=config.max_missing_fraction),
             )
             if config.truncate_at is not None and 0 < config.truncate_at < len(prepared) - 30:
-                prepared = TimeSeries(
-                    start_epoch=int(prepared.start_epoch + config.truncate_at * prepared.step),
-                    step=prepared.step,
-                    values=prepared.values[config.truncate_at :],
-                    freq_label=prepared.freq_label,
-                )
+                start_epoch = int(prepared.start_epoch + config.truncate_at * prepared.step)
+                prepared = dataclasses.replace(prepared, start_epoch=start_epoch,
+                                               values=prepared.values[config.truncate_at :])
 
-            method = config.method
-            payload = None
-            fstate = None
-            if method == "structural":
-                try:
-                    model = fit_structural(prepared, prof, config)
-                    payload = model.to_dict()
-                except AutoAdError as exc:
-                    # keep the metric alive on a filter model rather than alert-blind
-                    outcome["error"] = f"structural fit failed: {exc}"
-                    fallback = ModelConfig(
-                        method="filtering",
-                        truncate_at=config.truncate_at,
-                        max_missing_fraction=config.max_missing_fraction,
-                        log_scale=config.log_scale,
-                        decision_threshold=config.decision_threshold,
-                    )
-                    config = fallback
-                    method = "filtering"
-            if method == "filtering" and payload is None:
-                fmodel, fstate, _ = fit_filtering(prepared, config)
-                payload = fmodel.to_dict()
+            try:
+                detector, _ = fit_detector(prepared, prof, config, horizon=spec.model_ttl)
+            except AutoAdError as exc:
+                if config.method != "structural":
+                    raise
+                # keep the metric alive on a filter model rather than alert-blind
+                outcome["error"] = f"structural fit failed: {exc}"
+                config = dataclasses.replace(config, method="filtering", structural_params=None)
+                detector, _ = fit_detector(prepared, prof, config)
 
-            self._publish_model(spec, now, method, payload, config, prof, generation, fstate)
-            outcome["method"] = method
+            self._publish_model(spec, now, detector, config, prof, generation)
+            outcome["method"] = config.method
             outcome["status"] = "trained" if outcome["error"] is None else "trained_fallback"
         except Exception as exc:  # noqa: BLE001 - cycle must survive any metric
             outcome["status"] = "failed"
@@ -733,15 +694,8 @@ class Engine:
             self._forget(spec.metric_id)
             snapshot = ev.HealthSnapshot(0.0, 0.0, 0.0, 0, 0.0, 1.0, "R")
         if snapshot.health != "R":
-            snapshot = ev.HealthSnapshot(
-                mv_avg=snapshot.mv_avg,
-                em_avg=snapshot.em_avg,
-                anomaly_rate=snapshot.anomaly_rate,
-                consecutive_anomalies=snapshot.consecutive_anomalies,
-                coefficient_of_variation=snapshot.coefficient_of_variation,
-                model_age_fraction=max(snapshot.model_age_fraction, 1.0),
-                health="R",
-            )
+            snapshot = dataclasses.replace(
+                snapshot, model_age_fraction=max(snapshot.model_age_fraction, 1.0), health="R")
         self._pending[_doc_name("health", spec.metric_id)] = {
             "at": now, "reason": reason, "snapshot": snapshot.to_dict()}
         return snapshot
@@ -766,26 +720,12 @@ class Engine:
         span = max(hi - lo, 1e-6 * max(abs(hi), 1.0), 1e-9)
         domain = (lo - 0.1 * span, hi + 0.1 * span)
 
-        model, _, table = self._detector(record)
-        if record["method"] == "structural":
-            horizon = max(now - int(record["published_at"]), 1)
-            if horizon > len(table):  # past the TTL: the model has expired
-                table = forecast(model, horizon, transformed=True)
-            mean_t, std_t = table[horizon - 1]
+        # the newest scored point, at least the first after training
+        step = max(now - int(record["published_at"]), 1) - 1
+        prob_fn = self._detector(record).frozen(step)
 
-            def score_fn(values):
-                values = np.asarray(values, dtype=float)
-                if model.log_scale:
-                    values = to_log(values, model.log_offset)
-                probs = gaussian_anomaly_probability(values - mean_t, np.full_like(values, std_t))
-                return 1.0 - probs
-
-        else:
-            fstate = FilterState.from_dict(self._scoring_state(spec.metric_id)["filter_state"])
-            prob_fn = frozen_scorer(model, fstate)
-
-            def score_fn(values):
-                return 1.0 - np.asarray(prob_fn(values))
+        def score_fn(values):
+            return 1.0 - np.asarray(prob_fn(values))
 
         return score_fn, scores, domain
 

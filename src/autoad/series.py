@@ -260,6 +260,18 @@ def from_log(values, offset: float) -> np.ndarray:
     return np.exp(values) - offset
 
 
+def to_model_scale(values, model) -> np.ndarray:
+    """Raw values on the scale a fitted model works on (its ``log_scale``
+    and ``log_offset`` say which)."""
+    values = np.asarray(values, dtype=float)
+    return to_log(values, model.log_offset) if model.log_scale else values
+
+
+def from_model_scale(values, model) -> np.ndarray:
+    """Values on a fitted model's scale back to raw values."""
+    return from_log(values, model.log_offset) if model.log_scale else values
+
+
 # -- CSV ingestion -------------------------------------------------------
 
 

@@ -21,7 +21,7 @@ from scipy.signal import lfilter
 
 from .errors import InsufficientData, NonConvergence
 from .profiling import DataProfile
-from .series import TimeSeries, from_log, log_offset, to_log
+from .series import TimeSeries, from_log, from_model_scale, log_offset, to_log, to_model_scale
 from .stats import autocovariances, gaussian_anomaly_probability
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -333,9 +333,49 @@ def forecast(model: StructuralModel, h: int, transformed: bool = False) -> list[
 
 
 def in_sample_probabilities(model: StructuralModel) -> np.ndarray:
-    """Anomaly probabilities of the training innovations (aligned to the
-    differenced index; original index j + d)."""
-    sigma = math.sqrt(model.sigma2)
-    return np.asarray(
-        gaussian_anomaly_probability(model.residuals, np.full(model.residuals.size, sigma))
-    )
+    """Anomaly probabilities of a just-fitted model's training points: 0.5
+    for the first ``d``, which differencing consumes, then those of the
+    training innovations."""
+    probs = np.full(model.train_len, 0.5)
+    probs[model.d:] = gaussian_anomaly_probability(
+        model.residuals, np.full(model.residuals.size, math.sqrt(model.sigma2)))
+    return probs
+
+
+class StructuralDetector:
+    """A fitted structural model scored against its forecast from the end
+    of training.
+
+    The forecast table, on the model's scale, covers ``horizon`` steps,
+    step 0 being the first point after training.  The model holds no
+    state between scorings, so :meth:`state` is None.
+    """
+
+    def __init__(self, model: StructuralModel, horizon: int):
+        self.model = model
+        self._table = np.array(forecast(model, horizon, transformed=True)) if horizon else np.empty((0, 2))
+
+    def score(self, steps, values) -> tuple[np.ndarray, np.ndarray]:
+        """Anomaly probabilities and expected raw values of the raw
+        observations ``values`` at ``steps`` (each below the horizon)."""
+        predicted, std = self._table[steps].T
+        probs = gaussian_anomaly_probability(to_model_scale(values, self.model) - predicted, std)
+        return probs, from_model_scale(predicted, self.model)
+
+    def frozen(self, step: int):
+        """The evaluation scorer: a vectorized map from raw candidate values
+        to their anomaly probabilities against the forecast for ``step``.
+        A step past the table (a model kept past its TTL) is forecast anew."""
+        table = self._table
+        if step >= len(table):
+            table = forecast(self.model, step + 1, transformed=True)
+        mean, std = table[step]
+
+        def score(values):
+            values = to_model_scale(values, self.model)
+            return gaussian_anomaly_probability(values - mean, np.full_like(values, std))
+
+        return score
+
+    def state(self) -> None:
+        return None

@@ -9,9 +9,9 @@ from autoad.errors import InsufficientData
 from autoad.filtering import (
     FilterState,
     StateSpaceModel,
+    FilterDetector,
     _concentrated_likelihood,
     fit_filtering,
-    frozen_scorer,
     run_filter,
 )
 from autoad.optimizer import FilteringParams, ModelConfig
@@ -346,7 +346,7 @@ class TestAnomalyProbability:
         for state_dim in (1, 2):
             y = rng.normal(5, 1, 200)
             model, state, _ = fit_filtering(ts_of(y), filtering_config(state_dim=state_dim))
-            scorer = frozen_scorer(model, state)
+            scorer = FilterDetector(model, state).frozen(0)
             candidates = np.array([4.0, 5.0, 6.0, 9.0])
             frozen = scorer(candidates)
             stepped = [run_filter(model, [v], state)[0][0] for v in candidates]
@@ -364,3 +364,49 @@ class TestSerialization:
         assert np.array_equal(p1, p2)
         assert np.array_equal(l1, l2)
         assert np.allclose(s1.x_post, s2.x_post)
+
+
+class TestModelValidation:
+    """The filter reads only Q's diagonal and P0's upper triangle, so a
+    model is checked for exactly what those entries must satisfy."""
+
+    @staticmethod
+    def trend(Q, P0):
+        return StateSpaceModel(state_dim=2, Q=np.array(Q), R=1.0, x0=np.zeros(2), P0=np.array(P0))
+
+    def test_rejects_off_diagonal_Q(self):
+        with pytest.raises(ValueError, match="Q must be diagonal"):
+            self.trend([[0.5, 0.49], [0.49, 0.5]], np.eye(2))
+
+    def test_rejects_negative_Q_diagonal(self):
+        with pytest.raises(ValueError, match="non-negative diagonal"):
+            self.trend([[0.5, 0.0], [0.0, -1e-3]], np.eye(2))
+        with pytest.raises(ValueError, match="non-negative diagonal"):
+            StateSpaceModel.local_level(q=-0.1, r=1.0)
+
+    def test_rejects_asymmetric_P0(self):
+        with pytest.raises(ValueError, match="P0 must be symmetric"):
+            self.trend(np.diag([0.5, 0.1]), [[1.0, 0.2], [0.0, 1.0]])
+
+    def test_rejects_indefinite_P0(self):
+        with pytest.raises(ValueError, match="P0 must be positive semi-definite"):
+            self.trend(np.diag([0.5, 0.1]), [[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(ValueError, match="P0 must be positive semi-definite"):
+            StateSpaceModel.local_level(q=0.1, r=1.0, p0=-1.0)
+
+    def test_accepts_singular_psd_P0_and_zero_Q(self):
+        model = self.trend(np.zeros((2, 2)), [[1.0, 1.0], [1.0, 1.0]])
+        assert model.P0.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5))
+    def test_closed_form_psd_check_agrees_with_eigvalsh(self, a, b, c):
+        P0 = np.array([[a, b], [b, c]])
+        smallest = np.linalg.eigvalsh(P0).min()
+        if abs(smallest + 1e-10) < 1e-9:
+            return  # too close to the tolerance for two roundings to agree
+        if smallest >= -1e-10:
+            self.trend(np.diag([0.5, 0.1]), P0)
+        else:
+            with pytest.raises(ValueError, match="positive semi-definite"):
+                self.trend(np.diag([0.5, 0.1]), P0)

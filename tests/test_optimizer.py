@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -18,13 +19,15 @@ from autoad.optimizer import (
     cost,
     cross_entropy,
     default_config,
+    fit_detector,
     inject_synthetic_anomalies,
+    load_detector,
     mape,
     prepare_labeled,
     random_search,
     tune,
 )
-from autoad.profiling import DataProfile
+from autoad.profiling import DataProfile, profile
 from autoad.series import TimeSeries
 
 from .conftest import seasonal_ar_series
@@ -452,3 +455,43 @@ class TestDefaultConfig:
     def test_log_recommendation_respected(self):
         prof = DataProfile(log_recommended=True)
         assert default_config(prof, 400).log_scale is True
+
+
+class TestDetectors:
+    @pytest.mark.parametrize("config", [
+        ModelConfig(method="structural", log_scale=True,
+                    structural_params=StructuralParams(p=2, q=1, l=1)),
+        ModelConfig(method="filtering", log_scale=True,
+                    filtering_params=FilteringParams(state_dim=2, forgetting=0.97)),
+    ], ids=["structural", "filtering"])
+    def test_restarted_detector_scores_like_the_fitted_one(self, config):
+        """A detector rebuilt by load_detector from the stored payload and
+        filter state, as an engine restart rebuilds it, scores bit for bit
+        as the fitted one, in one batch and in chunks."""
+        series = seasonal_ar_series(360)
+        train, later = series.with_values(series.values[:300]), series.values[300:]
+        prof = profile(train)
+        steps = np.arange(later.size)
+        candidates = np.linspace(later.min() - 3.0, later.max() + 3.0, 11)
+        runs = []
+        for sizes in ([later.size], [1, 5, 16, 17, 21]):
+            bounds = np.cumsum([0, *sizes])
+            fitted, _ = fit_detector(train, prof, config, horizon=later.size)
+            stored = json.loads(json.dumps({"payload": fitted.model.to_dict(), "state": fitted.state()}))
+            loaded = load_detector(stored["payload"], stored["state"], horizon=later.size)
+            for detector in (fitted, loaded):
+                scored = [detector.score(steps[a:b], later[a:b]) for a, b in zip(bounds, bounds[1:])]
+                runs.append((
+                    np.concatenate([probs for probs, _ in scored]),
+                    np.concatenate([expected for _, expected in scored]),
+                    detector.frozen(later.size - 1)(candidates),
+                    detector.state(),
+                ))
+        first = runs[0]
+        assert first[0].shape == first[1].shape == later.shape
+        for run in runs[1:]:
+            assert np.array_equal(run[0], first[0])
+            assert np.array_equal(run[1], first[1])
+            assert np.array_equal(run[2], first[2])
+            assert run[3] == first[3]
+        assert (first[3] is None) == (config.method == "structural")

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+import autoad.optimizer as optimizer
 import autoad.orchestrator as orch
 from autoad.errors import DuplicateId, InvalidSpec, NonConvergence
 from autoad.orchestrator import Engine, JobSpec, series_to_doc, series_from_doc
-from autoad.series import TimeSeries
+from autoad.series import TimeSeries, to_log
+from autoad.stats import gaussian_anomaly_probability
+from autoad.structural import StructuralModel, forecast
 
 
 def make_series(n=480, seed=0, shift_at=None, shift_factor=3.0, step=3600):
@@ -103,7 +106,7 @@ class TestTrainingCycle:
         def boom(*args, **kwargs):
             raise NonConvergence("forced failure")
 
-        monkeypatch.setattr(orch, "fit_structural", boom)
+        monkeypatch.setattr(optimizer, "fit_structural", boom)
         report = engine.run_training_cycle(96)
         assert report[0]["status"] == "trained_fallback"
         assert report[0]["method"] == "filtering"
@@ -218,6 +221,36 @@ class TestEvaluationCycle:
         snaps = engine.run_evaluation_cycle(5)
         assert set(snaps) == {"m0", "m1", "m2"}
         assert all(s.health in "GYR" for s in snaps.values())
+
+    def test_expired_structural_model_is_judged_on_a_fresh_forecast(self, engine, monkeypatch):
+        """Training that keeps failing leaves the structural model past its
+        TTL; the evaluation scorer then uses row horizon - 1 of
+        forecast(model, horizon), past the stored table's end."""
+        engine.register_job(job_for(make_series(), ttl=100))
+        engine.advance_clock(96)
+        record = engine._active_record("m1")
+        assert record["method"] == "structural"
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("forced training failure")
+
+        monkeypatch.setattr(orch, "fit_detector", boom)
+        engine.advance_clock(144)  # trainings at 144, 192 and 240 fail; the model expires at 196
+        assert engine._active_record("m1")["model_id"] == record["model_id"]
+        assert engine._scoring_state("m1")["last_training_failed"] is True
+        # tick 240's evaluation labelled the metric itself, with no error
+        assert "reason" not in engine._read_json(engine._health_path("m1"))
+
+        horizon, ttl = 240 - record["published_at"], record["expires_at"] - record["published_at"]
+        score_fn, _, domain = engine.metric_scorer(engine.jobs()[0], 240)
+        model = StructuralModel.from_dict(record["payload"])
+        table = forecast(model, horizon, transformed=True)
+        mean, std = table[horizon - 1]
+        assert horizon > ttl and table[ttl - 1] != (mean, std)
+        values = np.linspace(*domain, 9)
+        scaled = to_log(values, model.log_offset) if model.log_scale else values
+        want = 1.0 - gaussian_anomaly_probability(scaled - mean, np.full_like(values, std))
+        assert np.array_equal(score_fn(values), want)
 
     def test_fleet_labels_quiet_vs_drifted(self, tmp_path):
         eng = Engine(tmp_path / "fleet", tune_budget=10, n_mc=2000, seed=1)

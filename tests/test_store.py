@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import autoad.optimizer as optimizer
 import autoad.orchestrator as orch
 from autoad.errors import NonConvergence
 from autoad.orchestrator import Engine
@@ -389,7 +390,7 @@ class TestMissingObservations:
             def boom(*args, **kwargs):
                 raise NonConvergence("forced failure")
 
-            monkeypatch.setattr(orch, "fit_structural", boom)
+            monkeypatch.setattr(optimizer, "fit_structural", boom)
         engine = fleet_engine(tmp_path)
         engine.register_job(job_for(gapped_series()))
         engine.run_training_cycle(96, force=True)
@@ -414,7 +415,7 @@ class TestMissingObservations:
             def boom(*args, **kwargs):
                 raise NonConvergence("forced failure")
 
-            monkeypatch.setattr(orch, "fit_structural", boom)
+            monkeypatch.setattr(optimizer, "fit_structural", boom)
         written = {}
         for every in (1, 6):
             engine = fleet_engine(tmp_path / f"every{every}")

@@ -298,7 +298,8 @@ class TestAnomalyProbability:
         ts = ar1_series(0.5, 300, seed=1)
         model = fit_structural(ts, DataProfile(), structural_config(1, 0, 0))
         probs = in_sample_probabilities(model)
-        assert probs.shape == model.residuals.shape
+        assert probs.shape == (model.train_len,)
+        assert probs[model.d:].shape == model.residuals.shape
         assert np.all((probs >= 0) & (probs <= 1))
 
 
