@@ -33,16 +33,13 @@ from .optimizer import (
 from .orchestrator import Engine, JobSpec
 from .profiling import (
     DataProfile,
-    ProfileOptions,
     detect_change_points,
-    detect_trend_changes,
     profile,
     select_fourier_frequencies,
     stationarize,
 )
 from .series import (
     MISSING,
-    ImputePolicy,
     TimeSeries,
     aggregate,
     impute,
@@ -61,12 +58,10 @@ __all__ = [
     "FilteringParams",
     "HealthSnapshot",
     "HealthThresholds",
-    "ImputePolicy",
     "JobSpec",
     "LabeledSeries",
     "MISSING",
     "ModelConfig",
-    "ProfileOptions",
     "ScoreLog",
     "StateSpaceModel",
     "StructuralModel",
@@ -77,7 +72,6 @@ __all__ = [
     "classify_health",
     "cost",
     "detect_change_points",
-    "detect_trend_changes",
     "em_curve",
     "fit_filtering",
     "fit_structural",

@@ -36,7 +36,7 @@ from .errors import (
 from .optimizer import default_config, tune
 from .orchestrator import Engine, JobSpec, series_to_doc
 from .profiling import profile as profile_series
-from .series import ImputePolicy, TimeSeries, aggregate, impute, read_csv
+from .series import TimeSeries, aggregate, impute, read_csv
 from .structural import fit_structural, forecast
 
 REPLAY_TRAIN_EVERY = {"hourly": 48, "daily": 14}
@@ -98,7 +98,7 @@ def load_nab(data_csv_path, windows_json_path) -> LabeledBenchSeries:
         raise MissingData(f"windows file not found: {windows_path}")
 
     series = read_csv(data_path)
-    series = impute(series, ImputePolicy(method="linear", max_gap_fraction=1.0))
+    series = impute(series, max_gap_fraction=1.0)
 
     doc = json.loads(windows_path.read_text())
     key = None
@@ -141,12 +141,7 @@ def aggregate_labeled(
 
 
 def replay(
-    lbs: LabeledBenchSeries,
-    spec: Optional[JobSpec] = None,
-    tune_budget: int = 16,
-    n_mc: int = 4000,
-    seed: int = 0,
-    data_dir: Optional[str] = None,
+    lbs: LabeledBenchSeries, tune_budget: int = 16, n_mc: int = 4000, seed: int = 0
 ) -> tuple[list[dict], int]:
     """Drive the orchestrator over the series; returns (score records, retunes).
 
@@ -156,27 +151,20 @@ def replay(
     """
     freq = lbs.series.freq_label
     train_every = REPLAY_TRAIN_EVERY.get(freq, 48)
-    if spec is None:
-        spec = JobSpec(
-            job_id=f"bench-{lbs.name}-{freq}",
-            metric_id=f"{lbs.name}-{freq}",
-            source={"inline": series_to_doc(lbs.series)},
-            train_every=train_every,
-            score_every=1,
-            model_ttl=2 * train_every,
-        )
-
-    def run(root) -> tuple[list[dict], int]:
+    spec = JobSpec(
+        job_id=f"bench-{lbs.name}-{freq}",
+        metric_id=f"{lbs.name}-{freq}",
+        source={"inline": series_to_doc(lbs.series)},
+        train_every=train_every,
+        score_every=1,
+        model_ttl=2 * train_every,
+    )
+    with tempfile.TemporaryDirectory() as root:
         engine = Engine(root, tune_budget=tune_budget, n_mc=n_mc, seed=seed)
         engine.register_job(spec)
         engine.advance_clock(len(lbs.series))
         records = read_score_csv(Path(root) / "scores" / f"{spec.metric_id}.csv")
         return records, engine.tune_generation(spec.metric_id)
-
-    if data_dir is not None:
-        return run(data_dir)
-    with tempfile.TemporaryDirectory() as root:
-        return run(root)
 
 
 def read_score_csv(path: Path) -> list[dict]:

@@ -151,15 +151,6 @@ class HealthThresholds:
     consecutive_red: int = 5
     soft_factor: float = 0.8
 
-    def to_dict(self) -> dict:
-        return {
-            "mv_red": self.mv_red,
-            "em_red": self.em_red,
-            "rate_red": self.rate_red,
-            "consecutive_red": self.consecutive_red,
-            "soft_factor": self.soft_factor,
-        }
-
 
 @dataclass(frozen=True)
 class HealthSnapshot:
@@ -200,7 +191,6 @@ def classify_health(
     em_avg: float,
     anomaly_rate: float,
     consecutive_anomalies: int,
-    coefficient_of_variation: float,
     model_age_fraction: float,
     thresholds: HealthThresholds = HealthThresholds(),
     last_training_failed: bool = False,

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import AutoAdError, RateTooHigh
 from .filtering import FilterDetector, FilterState, StateSpaceModel, fit_filtering
 from .profiling import DataProfile, profile as profile_series
-from .series import ImputePolicy, TimeSeries, impute, smooth
+from .series import TimeSeries, impute, smooth
 from .stats import mad_std
 from .structural import StructuralDetector, StructuralModel, fit_structural, in_sample_probabilities
 
@@ -29,6 +29,9 @@ WARMUP_POINTS = 10  # first points excluded from injection and cross-entropy
 HOLDOUT_FRACTION = 0.2
 DEFAULT_SCALES = (3.0, 5.0, 8.0)
 DEFAULT_RATE = 0.05
+SMOOTH_WINDOW = 5  # rolling median applied before injection
+GAMMA = 0.25  # share of trials the TPE counts as good
+N_EI = 24  # TPE candidates drawn per trial
 
 
 # -- configuration record ----------------------------------------------------
@@ -332,21 +335,18 @@ class TuneResult:
         }
 
 
-def _cost_key(config: ModelConfig, missing_fraction: float):
-    """Projection of a config onto the fields that can influence its cost.
+#: Sampled values that never enter the cost: decision_threshold does not,
+#: and max_missing_fraction only through the missing-fraction gate.
+_COST_FREE = ("decision_threshold", "max_missing_fraction")
 
-    decision_threshold never enters the cost, and max_missing_fraction
-    only matters through the pass/fail gate against the observed missing
-    fraction, so configs identical under this key share one evaluation.
-    """
-    gate_ok = missing_fraction <= config.max_missing_fraction
-    if config.method == "structural":
-        sp = config.structural_params
-        branch = (sp.p, sp.q, sp.l)
-    else:
-        fp = config.filtering_params
-        branch = (fp.state_dim, round(fp.forgetting, 12))
-    return (config.method, config.truncate_at, config.log_scale, gate_ok, branch)
+
+def _cost_key(row: dict, missing_fraction: float):
+    """Projection of a sampled row onto the values that can influence its
+    cost, so rows identical under this key share one evaluation."""
+    gate_ok = missing_fraction <= row["max_missing_fraction"]
+    kept = sorted((name, round(v, 12) if isinstance(v, float) else v)
+                  for name, v in row.items() if name not in _COST_FREE)
+    return (gate_ok, tuple(kept))
 
 
 @dataclass(frozen=True)
@@ -463,50 +463,15 @@ def _build_space(prof: DataProfile, n: int):
     return method, shared, structural, filtering
 
 
-def _assemble(values: dict) -> ModelConfig:
-    if values["method"] == "structural":
-        params = StructuralParams(p=values["p"], q=values["q"], l=values["l"])
-        return ModelConfig(
-            method="structural",
-            truncate_at=values["truncate_at"],
-            max_missing_fraction=values["max_missing_fraction"],
-            log_scale=values["log_scale"],
-            structural_params=params,
-            decision_threshold=values["decision_threshold"],
-        )
-    params = FilteringParams(
-        state_dim=values["state_dim"], forgetting=values["forgetting"]
-    )
-    return ModelConfig(
-        method="filtering",
-        truncate_at=values["truncate_at"],
-        max_missing_fraction=values["max_missing_fraction"],
-        log_scale=values["log_scale"],
-        filtering_params=params,
-        decision_threshold=values["decision_threshold"],
-    )
-
-
-def _flatten(config: ModelConfig) -> dict:
-    out = {
-        "method": config.method,
-        "truncate_at": config.truncate_at,
-        "max_missing_fraction": config.max_missing_fraction,
-        "log_scale": config.log_scale,
-        "decision_threshold": config.decision_threshold,
-    }
-    if config.structural_params is not None:
-        out.update(
-            p=config.structural_params.p,
-            q=config.structural_params.q,
-            l=config.structural_params.l,
-        )
-    if config.filtering_params is not None:
-        out.update(
-            state_dim=config.filtering_params.state_dim,
-            forgetting=config.filtering_params.forgetting,
-        )
-    return out
+def _assemble(row: dict) -> ModelConfig:
+    """The configuration of one sampled row."""
+    shared = {name: row[name] for name in
+              ("method", "truncate_at", "max_missing_fraction", "log_scale", "decision_threshold")}
+    if row["method"] == "structural":
+        return ModelConfig(**shared, structural_params=StructuralParams(
+            p=row["p"], q=row["q"], l=row["l"]))
+    return ModelConfig(**shared, filtering_params=FilteringParams(
+        state_dim=row["state_dim"], forgetting=row["forgetting"]))
 
 
 def _sample_prior(rng, method, shared, structural, filtering) -> dict:
@@ -518,19 +483,13 @@ def _sample_prior(rng, method, shared, structural, filtering) -> dict:
     return values
 
 
-def prepare_labeled(
-    ts: TimeSeries,
-    seed: int,
-    rate: float = DEFAULT_RATE,
-    scales: Sequence[float] = DEFAULT_SCALES,
-    smooth_window: int = 5,
-) -> tuple[LabeledSeries, DataProfile]:
+def prepare_labeled(ts: TimeSeries, seed: int) -> tuple[LabeledSeries, DataProfile]:
     """Impute, smooth and inject: the shared front half of every tuning run."""
     prof = profile_series(ts)
-    clean = impute(ts, ImputePolicy(method="linear", max_gap_fraction=1.0))
-    window = min(smooth_window, len(clean) if len(clean) % 2 == 1 else len(clean) - 1)
-    smoothed = smooth(clean, max(1, window), kind="median")
-    labeled = inject_synthetic_anomalies(smoothed, rate=rate, scales=scales, seed=seed)
+    clean = impute(ts, max_gap_fraction=1.0)
+    window = min(SMOOTH_WINDOW, len(clean) if len(clean) % 2 == 1 else len(clean) - 1)
+    smoothed = smooth(clean, max(1, window))
+    labeled = inject_synthetic_anomalies(smoothed, seed=seed)
     return labeled, prof
 
 
@@ -540,17 +499,13 @@ def tune(
     alpha: float = 0.5,
     seed: int = 0,
     n_startup: Optional[int] = None,
-    gamma: float = 0.25,
-    n_ei: int = 24,
-    rate: float = DEFAULT_RATE,
-    scales: Sequence[float] = DEFAULT_SCALES,
 ) -> TuneResult:
     """Tree-Parzen search over the configuration space.
 
     The first ``n_startup`` (default budget//4) trials sample the prior;
-    afterwards observed trials are split at the ``gamma`` cost quantile,
+    afterwards observed trials are split at the GAMMA cost quantile,
     each dimension is density-modeled within the good and bad sets, and
-    the best of ``n_ei`` candidates by good/bad density ratio is
+    the best of N_EI candidates by good/bad density ratio is
     evaluated.  Deterministic given the seed.
 
     Filtering trials whose training values (after truncation and the log
@@ -560,7 +515,7 @@ def tune(
     """
     if budget < 10:
         raise ValueError("budget must be at least 10")
-    labeled, prof = prepare_labeled(ts, seed=seed, rate=rate, scales=scales)
+    labeled, prof = prepare_labeled(ts, seed=seed)
     if n_startup is None:
         n_startup = max(1, budget // 4)
 
@@ -568,7 +523,7 @@ def tune(
     rng = np.random.default_rng(seed)
 
     trials: list[tuple[ModelConfig, float]] = []
-    flat_history: list[dict] = []
+    rows: list[dict] = []  # each trial's sampled values
     costs: list[float] = []
     cache: dict[tuple, float] = {}
     noise_memo: dict = {}  # filtering noise scans of this call only; see fit_filtering
@@ -576,16 +531,15 @@ def tune(
 
     for i in range(budget):
         if i < n_startup or len(trials) < 2:
-            values = _sample_prior(rng, method, shared, structural, filtering)
-            config = _assemble(values)
+            row = _sample_prior(rng, method, shared, structural, filtering)
         else:
             order = np.argsort(np.asarray(costs), kind="stable")
-            n_good = max(1, math.ceil(gamma * len(costs)))
-            good_rows = [flat_history[j] for j in order[:n_good]]
-            bad_rows = [flat_history[j] for j in order[n_good:]]
+            n_good = max(1, math.ceil(GAMMA * len(costs)))
+            good_rows = [rows[j] for j in order[:n_good]]
+            bad_rows = [rows[j] for j in order[n_good:]]
 
             # every density depends only on the good/bad split, so it is
-            # built once here and shared by all n_ei candidates
+            # built once here and shared by all N_EI candidates
             good_method = method.density([row["method"] for row in good_rows])
             bad_method = method.density([row["method"] for row in bad_rows])
             good_shared, bad_shared = _densities(shared, good_rows), _densities(shared, bad_rows)
@@ -594,8 +548,8 @@ def tune(
                 for name, dims in (("structural", structural), ("filtering", filtering))
             }
 
-            scored: list[tuple[float, ModelConfig]] = []
-            for _ in range(n_ei):
+            scored: list[tuple[float, dict]] = []
+            for _ in range(N_EI):
                 cand = {"method": good_method.sample(rng)}
                 for dim, good in zip(shared, good_shared):
                     cand[dim.name] = good.sample(rng)
@@ -609,23 +563,24 @@ def tune(
                 for dim, good, bad in zip(branch, good_branch, bad_branch):
                     score += good.log_pdf(cand[dim.name])
                     score -= bad.log_pdf(cand[dim.name])
-                scored.append((score, _assemble(cand)))
+                scored.append((score, cand))
             # prefer the best not-yet-evaluated candidate: the cost is
             # deterministic, so re-evaluating a known configuration is a
             # wasted trial
             scored.sort(key=lambda sc: -sc[0])
-            config = scored[0][1]
-            for _, cand_config in scored:
-                if _cost_key(cand_config, missing_fraction) not in cache:
-                    config = cand_config
+            row = scored[0][1]
+            for _, cand in scored:
+                if _cost_key(cand, missing_fraction) not in cache:
+                    row = cand
                     break
-        key = _cost_key(config, missing_fraction)
+        config = _assemble(row)
+        key = _cost_key(row, missing_fraction)
         c = cache.get(key)
         if c is None:
             c = cost(config, labeled, alpha, profile=prof, noise_memo=noise_memo)
             cache[key] = c
         trials.append((config, c))
-        flat_history.append(_flatten(config))
+        rows.append(row)
         costs.append(c)
 
     best_idx = int(np.argmin(np.where(np.isfinite(costs), costs, math.inf)))
@@ -637,21 +592,6 @@ def tune(
     )
 
 
-def random_search(
-    ts: TimeSeries,
-    budget: int = 40,
-    alpha: float = 0.5,
-    seed: int = 0,
-    rate: float = DEFAULT_RATE,
-    scales: Sequence[float] = DEFAULT_SCALES,
-) -> TuneResult:
+def random_search(ts: TimeSeries, budget: int = 40, alpha: float = 0.5, seed: int = 0) -> TuneResult:
     """Pure prior sampling with the same seed stream as the TPE startup phase."""
-    return tune(
-        ts,
-        budget=budget,
-        alpha=alpha,
-        seed=seed,
-        n_startup=budget,
-        rate=rate,
-        scales=scales,
-    )
+    return tune(ts, budget=budget, alpha=alpha, seed=seed, n_startup=budget)

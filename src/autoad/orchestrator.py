@@ -70,7 +70,7 @@ from .errors import (
 )
 from .optimizer import ModelConfig, default_config, fit_detector, load_detector, tune
 from .profiling import DataProfile, profile as profile_series
-from .series import ImputePolicy, TimeSeries, impute, read_csv
+from .series import TimeSeries, impute, read_csv
 
 RATE_WINDOW = 48  # scores considered by the anomaly-rate trigger
 MIN_EVAL_SCORES = 8  # fewer stable scores than this keeps a series in Y
@@ -180,7 +180,6 @@ class Engine:
         alert_channel: str = "file",
         seed: int = 0,
         n_mc: int = 10_000,
-        warmup_steps: Optional[int] = None,
     ):
         if alert_channel not in ("stdout", "file", "webhook_stub"):
             raise ValueError(f"unknown alert channel {alert_channel!r}")
@@ -192,7 +191,6 @@ class Engine:
         self.alert_channel = alert_channel
         self.seed = seed
         self.n_mc = n_mc
-        self.warmup_steps = warmup_steps
         self._series_cache: dict[str, TimeSeries] = {}
         # in-memory copies of the store; _forget drops a metric's copies
         self._jobs: Optional[list[JobSpec]] = None
@@ -381,8 +379,6 @@ class Engine:
         return series
 
     def _warmup(self, spec: JobSpec) -> int:
-        if self.warmup_steps is not None:
-            return self.warmup_steps
         return max(30, 2 * spec.train_every)
 
     # -- model store --------------------------------------------------------
@@ -654,10 +650,7 @@ class Engine:
             prof = profile_series(data)
             if config is None:
                 config = default_config(prof, len(data))
-            prepared = impute(
-                data,
-                ImputePolicy(method="linear", max_gap_fraction=config.max_missing_fraction),
-            )
+            prepared = impute(data, config.max_missing_fraction)
             if config.truncate_at is not None and 0 < config.truncate_at < len(prepared) - 30:
                 start_epoch = int(prepared.start_epoch + config.truncate_at * prepared.step)
                 prepared = dataclasses.replace(prepared, start_epoch=start_epoch,
@@ -778,7 +771,7 @@ class Engine:
         else:
             mv_avg, em_avg = curve_stats
         health = ev.classify_health(
-            mv_avg, em_avg, rate, consec, cov, age, thresholds, last_training_failed=failed,
+            mv_avg, em_avg, rate, consec, age, thresholds, last_training_failed=failed,
         )
         return ev.HealthSnapshot(mv_avg, em_avg, rate, consec, cov, age, health)
 

@@ -1,8 +1,8 @@
 """Batch profiling of a prepared series.
 
 Produces the :class:`DataProfile` that downstream modeling consumes:
-change points, trend changes, differencing order, skewness and the
-log-scale recommendation, and the dominant spectral frequencies.
+change points, differencing order, skewness and the log-scale
+recommendation, and the dominant spectral frequencies.
 """
 
 from __future__ import annotations
@@ -14,30 +14,16 @@ from typing import Optional
 import numpy as np
 
 from .errors import SeriesTooShort
-from .series import TimeSeries
+from .series import TimeSeries, impute
 from .stats import EPS_VAR, lag1_autocorr, skewness
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class ProfileOptions:
-    """Knobs for the profiling pass; defaults suit hourly/daily metrics."""
-
-    change_penalty: Optional[float] = None  # None -> 3 ln(n)
-    min_segment: int = 5
-    trend_window: int = 24
-    trend_slope_z: float = 4.0
-    max_diff_order: int = 2
-    l_max: int = 3
-    noise_floor_multiplier: float = 10.0
-    skew_threshold: float = 1.5
+SKEW_THRESHOLD = 1.5  # |skewness| above which a positive series is modeled on the log scale
 
 
 @dataclass(frozen=True)
 class DataProfile:
     change_points: tuple[int, ...] = ()
-    trend_changes: tuple[int, ...] = ()
     diff_order: int = 0
     skewness: float = 0.0
     log_recommended: bool = False
@@ -47,7 +33,6 @@ class DataProfile:
     def to_dict(self) -> dict:
         return {
             "change_points": list(self.change_points),
-            "trend_changes": list(self.trend_changes),
             "diff_order": self.diff_order,
             "skewness": self.skewness,
             "log_recommended": self.log_recommended,
@@ -59,7 +44,6 @@ class DataProfile:
     def from_dict(cls, data: dict) -> "DataProfile":
         return cls(
             change_points=tuple(data.get("change_points", ())),
-            trend_changes=tuple(data.get("trend_changes", ())),
             diff_order=int(data.get("diff_order", 0)),
             skewness=float(data.get("skewness", 0.0)),
             log_recommended=bool(data.get("log_recommended", False)),
@@ -139,68 +123,6 @@ def detect_change_points(
 
     recurse(0, n)
     return sorted(change_points)
-
-
-# -- trend changes -----------------------------------------------------------
-
-
-def _rolling_slopes(values: np.ndarray, w: int):
-    """Slope and slope-stderr of every length-w window (vectorized)."""
-    n = values.size
-    t_bar = (w - 1) / 2.0
-    sxx = w * (w * w - 1) / 12.0
-    csum = np.concatenate([[0.0], np.cumsum(values)])
-    csq = np.concatenate([[0.0], np.cumsum(values**2)])
-    cw = np.concatenate([[0.0], np.cumsum(np.arange(n) * values)])
-    starts = np.arange(n - w + 1)
-    s1 = csum[starts + w] - csum[starts]
-    s2 = csq[starts + w] - csq[starts]
-    sw = cw[starts + w] - cw[starts] - starts * s1
-    sxy = sw - t_bar * s1
-    slope = sxy / sxx
-    sse = np.maximum(s2 - s1**2 / w - slope**2 * sxx, 0.0)
-    if w > 2:
-        se = np.sqrt(sse / (w - 2) / sxx)
-    else:
-        se = np.zeros_like(slope)
-    return slope, se
-
-
-def detect_trend_changes(ts: TimeSeries, window: int = 24, slope_z: float = 4.0) -> list[int]:
-    """Indices where adjacent-window regression slopes disagree.
-
-    Compares the slope over [i-window, i) with the slope over
-    [i, i+window); a point is flagged when the difference exceeds
-    ``slope_z`` combined standard errors.  Runs of flagged points within
-    one window collapse to their strongest member.
-    """
-    if window < 10:
-        raise ValueError("window must be at least 10")
-    values = ts.values
-    n = values.size
-    if n < 2 * window:
-        raise SeriesTooShort(f"need at least {2 * window} points, got {n}")
-    slope, se = _rolling_slopes(values, window)
-    # left window ending at i-1 starts at i-window; right window starts at i
-    centers = np.arange(window, n - window + 1)
-    b_left = slope[centers - window]
-    b_right = slope[centers]
-    se_comb = np.sqrt(se[centers - window] ** 2 + se[centers] ** 2)
-    delta = np.abs(b_right - b_left)
-    z = np.where(delta < 1e-12, 0.0, delta / np.maximum(se_comb, 1e-12))
-    flagged = np.nonzero(z > slope_z)[0]
-    if flagged.size == 0:
-        return []
-    out: list[int] = []
-    run = [flagged[0]]
-    for j in flagged[1:]:
-        if j - run[-1] <= window:
-            run.append(j)
-        else:
-            out.append(int(centers[run[int(np.argmax(z[run]))]]))
-            run = [j]
-    out.append(int(centers[run[int(np.argmax(z[run]))]]))
-    return out
 
 
 # -- stationarization ---------------------------------------------------------
@@ -316,42 +238,30 @@ def select_fourier_frequencies(
 # -- composite profile -----------------------------------------------------------
 
 
-def profile(ts: TimeSeries, options: ProfileOptions = ProfileOptions()) -> DataProfile:
+def profile(ts: TimeSeries) -> DataProfile:
     """Run the full profiling pass over a raw (possibly gappy) series."""
-    from .series import ImputePolicy, impute
-
     missing_fraction = ts.missing_fraction
-    clean = impute(ts, ImputePolicy(method="linear", max_gap_fraction=1.0))
+    clean = impute(ts, max_gap_fraction=1.0)
     n = len(clean)
 
-    change_points = detect_change_points(
-        clean, penalty=options.change_penalty, min_segment=options.min_segment
-    ) if n >= 2 * options.min_segment else []
-
-    trend_changes = (
-        detect_trend_changes(clean, options.trend_window, options.trend_slope_z)
-        if n >= 2 * options.trend_window
-        else []
-    )
+    # each step's own minimum length at its default settings
+    change_points = detect_change_points(clean) if n >= 10 else []
 
     if n >= 20:
-        stationary, d = stationarize(clean, max_d=options.max_diff_order)
+        stationary, d = stationarize(clean)
     else:
         stationary, d = clean, 0
 
     skew = skewness(clean.values)
-    log_recommended = abs(skew) > options.skew_threshold and float(clean.values.min()) > 0.0
+    log_recommended = abs(skew) > SKEW_THRESHOLD and float(clean.values.min()) > 0.0
 
-    if len(stationary) >= max(2 * options.l_max, 16):
-        fourier_terms = select_fourier_frequencies(
-            stationary, options.l_max, options.noise_floor_multiplier
-        )
+    if len(stationary) >= 16:
+        fourier_terms = select_fourier_frequencies(stationary)
     else:
         fourier_terms = []
 
     return DataProfile(
         change_points=tuple(change_points),
-        trend_changes=tuple(trend_changes),
         diff_order=d,
         skewness=skew,
         log_recommended=log_recommended,

@@ -12,7 +12,6 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from typing import Optional
 
 import numpy as np
 
@@ -36,13 +35,6 @@ FREQ_STEPS = {
 }
 
 
-def freq_label_for_step(step: int) -> str:
-    for label, s in FREQ_STEPS.items():
-        if s == step:
-            return label
-    return "custom"
-
-
 @dataclass(frozen=True)
 class TimeSeries:
     """Uniformly indexed univariate series with explicit missing markers.
@@ -50,34 +42,36 @@ class TimeSeries:
     Attributes:
         start_epoch: epoch seconds of the first grid point.
         step: grid spacing in seconds, > 0.
-        values: float array; NaN encodes a missing observation.
-        freq_label: one of minutely5/minutely10/hourly/daily/custom,
-            consistent with ``step``.
+        values: float array; NaN encodes a missing observation, and
+            +-inf is rejected.
     """
 
     start_epoch: int
     step: int
     values: np.ndarray
-    freq_label: str = "custom"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("values must be a non-empty 1-d sequence")
+        if np.isinf(vals).any():
+            raise ValueError("values must be finite or NaN (missing)")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         if self.step <= 0:
             raise ValueError("step must be a positive number of seconds")
-        if self.freq_label in FREQ_STEPS and FREQ_STEPS[self.freq_label] != self.step:
-            raise ValueError(
-                f"freq_label {self.freq_label!r} requires step {FREQ_STEPS[self.freq_label]}, got {self.step}"
-            )
-        if self.freq_label not in FREQ_STEPS and self.freq_label != "custom":
-            raise ValueError(f"unknown freq_label {self.freq_label!r}")
 
     def __len__(self) -> int:
         return int(self.values.size)
+
+    @property
+    def freq_label(self) -> str:
+        """The grid label of ``step`` (see FREQ_STEPS), or ``"custom"``."""
+        for label, s in FREQ_STEPS.items():
+            if s == self.step:
+                return label
+        return "custom"
 
     @property
     def timestamps(self) -> np.ndarray:
@@ -96,93 +90,36 @@ class TimeSeries:
 
     @classmethod
     def from_values(cls, values, step: int = 3600, start_epoch: int = 0) -> "TimeSeries":
-        return cls(
-            start_epoch=start_epoch,
-            step=step,
-            values=np.asarray(values, dtype=float),
-            freq_label=freq_label_for_step(step),
-        )
+        return cls(start_epoch=start_epoch, step=step, values=np.asarray(values, dtype=float))
 
 
-@dataclass(frozen=True)
-class ImputePolicy:
-    """How to fill missing observations.
-
-    ``max_gap_fraction`` caps the tolerated fraction of missing points;
-    ``period`` (in grid steps) is required by the seasonal_naive method.
-    """
-
-    method: str = "linear"
-    max_gap_fraction: float = 0.3
-    period: Optional[int] = None
-
-    def __post_init__(self):
-        if self.method not in ("linear", "locf", "seasonal_naive"):
-            raise ValueError(f"unknown imputation method {self.method!r}")
-        if not 0.0 <= self.max_gap_fraction <= 1.0:
-            raise ValueError("max_gap_fraction must lie in [0, 1]")
-
-
-def impute(ts: TimeSeries, policy: ImputePolicy = ImputePolicy()) -> TimeSeries:
-    """Fill every missing value according to the policy.
+def impute(ts: TimeSeries, max_gap_fraction: float) -> TimeSeries:
+    """Fill every missing value by linear interpolation between its
+    observed neighbours (a leading or trailing gap takes the nearest one).
 
     Observed values pass through unchanged.  Raises TooManyMissing when the
-    missing fraction exceeds the policy allowance and AllMissing when there
-    is nothing to anchor interpolation.
+    missing fraction exceeds ``max_gap_fraction`` and AllMissing when
+    fewer than two values are observed.
     """
     mask = ts.missing_mask
     frac = float(mask.mean())
     if frac == 0.0:
         return ts
-    if frac > policy.max_gap_fraction:
+    if frac > max_gap_fraction:
         raise TooManyMissing(
-            f"missing fraction {frac:.3f} exceeds allowance {policy.max_gap_fraction:.3f}"
+            f"missing fraction {frac:.3f} exceeds allowance {max_gap_fraction:.3f}"
         )
     observed = ~mask
-    if int(observed.sum()) == 0:
-        raise AllMissing("series has no observed values")
-    if policy.method == "linear" and int(observed.sum()) < 2:
+    if int(observed.sum()) < 2:
         raise AllMissing("linear imputation needs at least 2 observed values")
-
     values = ts.values.copy()
     idx = np.arange(len(ts))
-    if policy.method == "linear":
-        values[mask] = np.interp(idx[mask], idx[observed], values[observed])
-    elif policy.method == "locf":
-        # forward fill, then backfill any leading gap
-        last = None
-        for i in range(len(values)):
-            if np.isnan(values[i]):
-                if last is not None:
-                    values[i] = last
-            else:
-                last = values[i]
-        first_obs = values[observed][0]
-        still = np.isnan(values)
-        values[still] = first_obs
-    else:  # seasonal_naive
-        period = policy.period
-        if period is None or period <= 0:
-            raise ValueError("seasonal_naive imputation requires a positive period")
-        for i in idx[mask]:
-            j = i - period
-            while j >= 0 and np.isnan(values[j]):
-                j -= period
-            if j >= 0:
-                values[i] = values[j]
-        # any gap with no earlier season falls back to interpolation
-        still = np.isnan(values)
-        if still.any():
-            obs_now = ~still
-            if int(obs_now.sum()) == 1:
-                values[still] = values[obs_now][0]
-            else:
-                values[still] = np.interp(idx[still], idx[obs_now], values[obs_now])
+    values[mask] = np.interp(idx[mask], idx[observed], values[observed])
     return ts.with_values(values)
 
 
-def smooth(ts: TimeSeries, window: int, kind: str = "median") -> TimeSeries:
-    """Centered rolling median/mean; edges use shrunken windows."""
+def smooth(ts: TimeSeries, window: int) -> TimeSeries:
+    """Centered rolling median; edges use shrunken windows."""
     if ts.missing_mask.any():
         raise ValueError("smooth requires an imputed series")
     if window < 1 or window % 2 == 0:
@@ -191,35 +128,22 @@ def smooth(ts: TimeSeries, window: int, kind: str = "median") -> TimeSeries:
         raise WindowTooLarge(f"window {window} exceeds series length {len(ts)}")
     if window == 1:
         return ts
-    if kind not in ("median", "mean"):
-        raise ValueError(f"unknown smoothing kind {kind!r}")
     half = window // 2
     values = ts.values
     n = len(values)
     out = np.empty_like(values)
-    stat = np.median if kind == "median" else np.mean
-    out[half : n - half] = stat(np.lib.stride_tricks.sliding_window_view(values, window), axis=1)
+    out[half : n - half] = np.median(np.lib.stride_tricks.sliding_window_view(values, window), axis=1)
     for i in (*range(half), *range(n - half, n)):
-        out[i] = stat(values[max(0, i - half) : min(n, i + half + 1)])
+        out[i] = np.median(values[max(0, i - half) : min(n, i + half + 1)])
     return ts.with_values(out)
 
 
-def aggregate(
-    ts: TimeSeries,
-    target: str,
-    agg: str = "mean",
-    target_step: Optional[int] = None,
-) -> TimeSeries:
-    """Bucket to a coarser grid; trailing partial buckets are dropped.
-
-    ``target`` is a freq label; pass target_step for a custom target.
-    """
-    if target in FREQ_STEPS:
-        t_step = FREQ_STEPS[target]
-    elif target == "custom" and target_step:
-        t_step = int(target_step)
-    else:
+def aggregate(ts: TimeSeries, target: str, agg: str = "mean") -> TimeSeries:
+    """Bucket to the coarser grid named ``target`` (a FREQ_STEPS label);
+    trailing partial buckets are dropped."""
+    if target not in FREQ_STEPS:
         raise IncompatibleFrequency(f"cannot resolve target frequency {target!r}")
+    t_step = FREQ_STEPS[target]
     if t_step % ts.step != 0 or t_step < ts.step:
         raise IncompatibleFrequency(
             f"target step {t_step} is not an integer multiple of source step {ts.step}"
@@ -232,12 +156,7 @@ def aggregate(
         raise IncompatibleFrequency("series shorter than one target bucket")
     trimmed = ts.values[: n_buckets * k].reshape(n_buckets, k)
     out = trimmed.mean(axis=1) if agg == "mean" else trimmed.sum(axis=1)
-    return TimeSeries(
-        start_epoch=ts.start_epoch,
-        step=t_step,
-        values=out,
-        freq_label=freq_label_for_step(t_step),
-    )
+    return TimeSeries(start_epoch=ts.start_epoch, step=t_step, values=out)
 
 
 #: Floor of the log argument, so a value far below the training range
@@ -293,16 +212,31 @@ def _parse_timestamp(text: str) -> int:
     return int(dt.timestamp())
 
 
-def read_csv(source, step: Optional[int] = None) -> TimeSeries:
+def _parse_value(text: str, row: int) -> float:
+    """A value field: empty marks a missing observation, anything else
+    must be a finite number."""
+    if not text:
+        return MISSING
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise MalformedCsv(f"row {row} value {text!r} is not a finite number")
+    return value
+
+
+def read_csv(source) -> TimeSeries:
     """Parse a two-column ``timestamp,value`` CSV onto a uniform grid.
 
     Timestamps may be RFC-3339 strings or epoch seconds; an empty value
-    field marks a missing observation.  Grid points absent from the file
-    are materialized as missing.  ``step`` overrides grid inference.
+    field marks a missing observation, and any other value must be a
+    finite number.  The grid step is the gcd of the timestamp gaps, and
+    grid points absent from the file are materialized as missing.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, newline="") as fh:
-            return read_csv(fh, step=step)
+            return read_csv(fh)
 
     reader = csv.reader(source)
     rows = []
@@ -314,33 +248,26 @@ def read_csv(source, step: Optional[int] = None) -> TimeSeries:
         if len(row) < 2:
             raise MalformedCsv(f"row {lineno + 1} does not have two columns: {row!r}")
         epoch = _parse_timestamp(row[0])
-        text = row[1].strip()
-        value = MISSING if not text else float(text)
-        rows.append((epoch, value))
+        rows.append((epoch, _parse_value(row[1].strip(), lineno + 1)))
     if not rows:
         raise MalformedCsv("no data rows")
     rows.sort(key=lambda r: r[0])
     epochs = np.array([r[0] for r in rows], dtype=np.int64)
     vals = np.array([r[1] for r in rows], dtype=float)
 
-    if step is None:
-        if len(epochs) < 2:
-            raise MalformedCsv("cannot infer grid step from a single row")
-        diffs = np.diff(epochs)
-        diffs = diffs[diffs > 0]
-        if diffs.size == 0:
-            raise MalformedCsv("duplicate timestamps only; cannot infer step")
-        step = int(np.gcd.reduce(diffs))
+    if len(epochs) < 2:
+        raise MalformedCsv("cannot infer grid step from a single row")
+    diffs = np.diff(epochs)
+    diffs = diffs[diffs > 0]
+    if diffs.size == 0:
+        raise MalformedCsv("duplicate timestamps only; cannot infer step")
+    step = int(np.gcd.reduce(diffs))
     start = int(epochs[0])
     offsets = epochs - start
-    if np.any(offsets % step != 0):
-        raise MalformedCsv("timestamps do not align to a uniform grid")
     n = int(offsets[-1] // step) + 1
     grid = np.full(n, MISSING)
     grid[offsets // step] = vals
-    return TimeSeries(
-        start_epoch=start, step=step, values=grid, freq_label=freq_label_for_step(step)
-    )
+    return TimeSeries(start_epoch=start, step=step, values=grid)
 
 
 def write_csv(ts: TimeSeries, path) -> None:

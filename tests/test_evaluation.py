@@ -140,30 +140,30 @@ class TestSummarize:
 
 class TestClassifyHealth:
     def test_healthy_defaults(self):
-        assert classify_health(1.0, 0.5, 0.0, 0, 0.1, 0.2) == "G"
+        assert classify_health(1.0, 0.5, 0.0, 0, 0.2) == "G"
 
     def test_expired_model_is_red(self):
-        assert classify_health(1.0, 0.5, 0.0, 0, 0.1, 1.0) == "R"
+        assert classify_health(1.0, 0.5, 0.0, 0, 1.0) == "R"
 
     def test_anomaly_rate_trigger(self):
-        assert classify_health(1.0, 0.5, 0.5, 0, 0.1, 0.2) == "R"
+        assert classify_health(1.0, 0.5, 0.5, 0, 0.2) == "R"
 
     def test_soft_band_yellow(self):
-        assert classify_health(1.0, 0.5, 0.17, 0, 0.1, 0.2) == "Y"
-        assert classify_health(1.0, 0.5, 0.0, 0, 0.1, 0.85) == "Y"
+        assert classify_health(1.0, 0.5, 0.17, 0, 0.2) == "Y"
+        assert classify_health(1.0, 0.5, 0.0, 0, 0.85) == "Y"
 
     def test_consecutive_trigger(self):
-        assert classify_health(1.0, 0.5, 0.0, 5, 0.1, 0.2) == "R"
-        assert classify_health(1.0, 0.5, 0.0, 4, 0.1, 0.2) == "Y"
+        assert classify_health(1.0, 0.5, 0.0, 5, 0.2) == "R"
+        assert classify_health(1.0, 0.5, 0.0, 4, 0.2) == "Y"
 
     def test_training_failure_is_red(self):
-        assert classify_health(1.0, 0.5, 0.0, 0, 0.1, 0.0, last_training_failed=True) == "R"
+        assert classify_health(1.0, 0.5, 0.0, 0, 0.0, last_training_failed=True) == "R"
 
     def test_fleet_relative_curve_triggers(self):
         thr = HealthThresholds(mv_red=2.0, em_red=0.25)
-        assert classify_health(2.5, 0.5, 0.0, 0, 0.1, 0.2, thr) == "R"
-        assert classify_health(1.0, 0.2, 0.0, 0, 0.1, 0.2, thr) == "R"
-        assert classify_health(1.7, 0.5, 0.0, 0, 0.1, 0.2, thr) == "Y"
+        assert classify_health(2.5, 0.5, 0.0, 0, 0.2, thr) == "R"
+        assert classify_health(1.0, 0.2, 0.0, 0, 0.2, thr) == "R"
+        assert classify_health(1.7, 0.5, 0.0, 0, 0.2, thr) == "Y"
 
     @given(
         rate=st.floats(0, 1, allow_nan=False),
@@ -174,16 +174,16 @@ class TestClassifyHealth:
     @settings(max_examples=60)
     def test_worsening_never_improves(self, rate, consec, age, worsen):
         order = {"G": 0, "Y": 1, "R": 2}
-        before = classify_health(1.0, 0.5, rate, consec, 0.1, age)
+        before = classify_health(1.0, 0.5, rate, consec, age)
         rate2 = min(rate + 0.3, 1.0) if worsen == "rate" else rate
         consec2 = consec + 3 if worsen == "consec" else consec
         age2 = age + 0.5 if worsen == "age" else age
-        after = classify_health(1.0, 0.5, rate2, consec2, 0.1, age2)
+        after = classify_health(1.0, 0.5, rate2, consec2, age2)
         assert order[after] >= order[before]
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            classify_health(math.nan, 0.5, 0.0, 0, 0.1, 0.2)
+            classify_health(math.nan, 0.5, 0.0, 0, 0.2)
 
     def test_snapshot_round_trip(self):
         snap = HealthSnapshot(1.0, 0.5, 0.1, 2, 0.3, 0.4, "Y")

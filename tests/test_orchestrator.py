@@ -125,6 +125,18 @@ class TestTrainingCycle:
         assert by_metric["bad"]["status"] == "failed"
         assert engine._scoring_state("bad")["last_training_failed"] is True
 
+    def test_infinite_inline_value_fails_only_its_metric(self, engine):
+        engine.register_job(job_for(make_series(), metric="good", job="jg"))
+        doc = series_to_doc(make_series())
+        doc["values"][250] = math.inf
+        engine.register_job(JobSpec(job_id="jb", metric_id="bad", source={"inline": doc},
+                                    train_every=48, score_every=1, model_ttl=96))
+        engine.advance_clock(120)
+        assert engine._scoring_state("bad")["last_training_failed"] is True
+        assert engine._active_record("bad") is None
+        assert not (engine.root / "scores" / "bad.csv").exists()
+        assert (engine.root / "scores" / "good.csv").exists()
+
     def test_one_active_model_per_metric(self, engine):
         engine.register_job(job_for(make_series()))
         engine.run_training_cycle(96)

@@ -9,7 +9,6 @@ from autoad.errors import SeriesTooShort
 from autoad.profiling import (
     DataProfile,
     detect_change_points,
-    detect_trend_changes,
     profile,
     select_fourier_frequencies,
     stationarize,
@@ -87,27 +86,6 @@ class TestChangePoints:
         cps = detect_change_points(ts_of(values), min_segment=10)
         diffs = np.diff([0, *cps, len(values)])
         assert np.all(diffs >= 10)
-
-
-class TestTrendChanges:
-    def test_constant_series(self, rng):
-        values = np.full(100, 2.0) + rng.normal(0, 0.01, 100)
-        assert detect_trend_changes(ts_of(values), window=20) == []
-
-    def test_v_shape_vertex(self, rng):
-        down = np.linspace(10, 0, 100)
-        up = np.linspace(0, 10, 100)
-        values = np.concatenate([down, up[1:]]) + rng.normal(0, 0.05, 199)
-        hits = detect_trend_changes(ts_of(values), window=20)
-        assert len(hits) >= 1
-        assert any(abs(h - 100) <= 20 for h in hits)
-
-    def test_monotone_line(self):
-        assert detect_trend_changes(ts_of(np.arange(100.0)), window=20) == []
-
-    def test_too_short(self):
-        with pytest.raises(SeriesTooShort):
-            detect_trend_changes(ts_of(np.ones(25)), window=20)
 
 
 class TestStationarize:

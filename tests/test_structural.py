@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_discrete_lyapunov, toeplitz
+from scipy.optimize import minimize
+from scipy.stats import multivariate_normal
 
 from autoad.errors import InsufficientData, NonConvergence
 from autoad.optimizer import ModelConfig, StructuralParams
@@ -311,17 +314,99 @@ class TestSerialization:
         assert forecast(clone, 12) == forecast(model, 12)
 
 
-class TestReferenceImplementation:
-    """Optional cross-check against an independent exact-likelihood fitter."""
+def harvey_form(phi, theta):
+    """Harvey's state-space form of an ARMA(p, q): y_t - mu is the first
+    state, the state moves by ``T`` and takes the shock through ``R``."""
+    r = max(len(phi), len(theta) + 1)
+    T = np.zeros((r, r))
+    T[: len(phi), 0] = phi
+    T[:-1, 1:] = np.eye(r - 1)
+    R = np.zeros(r)
+    R[0] = 1.0
+    R[1 : len(theta) + 1] = theta
+    return T, R
 
-    @pytest.mark.filterwarnings("ignore")
-    @pytest.mark.parametrize(
-        "phi,omega",
-        [([0.5, -0.3], []), ([0.7], [0.4]), ([], [0.5, 0.25])],
-        ids=["ar2", "arma11", "ma2"],
-    )
+
+def exact_arma_loglik(y, mu, phi, theta, sigma2):
+    """Exact Gaussian log-likelihood of a stationary ARMA with mean ``mu``,
+    by the Kalman filter started from the stationary state covariance.
+    Also returns the state predicted for the step after ``y`` and ``T``.
+
+    Once the predicted covariance maps to itself bit for bit, every later
+    step would recompute the same gain, so it stops being updated."""
+    T, R = harvey_form(phi, theta)
+    Q = sigma2 * np.outer(R, R)
+    P = solve_discrete_lyapunov(T, Q)
+    a = np.zeros(R.size)
+    loglik = 0.0
+    fixed = False
+    for v in np.asarray(y, dtype=float) - mu:
+        if not fixed:
+            F = P[0, 0]
+            K = P[:, 0] / F
+            log_2pi_f = math.log(2 * math.pi * F)
+        v -= a[0]
+        loglik -= 0.5 * (log_2pi_f + v * v / F)
+        a = T @ (a + K * v)
+        if not fixed:
+            P_next = T @ (P - np.outer(K, P[0])) @ T.T + Q
+            fixed = np.array_equal(P_next, P)
+            P = P_next
+    return loglik, a, T
+
+
+def exact_arma_mle(y, p, q, start):
+    """Maximum-likelihood (mu, phi, theta, sigma2), from ``start``."""
+
+    def unpack(x):
+        return x[0], x[1 : 1 + p], x[1 + p : 1 + p + q], math.exp(x[-1])
+
+    def negative_loglik(x):
+        mu, phi, theta, sigma2 = unpack(x)
+        T, _ = harvey_form(phi, theta)
+        if np.max(np.abs(np.linalg.eigvals(T))) >= 1.0:
+            return 1e12  # outside the stationary region
+        return -exact_arma_loglik(y, mu, phi, theta, sigma2)[0]
+
+    mu, phi, theta, sigma2 = start
+    x0 = np.concatenate([[mu], phi, theta, [math.log(sigma2)]])
+    result = minimize(negative_loglik, x0, method="L-BFGS-B")
+    return unpack(result.x)
+
+
+def arma_autocovariances(phi, theta, sigma2, n_lags, n_psi=2000):
+    """gamma(0..n_lags-1) from the MA(infinity) weights psi."""
+    psi = np.zeros(n_psi)
+    psi[0] = 1.0
+    for j in range(1, n_psi):
+        psi[j] = (theta[j - 1] if j <= len(theta) else 0.0) + sum(
+            ph * psi[j - i] for i, ph in enumerate(phi, 1) if j >= i
+        )
+    return sigma2 * np.array([psi[: n_psi - k] @ psi[k:] for k in range(n_lags)])
+
+
+ARMA_CASES = pytest.mark.parametrize(
+    "phi,omega",
+    [([0.5, -0.3], []), ([0.7], [0.4]), ([], [0.5, 0.25])],
+    ids=["ar2", "arma11", "ma2"],
+)
+
+
+class TestReferenceImplementation:
+    """Cross-check against an exact-likelihood fitter written here."""
+
+    @ARMA_CASES
+    def test_oracle_matches_dense_gaussian(self, phi, omega):
+        y, _ = simulate_arma(phi, omega, 40, seed=2)
+        mu, sigma2 = 0.3, 1.7
+        dense = multivariate_normal(
+            mean=np.full(40, mu), cov=toeplitz(arma_autocovariances(phi, omega, sigma2, 40))
+        ).logpdf(y)
+        loglik, _, _ = exact_arma_loglik(y, mu, np.array(phi), np.array(omega), sigma2)
+        assert loglik == pytest.approx(dense, rel=1e-10)
+
+    @ARMA_CASES
     def test_css_matches_reference_mle(self, phi, omega):
-        arima = pytest.importorskip("statsmodels.tsa.arima.model")
         rng_seed = 1
         n = 3000
         rng = np.random.default_rng(rng_seed)
@@ -339,11 +424,15 @@ class TestReferenceImplementation:
         mine = fit_structural(
             ts_of(y), DataProfile(), structural_config(len(phi), len(omega), 0)
         )
-        ref = arima.ARIMA(y, order=(len(phi), 0, len(omega))).fit(method="statespace")
+        mu, ref_phi, ref_omega, ref_sigma2 = exact_arma_mle(
+            y, len(phi), len(omega), (float(np.mean(y)), mine.phi, mine.omega, mine.sigma2)
+        )
         if phi:
-            assert np.allclose(mine.phi, ref.arparams, atol=0.02)
+            assert np.allclose(mine.phi, ref_phi, atol=0.02)
         if omega:
-            assert np.allclose(mine.omega, ref.maparams, atol=0.02)
-        assert abs(mine.sigma2 - ref.params[-1]) <= 0.02 * ref.params[-1]
+            assert np.allclose(mine.omega, ref_omega, atol=0.02)
+        assert abs(mine.sigma2 - ref_sigma2) <= 0.02 * ref_sigma2
+        _, state, T = exact_arma_loglik(y, mu, ref_phi, ref_omega, ref_sigma2)
+        ref_forecast = [mu + (np.linalg.matrix_power(T, h) @ state)[0] for h in range(5)]
         fc_mine = np.array([m for m, _ in forecast(mine, 5)])
-        assert np.max(np.abs(fc_mine - ref.forecast(5))) <= 0.05
+        assert np.max(np.abs(fc_mine - ref_forecast)) <= 0.05
