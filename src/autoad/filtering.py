@@ -195,28 +195,31 @@ def _sized(m: int, x0: float, x1: float, p00: float, p01: float, p11: float) -> 
     return np.array([x0, x1]), np.array([[p00, p01], [p01, p11]])
 
 
-def _kalman_pass(model: StateSpaceModel, state: FilterState, values) -> tuple:
-    """The one Kalman predict/update recursion, for both state sizes.
+def _gains(model: StateSpaceModel, post, n: int) -> tuple:
+    """The covariance half of the one Kalman recursion: ``n`` >= 1 steps
+    from the posterior covariance entries ``post`` = (p00, p01, p11) of
+    :func:`_trend_entries`.  It never reads the observations.
 
-    The local level runs as the local linear trend with its slope state,
-    slope noise and slope covariance held at zero; every level quantity
-    then comes out exactly as a scalar recursion would give it.  Returns
-    the per-step predicted level, level residual (posterior minus
-    predicted level), innovation and innovation variance, then the last
-    posterior and prior as (x, P) of the model's size.  An empty pass
-    returns the state's own posterior and prior.
+    Returns a ``(k0, k1, s, log s)`` entry per step run (the gains, the
+    innovation variance and its log), then the last posterior and prior
+    covariance entries.  A time-invariant model's covariance converges to
+    the Riccati fixed point (Anderson & Moore 1979, ch. 4; Harvey 1989,
+    sec. 3.3.4).  Once a step's posterior covariance equals the one it
+    started from bit for bit, every later step would repeat that step's
+    prior, gains and variance exactly, so the recursion stops there and
+    the later steps take its entry (see :func:`_held`).  Fewer than ``n``
+    entries mean the fixed point came before the last step.  About one
+    model in fifteen ends instead in a rounding cycle of two to four
+    covariances, and its passes run the recursion to the end.
     """
     m = model.state_dim
     q00, q11 = (model.Q.item(), 0.0) if m == 1 else model.Q.diagonal().tolist()
     r = model.R
-    x0, x1, p00, p01, p11 = _trend_entries(state.x_post, state.P_post)
-    xp0, xp1, pp00, pp01, pp11 = _trend_entries(state.x_prior, state.P_prior)
-    n = len(values)
-    level, eta, innovation, s_innov = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
-    for i, y in enumerate(values):
-        # predict with the transition [[1, 1], [0, 1]]
-        xp0 = x0 + x1
-        xp1 = x1
+    p00, p01, p11 = post
+    log = math.log
+    gains = []
+    for _ in range(n):
+        # predict with the transition [[1, 1], [0, 1]], then update
         pp00 = p00 + 2.0 * p01 + p11 + q00
         pp01 = p01 + p11
         pp11 = p11 + q11
@@ -225,19 +228,49 @@ def _kalman_pass(model: StateSpaceModel, state: FilterState, values) -> tuple:
             raise NumericalBreakdown(f"innovation variance {s} <= 0")
         k0 = pp00 / s
         k1 = pp01 / s
-        nu = y - xp0
-        x0 = xp0 + k0 * nu
-        x1 = xp1 + k1 * nu
+        gains.append((k0, k1, s, log(s)))
+        b00, b01, b11 = p00, p01, p11
         p00 = (1.0 - k0) * pp00
         p01 = (1.0 - k0) * pp01
         p11 = pp11 - k1 * pp01
+        if p00 == b00 and p01 == b01 and p11 == b11:
+            break
+    return gains, (p00, p01, p11), (pp00, pp01, pp11)
+
+
+def _held(entries: list, n: int) -> list:
+    """``n`` per-step entries: those given, then the last one held."""
+    return entries + entries[-1:] * (n - len(entries))
+
+
+def _kalman_pass(model: StateSpaceModel, state: FilterState, values) -> tuple:
+    """The one Kalman predict/update recursion, for both state sizes.
+
+    The local level runs as the local linear trend with its slope state,
+    slope noise and slope covariance held at zero; every level quantity
+    then comes out exactly as a scalar recursion would give it.  The
+    covariance half runs in :func:`_gains` up to its fixed point; the
+    state then follows with the gains of each step.  Returns the per-step
+    predicted level and level residual (posterior minus predicted level),
+    then the last posterior and prior as (x, P) of the model's size.  An
+    empty pass returns the state's own posterior and prior.
+    """
+    n = len(values)
+    if not n:
+        return [], [], (state.x_post, state.P_post), (state.x_prior, state.P_prior)
+    x0, x1, *post = _trend_entries(state.x_post, state.P_post)
+    gains, post, prior = _gains(model, post, n)
+    level, eta = [0.0] * n, [0.0] * n
+    for i, (y, (k0, k1, _, _)) in enumerate(zip(values, _held(gains, n))):
+        xp0 = x0 + x1
+        xp1 = x1
+        nu = y - xp0
+        x0 = xp0 + k0 * nu
+        x1 = xp1 + k1 * nu
         level[i] = xp0
         eta[i] = x0 - xp0
-        innovation[i] = nu
-        s_innov[i] = s
-    post = _sized(m, x0, x1, p00, p01, p11)
-    prior = _sized(m, xp0, xp1, pp00, pp01, pp11)
-    return level, eta, innovation, s_innov, post, prior
+    m = model.state_dim
+    return level, eta, _sized(m, x0, x1, *post), _sized(m, xp0, xp1, *prior)
 
 
 def run_filter(
@@ -256,7 +289,7 @@ def run_filter(
     points = np.asarray(values, dtype=float).tolist()
     if not all(map(math.isfinite, points)):
         raise ValueError("observations must be finite")
-    level, eta, _, _, (x_post, P_post), (x_prior, P_prior) = _kalman_pass(model, state, points)
+    level, eta, (x_post, P_post), (x_prior, P_prior) = _kalman_pass(model, state, points)
 
     # weighted Welford recursion over the level residuals; forgetting 1
     # reproduces exact batch statistics
@@ -300,14 +333,25 @@ def _noise_model(state_dim: int, q: float, r: float, x0: np.ndarray, p0: float, 
 
 
 def _concentrated_likelihood(values: np.ndarray, model: StateSpaceModel):
-    """Prediction-error likelihood of a model with R = 1, R concentrated out."""
-    _, _, nu, s, _, _ = _kalman_pass(model, FilterState.initial(model), values.tolist())
-    # in-order running totals (cumsum) of math.log terms, so the selected
-    # noise ratio does not depend on numpy's pairwise summation or vector log
-    sum_log_s = float(np.cumsum(list(map(math.log, s)))[-1])
-    nu, s = np.array(nu), np.array(s)
-    sum_ratio = float(np.cumsum(nu * nu / s)[-1])
+    """Prediction-error likelihood of a model with R = 1, R concentrated out.
+
+    Only the innovations are filtered, with the gains of :func:`_gains`:
+    past the covariance fixed point a step is the state update alone, and
+    log(s) is one constant.  The sums of log(s) and nu^2/s are running
+    totals in step order, as a cumsum gives them, so the selected noise
+    ratio does not depend on numpy's pairwise summation or vector log.
+    """
     n = values.size
+    x0, x1, *post = _trend_entries(model.x0, model.P0)
+    gains, _, _ = _gains(model, post, n)
+    sum_log_s = sum_ratio = 0.0
+    for y, (k0, k1, s, log_s) in zip(values.tolist(), _held(gains, n)):
+        xp0 = x0 + x1
+        nu = y - xp0
+        x0 = xp0 + k0 * nu
+        x1 = x1 + k1 * nu
+        sum_ratio += nu * nu / s
+        sum_log_s += log_s
     r_hat = max(sum_ratio / n, _R_FLOOR)
     loglik = -0.5 * (sum_log_s + n * math.log(r_hat) + n)
     return loglik, r_hat
@@ -328,8 +372,11 @@ def _select_noise(y: np.ndarray, state_dim: int) -> tuple:
     """Likelihood-best noise ratio q/r for the values ``y``, and its R estimate.
 
     Scans 7 log-spaced ratios, then 5 around the best; R is concentrated
-    out of the likelihood analytically.  The result depends only on the
-    values and the state size, never on the forgetting factor.
+    out of the likelihood analytically.  Each of the 12 passes runs the
+    covariance recursion only until its fixed point, a few to a few
+    hundred steps, and filters the rest of the values with frozen gains.
+    The result depends only on the values and the state size, never on
+    the forgetting factor.
     """
     x0, p0_scale = _initial_state(y, state_dim)
 
@@ -420,10 +467,9 @@ class FilterDetector:
         to the anomaly probabilities one more update from the live state
         would give them, changing nothing."""
         model, state = self.model, self._state
-        # the prior of a one-step pass does not depend on its observation
-        _, _, _, s_innov, _, (x_prior, P_prior) = _kalman_pass(model, state, [0.0])
-        gain0 = float(P_prior[0, 0]) / s_innov[0]
-        center = float(x_prior[0])
+        x0, x1, *post = _trend_entries(state.x_post, state.P_post)
+        [(gain0, _, _, _)], _, _ = _gains(model, post, 1)
+        center = x0 + x1
         sd = math.sqrt(max(state.eta_var, _ETA_VAR_FLOOR))
         mean = state.eta_mean
 

@@ -5,12 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autoad.errors import InsufficientData
+from autoad import bench, filtering
+from autoad.errors import InsufficientData, NumericalBreakdown
 from autoad.filtering import (
     FilterState,
     StateSpaceModel,
     FilterDetector,
     _concentrated_likelihood,
+    _gains,
+    _held,
+    _initial_state,
+    _kalman_pass,
+    _noise_model,
+    _select_noise,
+    _sized,
+    _trend_entries,
     fit_filtering,
     run_filter,
 )
@@ -85,6 +94,66 @@ def oracle_recursion(model, observations):
         "eta_mean": float(means[-1]),
         "eta_var": float(var[-1]),
     }
+
+
+def reference_kalman_pass(model, state, values):
+    """Every step of the Kalman predict/update recursion, covariance
+    included, with per-step lists: the reference the fixed-point pass
+    must match bit for bit.  Returns the per-step predicted level, level
+    residual, innovation and innovation variance, then the last posterior
+    and prior as (x, P) of the model's size."""
+    m = model.state_dim
+    q00, q11 = (model.Q.item(), 0.0) if m == 1 else model.Q.diagonal().tolist()
+    r = model.R
+    x0, x1, p00, p01, p11 = _trend_entries(state.x_post, state.P_post)
+    xp0, xp1, pp00, pp01, pp11 = _trend_entries(state.x_prior, state.P_prior)
+    n = len(values)
+    level, eta, innovation, s_innov = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+    for i, y in enumerate(values):
+        # predict with the transition [[1, 1], [0, 1]]
+        xp0 = x0 + x1
+        xp1 = x1
+        pp00 = p00 + 2.0 * p01 + p11 + q00
+        pp01 = p01 + p11
+        pp11 = p11 + q11
+        s = pp00 + r
+        if s <= 0.0:
+            raise NumericalBreakdown(f"innovation variance {s} <= 0")
+        k0 = pp00 / s
+        k1 = pp01 / s
+        nu = y - xp0
+        x0 = xp0 + k0 * nu
+        x1 = xp1 + k1 * nu
+        p00 = (1.0 - k0) * pp00
+        p01 = (1.0 - k0) * pp01
+        p11 = pp11 - k1 * pp01
+        level[i] = xp0
+        eta[i] = x0 - xp0
+        innovation[i] = nu
+        s_innov[i] = s
+    post = _sized(m, x0, x1, p00, p01, p11)
+    prior = _sized(m, xp0, xp1, pp00, pp01, pp11)
+    return level, eta, innovation, s_innov, post, prior
+
+
+def reference_likelihood(values, model):
+    """The concentrated likelihood from the reference pass's per-step
+    lists, summed in order by ``np.cumsum``."""
+    _, _, nu, s, _, _ = reference_kalman_pass(model, FilterState.initial(model), values.tolist())
+    sum_log_s = float(np.cumsum(list(map(math.log, s)))[-1])
+    nu, s = np.array(nu), np.array(s)
+    sum_ratio = float(np.cumsum(nu * nu / s)[-1])
+    n = values.size
+    r_hat = max(sum_ratio / n, 1e-10)
+    loglik = -0.5 * (sum_log_s + n * math.log(r_hat) + n)
+    return loglik, r_hat
+
+
+def fixed_point_step(model, state, n):
+    """How many steps the covariance recursion runs from ``state`` in a
+    pass of ``n`` points; fewer than ``n`` means it reached its fixed point."""
+    _, _, *post = _trend_entries(state.x_post, state.P_post)
+    return len(_gains(model, post, n)[0])
 
 
 def random_model(rng, state_dim):
@@ -213,6 +282,82 @@ class TestKalmanStep:
         assert oracle_deviation(forgetful, ys) < 1e-10
 
 
+class TestFixedPoint:
+    """Past the covariance fixed point a pass runs with frozen gains, and
+    its outputs equal the full recursion's bit for bit."""
+
+    @given(
+        state_dim=st.sampled_from([1, 2]),
+        log_rho=st.floats(-3.0, 3.0),
+        log_scale=st.floats(-2.0, 3.0),
+        length=st.integers(1, 3000),
+        from_fixed_point=st.sampled_from([None, -1, 0, 1]),
+        cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_recursion_bit_for_bit(self, state_dim, log_rho, log_scale, length,
+                                                from_fixed_point, cuts, seed):
+        rng = np.random.default_rng(seed)
+        walk = 20.0 + np.cumsum(rng.normal(0, 0.3, 3000))
+        series = 10.0**log_scale * (walk + rng.normal(0, 1, 3000))
+        x0, p0_scale = _initial_state(series, state_dim)
+        model = _noise_model(state_dim, 10.0**log_rho, 1.0, x0, p0_scale)
+        start = FilterState.initial(model)
+        # lengths on both sides of the step where the covariance stops; a
+        # few noise ratios end in a rounding cycle instead, and their passes
+        # run the covariance recursion throughout
+        fixed = fixed_point_step(model, start, series.size)
+        ys = series[:length if from_fixed_point is None else max(1, fixed + from_fixed_point)]
+        n = ys.size
+
+        level, eta, nu, s, (x, P), (xp, Pp) = reference_kalman_pass(model, start, ys.tolist())
+        got_level, got_eta, (gx, gP), (gxp, gPp) = _kalman_pass(model, start, ys.tolist())
+        assert got_level == level
+        assert got_eta == eta
+        assert [y - lv for y, lv in zip(ys.tolist(), got_level)] == nu
+        _, _, *p0 = _trend_entries(model.x0, model.P0)
+        gains, _, _ = _gains(model, p0, n)
+        assert [g[2] for g in _held(gains, n)] == s
+        for got, want in ((gx, x), (gP, P), (gxp, xp), (gPp, Pp)):
+            assert np.array_equal(got, want)
+        assert _concentrated_likelihood(ys, model) == reference_likelihood(ys, model)
+
+        # consecutive passes, one of them resuming from the fixed point
+        splits = sorted({int(c * n) for c in cuts} | ({fixed} if fixed < n else set()))
+        state, levels, etas = start, [], []
+        for chunk in np.split(ys, splits):
+            lv, e, (x_post, P_post), (x_prior, P_prior) = _kalman_pass(model, state, chunk.tolist())
+            levels += lv
+            etas += e
+            state = FilterState(x_prior=x_prior, x_post=x_post, P_prior=P_prior, P_post=P_post)
+        assert levels == level
+        assert etas == eta
+        for got, want in ((state.x_post, x), (state.P_post, P),
+                          (state.x_prior, xp), (state.P_prior, Pp)):
+            assert np.array_equal(got, want)
+
+    def test_noise_scan_reaches_the_fixed_point_on_the_hourly_fixtures(self, monkeypatch):
+        """Every model the noise scan builds on the two hourly fixtures
+        reaches the covariance fixed point before its series ends, so the
+        scan runs with frozen gains for the rest of it."""
+        seen = []
+        likelihood = filtering._concentrated_likelihood
+
+        def recorded(values, model):
+            seen.append((values.size, model))
+            return likelihood(values, model)
+
+        monkeypatch.setattr(filtering, "_concentrated_likelihood", recorded)
+        for lbs in bench.fixture_datasets(0).values():
+            y = bench.aggregate_labeled(lbs, "hourly").series.values.astype(float)
+            for state_dim in (1, 2):
+                _select_noise(y, state_dim)
+        assert len(seen) == 2 * 2 * 12
+        for n, model in seen:
+            assert fixed_point_step(model, FilterState.initial(model), n) < n
+
+
 class TestFitFiltering:
     def test_ratio_recovery_within_factor_three(self):
         rng = np.random.default_rng(7)
@@ -247,16 +392,24 @@ class TestFitFiltering:
         model, state, _ = fit_filtering(ts_of(y), filtering_config(state_dim=2))
         assert state.x_post[1] == pytest.approx(0.5, abs=0.2)
 
-    @pytest.mark.parametrize("state_dim", [1, 2])
-    def test_concentrated_likelihood_matches_oracle(self, state_dim, rng):
+    @pytest.mark.parametrize("state_dim, q, p0, n", [
+        (1, 0.2, 3.0, 400),
+        (2, 0.2, 3.0, 400),
+        # a slow transient: the covariance reaches its fixed point after
+        # 548 steps, past the 400 of the cases above
+        (1, 1e-3, 1e4, 1000),
+    ], ids=["1", "2", "1-slow"])
+    def test_concentrated_likelihood_matches_oracle(self, state_dim, q, p0, n, rng):
         """The scan's likelihood is the Gaussian prediction-error likelihood
-        of the oracle's innovations with R concentrated out."""
+        of the oracle's innovations with R concentrated out, both before
+        and after the covariance fixed point."""
         if state_dim == 1:
-            model = StateSpaceModel.local_level(q=0.2, r=1.0, x0=0.5, p0=3.0)
+            model = StateSpaceModel.local_level(q=q, r=1.0, x0=0.5, p0=p0)
         else:
-            model = StateSpaceModel.local_linear_trend(q_level=0.2, q_slope=0.002, r=1.0,
-                                                       x0=(0.5, 0.1), p0=3.0)
-        ys = np.cumsum(rng.normal(0, 0.5, 400)) + rng.normal(0, 1, 400)
+            model = StateSpaceModel.local_linear_trend(q_level=q, q_slope=q * 0.01, r=1.0,
+                                                       x0=(0.5, 0.1), p0=p0)
+        ys = np.cumsum(rng.normal(0, 0.5, n)) + rng.normal(0, 1, n)
+        assert fixed_point_step(model, FilterState.initial(model), n) < n
         oracle = oracle_recursion(model, ys)
         nu, s = oracle["innovations"], oracle["variances"]
         r_hat = float(np.mean(nu**2 / s))
@@ -342,7 +495,9 @@ class TestAnomalyProbability:
         assert probs[0] == pytest.approx(structural, abs=1e-12)
 
     def test_frozen_scorer_matches_score_step(self, rng):
-        """The frozen scorer gives what a one-point pass from the same state gives."""
+        """The frozen scorer gives what a one-point pass from the same state
+        gives, and bit for bit what the gain and prior level of a one-step
+        reference pass give."""
         for state_dim in (1, 2):
             y = rng.normal(5, 1, 200)
             model, state, _ = fit_filtering(ts_of(y), filtering_config(state_dim=state_dim))
@@ -351,6 +506,11 @@ class TestAnomalyProbability:
             frozen = scorer(candidates)
             stepped = [run_filter(model, [v], state)[0][0] for v in candidates]
             assert np.allclose(frozen, stepped, atol=1e-12)
+            _, _, _, s, _, (x_prior, P_prior) = reference_kalman_pass(model, state, [0.0])
+            eta = float(P_prior[0, 0]) / s[0] * (candidates - float(x_prior[0]))
+            sd = math.sqrt(max(state.eta_var, 1e-12))
+            want = gaussian_anomaly_probability(eta - state.eta_mean, np.full_like(eta, sd))
+            assert np.array_equal(frozen, want)
 
 
 class TestSerialization:
