@@ -371,20 +371,23 @@ def _initial_state(y: np.ndarray, state_dim: int) -> tuple:
 def _select_noise(y: np.ndarray, state_dim: int) -> tuple:
     """Likelihood-best noise ratio q/r for the values ``y``, and its R estimate.
 
-    Scans 7 log-spaced ratios, then 5 around the best; R is concentrated
-    out of the likelihood analytically.  Each of the 12 passes runs the
-    covariance recursion only until its fixed point, a few to a few
-    hundred steps, and filters the rest of the values with frozen gains.
-    The result depends only on the values and the state size, never on
-    the forgetting factor.
+    Scans 7 log-spaced ratios, then 5 around the best, whose middle one is
+    the best itself and reuses its pass; R is concentrated out of the
+    likelihood analytically.  Each of the 11 passes runs the covariance
+    recursion only until its fixed point, a few to a few hundred steps,
+    and filters the rest of the values with frozen gains.  The result
+    depends only on the values and the state size, never on the
+    forgetting factor.
     """
     x0, p0_scale = _initial_state(y, state_dim)
+    passes: dict = {}
 
     def scan(rhos):
         best = (-math.inf, None, None)
         for rho in rhos:
-            model = _noise_model(state_dim, rho, 1.0, x0, p0_scale)
-            loglik, r_hat = _concentrated_likelihood(y, model)
+            if rho not in passes:
+                passes[rho] = _concentrated_likelihood(y, _noise_model(state_dim, rho, 1.0, x0, p0_scale))
+            loglik, r_hat = passes[rho]
             if loglik > best[0]:
                 best = (loglik, rho, r_hat)
         return best

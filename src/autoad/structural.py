@@ -2,7 +2,10 @@
 
 The observed series (optionally log-transformed, then differenced) is
 regressed on cosine/sine pairs at the profiled frequencies; the regression
-residual is fitted as an ARMA(p, q) process by conditional sum-of-squares.
+residual is fitted as an ARMA(p, q) process by conditional sum-of-squares
+(CSS): in closed form for a pure AR, otherwise by Levenberg-Marquardt over
+the partial autocorrelations of the AR and MA polynomials, so that every
+fit is stationary and invertible.
 Forecasts recurse the ARMA part, add the deterministic regression part and
 integrate back through differencing and the log transform.
 """
@@ -16,7 +19,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from scipy.linalg import solve_toeplitz
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 from scipy.signal import lfilter
 
 from .errors import InsufficientData, NonConvergence
@@ -28,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .optimizer import ModelConfig
 
 _SIGMA2_FLOOR = 1e-12
-_UNSTABLE_PENALTY = 1e10
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,26 @@ def _fourier_design(t: np.ndarray, frequencies: Sequence[float]) -> np.ndarray:
 
 
 _ROOT_RADIUS = 1.0 + 1e-9
+# |partial autocorrelation| the CSS fit can reach: far enough from 1 that
+# the step-down in _stationary, which loses about 1e-16 / (1 - |kappa|)^2
+# to rounding, still finds every fitted polynomial stationary
+_KAPPA_MAX = 1.0 - 1e-5
+
+
+def _partial_autocorrelations(a: list) -> list:
+    """The partial autocorrelations kappa_1..kappa_m of the coefficients
+    ``a`` of 1 - sum_k a_k B^k, by the Durbin-Levinson step-down.  The
+    step-down stops at the first one outside (-1, 1), found from kappa_m
+    downwards, and the list then starts with it."""
+    kappas = []
+    for k in range(len(a) - 1, -1, -1):
+        kappa = a[k]
+        kappas.append(kappa)
+        if not -1.0 < kappa < 1.0:
+            break
+        denom = 1.0 - kappa * kappa
+        a = [(a[j] + kappa * a[k - 1 - j]) / denom for j in range(k)]
+    return kappas[::-1]
 
 
 def _stationary(phi: np.ndarray) -> bool:
@@ -119,14 +141,50 @@ def _stationary(phi: np.ndarray) -> bool:
     a = phi.tolist()
     if any(c != c for c in a):
         raise np.linalg.LinAlgError("coefficients contain NaN")
-    a = [c * _ROOT_RADIUS ** k for k, c in enumerate(a, start=1)]
-    for k in range(len(a) - 1, -1, -1):
-        kappa = a[k]
-        if not -1.0 < kappa < 1.0:
-            return False
-        denom = 1.0 - kappa * kappa
-        a = [(a[j] + kappa * a[k - 1 - j]) / denom for j in range(k)]
-    return True
+    kappas = _partial_autocorrelations([c * _ROOT_RADIUS ** k for k, c in enumerate(a, start=1)])
+    return all(-1.0 < kappa < 1.0 for kappa in kappas)
+
+
+def _step_up(kappa: list) -> tuple[list, list]:
+    """The coefficients a of 1 - sum_k a_k B^k whose partial
+    autocorrelations are ``kappa``, and their Jacobian rows d a_i / d kappa.
+
+    The Durbin-Levinson step-up, the inverse of the step-down in
+    :func:`_partial_autocorrelations`: a polynomial of order k + 1 is the
+    one of order k less kappa_{k+1} times its reverse, with kappa_{k+1}
+    appended.
+    """
+    a: list = []
+    jac: list = []
+    for k, x in enumerate(kappa):
+        jac = [[d - x * e for d, e in zip(jac[i], jac[k - 1 - i])] for i in range(k)]
+        for i in range(k):
+            jac[i][k] = -a[k - 1 - i]
+        jac.append([float(j == k) for j in range(len(kappa))])
+        a = [a[i] - x * a[k - 1 - i] for i in range(k)] + [x]
+    return a, jac
+
+
+def _css_coefficients(u: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi, omega and d (phi, omega) / d u of the CSS fit's parameters ``u``.
+
+    Each side's partial autocorrelations are _KAPPA_MAX * tanh(u), stepped
+    up and moved out to _ROOT_RADIUS: coefficient k is divided by R^k,
+    which multiplies every root by R.  phi is the AR side and omega the
+    negated MA side, so phi is stationary and omega invertible for every
+    u, and the step-down in _stationary agrees.
+    """
+    coef = []
+    dcoef = np.zeros((u.size, u.size))
+    for lo, hi, sign in ((0, p, 1.0), (p, u.size, -1.0)):
+        tanh = [math.tanh(v) for v in u[lo:hi].tolist()]
+        a, jac = _step_up([_KAPPA_MAX * t for t in tanh])
+        for i, (c, row) in enumerate(zip(a, jac)):
+            scale = sign * _ROOT_RADIUS ** -(i + 1)
+            coef.append(scale * c)
+            dcoef[lo + i, lo:hi] = [scale * d * _KAPPA_MAX * (1.0 - t * t) for d, t in zip(row, tanh)]
+    coef = np.array(coef)
+    return coef[:p], coef[p:], dcoef
 
 
 def _css_innovations(phi: np.ndarray, omega: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -154,8 +212,59 @@ def _yule_walker(r: np.ndarray, p: int) -> np.ndarray:
     return phi
 
 
+def _lags(x: np.ndarray, k: int, start: int) -> np.ndarray:
+    """Rows t = start..n-1 of x_{t-1}, ..., x_{t-k}, zero before x starts."""
+    padded = np.concatenate([np.zeros(k), x])
+    return np.column_stack([padded[start + k - i : x.size + k - i] for i in range(1, k + 1)])
+
+
+def _css_residuals(u: np.ndarray, r: np.ndarray, p: int) -> np.ndarray:
+    """The CSS innovations after the first p at the fit's parameters ``u``."""
+    phi, omega, _ = _css_coefficients(u, p)
+    return _css_innovations(phi, omega, r)[p:]
+
+
+def _css_jacobian(u: np.ndarray, r: np.ndarray, p: int) -> np.ndarray:
+    """d :func:`_css_residuals` / d u.
+
+    d eps_t / d phi_i is -r_{t-i} and d eps_t / d omega_j is -eps_{t-j},
+    each filtered through 1 / (1 + omega(B)) (Box, Jenkins & Reinsel,
+    ch. 7); the chain rule then goes through the step-up and tanh.
+    """
+    phi, omega, dcoef = _css_coefficients(u, p)
+    ma = np.concatenate([[1.0], omega])
+    lagged = [_lags(lfilter([1.0], ma, r), p, p)] if p else []
+    lagged.append(_lags(lfilter([1.0], ma, _css_innovations(phi, omega, r)), omega.size, p))
+    return -np.hstack(lagged) @ dcoef
+
+
+def _fit_css(r: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """ARMA(p, q) coefficients of ``r`` by conditional sum of squares, q >= 1.
+
+    Levenberg-Marquardt with an analytic Jacobian over the parameters of
+    :func:`_css_coefficients`, so every iterate is stationary and
+    invertible.  One start: the Yule-Walker AR part and a zero MA part.
+    """
+    u0 = np.zeros(p + q)
+    u0[:p] = np.arctanh(_partial_autocorrelations(_yule_walker(r, p).tolist()))
+    try:
+        res = least_squares(_css_residuals, u0, jac=_css_jacobian, args=(r, p), method="lm",
+                            x_scale=1.0, xtol=1e-10, ftol=1e-12)
+    except ValueError as exc:  # the innovations at the start are not finite
+        raise NonConvergence(f"CSS optimization failed: {exc}") from exc
+    if not np.all(np.isfinite(res.x)):
+        raise NonConvergence("CSS optimization diverged")
+    phi, omega, _ = _css_coefficients(res.x, p)
+    return phi, omega
+
+
 def fit_structural(ts: TimeSeries, profile: DataProfile, config: "ModelConfig") -> StructuralModel:
     """Fit the structural model described by config against a profiled series.
+
+    The ARMA part minimizes the CSS of the innovations after the first p:
+    by least squares on the lagged residuals when q = 0, and by
+    :func:`_fit_css` otherwise, whose AR polynomial is stationary and MA
+    polynomial invertible at every iterate.
 
     Raises InsufficientData when the series cannot support the requested
     order and NonConvergence when the CSS optimization breaks down.
@@ -214,29 +323,7 @@ def fit_structural(ts: TimeSeries, profile: DataProfile, config: "ModelConfig") 
         omega = np.zeros(0)
         eps = _css_innovations(phi, omega, r)
     else:
-        phi0 = _yule_walker(r, p)
-        x0 = np.concatenate([phi0, np.zeros(q)])
-        scale = float(np.mean(r**2)) + _SIGMA2_FLOOR
-
-        def objective(x: np.ndarray) -> float:
-            phi_x, omega_x = x[:p], x[p:]
-            if not (_stationary(phi_x) and _stationary(-omega_x)):
-                return _UNSTABLE_PENALTY * scale
-            eps_x = _css_innovations(phi_x, omega_x, r)
-            css = float(np.mean(eps_x[burn:] ** 2))
-            return css if math.isfinite(css) else _UNSTABLE_PENALTY * scale
-
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": 400 * (p + q), "xatol": 1e-6, "fatol": 1e-10},
-        )
-        if not np.all(np.isfinite(res.x)) or not math.isfinite(res.fun):
-            raise NonConvergence("CSS optimization diverged")
-        if res.fun >= _UNSTABLE_PENALTY * scale:
-            raise NonConvergence("CSS optimization found no stable parameters")
-        phi, omega = res.x[:p].copy(), res.x[p:].copy()
+        phi, omega = _fit_css(r, p, q)
         eps = _css_innovations(phi, omega, r)
 
     sigma2 = float(np.mean(eps[burn:] ** 2)) if eps.size > burn else float(np.mean(eps**2))

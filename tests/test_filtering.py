@@ -149,6 +149,25 @@ def reference_likelihood(values, model):
     return loglik, r_hat
 
 
+def reference_select_noise(y, state_dim):
+    """The 12-pass noise scan, which ran the first scan's best ratio again
+    as the middle candidate of the refinement, kept as its reference."""
+    x0, p0_scale = _initial_state(y, state_dim)
+
+    def scan(rhos):
+        best = (-math.inf, None, None)
+        for rho in rhos:
+            model = _noise_model(state_dim, rho, 1.0, x0, p0_scale)
+            loglik, r_hat = _concentrated_likelihood(y, model)
+            if loglik > best[0]:
+                best = (loglik, rho, r_hat)
+        return best
+
+    _, rho_best, _ = scan(np.logspace(-3.0, 3.0, 7))
+    _, rho_best, r_hat = scan(rho_best * np.logspace(-0.5, 0.5, 5))
+    return rho_best, r_hat
+
+
 def fixed_point_step(model, state, n):
     """How many steps the covariance recursion runs from ``state`` in a
     pass of ``n`` points; fewer than ``n`` means it reached its fixed point."""
@@ -353,9 +372,30 @@ class TestFixedPoint:
             y = bench.aggregate_labeled(lbs, "hourly").series.values.astype(float)
             for state_dim in (1, 2):
                 _select_noise(y, state_dim)
-        assert len(seen) == 2 * 2 * 12
+        assert len(seen) == 2 * 2 * 11
         for n, model in seen:
             assert fixed_point_step(model, FilterState.initial(model), n) < n
+
+    @pytest.mark.parametrize("state_dim", [1, 2])
+    @pytest.mark.parametrize("name", sorted(bench.fixture_datasets(0)))
+    def test_noise_scan_matches_twelve_pass_scan(self, name, state_dim, monkeypatch):
+        """The scan reuses the first scan's best pass as the refinement's
+        middle candidate, and selects what running it again did."""
+        lbs = bench.fixture_datasets(0)[name]
+        y = bench.aggregate_labeled(lbs, "hourly").series.values.astype(float)
+        want = reference_select_noise(y, state_dim)
+        calls = []
+        likelihood = filtering._concentrated_likelihood
+
+        def counted(values, model):
+            calls.append(1)
+            return likelihood(values, model)
+
+        monkeypatch.setattr(filtering, "_concentrated_likelihood", counted)
+        rho_best, r_hat = _select_noise(y, state_dim)
+        assert len(calls) == 11
+        assert rho_best == want[0]
+        assert r_hat == want[1]
 
 
 class TestFitFiltering:

@@ -247,27 +247,29 @@ class TestTune:
 
 
 # trial lists of tune(seasonal_ar_series(n=300), budget=16, alpha=0.5, seed=s)
-# recorded before the Parzen densities were built once per trial:
+# recorded before the Parzen densities were built once per trial; seed 3's
+# structural trials re-recorded when the CSS fit moved from Nelder-Mead to
+# Levenberg-Marquardt:
 # (method, truncate_at, log_scale, max_missing_fraction, decision_threshold,
 #  (p, q, l) or (state_dim, forgetting), cost)
 PINNED_TRIALS = {
     3: [
-        ("structural", None, True, 0.2368105065960997, 0.899835958137992, (3, 2, 0), 0.12245661070466807),
-        ("structural", None, False, 0.4331269402364738, 0.7390465977722762, (0, 2, 2), 0.2973950028739185),
-        ("structural", None, False, 0.39122819049566204, 0.7578533511280605, (1, 1, 1), 0.2877098462091884),
+        ("structural", None, True, 0.2368105065960997, 0.899835958137992, (3, 2, 0), 0.12248423059769213),
+        ("structural", None, False, 0.4331269402364738, 0.7390465977722762, (0, 2, 2), 0.29739502141122715),
+        ("structural", None, False, 0.39122819049566204, 0.7578533511280605, (1, 1, 1), 0.2877099235051997),
         ("filtering", None, True, 0.7378377872921602, 0.9771773601632132, (1, 0.9647898659872746), 0.47032037067419996),
-        ("structural", None, True, 0.1483028147700044, 0.9252210640527929, (3, 1, 0), 0.18677500256371737),
-        ("structural", None, True, 0.13456021488255213, 0.9084526774416294, (3, 3, 0), 0.12241862496781605),
-        ("structural", None, True, 0.11985618978394369, 0.8995163417458089, (3, 2, 1), 0.20882187714877287),
-        ("structural", None, True, 0.09550457211375529, 0.9109732466282524, (0, 3, 0), 0.1887420067352631),
-        ("structural", None, True, 0.21980424813823762, 0.8952477220655272, (2, 2, 0), 0.18761381556637902),
-        ("structural", None, False, 0.16112147056195134, 0.9103329262705337, (3, 0, 0), 0.25235610270884534),
-        ("structural", None, True, 0.13018762709584097, 0.9009817510960176, (3, 0, 0), 0.18697410767135647),
-        ("structural", None, False, 0.1638247755665412, 0.9037234082361574, (3, 3, 0), 0.1634512964644576),
-        ("structural", None, False, 0.18988536188895228, 0.9102383548014126, (2, 3, 0), 0.16391007664272214),
-        ("structural", None, True, 0.15347073558779006, 0.8993166924542235, (2, 3, 0), 0.12257006274418444),
-        ("structural", None, True, 0.1866890407905475, 0.9014632776934527, (2, 3, 2), 0.22573176535480927),
-        ("filtering", None, True, 0.21888095503683508, 0.8965203872125386, (2, 0.913826646814291), 0.5951410584750051),
+        ("structural", None, True, 0.1483028147700044, 0.9252210640527929, (3, 1, 0), 0.1867750037655289),
+        ("structural", None, True, 0.13456021488255213, 0.9084526774416294, (3, 3, 0), 0.12273548110313481),
+        ("structural", None, True, 0.22210648149749126, 0.9081330610494462, (3, 2, 1), 0.20882187889487835),
+        ("structural", None, True, 0.09728112575443731, 0.9155993226823564, (3, 0, 0), 0.18697410767135647),
+        ("structural", None, True, 0.2080751004056206, 0.9095254776283553, (2, 3, 0), 0.12257010643790764),
+        ("structural", None, True, 0.1650061105841213, 0.9024637195197462, (2, 3, 2), 0.2247755418878421),
+        ("structural", None, True, 0.1893032481740991, 0.9076312719024999, (1, 3, 0), 0.18666234536385756),
+        ("structural", None, False, 0.22330325635645387, 0.9116785143994365, (3, 3, 0), 0.16667693940540557),
+        ("structural", None, True, 0.24438442988297815, 0.9035354704205287, (2, 0, 0), 0.1890353176020086),
+        ("structural", None, False, 0.24701554487966296, 0.8992807017960475, (0, 3, 0), 0.2573973237662746),
+        ("structural", None, False, 0.20239756085606916, 0.9083775245973735, (2, 2, 0), 0.255109930006731),
+        ("filtering", None, True, 0.2012180777757296, 0.9044754933758177, (2, 0.913826646814291), 0.5951410584750051),
     ],
     4: [
         ("filtering", None, True, 0.5113275528143616, 0.9871456091481443, (2, 0.9606748476163035), 0.5137160185225786),
@@ -335,7 +337,7 @@ class TestNoiseMemo:
         pairs = {(cfg.truncate_at, cfg.log_scale, cfg.filtering_params.state_dim) for cfg in fits}
         evaluated = {(cfg.truncate_at, cfg.log_scale, cfg.filtering_params) for cfg in fits}
         assert len(pairs) < len(evaluated), "no two filtering trials share a scan"
-        assert first == 12 * len(pairs)
+        assert first == 11 * len(pairs)
 
         tune(series, budget=16, alpha=0.5, seed=seed)
         assert len(calls) == 2 * first
@@ -343,7 +345,7 @@ class TestNoiseMemo:
         labeled, prof = prepare_labeled(series, seed=seed)
         for cfg, c in result.trials:
             assert cost(cfg, labeled, 0.5, profile=prof) == c
-        assert len(calls) == 2 * first + 12 * len(fits)
+        assert len(calls) == 2 * first + 11 * len(fits)
 
 
 # today's per-candidate Parzen formulas, spelled out: the densities built

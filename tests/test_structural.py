@@ -9,15 +9,22 @@ from scipy.linalg import solve_discrete_lyapunov, toeplitz
 from scipy.optimize import minimize
 from scipy.stats import multivariate_normal
 
+from autoad import bench
 from autoad.errors import InsufficientData, NonConvergence
 from autoad.optimizer import ModelConfig, StructuralParams
-from autoad.profiling import DataProfile
+from autoad.profiling import DataProfile, profile
 from autoad.series import TimeSeries
 from autoad.stats import gaussian_anomaly_probability
 from autoad import structural
 from autoad.structural import (
     StructuralModel,
+    _css_coefficients,
+    _css_innovations,
+    _css_jacobian,
+    _css_residuals,
+    _partial_autocorrelations,
     _stationary,
+    _step_up,
     fit_structural,
     forecast,
     in_sample_probabilities,
@@ -111,6 +118,36 @@ class TestFit:
         assert all(m > 0 for m, _ in fc)
 
 
+def reference_css_fit(r, p, q):
+    """The Nelder-Mead CSS fit of an ARMA(p, q), q >= 1, that the
+    Levenberg-Marquardt fit replaced, kept verbatim as its reference."""
+    burn = p
+    phi0 = structural._yule_walker(r, p)
+    x0 = np.concatenate([phi0, np.zeros(q)])
+    scale = float(np.mean(r**2)) + 1e-12
+    penalty = 1e10
+
+    def objective(x):
+        phi_x, omega_x = x[:p], x[p:]
+        if not (_stationary(phi_x) and _stationary(-omega_x)):
+            return penalty * scale
+        eps_x = _css_innovations(phi_x, omega_x, r)
+        css = float(np.mean(eps_x[burn:] ** 2))
+        return css if math.isfinite(css) else penalty * scale
+
+    res = minimize(
+        objective,
+        x0,
+        method="Nelder-Mead",
+        options={"maxiter": 400 * (p + q), "xatol": 1e-6, "fatol": 1e-10},
+    )
+    if not np.all(np.isfinite(res.x)) or not math.isfinite(res.fun):
+        raise NonConvergence("CSS optimization diverged")
+    if res.fun >= penalty * scale:
+        raise NonConvergence("CSS optimization found no stable parameters")
+    return res.x[:p].copy(), res.x[p:].copy()
+
+
 def roots_oracle(phi):
     """Every root of 1 - sum_k phi_k B^k outside |B| = 1 + 1e-9, by eigenvalue solve."""
     if phi.size == 0:
@@ -166,6 +203,48 @@ class TestStationary:
     @pytest.mark.parametrize("phi", [[np.inf], [-np.inf], [0.5, np.inf], [np.inf, 0.5]])
     def test_inf_is_not_stationary(self, phi):
         assert _stationary(np.array(phi)) is False
+
+
+class TestPartialAutocorrelations:
+    @given(kappa=st.lists(st.floats(-0.99, 0.99), max_size=3))
+    @settings(max_examples=500)
+    def test_step_down_inverts_step_up(self, kappa):
+        a, _ = _step_up(kappa)
+        assert len(a) == len(kappa)
+        assert np.allclose(_partial_autocorrelations(a), kappa, rtol=0.0, atol=1e-12)
+
+    # the fit reaches tanh(u) = 1 exactly once |u| > 19.1; arctanh of a
+    # kappa in (-1, 1) stays below that, so draw u outright as well
+    @given(
+        u=st.lists(
+            st.one_of(
+                st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True).map(math.atanh),
+                st.floats(-40.0, 40.0),
+            ),
+            max_size=6,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=500)
+    def test_fit_parameters_are_stationary_and_invertible(self, u, data):
+        p = data.draw(st.integers(max(0, len(u) - 3), min(3, len(u))))
+        phi, omega, _ = _css_coefficients(np.array(u), p)
+        assert phi.size == p and omega.size == len(u) - p
+        assert _stationary(phi)
+        assert _stationary(-omega)
+
+    @pytest.mark.parametrize("p,q", [(0, 1), (1, 1), (2, 3), (3, 2), (3, 3)])
+    def test_jacobian_matches_central_differences(self, p, q):
+        rng = np.random.default_rng(10 * p + q)
+        r = rng.normal(0, 1, 300)
+        u = rng.normal(0, 1, p + q)
+        jac = _css_jacobian(u, r, p)
+        h = 1e-6
+        numeric = np.column_stack([
+            (_css_residuals(u + h * e, r, p) - _css_residuals(u - h * e, r, p)) / (2 * h)
+            for e in np.eye(p + q)
+        ])
+        assert np.allclose(jac, numeric, rtol=0.0, atol=1e-6 * np.max(np.abs(jac)))
 
 
 def fit_outcome(ts, profile, config):
@@ -436,3 +515,42 @@ class TestReferenceImplementation:
         ref_forecast = [mu + (np.linalg.matrix_power(T, h) @ state)[0] for h in range(5)]
         fc_mine = np.array([m for m, _ in forecast(mine, 5)])
         assert np.max(np.abs(fc_mine - ref_forecast)) <= 0.05
+
+
+HOURLY_FIXTURE_ORDERS = [(p, q, l) for p in range(4) for q in range(1, 4) for l in range(2)]
+
+
+def test_css_fit_against_nelder_mead_on_hourly_fixtures(monkeypatch):
+    """Every ARMA fit with q >= 1 on the two hourly fixtures is stationary,
+    invertible and silent; its CSS is at most the Nelder-Mead reference's
+    in all but a few fits, and its exact likelihood no lower on average."""
+    fitted = []
+    fit_css = structural._fit_css
+
+    def recorded(r, p, q):
+        fitted.append((r, fit_css(r, p, q)))
+        return fitted[-1][1]
+
+    monkeypatch.setattr(structural, "_fit_css", recorded)
+    css_within = 0
+    loglik_gain = []
+    for lbs in bench.fixture_datasets(0).values():
+        ts = bench.aggregate_labeled(lbs, "hourly").series
+        prof = profile(ts)
+        for p, q, l in HOURLY_FIXTURE_ORDERS:
+            fitted.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fit_structural(ts, prof, structural_config(p, q, l, log_scale=prof.log_recommended))
+            [(r, (phi, omega))] = fitted
+            assert _stationary(phi) and _stationary(-omega)
+            ref_phi, ref_omega = reference_css_fit(r, p, q)
+            css = np.mean(_css_innovations(phi, omega, r)[p:] ** 2)
+            ref_css = np.mean(_css_innovations(ref_phi, ref_omega, r)[p:] ** 2)
+            css_within += css <= ref_css * (1 + 1e-6)
+            loglik, _, _ = exact_arma_loglik(r, 0.0, phi, omega, css)
+            ref_loglik, _, _ = exact_arma_loglik(r, 0.0, ref_phi, ref_omega, ref_css)
+            loglik_gain.append((loglik - ref_loglik) / r.size)
+    assert len(loglik_gain) == 48
+    assert css_within >= 44
+    assert np.mean(loglik_gain) >= 0.0
