@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_toeplitz
@@ -218,23 +218,39 @@ def _lags(x: np.ndarray, k: int, start: int) -> np.ndarray:
     return np.column_stack([padded[start + k - i : x.size + k - i] for i in range(1, k + 1)])
 
 
-def _css_residuals(u: np.ndarray, r: np.ndarray, p: int) -> np.ndarray:
+def _css_terms(u: np.ndarray, r: np.ndarray, p: int, memo: Optional[dict]) -> tuple:
+    """phi, omega, d (phi, omega) / d u and the innovations at ``u``.
+
+    ``memo`` is a dict one fit passes to every call, or None: it keeps the
+    terms of the last ``u`` asked, bit for bit, and a call at that same
+    ``u`` reuses them.  Levenberg-Marquardt asks for the Jacobian at the
+    point of the residual call before it almost every time.
+    """
+    memo = {} if memo is None else memo
+    key = u.tobytes()
+    if key not in memo:
+        memo.clear()
+        phi, omega, dcoef = _css_coefficients(u, p)
+        memo[key] = phi, omega, dcoef, _css_innovations(phi, omega, r)
+    return memo[key]
+
+
+def _css_residuals(u: np.ndarray, r: np.ndarray, p: int, memo: Optional[dict] = None) -> np.ndarray:
     """The CSS innovations after the first p at the fit's parameters ``u``."""
-    phi, omega, _ = _css_coefficients(u, p)
-    return _css_innovations(phi, omega, r)[p:]
+    return _css_terms(u, r, p, memo)[3][p:]
 
 
-def _css_jacobian(u: np.ndarray, r: np.ndarray, p: int) -> np.ndarray:
+def _css_jacobian(u: np.ndarray, r: np.ndarray, p: int, memo: Optional[dict] = None) -> np.ndarray:
     """d :func:`_css_residuals` / d u.
 
     d eps_t / d phi_i is -r_{t-i} and d eps_t / d omega_j is -eps_{t-j},
     each filtered through 1 / (1 + omega(B)) (Box, Jenkins & Reinsel,
     ch. 7); the chain rule then goes through the step-up and tanh.
     """
-    phi, omega, dcoef = _css_coefficients(u, p)
+    _, omega, dcoef, eps = _css_terms(u, r, p, memo)
     ma = np.concatenate([[1.0], omega])
     lagged = [_lags(lfilter([1.0], ma, r), p, p)] if p else []
-    lagged.append(_lags(lfilter([1.0], ma, _css_innovations(phi, omega, r)), omega.size, p))
+    lagged.append(_lags(lfilter([1.0], ma, eps), omega.size, p))
     return -np.hstack(lagged) @ dcoef
 
 
@@ -244,17 +260,20 @@ def _fit_css(r: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     Levenberg-Marquardt with an analytic Jacobian over the parameters of
     :func:`_css_coefficients`, so every iterate is stationary and
     invertible.  One start: the Yule-Walker AR part and a zero MA part.
+    The fit's memo (see :func:`_css_terms`) hands each point's terms from
+    the residual call to the Jacobian call.
     """
     u0 = np.zeros(p + q)
     u0[:p] = np.arctanh(_partial_autocorrelations(_yule_walker(r, p).tolist()))
+    memo: dict = {}
     try:
-        res = least_squares(_css_residuals, u0, jac=_css_jacobian, args=(r, p), method="lm",
+        res = least_squares(_css_residuals, u0, jac=_css_jacobian, args=(r, p, memo), method="lm",
                             x_scale=1.0, xtol=1e-10, ftol=1e-12)
     except ValueError as exc:  # the innovations at the start are not finite
         raise NonConvergence(f"CSS optimization failed: {exc}") from exc
     if not np.all(np.isfinite(res.x)):
         raise NonConvergence("CSS optimization diverged")
-    phi, omega, _ = _css_coefficients(res.x, p)
+    phi, omega, _, _ = _css_terms(res.x, r, p, memo)
     return phi, omega
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_lyapunov, toeplitz
-from scipy.optimize import minimize
+from scipy.optimize import least_squares, minimize
 from scipy.stats import multivariate_normal
 
 from autoad import bench
@@ -245,6 +245,34 @@ class TestPartialAutocorrelations:
             for e in np.eye(p + q)
         ])
         assert np.allclose(jac, numeric, rtol=0.0, atol=1e-6 * np.max(np.abs(jac)))
+
+    @pytest.mark.parametrize("p,q", [(0, 1), (1, 1), (2, 2), (3, 1)])
+    def test_fit_steps_up_each_point_once(self, p, q, monkeypatch):
+        """The fit's memo hands each point's coefficients and innovations
+        from the residual call to the Jacobian call at that point, and the
+        fit ends where a memo-less fit ends, bit for bit."""
+        r, _ = simulate_arma([0.5, -0.2, 0.1][:p], [0.4, 0.2][:q], 800, seed=p + 7 * q)
+        u0 = np.zeros(p + q)
+        u0[:p] = np.arctanh(_partial_autocorrelations(structural._yule_walker(r, p).tolist()))
+        want = least_squares(lambda u: _css_residuals(u, r, p), u0, jac=lambda u: _css_jacobian(u, r, p),
+                             method="lm", x_scale=1.0, xtol=1e-10, ftol=1e-12).x
+        want_phi, want_omega, _ = _css_coefficients(want, p)
+
+        asked, coefficient_calls = [], []
+        for name in ("_css_residuals", "_css_jacobian"):
+            def recorded(u, *args, _call=getattr(structural, name)):
+                asked.append(u.tobytes())
+                return _call(u, *args)
+            monkeypatch.setattr(structural, name, recorded)
+        step_up = structural._css_coefficients
+        monkeypatch.setattr(structural, "_css_coefficients",
+                            lambda u, p: coefficient_calls.append(1) or step_up(u, p))
+        phi, omega = structural._fit_css(r, p, q)
+
+        assert np.array_equal(phi, want_phi) and np.array_equal(omega, want_omega)
+        new_points = sum(1 for i, u in enumerate(asked) if i == 0 or u != asked[i - 1])
+        assert len(coefficient_calls) <= new_points + 1  # the last: the coefficients at the optimum
+        assert len(coefficient_calls) < 0.6 * len(asked)
 
 
 def fit_outcome(ts, profile, config):
