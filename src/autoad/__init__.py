@@ -14,6 +14,7 @@ from .evaluation import (
     ScoreLog,
     classify_health,
     em_curve,
+    level_set_volume,
     mv_curve,
     scoring_function,
     summarize_criteria,
@@ -78,6 +79,7 @@ __all__ = [
     "forecast",
     "impute",
     "inject_synthetic_anomalies",
+    "level_set_volume",
     "mv_curve",
     "profile",
     "random_search",

@@ -140,9 +140,7 @@ def aggregate_labeled(
 # -- replay -----------------------------------------------------------------
 
 
-def replay(
-    lbs: LabeledBenchSeries, tune_budget: int = 16, n_mc: int = 4000, seed: int = 0
-) -> tuple[list[dict], int]:
+def replay(lbs: LabeledBenchSeries, tune_budget: int = 16, seed: int = 0) -> tuple[list[dict], int]:
     """Drive the orchestrator over the series; returns (score records, retunes).
 
     Training fires every 48 steps for hourly grids and every 14 for daily
@@ -160,7 +158,7 @@ def replay(
         model_ttl=2 * train_every,
     )
     with tempfile.TemporaryDirectory() as root:
-        engine = Engine(root, tune_budget=tune_budget, n_mc=n_mc, seed=seed)
+        engine = Engine(root, tune_budget=tune_budget, seed=seed)
         engine.register_job(spec)
         engine.advance_clock(len(lbs.series))
         records = read_score_csv(Path(root) / "scores" / f"{spec.metric_id}.csv")
@@ -390,7 +388,6 @@ class BenchConfig:
     include_fixtures: bool = False
     timing: bool = False
     tune_budget: int = 16
-    n_mc: int = 4000
 
 
 @dataclass
@@ -406,9 +403,7 @@ class BenchReport:
 def _bench_one(lbs: LabeledBenchSeries, freq: str, config: BenchConfig):
     train_every = REPLAY_TRAIN_EVERY[freq]
     warmup = max(30, 2 * train_every)
-    records, retunes = replay(
-        lbs, tune_budget=config.tune_budget, n_mc=config.n_mc, seed=config.seed
-    )
+    records, retunes = replay(lbs, tune_budget=config.tune_budget, seed=config.seed)
     probs, labels = align_labels(lbs, records)
     auc_value = auc(probs, labels) if labels.sum() and labels.sum() < labels.size else float("nan")
     preds, actuals = rolling_origin_forecast(lbs, FORECAST_HORIZON[freq], warmup)

@@ -15,8 +15,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import erfcinv
 
 from .errors import EmptyScores
+from .series import LOG_FLOOR
+from .stats import EPS_VAR
 
 
 def scoring_function(anomaly_probability):
@@ -45,32 +48,45 @@ def default_em_ts(sample_scores, domain) -> np.ndarray:
     return np.geomspace(t_max / 1000.0, t_max, 50)
 
 
-def _domain_sample(score_fn, domain, n_mc, seed):
+def level_set_volume(us, center: float, scale: float, domain, log_offset: Optional[float] = None) -> np.ndarray:
+    """Exact Lebesgue length of {x in domain : s(x) >= u} for each u in ``us``.
+
+    The scorer is a detector's predictive Gaussian, s(x) = erfc(|g(x) - c| /
+    (h sqrt 2)) with g the identity, or with ``log_offset`` the floored log
+    of :func:`~autoad.series.to_log`.  Each level set is then the interval
+    g^-1([c - w, c + w]) with w = h sqrt(2) erfcinv(u): the whole domain at
+    u = 0, a point at u = 1.  A scale <= 1e-12 scores every x within 1e-12
+    of the center 1 and every other x 0, as
+    :func:`~autoad.stats.gaussian_anomaly_probability` does.  On the log
+    scale every x at or below the floor maps to log(1e-12), so the interval
+    is unbounded below once c - w reaches it and empty once c + w is below
+    it.
+    """
+    us = np.asarray(us, dtype=float)
+    if np.any((us < 0) | (us > 1)):
+        raise ValueError("thresholds must lie in [0, 1]")
     lo, hi = domain
     if not lo < hi:
         raise ValueError("domain must satisfy lo < hi")
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(lo, hi, n_mc)
-    fx = np.asarray(score_fn(xs), dtype=float)
-    if fx.shape != xs.shape:
-        raise ValueError("score_fn must evaluate elementwise over an array")
-    return hi - lo, np.sort(fx)
+    if scale <= EPS_VAR:
+        width = np.where(us > 0, EPS_VAR, np.inf)
+    else:
+        width = scale * math.sqrt(2.0) * erfcinv(us)
+    left, right = center - width, center + width
+    if log_offset is not None:
+        floor = math.log(LOG_FLOOR)
+        with np.errstate(over="ignore"):
+            right = np.where(right < floor, -np.inf, np.exp(right) - log_offset)
+            left = np.where(left <= floor, -np.inf, np.exp(left) - log_offset)
+    return np.maximum(np.minimum(right, hi) - np.maximum(left, lo), 0.0)
 
 
-def mv_curve(
-    score_fn: Callable,
-    sample_scores,
-    alphas,
-    domain,
-    n_mc: int = 10_000,
-    seed: int = 0,
-) -> list[tuple[float, float]]:
+def mv_curve(volume: Callable, sample_scores, alphas) -> list[tuple[float, float]]:
     """Mass-Volume curve: level-set volume holding at least alpha score mass.
 
     For each alpha the threshold u* is the largest sample score with
-    empirical P(s >= u*) >= alpha; the volume of {x : score_fn(x) >= u*}
-    is estimated over one shared uniform Monte-Carlo draw on the domain,
-    which also makes the curve exactly non-decreasing in alpha.
+    empirical P(s >= u*) >= alpha; ``volume`` maps an array of thresholds
+    to the lengths of their level sets (:func:`level_set_volume`).
     """
     scores = np.sort(np.asarray(sample_scores, dtype=float))
     if scores.size == 0:
@@ -78,50 +94,29 @@ def mv_curve(
     alphas = np.asarray(alphas, dtype=float)
     if np.any((alphas <= 0) | (alphas >= 1)):
         raise ValueError("alphas must lie strictly inside (0, 1)")
-    if n_mc < 1000:
-        raise ValueError("n_mc must be at least 1000")
-    length, sorted_fx = _domain_sample(score_fn, domain, n_mc, seed)
     n = scores.size
-    out = []
-    for a in alphas:
-        idx = min(n - 1, int(math.floor((1.0 - a) * n)))
-        u = scores[idx]
-        frac = (n_mc - np.searchsorted(sorted_fx, u, side="left")) / n_mc
-        out.append((float(a), float(length * frac)))
-    return out
+    idx = np.minimum(n - 1, np.floor((1.0 - alphas) * n).astype(int))
+    return list(zip(alphas.tolist(), volume(scores[idx]).tolist()))
 
 
-def em_curve(
-    score_fn: Callable,
-    sample_scores,
-    t_values,
-    domain,
-    n_mc: int = 10_000,
-    seed: int = 0,
-) -> list[tuple[float, float]]:
+def em_curve(volume: Callable, sample_scores, t_values) -> list[tuple[float, float]]:
     """Excess-Mass curve: sup_u [P(s >= u) - t * Leb(s >= u)], floored at 0.
 
-    Candidate thresholds are the unique sample scores; choosing u above
-    the maximum score yields the empty level set, which bounds every
-    EM(t) below by zero.
+    Candidate thresholds are the unique sample scores, whose level-set
+    lengths ``volume`` gives; choosing u above the maximum score yields
+    the empty level set, which bounds every EM(t) below by zero.
     """
-    scores = np.asarray(sample_scores, dtype=float)
+    scores = np.sort(np.asarray(sample_scores, dtype=float))
     if scores.size == 0:
         raise EmptyScores("em_curve needs a non-empty score sample")
     t_values = np.asarray(t_values, dtype=float)
     if np.any(t_values < 0):
         raise ValueError("t values must be non-negative")
-    length, sorted_fx = _domain_sample(score_fn, domain, n_mc, seed)
-    sorted_scores = np.sort(scores)
     n = scores.size
     us = np.unique(scores)
-    phat = (n - np.searchsorted(sorted_scores, us, side="left")) / n
-    leb = length * (n_mc - np.searchsorted(sorted_fx, us, side="left")) / n_mc
-    out = []
-    for t in t_values:
-        em = float(max(np.max(phat - t * leb), 0.0))
-        out.append((float(t), em))
-    return out
+    phat = (n - np.searchsorted(scores, us, side="left")) / n
+    em = np.maximum(np.max(phat - t_values[:, None] * volume(us), axis=1), 0.0)
+    return list(zip(t_values.tolist(), em.tolist()))
 
 
 def summarize_criteria(mv, em) -> tuple[float, float]:
@@ -136,20 +131,22 @@ def summarize_criteria(mv, em) -> tuple[float, float]:
 # -- health classification ---------------------------------------------------
 
 
+RATE_RED = 0.2  # anomaly rate above which a series is red
+CONSECUTIVE_RED = 5  # run of consecutive anomalies that turns a series red
+SOFT_FACTOR = 0.8  # soft (yellow) levels sit at this share of each hard one
+
+
 @dataclass(frozen=True)
 class HealthThresholds:
-    """Hard (red) trigger levels; soft levels sit at 80% of each hard one.
+    """The fleet-relative curve triggers: red above ``mv_red`` or below
+    ``em_red``.
 
-    mv_red / em_red default to None (disabled) because they are
-    fleet-relative: the orchestrator fills them in as 2x / 0.5x the fleet
-    median once enough series report curves.
+    Both default to None (disabled): the orchestrator fills them in as
+    2x / 0.5x the fleet median once enough series report curves.
     """
 
     mv_red: Optional[float] = None
     em_red: Optional[float] = None
-    rate_red: float = 0.2
-    consecutive_red: int = 5
-    soft_factor: float = 0.8
 
 
 @dataclass(frozen=True)
@@ -209,19 +206,19 @@ def classify_health(
     red = (
         (t.mv_red is not None and mv_avg > t.mv_red)
         or (t.em_red is not None and em_avg < t.em_red)
-        or anomaly_rate > t.rate_red
-        or consecutive_anomalies >= t.consecutive_red
+        or anomaly_rate > RATE_RED
+        or consecutive_anomalies >= CONSECUTIVE_RED
         or model_age_fraction >= 1.0
         or last_training_failed
     )
     if red:
         return "R"
     yellow = (
-        (t.mv_red is not None and mv_avg > t.soft_factor * t.mv_red)
-        or (t.em_red is not None and em_avg < t.em_red / t.soft_factor)
-        or anomaly_rate > t.soft_factor * t.rate_red
-        or consecutive_anomalies >= math.ceil(t.soft_factor * t.consecutive_red)
-        or model_age_fraction >= t.soft_factor
+        (t.mv_red is not None and mv_avg > SOFT_FACTOR * t.mv_red)
+        or (t.em_red is not None and em_avg < t.em_red / SOFT_FACTOR)
+        or anomaly_rate > SOFT_FACTOR * RATE_RED
+        or consecutive_anomalies >= math.ceil(SOFT_FACTOR * CONSECUTIVE_RED)
+        or model_age_fraction >= SOFT_FACTOR
     )
     return "Y" if yellow else "G"
 

@@ -556,22 +556,17 @@ class FilterDetector:
         probs, self._state, level = run_filter(self.model, to_model_scale(values, self.model), self._state)
         return probs, from_model_scale(level, self.model)
 
-    def frozen(self, step: int):
-        """The evaluation scorer: a vectorized map from raw candidate values
-        to the anomaly probabilities one more update from the live state
-        would give them, changing nothing."""
-        model, state = self.model, self._state
+    def predictive(self, step: int) -> tuple[float, float]:
+        """(center, scale) of the predictive Gaussian of the next
+        observation on the model's scale, changing nothing.  One more
+        update from the live state scores y by its level residual
+        gain0 * (y - x0 - x1) against the residual law (mean, sd), so y is
+        judged against center x0 + x1 + mean / gain0 and scale sd / gain0."""
+        state = self._state
         x0, x1, *post = _trend_entries(state.x_post, state.P_post)
-        [(gain0, _, _, _)], _, _ = _gains(model, post, 1)
-        center = x0 + x1
+        [(gain0, _, _, _)], _, _ = _gains(self.model, post, 1)
         sd = math.sqrt(max(state.eta_var, _ETA_VAR_FLOOR))
-        mean = state.eta_mean
-
-        def score(values):
-            eta = gain0 * (to_model_scale(values, model) - center)
-            return gaussian_anomaly_probability(eta - mean, np.full_like(eta, sd))
-
-        return score
+        return x0 + x1 + state.eta_mean / gain0, sd / gain0
 
     def state(self) -> dict:
         return self._state.to_dict()

@@ -144,8 +144,10 @@ def fit_detector(
       gives the expected raw values; ``steps`` counts from the end of
       training (0 is the first point after it), and a filter, which
       advances its live state instead, ignores it;
-    - ``frozen(step)`` is the evaluation scorer, a map from raw candidate
-      values to anomaly probabilities that changes nothing;
+    - ``predictive(step) -> (center, scale)`` is the Gaussian that
+      ``score`` would judge the value at ``step`` by, on the model's
+      scale; it changes nothing, and the evaluation cycle's level sets
+      are its intervals;
     - ``state()`` is the filter state to store (None for a structural
       detector), which :func:`load_detector` takes back;
     - ``model`` is the fitted model; its ``to_dict()`` is the stored payload.

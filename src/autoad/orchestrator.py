@@ -54,7 +54,6 @@ import math
 import os
 import zlib
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -176,21 +175,24 @@ class Engine:
         self,
         data_dir,
         tune_budget: int = 20,
-        workers: int = 1,
         alert_channel: str = "file",
         seed: int = 0,
+        *,
+        workers: int = 1,
         n_mc: int = 10_000,
     ):
+        """``workers`` and ``n_mc`` are ignored: training runs on one
+        thread, and the evaluation volumes are exact, not sampled.  The
+        two keywords stay because ``perfbench/workload.py`` passes them,
+        and the benchmark harness changes only with the benchmark itself."""
         if alert_channel not in ("stdout", "file", "webhook_stub"):
             raise ValueError(f"unknown alert channel {alert_channel!r}")
         self.root = Path(data_dir)
         for sub in ("jobs", "models", "state", "scores", "health", "alerts", "tunes"):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
         self.tune_budget = tune_budget
-        self.workers = workers
         self.alert_channel = alert_channel
         self.seed = seed
-        self.n_mc = n_mc
         self._series_cache: dict[str, TimeSeries] = {}
         # in-memory copies of the store; _forget drops a metric's copies
         self._jobs: Optional[list[JobSpec]] = None
@@ -599,15 +601,8 @@ class Engine:
         health evaluation) and never abort the cycle.
         """
         self._repair()
-        due = []
-        for spec in self.jobs():
-            if force or (now % spec.train_every == 0 and now >= self._warmup(spec)):
-                due.append(spec)
-        if self.workers > 1 and len(due) > 1:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                outcomes = list(pool.map(lambda s: self._train_metric(s, now), due))
-        else:
-            outcomes = [self._train_metric(spec, now) for spec in due]
+        outcomes = [self._train_metric(spec, now) for spec in self.jobs()
+                    if force or (now % spec.train_every == 0 and now >= self._warmup(spec))]
         self._end_cycle()
         return outcomes
 
@@ -693,13 +688,14 @@ class Engine:
             "at": now, "reason": reason, "snapshot": snapshot.to_dict()}
         return snapshot
 
-    def metric_scorer(self, spec: JobSpec, now: int):
-        """(score_fn, stable_scores, domain) for a metric, or None.
+    def metric_curves(self, spec: JobSpec, now: int):
+        """(mv, em) curve points for one metric, or None without history.
 
-        The scorer maps candidate observed values to stability scores
-        using the active model frozen at evaluation time; the domain pads
-        the observed value range by 10% on each side.  None means there
-        is no model or not enough stable score history yet.
+        The curves judge the stable scores against the active model's
+        predictive Gaussian for the newest scored point, over the observed
+        value range padded by 10% on each side; the level-set volumes are
+        exact (:func:`~autoad.evaluation.level_set_volume`).  None means
+        there is no model or not enough stable score history yet.
         """
         record = self._active_record(spec.metric_id)
         if record is None:
@@ -715,22 +711,16 @@ class Engine:
 
         # the newest scored point, at least the first after training
         step = max(now - int(record["published_at"]), 1) - 1
-        prob_fn = self._detector(record).frozen(step)
+        detector = self._detector(record)
+        center, scale = detector.predictive(step)
+        model = detector.model
+        offset = model.log_offset if model.log_scale else None
 
-        def score_fn(values):
-            return 1.0 - np.asarray(prob_fn(values))
+        def volume(us):
+            return ev.level_set_volume(us, center, scale, domain, offset)
 
-        return score_fn, scores, domain
-
-    def metric_curves(self, spec: JobSpec, now: int):
-        """(mv, em) curve points for one metric, or None without history."""
-        built = self.metric_scorer(spec, now)
-        if built is None:
-            return None
-        score_fn, scores, domain = built
-        seed = self._tune_seed(spec.metric_id, now)
-        mv = ev.mv_curve(score_fn, scores, ev.default_alphas(), domain, n_mc=self.n_mc, seed=seed)
-        em = ev.em_curve(score_fn, scores, ev.default_em_ts(scores, domain), domain, n_mc=self.n_mc, seed=seed)
+        mv = ev.mv_curve(volume, scores, ev.default_alphas())
+        em = ev.em_curve(volume, scores, ev.default_em_ts(scores, domain))
         return mv, em
 
     def _curve_stats(self, spec: JobSpec, now: int):
@@ -761,13 +751,7 @@ class Engine:
             if record is None or len(log.entries) < MIN_EVAL_SCORES:
                 return ev.HealthSnapshot(0.0, 0.0, rate, consec, cov, age, "Y")
             mv_avg, em_avg = 0.0, 0.0
-            thresholds = ev.HealthThresholds(
-                mv_red=None,
-                em_red=None,
-                rate_red=thresholds.rate_red,
-                consecutive_red=thresholds.consecutive_red,
-                soft_factor=thresholds.soft_factor,
-            )
+            thresholds = ev.HealthThresholds()
         else:
             mv_avg, em_avg = curve_stats
         health = ev.classify_health(

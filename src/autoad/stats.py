@@ -11,7 +11,7 @@ from scipy.special import erfc
 EPS_VAR = 1e-12
 
 
-def gaussian_anomaly_probability(deviation, std, eps: float = 1e-12):
+def gaussian_anomaly_probability(deviation, std, eps: float = EPS_VAR):
     """Two-sided Gaussian tail mapped to an anomaly probability.
 
     For z = |deviation| / std the two-sided tail mass is erfc(|z|/sqrt(2));

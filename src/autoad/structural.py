@@ -468,20 +468,14 @@ class StructuralDetector:
         probs = gaussian_anomaly_probability(to_model_scale(values, self.model) - predicted, std)
         return probs, from_model_scale(predicted, self.model)
 
-    def frozen(self, step: int):
-        """The evaluation scorer: a vectorized map from raw candidate values
-        to their anomaly probabilities against the forecast for ``step``.
+    def predictive(self, step: int) -> tuple[float, float]:
+        """(center, scale) of the predictive Gaussian for ``step`` on the
+        model's scale: the forecast row that :meth:`score` judges it by.
         A step past the table (a model kept past its TTL) is forecast anew."""
-        table = self._table
-        if step >= len(table):
-            table = forecast(self.model, step + 1, transformed=True)
-        mean, std = table[step]
-
-        def score(values):
-            values = to_model_scale(values, self.model)
-            return gaussian_anomaly_probability(values - mean, np.full_like(values, std))
-
-        return score
+        if step >= len(self._table):
+            return forecast(self.model, step + 1, transformed=True)[step]
+        mean, std = self._table[step]
+        return float(mean), float(std)
 
     def state(self) -> None:
         return None

@@ -27,3 +27,17 @@ def seasonal_ar_series(n: int = 400, seed: int = 11, period: int = 24) -> TimeSe
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def grid_volume(score_fn, domain, n: int = 100_000):
+    """Reference level-set volumes of any vectorized scorer: the share of an
+    ``n``-point midpoint grid over ``domain`` where the score is >= u, times
+    the domain's length.  Off the true length by at most a grid spacing per
+    end of each interval in the level set."""
+    lo, hi = domain
+    fx = np.sort(np.asarray(score_fn(lo + (np.arange(n) + 0.5) * ((hi - lo) / n)), dtype=float))
+
+    def volume(us):
+        return (hi - lo) * (n - np.searchsorted(fx, us, side="left")) / n
+
+    return volume

@@ -34,7 +34,7 @@ from autoad.reference_values import NAB_DATA_PATHS, NAB_WINDOWS_FILE
 from autoad.series import TimeSeries
 from autoad.structural import fit_structural
 
-from .conftest import seasonal_ar_series
+from .conftest import grid_volume, seasonal_ar_series
 from .test_filtering import oracle_deviation, random_model
 from .test_structural import simulate_arma, structural_config
 
@@ -149,11 +149,12 @@ def test_criterion_05_tpe_beats_random_search():
 def test_criterion_06_mv_em_analytics():
     indicator = lambda x: (np.asarray(x) <= 0.3).astype(float)
     sample = np.ones(200)
-    se = math.sqrt(0.3 * 0.7 / 10_000)
-    mv = mv_curve(indicator, sample, [0.2], (0.0, 1.0), n_mc=10_000, seed=3)
-    em = em_curve(indicator, sample, [1.0], (0.0, 1.0), n_mc=10_000, seed=3)
-    mv_ok = abs(mv[0][1] - 0.3) <= 3 * se
-    em_ok = abs(em[0][1] - 0.7) <= 3 * se
+    volume = grid_volume(indicator, (0.0, 1.0))
+    tol = 2e-5  # two spacings of the 10^5-point reference grid
+    mv = mv_curve(volume, sample, [0.2])
+    em = em_curve(volume, sample, [1.0])
+    mv_ok = abs(mv[0][1] - 0.3) <= tol
+    em_ok = abs(em[0][1] - 0.7) <= tol
 
     monotone = True
     for seed in range(5):
@@ -161,14 +162,15 @@ def test_criterion_06_mv_em_analytics():
         center = rng.uniform(-1, 1)
         score_fn = lambda x: np.exp(-((np.asarray(x) - center) ** 2))
         scores = score_fn(rng.normal(center, 1, 150))
-        mv_c = [v for _, v in mv_curve(score_fn, scores, default_alphas(), (-4, 4), seed=seed)]
-        em_c = [v for _, v in em_curve(score_fn, scores, np.geomspace(0.001, 1, 50), (-4, 4), seed=seed)]
+        volume = grid_volume(score_fn, (-4, 4))
+        mv_c = [v for _, v in mv_curve(volume, scores, default_alphas())]
+        em_c = [v for _, v in em_curve(volume, scores, np.geomspace(0.001, 1, 50))]
         monotone &= all(b >= a - 1e-12 for a, b in zip(mv_c, mv_c[1:]))
         monotone &= all(b <= a + 1e-12 for a, b in zip(em_c, em_c[1:]))
     report(
         "criterion 6 (MV/EM analytics)",
         mv_ok and em_ok and monotone,
-        f"MV(0.2)={mv[0][1]:.4f} (0.3 +/- {3*se:.4f}), EM(1)={em[0][1]:.4f} (0.7 +/- {3*se:.4f}), monotone={monotone}",
+        f"MV(0.2)={mv[0][1]:.6f} (0.3 +/- {tol}), EM(1)={em[0][1]:.6f} (0.7 +/- {tol}), monotone={monotone}",
     )
 
 
@@ -177,18 +179,15 @@ def test_criterion_07_dominance_ordering():
     loose = lambda x: (np.asarray(x) <= 0.6).astype(float)
     alphas = default_alphas()
     ts_grid = np.geomspace(0.01, 2.0, 50)
+    vol_t, vol_l = grid_volume(tight, (0, 1)), grid_volume(loose, (0, 1))
     hits = 0
     for seed in range(10):
         rng = np.random.default_rng(seed)
         data = rng.uniform(0, 0.3, 300)
         mv_t, em_t = summarize_criteria(
-            mv_curve(tight, tight(data), alphas, (0, 1), seed=seed),
-            em_curve(tight, tight(data), ts_grid, (0, 1), seed=seed),
-        )
+            mv_curve(vol_t, tight(data), alphas), em_curve(vol_t, tight(data), ts_grid))
         mv_l, em_l = summarize_criteria(
-            mv_curve(loose, loose(data), alphas, (0, 1), seed=seed),
-            em_curve(loose, loose(data), ts_grid, (0, 1), seed=seed),
-        )
+            mv_curve(vol_l, loose(data), alphas), em_curve(vol_l, loose(data), ts_grid))
         if mv_t < mv_l and em_t > em_l:
             hits += 1
     report("criterion 7 (dominance ordering)", hits == 10, f"{hits}/10 seeds ordered correctly")
@@ -206,7 +205,7 @@ def _selfaware_series(shift: bool, n=480, seed=0):
 def test_criterion_08_self_awareness_loop(tmp_path):
     results = {}
     for label, shift in (("drifted", True), ("stationary", False)):
-        engine = Engine(tmp_path / label, tune_budget=12, n_mc=2000, seed=1)
+        engine = Engine(tmp_path / label, tune_budget=12, seed=1)
         engine.register_job(
             JobSpec(
                 job_id=f"job-{label}",
@@ -247,7 +246,7 @@ def test_criterion_09_nab_classification():
 
     def run(name, freq):
         lbs = aggregate_labeled(load_nab(NAB_DIR / NAB_DATA_PATHS[name], windows), freq)
-        records, _ = replay(lbs, tune_budget=16, n_mc=4000, seed=0)
+        records, _ = replay(lbs, tune_budget=16, seed=0)
         return align_labels(lbs, records)
 
     p1, y1 = run("machine_temperature_system_failure", "hourly")
@@ -324,7 +323,6 @@ def test_criterion_12_benchmark_determinism(tmp_path):
             include_fixtures=True,
             seed=7,
             tune_budget=12,
-            n_mc=2000,
         )
         run_benchmark(config)
         return {

@@ -245,7 +245,7 @@ class TestReplay:
             anomaly_windows=(),
             point_labels=np.zeros(480, dtype=np.int8),
         )
-        records, retunes = replay(lbs, tune_budget=10, n_mc=2000, seed=0)
+        records, retunes = replay(lbs, tune_budget=10, seed=0)
         assert retunes <= 1
         assert len(records) == 480 - 96  # everything after the warmup
 
@@ -260,7 +260,7 @@ class TestReplay:
             anomaly_windows=(),
             point_labels=np.zeros(480, dtype=np.int8),
         )
-        _, retunes = replay(lbs, tune_budget=10, n_mc=2000, seed=0)
+        _, retunes = replay(lbs, tune_budget=10, seed=0)
         assert retunes >= 1
 
 
@@ -273,7 +273,6 @@ class TestFixturesAndReport:
             freqs=("daily",),
             include_fixtures=True,
             tune_budget=10,
-            n_mc=2000,
         )
         report = run_benchmark(config)
         status = {(r["dataset"], r["freq"]): r["status"] for r in report.auc_rows}
@@ -302,6 +301,6 @@ class TestRealNab:
             NAB_DIR / NAB_WINDOWS_FILE,
         )
         hourly = aggregate_labeled(lbs, "hourly")
-        records, _ = replay(hourly, tune_budget=16, n_mc=4000, seed=0)
+        records, _ = replay(hourly, tune_budget=16, seed=0)
         probs, labels = align_labels(hourly, records)
         assert auc(probs, labels) >= 0.90

@@ -50,11 +50,17 @@ def test_register_run_status_eval_round_trip(tmp_path, capsys):
         "eval", "--metric", "cli-metric", "--data-dir", data_dir,
         "--emit-curves", str(curves),
     ]) == 0
+    out = capsys.readouterr().out
+    snapshot = json.loads(out[: out.index("curves written to")])
     with open(curves, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["curve", "x", "value"]
     kinds = {row[0] for row in rows[1:]}
     assert kinds == {"mv", "em"}
+    # the emitted curves are the ones the printed snapshot averages
+    for kind in ("mv", "em"):
+        values = [float(row[2]) for row in rows[1:] if row[0] == kind]
+        assert float(np.mean(values)) == snapshot[f"{kind}_avg"]
 
 
 def test_register_twice_is_idempotent(tmp_path, capsys):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.special import erfc
+
 from autoad.errors import EmptyScores
 from autoad.evaluation import (
     HealthSnapshot,
@@ -14,10 +16,13 @@ from autoad.evaluation import (
     default_alphas,
     default_em_ts,
     em_curve,
+    level_set_volume,
     mv_curve,
     scoring_function,
     summarize_criteria,
 )
+
+from .conftest import grid_volume
 
 
 def indicator(width):
@@ -39,24 +44,95 @@ class TestScoringFunction:
             scoring_function(1.5)
 
 
+def interval_scorer(center, scale, log_offset):
+    """The stability score s(x) = erfc(|g(x) - c| / (h sqrt 2)) of a
+    predictive Gaussian, written out directly: g is the identity or, with a
+    log offset, log(max(x + offset, 1e-12)); a scale <= 1e-12 scores 1
+    within 1e-12 of the center and 0 elsewhere."""
+
+    def score(x):
+        g = x if log_offset is None else np.log(np.maximum(x + log_offset, 1e-12))
+        d = np.abs(g - center)
+        if scale <= 1e-12:
+            return np.where(d > 1e-12, 0.0, 1.0)
+        return erfc(d / (scale * math.sqrt(2.0)))
+
+    return score
+
+
+LOG_FLOOR_LEVEL = math.log(1e-12)
+
+
+@st.composite
+def interval_cases(draw):
+    log_offset = draw(st.one_of(st.none(), st.floats(0.0, 50.0)))
+    if log_offset is None:
+        center = draw(st.floats(-150.0, 150.0))
+    else:  # centers near the floor cut their intervals there
+        center = draw(st.one_of(st.floats(-40.0, 6.0),
+                                st.floats(LOG_FLOOR_LEVEL - 3.0, LOG_FLOOR_LEVEL + 3.0)))
+    scale = draw(st.one_of(st.floats(0.0, 1e-12), st.floats(1e-12, 100.0)))
+    lo = draw(st.floats(-100.0, 100.0))
+    width = draw(st.floats(1e-2, 200.0))
+    us = draw(st.lists(st.one_of(st.just(0.0), st.just(1.0),
+                                 st.floats(0.0, 1.0, allow_subnormal=False)),
+                       min_size=1, max_size=5))
+    return center, scale, log_offset, (lo, lo + width), np.array(us)
+
+
+class TestLevelSetVolume:
+    @given(case=interval_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_midpoint_grid(self, case):
+        """The exact lengths agree with a 10^5-point midpoint grid over the
+        domain within two grid spacings: at and below the log floor, at
+        degenerate scales, and at u = 0 and u = 1."""
+        center, scale, log_offset, domain, us = case
+        n = 100_000
+        want = grid_volume(interval_scorer(center, scale, log_offset), domain, n)(us)
+        got = level_set_volume(us, center, scale, domain, log_offset)
+        spacing = (domain[1] - domain[0]) / n
+        assert np.all(np.abs(got - want) <= 2 * spacing + 1e-12 * (domain[1] - domain[0]))
+
+    def test_edges_of_the_threshold_range(self):
+        assert level_set_volume([0.0], 3.0, 1.0, (0.0, 10.0))[0] == 10.0
+        assert level_set_volume([1.0], 3.0, 1.0, (0.0, 10.0))[0] == 0.0
+        assert level_set_volume([0.05], 3.0, 1.0, (-10.0, 10.0))[0] == pytest.approx(2 * 1.959964, abs=1e-6)
+
+    def test_degenerate_scale(self):
+        vol = level_set_volume([0.0, 0.5, 1.0], 3.0, 0.0, (0.0, 10.0))
+        assert vol[0] == 10.0
+        assert vol[1:] == pytest.approx([2e-12, 2e-12], rel=1e-3)
+
+    def test_log_floor(self):
+        floor = LOG_FLOOR_LEVEL
+        # an interval reaching the floor takes every value below it
+        assert level_set_volume([0.5], floor, 1.0, (-5.0, 0.5), log_offset=0.0)[0] == pytest.approx(
+            5.0 + math.exp(floor + 0.6744897501960817))
+        # and one above the floor's reach is empty
+        assert level_set_volume([0.5], floor - 3.0, 1.0, (-5.0, 5.0), log_offset=0.0)[0] == 0.0
+
+    def test_rejects_thresholds_outside_unit_interval(self):
+        with pytest.raises(ValueError):
+            level_set_volume([1.5], 0.0, 1.0, (0.0, 1.0))
+
+
 class TestMvCurve:
     def test_constant_scorer_full_volume(self):
-        mv = mv_curve(lambda x: np.ones_like(np.asarray(x)), np.ones(50),
-                      [0.2, 0.5, 0.9], (0.0, 10.0))
+        mv = mv_curve(grid_volume(lambda x: np.ones_like(np.asarray(x)), (0.0, 10.0)),
+                      np.ones(50), [0.2, 0.5, 0.9])
         assert all(v == pytest.approx(10.0) for _, v in mv)
 
     def test_indicator_level_set_volume(self):
-        mv = mv_curve(indicator(0.3), np.ones(100), [0.2], (0.0, 1.0), n_mc=10_000, seed=1)
-        se = math.sqrt(0.3 * 0.7 / 10_000)
-        assert abs(mv[0][1] - 0.3) <= 3 * se
+        mv = mv_curve(grid_volume(indicator(0.3), (0.0, 1.0)), np.ones(100), [0.2])
+        assert abs(mv[0][1] - 0.3) <= 2e-5
 
     def test_uniform_scores_volume_equals_alpha(self, rng):
         xs = rng.uniform(0, 1, 4000)
         score_fn = lambda x: 1.0 - np.asarray(x)
-        mv = mv_curve(score_fn, score_fn(xs), [0.1, 0.4, 0.7], (0.0, 1.0), seed=2)
+        mv = mv_curve(grid_volume(score_fn, (0.0, 1.0)), score_fn(xs), [0.1, 0.4, 0.7])
         for alpha, vol in mv:
-            se = math.sqrt(alpha * (1 - alpha) / 10_000) + 1.0 / math.sqrt(len(xs))
-            assert abs(vol - alpha) <= 4 * se
+            assert abs(vol - alpha) <= 4 / math.sqrt(len(xs))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_monotone_non_decreasing(self, seed):
@@ -64,32 +140,31 @@ class TestMvCurve:
         center = rng.uniform(-1, 1)
         score_fn = lambda x: np.exp(-((np.asarray(x) - center) ** 2))
         samples = score_fn(rng.normal(center, 1, 200))
-        mv = mv_curve(score_fn, samples, default_alphas(), (-4.0, 4.0), seed=seed)
+        mv = mv_curve(grid_volume(score_fn, (-4.0, 4.0)), samples, default_alphas())
         values = [v for _, v in mv]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_empty_scores(self):
         with pytest.raises(EmptyScores):
-            mv_curve(indicator(0.3), [], [0.5], (0.0, 1.0))
+            mv_curve(grid_volume(indicator(0.3), (0.0, 1.0)), [], [0.5])
 
     def test_alpha_bounds(self):
         with pytest.raises(ValueError):
-            mv_curve(indicator(0.3), np.ones(10), [0.0], (0.0, 1.0))
+            mv_curve(grid_volume(indicator(0.3), (0.0, 1.0)), np.ones(10), [0.0])
 
 
 class TestEmCurve:
     def test_zero_penalty_gives_unit_mass(self, rng):
         scores = rng.uniform(0, 1, 100)
-        em = em_curve(indicator(0.5), scores, [0.0], (0.0, 1.0))
+        em = em_curve(grid_volume(indicator(0.5), (0.0, 1.0)), scores, [0.0])
         assert em[0][1] == pytest.approx(1.0)
 
     def test_indicator_excess_mass(self):
-        em = em_curve(indicator(0.3), np.ones(100), [1.0], (0.0, 1.0), n_mc=10_000, seed=1)
-        se = math.sqrt(0.3 * 0.7 / 10_000)
-        assert abs(em[0][1] - 0.7) <= 3 * se
+        em = em_curve(grid_volume(indicator(0.3), (0.0, 1.0)), np.ones(100), [1.0])
+        assert abs(em[0][1] - 0.7) <= 2e-5
 
     def test_large_penalty_floors_at_zero(self):
-        em = em_curve(indicator(0.3), np.ones(50), [1e9], (0.0, 1.0), seed=0)
+        em = em_curve(grid_volume(indicator(0.3), (0.0, 1.0)), np.ones(50), [1e9])
         assert em[0][1] == 0.0
 
     @pytest.mark.parametrize("seed", range(5))
@@ -98,14 +173,14 @@ class TestEmCurve:
         score_fn = lambda x: np.exp(-np.abs(np.asarray(x)))
         samples = score_fn(rng.normal(0, 1, 300))
         ts_grid = default_em_ts(samples, (-4.0, 4.0))
-        em = em_curve(score_fn, samples, ts_grid, (-4.0, 4.0), seed=seed)
+        em = em_curve(grid_volume(score_fn, (-4.0, 4.0)), samples, ts_grid)
         values = [v for _, v in em]
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_empty_scores(self):
         with pytest.raises(EmptyScores):
-            em_curve(indicator(0.3), [], [0.5], (0.0, 1.0))
+            em_curve(grid_volume(indicator(0.3), (0.0, 1.0)), [], [0.5])
 
 
 class TestSummarize:
@@ -124,14 +199,9 @@ class TestSummarize:
         tight, loose = indicator(0.3), indicator(0.6)
         alphas = default_alphas()
         ts_grid = np.geomspace(0.01, 2.0, 50)
-        mv_t, em_t = (
-            mv_curve(tight, tight(data), alphas, (0, 1), seed=3),
-            em_curve(tight, tight(data), ts_grid, (0, 1), seed=3),
-        )
-        mv_l, em_l = (
-            mv_curve(loose, loose(data), alphas, (0, 1), seed=3),
-            em_curve(loose, loose(data), ts_grid, (0, 1), seed=3),
-        )
+        vol_t, vol_l = grid_volume(tight, (0, 1)), grid_volume(loose, (0, 1))
+        mv_t, em_t = mv_curve(vol_t, tight(data), alphas), em_curve(vol_t, tight(data), ts_grid)
+        mv_l, em_l = mv_curve(vol_l, loose(data), alphas), em_curve(vol_l, loose(data), ts_grid)
         mv_avg_t, em_avg_t = summarize_criteria(mv_t, em_t)
         mv_avg_l, em_avg_l = summarize_criteria(mv_l, em_l)
         assert mv_avg_t < mv_avg_l

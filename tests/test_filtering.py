@@ -26,7 +26,7 @@ from autoad.filtering import (
     run_filter,
 )
 from autoad.optimizer import FilteringParams, ModelConfig
-from autoad.series import TimeSeries
+from autoad.series import TimeSeries, to_model_scale
 from autoad.stats import gaussian_anomaly_probability
 
 ts_of = TimeSeries.from_values
@@ -684,23 +684,25 @@ class TestAnomalyProbability:
         structural = gaussian_anomaly_probability(z_equiv, 1.0)
         assert probs[0] == pytest.approx(structural, abs=1e-12)
 
-    def test_frozen_scorer_matches_score_step(self, rng):
-        """The frozen scorer gives what a one-point pass from the same state
-        gives, and bit for bit what the gain and prior level of a one-step
-        reference pass give."""
-        for state_dim in (1, 2):
-            y = rng.normal(5, 1, 200)
-            model, state, _ = fit_filtering(ts_of(y), filtering_config(state_dim=state_dim))
-            scorer = FilterDetector(model, state).frozen(0)
-            candidates = np.array([4.0, 5.0, 6.0, 9.0])
-            frozen = scorer(candidates)
-            stepped = [run_filter(model, [v], state)[0][0] for v in candidates]
-            assert np.allclose(frozen, stepped, atol=1e-12)
-            _, _, _, s, _, (x_prior, P_prior) = reference_kalman_pass(model, state, [0.0])
-            eta = float(P_prior[0, 0]) / s[0] * (candidates - float(x_prior[0]))
-            sd = math.sqrt(max(state.eta_var, 1e-12))
-            want = gaussian_anomaly_probability(eta - state.eta_mean, np.full_like(eta, sd))
-            assert np.array_equal(frozen, want)
+    @pytest.mark.parametrize("log_scale", [False, True], ids=["raw", "log"])
+    @pytest.mark.parametrize("state_dim", [1, 2])
+    def test_predictive_matches_score_step(self, rng, state_dim, log_scale):
+        """The predictive Gaussian judges each of 60 candidates as a one-point
+        pass from the same state does, and its center and scale are bit for
+        bit the gain and prior level of a one-step reference pass applied to
+        the residual law."""
+        y = rng.normal(5, 1, 200)
+        model, state, _ = fit_filtering(ts_of(y), filtering_config(state_dim=state_dim, log_scale=log_scale))
+        center, scale = FilterDetector(model, state).predictive(0)
+        candidates = np.linspace(y.min() - 3.0, y.max() + 3.0, 60)
+        scaled = to_model_scale(candidates, model)
+        got = gaussian_anomaly_probability(scaled - center, np.full_like(scaled, scale))
+        stepped = [run_filter(model, [v], state)[0][0] for v in scaled]
+        assert np.allclose(got, stepped, rtol=0.0, atol=1e-12)
+        _, _, _, s, _, (x_prior, P_prior) = reference_kalman_pass(model, state, [0.0])
+        gain0 = float(P_prior[0, 0]) / s[0]
+        assert center == float(x_prior[0]) + state.eta_mean / gain0
+        assert scale == math.sqrt(max(state.eta_var, 1e-12)) / gain0
 
 
 class TestSerialization:

@@ -28,7 +28,9 @@ from autoad.optimizer import (
     tune,
 )
 from autoad.profiling import DataProfile, profile
-from autoad.series import TimeSeries
+from autoad.series import TimeSeries, to_model_scale
+from autoad.stats import gaussian_anomaly_probability
+from autoad.structural import forecast
 
 from .conftest import seasonal_ar_series
 
@@ -469,12 +471,12 @@ class TestDetectors:
     def test_restarted_detector_scores_like_the_fitted_one(self, config):
         """A detector rebuilt by load_detector from the stored payload and
         filter state, as an engine restart rebuilds it, scores bit for bit
-        as the fitted one, in one batch and in chunks."""
+        as the fitted one, in one batch and in chunks, and then gives the
+        same predictive Gaussian."""
         series = seasonal_ar_series(360)
         train, later = series.with_values(series.values[:300]), series.values[300:]
         prof = profile(train)
         steps = np.arange(later.size)
-        candidates = np.linspace(later.min() - 3.0, later.max() + 3.0, 11)
         runs = []
         for sizes in ([later.size], [1, 5, 16, 17, 21]):
             bounds = np.cumsum([0, *sizes])
@@ -486,7 +488,7 @@ class TestDetectors:
                 runs.append((
                     np.concatenate([probs for probs, _ in scored]),
                     np.concatenate([expected for _, expected in scored]),
-                    detector.frozen(later.size - 1)(candidates),
+                    detector.predictive(later.size - 1),
                     detector.state(),
                 ))
         first = runs[0]
@@ -494,6 +496,37 @@ class TestDetectors:
         for run in runs[1:]:
             assert np.array_equal(run[0], first[0])
             assert np.array_equal(run[1], first[1])
-            assert np.array_equal(run[2], first[2])
+            assert run[2] == first[2]
             assert run[3] == first[3]
         assert (first[3] is None) == (config.method == "structural")
+
+    @pytest.mark.parametrize("log_scale", [False, True], ids=["raw", "log"])
+    @pytest.mark.parametrize("method", ["structural", "filtering"])
+    def test_predictive_gaussian_judges_as_a_one_point_score(self, method, log_scale):
+        """The predictive (center, scale) scores candidates across the value
+        range as a one-point score from the same detector state does, and a
+        structural step past the forecast table is forecast anew."""
+        if method == "structural":
+            config = ModelConfig(method="structural", log_scale=log_scale,
+                                 structural_params=StructuralParams(p=2, q=1, l=1))
+        else:
+            config = ModelConfig(method="filtering", log_scale=log_scale,
+                                 filtering_params=FilteringParams(state_dim=2, forgetting=0.97))
+        series = seasonal_ar_series(330)
+        train, later = series.with_values(series.values[:300]), series.values[300:]
+        candidates = np.linspace(later.min() - 5.0, later.max() + 5.0, 60)
+        fitted, _ = fit_detector(train, profile(train), config, horizon=later.size)
+        fitted.score(np.arange(10), later[:10])
+        stored = json.loads(json.dumps({"payload": fitted.model.to_dict(), "state": fitted.state()}))
+        for step in (10, later.size - 1):
+            center, scale = fitted.predictive(step)
+            scaled = to_model_scale(candidates, fitted.model)
+            got = gaussian_anomaly_probability(scaled - center, np.full_like(scaled, scale))
+            want = []
+            for v in candidates:
+                detector = load_detector(stored["payload"], stored["state"], horizon=later.size)
+                want.append(detector.score(np.array([step]), np.array([v]))[0][0])
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        if method == "structural":
+            step = later.size + 7
+            assert fitted.predictive(step) == forecast(fitted.model, step + 1, transformed=True)[step]

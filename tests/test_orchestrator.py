@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import autoad.evaluation as ev
 import autoad.optimizer as optimizer
 import autoad.orchestrator as orch
 from autoad.errors import DuplicateId, InvalidSpec, NonConvergence
 from autoad.orchestrator import Engine, JobSpec, series_to_doc, series_from_doc
-from autoad.series import TimeSeries, to_log
-from autoad.stats import gaussian_anomaly_probability
+from autoad.series import TimeSeries
 from autoad.structural import StructuralModel, forecast
 
 
@@ -37,7 +37,7 @@ def job_for(series, metric="m1", job="job1", train_every=48, ttl=96, **kw):
 
 @pytest.fixture
 def engine(tmp_path):
-    return Engine(tmp_path / "data", tune_budget=10, n_mc=2000, seed=1)
+    return Engine(tmp_path / "data", tune_budget=10, seed=1)
 
 
 class TestRegistry:
@@ -145,22 +145,6 @@ class TestTrainingCycle:
         second = engine._active_record("m1")["model_id"]
         assert first != second  # superseded, single active document
 
-    def test_workers_do_not_change_results(self, tmp_path):
-        results = []
-        for workers in (1, 2):
-            root = tmp_path / f"w{workers}"
-            eng = Engine(root, tune_budget=10, n_mc=2000, seed=1, workers=workers)
-            for i in range(3):
-                eng.register_job(
-                    job_for(make_series(seed=i), metric=f"m{i}", job=f"job{i}")
-                )
-            eng.run_training_cycle(96, force=True)
-            results.append(
-                {m: eng._active_record(m)["payload"] for m in ("m0", "m1", "m2")}
-            )
-        assert results[0] == results[1]
-
-
 class TestScoringCycle:
     def test_scores_flow_and_idempotence(self, engine):
         engine.register_job(job_for(make_series()))
@@ -254,18 +238,26 @@ class TestEvaluationCycle:
         assert "reason" not in engine._read_json(engine._health_path("m1"))
 
         horizon, ttl = 240 - record["published_at"], record["expires_at"] - record["published_at"]
-        score_fn, _, domain = engine.metric_scorer(engine.jobs()[0], 240)
         model = StructuralModel.from_dict(record["payload"])
         table = forecast(model, horizon, transformed=True)
+        assert horizon > ttl and table[ttl - 1] != table[horizon - 1]
+        assert engine._detector(record).predictive(horizon - 1) == table[horizon - 1]
+        # the curves judge the stable scores by that row's level sets
+        spec = engine.jobs()[0]
+        log = engine._score_log("m1")
+        scores = log.stable_scores(spec.alert_threshold, guard=5)
+        obs = log.observations()
+        span = obs.max() - obs.min()
+        domain = (obs.min() - 0.1 * span, obs.max() + 0.1 * span)
         mean, std = table[horizon - 1]
-        assert horizon > ttl and table[ttl - 1] != (mean, std)
-        values = np.linspace(*domain, 9)
-        scaled = to_log(values, model.log_offset) if model.log_scale else values
-        want = 1.0 - gaussian_anomaly_probability(scaled - mean, np.full_like(values, std))
-        assert np.array_equal(score_fn(values), want)
+        offset = model.log_offset if model.log_scale else None
+        volume = lambda us: ev.level_set_volume(us, mean, std, domain, offset)
+        mv, em = engine.metric_curves(spec, 240)
+        assert mv == ev.mv_curve(volume, scores, ev.default_alphas())
+        assert em == ev.em_curve(volume, scores, ev.default_em_ts(scores, domain))
 
     def test_fleet_labels_quiet_vs_drifted(self, tmp_path):
-        eng = Engine(tmp_path / "fleet", tune_budget=10, n_mc=2000, seed=1)
+        eng = Engine(tmp_path / "fleet", tune_budget=10, seed=1)
         eng.register_job(job_for(make_series(seed=1), metric="quiet", job="j1"))
         eng.register_job(job_for(make_series(seed=2, shift_at=240), metric="drifted", job="j2"))
         eng.advance_clock(288)
@@ -305,16 +297,16 @@ class TestClock:
 
     def test_clock_persists_across_engines(self, tmp_path):
         root = tmp_path / "persist"
-        eng = Engine(root, tune_budget=10, n_mc=2000)
+        eng = Engine(root, tune_budget=10)
         eng.register_job(job_for(make_series()))
         eng.advance_clock(10)
-        eng2 = Engine(root, tune_budget=10, n_mc=2000)
+        eng2 = Engine(root, tune_budget=10)
         assert eng2.now == 10
 
 
 class TestSelfAwareness:
     def test_drift_triggers_retune_then_recovers(self, tmp_path):
-        eng = Engine(tmp_path / "drift", tune_budget=12, n_mc=2000, seed=1)
+        eng = Engine(tmp_path / "drift", tune_budget=12, seed=1)
         spec = job_for(make_series(seed=0, shift_at=240), metric="drift", job="jd")
         eng.register_job(spec)
         healths = []
@@ -331,7 +323,7 @@ class TestSelfAwareness:
         assert trace[480] == "G"  # leaves R after the retune
 
     def test_stationary_control_stays_green(self, tmp_path):
-        eng = Engine(tmp_path / "flat", tune_budget=12, n_mc=2000, seed=1)
+        eng = Engine(tmp_path / "flat", tune_budget=12, seed=1)
         eng.register_job(job_for(make_series(seed=0), metric="flat", job="jf"))
         eng.advance_clock(480)
         assert eng.tune_generation("flat") <= 1
@@ -356,7 +348,7 @@ class TestSourcesAndChannels:
         series = make_series(200)
         csv_path = tmp_path / "metric.csv"
         write_csv(series, csv_path)
-        eng = Engine(tmp_path / "store", tune_budget=10, n_mc=2000)
+        eng = Engine(tmp_path / "store", tune_budget=10)
         eng.register_job(
             JobSpec(job_id="jc", metric_id="csvm", source=str(csv_path), train_every=48)
         )
@@ -371,7 +363,7 @@ class TestSourcesAndChannels:
         return job_for(TimeSeries.from_values(values, step=3600), metric="ch", job="jch")
 
     def test_stdout_channel(self, tmp_path, capsys):
-        eng = Engine(tmp_path / "s", tune_budget=10, n_mc=2000, alert_channel="stdout")
+        eng = Engine(tmp_path / "s", tune_budget=10, alert_channel="stdout")
         eng.register_job(self._spiked_job())
         eng.advance_clock(101)
         out = capsys.readouterr().out
@@ -379,7 +371,7 @@ class TestSourcesAndChannels:
         assert '"channel": "stdout"' in out
 
     def test_webhook_stub_channel(self, tmp_path):
-        eng = Engine(tmp_path / "w", tune_budget=10, n_mc=2000, alert_channel="webhook_stub")
+        eng = Engine(tmp_path / "w", tune_budget=10, alert_channel="webhook_stub")
         eng.register_job(self._spiked_job())
         eng.advance_clock(101)
         outbox = eng.root / "alerts" / "webhook_outbox.jsonl"

@@ -27,7 +27,7 @@ RETUNE_TICK = 336  # the drifted metric's first retune
 
 
 def fleet_engine(root) -> Engine:
-    return Engine(root, tune_budget=10, n_mc=2000, seed=1)
+    return Engine(root, tune_budget=10, seed=1)
 
 
 def register_fleet(engine: Engine) -> None:
