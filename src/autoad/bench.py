@@ -18,7 +18,6 @@ import platform
 import tempfile
 import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -36,7 +35,7 @@ from .errors import (
 from .optimizer import default_config, tune
 from .orchestrator import Engine, JobSpec, series_to_doc
 from .profiling import profile as profile_series
-from .series import TimeSeries, aggregate, impute, read_csv
+from .series import TimeSeries, _parse_timestamp, aggregate, impute, read_csv
 from .structural import fit_structural, forecast
 
 REPLAY_TRAIN_EVERY = {"hourly": 48, "daily": 14}
@@ -67,13 +66,6 @@ def _merge_windows(windows) -> tuple[tuple[int, int], ...]:
         else:
             merged.append([a, b])
     return tuple((a, b) for a, b in merged)
-
-
-def _parse_window_ts(text: str) -> int:
-    dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
 
 
 def labels_from_windows(ts: TimeSeries, windows) -> np.ndarray:
@@ -109,7 +101,7 @@ def load_nab(data_csv_path, windows_json_path) -> LabeledBenchSeries:
     if key is None:
         raise UnknownDataset(f"{data_path.name} not present in {windows_path.name}")
     windows = _merge_windows(
-        (_parse_window_ts(a), _parse_window_ts(b)) for a, b in doc[key]
+        (_parse_timestamp(a), _parse_timestamp(b)) for a, b in doc[key]
     )
     return LabeledBenchSeries(
         name=data_path.stem,
@@ -397,7 +389,6 @@ class BenchReport:
     runtime_rows: list = field(default_factory=list)
     roc: list = field(default_factory=list)
     missing: list = field(default_factory=list)
-    aggregation: str = "mean"
 
 
 def _bench_one(lbs: LabeledBenchSeries, freq: str, config: BenchConfig):
@@ -416,7 +407,7 @@ def _bench_one(lbs: LabeledBenchSeries, freq: str, config: BenchConfig):
 
 def run_benchmark(config: BenchConfig) -> BenchReport:
     """Produce auc/forecast/roc (and optionally runtime) report CSVs."""
-    report = BenchReport(aggregation=config.agg)
+    report = BenchReport()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

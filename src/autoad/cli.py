@@ -59,21 +59,17 @@ def cmd_status(args) -> int:
 
 def cmd_eval(args) -> int:
     engine = _engine(args)
-    spec = None
-    for s in engine.jobs():
-        if s.metric_id == args.metric:
-            spec = s
-            break
-    if spec is None:
+    if args.metric not in {s.metric_id for s in engine.jobs()}:
         print(f"unknown metric {args.metric!r}", file=sys.stderr)
         return 2
     snapshots = engine.run_evaluation_cycle(engine.now)
     snap = snapshots[args.metric]
     print(json.dumps(snap.to_dict(), indent=1, sort_keys=True))
     if args.emit_curves:
-        curves = engine.metric_curves(spec, engine.now)
+        # the curves the evaluation just judged the metric by
+        curves = engine.last_curves[args.metric]
         if curves is None:
-            print("not enough stable scores to emit curves", file=sys.stderr)
+            print("no curves to emit: too few stable scores, or the evaluation failed", file=sys.stderr)
             return 3
         mv, em = curves
         with open(args.emit_curves, "w", newline="") as fh:

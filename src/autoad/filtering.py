@@ -136,13 +136,13 @@ class StateSpaceModel:
 
 @dataclass(frozen=True)
 class FilterState:
-    """Value-semantics filter state; a :func:`run_filter` pass produces the next one."""
+    """What a :func:`run_filter` pass carries to the next one: the last
+    posterior state and covariance, and the weighted Welford statistics of
+    the level residuals (mean, variance, weight sum and the sum of squared
+    deviations).  Each pass predicts afresh from the posterior."""
 
-    x_prior: np.ndarray
     x_post: np.ndarray
-    P_prior: np.ndarray
     P_post: np.ndarray
-    eta: float = 0.0
     eta_mean: float = 0.0
     eta_var: float = 0.0
     w_sum: float = 0.0
@@ -150,20 +150,12 @@ class FilterState:
 
     @classmethod
     def initial(cls, model: StateSpaceModel) -> "FilterState":
-        return cls(
-            x_prior=model.x0.copy(),
-            x_post=model.x0.copy(),
-            P_prior=model.P0.copy(),
-            P_post=model.P0.copy(),
-        )
+        return cls(x_post=model.x0.copy(), P_post=model.P0.copy())
 
     def to_dict(self) -> dict:
         return {
-            "x_prior": self.x_prior.tolist(),
             "x_post": self.x_post.tolist(),
-            "P_prior": self.P_prior.tolist(),
             "P_post": self.P_post.tolist(),
-            "eta": self.eta,
             "eta_mean": self.eta_mean,
             "eta_var": self.eta_var,
             "w_sum": self.w_sum,
@@ -172,12 +164,10 @@ class FilterState:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FilterState":
+        """Reads the named keys only, so a stored state with more keys loads too."""
         return cls(
-            x_prior=np.asarray(data["x_prior"], dtype=float),
             x_post=np.asarray(data["x_post"], dtype=float),
-            P_prior=np.asarray(data["P_prior"], dtype=float),
             P_post=np.asarray(data["P_post"], dtype=float),
-            eta=float(data["eta"]),
             eta_mean=float(data["eta_mean"]),
             eta_var=float(data["eta_var"]),
             w_sum=float(data["w_sum"]),
@@ -206,23 +196,22 @@ def _gains(model: StateSpaceModel, post, n: int) -> tuple:
     from the posterior covariance entries ``post`` = (p00, p01, p11) of
     :func:`_trend_entries`.  It never reads the observations.
 
-    Returns a ``(k0, k1, s, log s)`` entry per step run (the gains, the
-    innovation variance and its log), then the last posterior and prior
-    covariance entries.  A time-invariant model's covariance converges to
-    the Riccati fixed point (Anderson & Moore 1979, ch. 4; Harvey 1989,
-    sec. 3.3.4).  Once a step's posterior covariance equals the one it
-    started from bit for bit, every later step would repeat that step's
-    prior, gains and variance exactly, so the recursion stops there and
-    the later steps take its entry (see :func:`_held`).  Fewer than ``n``
-    entries mean the fixed point came before the last step.  About one
-    model in fifteen ends instead in a rounding cycle of two to four
-    covariances, and its passes run the recursion to the end.
+    Returns a ``(k0, k1, s)`` entry per step run (the gains and the
+    innovation variance), then the last posterior covariance entries.  A
+    time-invariant model's covariance converges to the Riccati fixed
+    point (Anderson & Moore 1979, ch. 4; Harvey 1989, sec. 3.3.4).  Once a
+    step's posterior covariance equals the one it started from bit for
+    bit, every later step would repeat that step's gains and variance
+    exactly, so the recursion stops there and the later steps take its
+    entry (see :func:`_held`).  Fewer than ``n`` entries mean the fixed
+    point came before the last step.  About one model in fifteen ends
+    instead in a rounding cycle of two to four covariances, and its passes
+    run the recursion to the end.
     """
     m = model.state_dim
     q00, q11 = (model.Q.item(), 0.0) if m == 1 else model.Q.diagonal().tolist()
     r = model.R
     p00, p01, p11 = post
-    log = math.log
     gains = []
     for _ in range(n):
         # predict with the transition [[1, 1], [0, 1]], then update
@@ -234,14 +223,14 @@ def _gains(model: StateSpaceModel, post, n: int) -> tuple:
             raise NumericalBreakdown(f"innovation variance {s} <= 0")
         k0 = pp00 / s
         k1 = pp01 / s
-        gains.append((k0, k1, s, log(s)))
+        gains.append((k0, k1, s))
         b00, b01, b11 = p00, p01, p11
         p00 = (1.0 - k0) * pp00
         p01 = (1.0 - k0) * pp01
         p11 = pp11 - k1 * pp01
         if p00 == b00 and p01 == b01 and p11 == b11:
             break
-    return gains, (p00, p01, p11), (pp00, pp01, pp11)
+    return gains, (p00, p01, p11)
 
 
 def _held(entries: list, n: int) -> list:
@@ -258,36 +247,32 @@ def _kalman_pass(model: StateSpaceModel, state: FilterState, values) -> tuple:
     covariance half runs in :func:`_gains` up to its fixed point; the
     state then follows with the gains of each step.  Returns the per-step
     predicted level and level residual (posterior minus predicted level),
-    then the last posterior and prior as (x, P) of the model's size.  An
-    empty pass returns the state's own posterior and prior.
+    then the last posterior as (x, P) of the model's size.  An empty pass
+    returns the state's own posterior.
     """
-    n = len(values)
-    if not n:
-        return [], [], (state.x_post, state.P_post), (state.x_prior, state.P_prior)
+    if not values:
+        return [], [], (state.x_post, state.P_post)
     x0, x1, *post = _trend_entries(state.x_post, state.P_post)
-    gains, post, prior = _gains(model, post, n)
-    level, eta, (x0, x1), (xp0, xp1) = _state_steps(x0, x1, gains, values)
-    m = model.state_dim
-    return level, eta, _sized(m, x0, x1, *post), _sized(m, xp0, xp1, *prior)
+    gains, post = _gains(model, post, len(values))
+    level, eta, (x0, x1) = _state_steps(x0, x1, gains, values)
+    return level, eta, _sized(model.state_dim, x0, x1, *post)
 
 
 def _state_steps(x0: float, x1: float, gains: list, values: list) -> tuple:
     """The state half of the recursion: the posterior (x0, x1) stepped
     through ``values``, at least one, with the gains of :func:`_gains`
     held past their end.  Returns each step's predicted level and level
-    residual (posterior minus predicted level), then the last posterior
-    and predicted states."""
+    residual (posterior minus predicted level), then the last posterior."""
     n = len(values)
     level, eta = [0.0] * n, [0.0] * n
-    for i, (y, (k0, k1, _, _)) in enumerate(zip(values, _held(gains, n))):
+    for i, (y, (k0, k1, _)) in enumerate(zip(values, _held(gains, n))):
         xp0 = x0 + x1
-        xp1 = x1
         nu = y - xp0
         x0 = xp0 + k0 * nu
-        x1 = xp1 + k1 * nu
+        x1 = x1 + k1 * nu
         level[i] = xp0
         eta[i] = x0 - xp0
-    return level, eta, (x0, x1), (xp0, xp1)
+    return level, eta, (x0, x1)
 
 
 def run_filter(
@@ -310,7 +295,7 @@ def run_filter(
     points = np.asarray(values, dtype=float).tolist()
     if not all(map(math.isfinite, points)):
         raise ValueError("observations must be finite")
-    level, eta, (x_post, P_post), (x_prior, P_prior) = _kalman_pass(model, state, points)
+    level, eta, (x_post, P_post) = _kalman_pass(model, state, points)
 
     # weighted Welford recursion over the level residuals; forgetting 1
     # reproduces exact batch statistics
@@ -332,17 +317,8 @@ def run_filter(
     else:
         sd = np.sqrt(np.maximum(variances, _ETA_VAR_FLOOR))
         probs = gaussian_anomaly_probability(np.array(eta) - np.array(means), sd)
-    final = FilterState(
-        x_prior=x_prior,
-        x_post=x_post,
-        P_prior=P_prior,
-        P_post=P_post,
-        eta=eta[-1] if eta else state.eta,
-        eta_mean=mean,
-        eta_var=var,
-        w_sum=w_sum,
-        s_accum=s_accum,
-    )
+    final = FilterState(x_post=x_post, P_post=P_post, eta_mean=mean, eta_var=var,
+                        w_sum=w_sum, s_accum=s_accum)
     return probs, final, np.array(level)
 
 
@@ -356,7 +332,8 @@ def _noise_model(state_dim: int, q: float, r: float, x0: np.ndarray, p0: float, 
 def _linear_pass(model: StateSpaceModel, values: np.ndarray) -> tuple:
     """A noise-scan or training pass over ``values`` from the model's
     initial state: the gains of :func:`_gains`, then what
-    :func:`_kalman_pass` returns, with the per-step lists as arrays.
+    :func:`_kalman_pass` returns (each step's predicted level and level
+    residual as arrays, then the last posterior (x, P)).
 
     The steps up to the covariance fixed point run the per-step recursion.
     Past it the gains are constant, and the predicted level is a fixed
@@ -369,11 +346,11 @@ def _linear_pass(model: StateSpaceModel, values: np.ndarray) -> tuple:
     """
     n = values.size
     x0, x1, *post = _trend_entries(model.x0, model.P0)
-    gains, post, prior = _gains(model, post, n)
+    gains, post = _gains(model, post, n)
     head = len(gains) if n - len(gains) >= _LINEAR_TAIL else n
-    level, eta, (x0, x1), (xp0, xp1) = _state_steps(x0, x1, gains, values[:head].tolist())
+    level, eta, (x0, x1) = _state_steps(x0, x1, gains, values[:head].tolist())
     if head < n:
-        k0, k1, _, _ = gains[-1]
+        k0, k1, _ = gains[-1]
         if model.state_dim == 1:
             tail, (x0,) = lfilter([0.0, k0], [1.0, k0 - 1.0], values[head:], zi=[x0])
         else:
@@ -382,9 +359,7 @@ def _linear_pass(model: StateSpaceModel, values: np.ndarray) -> tuple:
             x0, x1 = -z1, z0 + z1
         nu = values[head:] - tail
         level, eta = np.concatenate([level, tail]), np.concatenate([eta, k0 * nu])
-        xp0, xp1 = tail[-1], x1 - k1 * nu[-1]
-    m = model.state_dim
-    return gains, np.asarray(level), np.asarray(eta), _sized(m, x0, x1, *post), _sized(m, xp0, xp1, *prior)
+    return gains, np.asarray(level), np.asarray(eta), _sized(model.state_dim, x0, x1, *post)
 
 
 def _concentrated_likelihood(values: np.ndarray, model: StateSpaceModel):
@@ -398,11 +373,12 @@ def _concentrated_likelihood(values: np.ndarray, model: StateSpaceModel):
     log-likelihood within 1e-9 relative of it.
     """
     n = values.size
-    gains, level, _, _, _ = _linear_pass(model, values)
+    gains, level, _, _ = _linear_pass(model, values)
     nu = values - level
     s = np.array([g[2] for g in gains])
     sum_ratio = float(np.sum(nu[:s.size] ** 2 / s) + np.sum(nu[s.size:] ** 2) / s[-1])
-    sum_log_s = math.fsum(g[3] for g in gains) + (n - len(gains)) * gains[-1][3]
+    log_s = [math.log(g[2]) for g in gains]
+    sum_log_s = math.fsum(log_s) + (n - len(gains)) * log_s[-1]
     r_hat = max(sum_ratio / n, _R_FLOOR)
     loglik = -0.5 * (sum_log_s + n * math.log(r_hat) + n)
     return loglik, r_hat
@@ -420,7 +396,7 @@ def _training_pass(model: StateSpaceModel, values: np.ndarray) -> tuple[np.ndarr
     terms are all non-negative, so nothing cancels.
     """
     n = values.size
-    _, level, eta, (x_post, P_post), (x_prior, P_prior) = _linear_pass(model, values)
+    _, level, eta, (x_post, P_post) = _linear_pass(model, values)
     pole = [1.0, -model.forgetting]
     w_sum = lfilter([1.0], pole, np.ones(n))
     mean = lfilter([1.0], pole, eta) / w_sum
@@ -430,17 +406,8 @@ def _training_pass(model: StateSpaceModel, values: np.ndarray) -> tuple[np.ndarr
     var = np.maximum(s_accum / w_sum, 0.0)
     sd = np.sqrt(np.maximum(np.concatenate([[0.0], var[:-1]]), _ETA_VAR_FLOOR))
     probs = gaussian_anomaly_probability(delta, sd)
-    final = FilterState(
-        x_prior=x_prior,
-        x_post=x_post,
-        P_prior=P_prior,
-        P_post=P_post,
-        eta=float(eta[-1]),
-        eta_mean=float(mean[-1]),
-        eta_var=float(var[-1]),
-        w_sum=float(w_sum[-1]),
-        s_accum=float(s_accum[-1]),
-    )
+    final = FilterState(x_post=x_post, P_post=P_post, eta_mean=float(mean[-1]),
+                        eta_var=float(var[-1]), w_sum=float(w_sum[-1]), s_accum=float(s_accum[-1]))
     return probs, final, level
 
 
@@ -564,7 +531,7 @@ class FilterDetector:
         judged against center x0 + x1 + mean / gain0 and scale sd / gain0."""
         state = self._state
         x0, x1, *post = _trend_entries(state.x_post, state.P_post)
-        [(gain0, _, _, _)], _, _ = _gains(self.model, post, 1)
+        [(gain0, _, _)], _ = _gains(self.model, post, 1)
         sd = math.sqrt(max(state.eta_var, _ETA_VAR_FLOOR))
         return x0 + x1 + state.eta_mean / gain0, sd / gain0
 

@@ -76,6 +76,10 @@ MIN_EVAL_SCORES = 8  # fewer stable scores than this keeps a series in Y
 LOG_WINDOW = 500  # newest scores kept in a metric's score log
 JOURNAL = "journal.jsonl"
 APPENDED = (("scores", "*.csv"), ("alerts", "*.jsonl"))  # files a tick appends to
+# a metric's scoring state before its first training; a loaded state keeps
+# exactly these keys, so what older stores kept beside them drops out
+FRESH_STATE = {"last_scored": 0, "filter_state": None, "tune_generation": 0,
+               "last_training_failed": False}
 
 
 def _doc_name(kind: str, metric_id: str) -> str:
@@ -205,6 +209,8 @@ class Engine:
         # documents, and until _repair the journal's other documents
         self._pending: dict[str, dict] = {}
         self._since_checkpoint: dict[str, dict] = {}
+        # metric -> the (mv, em) curves the last evaluation cycle built, or None
+        self.last_curves: dict[str, Optional[tuple]] = {}
         self._appended = False  # the tick in progress appended to scores/ or alerts/
         self._ticking = False
         self._repaired = False
@@ -420,12 +426,7 @@ class Engine:
         self._records[spec.metric_id] = record
         self._detectors[spec.metric_id] = (record["model_id"], detector)
         state = self._scoring_state(spec.metric_id)
-        state.update(
-            origin=now,
-            last_scored=now,
-            filter_state=detector.state(),
-            last_training_failed=False,
-        )
+        state.update(last_scored=now, filter_state=detector.state(), last_training_failed=False)
         self._save_scoring_state(spec.metric_id, state)
         return record
 
@@ -434,18 +435,8 @@ class Engine:
     def _scoring_state(self, metric_id: str) -> dict:
         state = self._states.get(metric_id)
         if state is None:
-            saved = self._doc(_doc_name("state", metric_id))
-            if saved is not None:
-                state = dict(saved)
-            else:
-                state = {
-                    "origin": None,
-                    "last_scored": 0,
-                    "filter_state": None,
-                    "tune_generation": 0,
-                    "last_training_failed": False,
-                }
-            state.pop("log", None)  # older stores kept the score log here
+            saved = self._doc(_doc_name("state", metric_id)) or {}
+            state = {key: saved.get(key, fresh) for key, fresh in FRESH_STATE.items()}
             self._states[metric_id] = state
         return state
 
@@ -619,7 +610,7 @@ class Engine:
             health_doc = self._doc(_doc_name("health", spec.metric_id))
             health = health_doc["snapshot"]["health"] if health_doc else None
             record = self._active_record(spec.metric_id)
-            generation = int(state.get("tune_generation", 0))
+            generation = int(state["tune_generation"])
 
             if health == "R":
                 result = tune(
@@ -723,13 +714,6 @@ class Engine:
         em = ev.em_curve(volume, scores, ev.default_em_ts(scores, domain))
         return mv, em
 
-    def _curve_stats(self, spec: JobSpec, now: int):
-        """(mv_avg, em_avg) for the metric's stable scores, or None."""
-        curves = self.metric_curves(spec, now)
-        if curves is None:
-            return None
-        return ev.summarize_criteria(*curves)
-
     def _evaluate_metric(self, spec: JobSpec, now: int,
                          thresholds: ev.HealthThresholds,
                          curve_stats=None) -> ev.HealthSnapshot:
@@ -744,7 +728,7 @@ class Engine:
         rate = log.anomaly_rate(spec.alert_threshold, last=RATE_WINDOW)
         consec = log.consecutive_anomalies(spec.alert_threshold)
         cov = log.coefficient_of_variation()
-        failed = bool(state.get("last_training_failed", False))
+        failed = bool(state["last_training_failed"])
 
         if curve_stats is None:
             # not enough stable history: the series stays under scrutiny
@@ -763,20 +747,25 @@ class Engine:
         """Label every registered metric G, Y or R (one label per metric).
 
         A metric whose evaluation fails is labelled R with the error as
-        the reason; the other metrics are labelled as usual.
+        the reason; the other metrics are labelled as usual.  The curves
+        built for each metric stay in :attr:`last_curves`.
         """
         self._repair()
         specs = self.jobs()
+        self.last_curves = {}
         stats: dict[str, Optional[tuple[float, float]]] = {}
         errors: dict[str, Exception] = {}
         for spec in specs:
+            metric = spec.metric_id
             try:
-                stats[spec.metric_id] = self._curve_stats(spec, now)
+                curves = self.metric_curves(spec, now)
+                stats[metric] = None if curves is None else ev.summarize_criteria(*curves)
             except AutoAdError:
-                stats[spec.metric_id] = None
+                curves = stats[metric] = None
             except Exception as exc:  # noqa: BLE001 - cycle must survive any metric
-                stats[spec.metric_id] = None
-                errors[spec.metric_id] = exc
+                curves = stats[metric] = None
+                errors[metric] = exc
+            self.last_curves[metric] = curves
 
         mv_values = [s[0] for s in stats.values() if s is not None]
         em_values = [s[1] for s in stats.values() if s is not None]
@@ -847,11 +836,11 @@ class Engine:
                     "health": health_doc["snapshot"]["health"] if health_doc else "-",
                     "method": record["method"] if record else "-",
                     "model_id": record["model_id"] if record else "-",
-                    "tune_generation": int(state.get("tune_generation", 0)),
-                    "last_scored": int(state.get("last_scored", 0)),
+                    "tune_generation": int(state["tune_generation"]),
+                    "last_scored": int(state["last_scored"]),
                 }
             )
         return rows
 
     def tune_generation(self, metric_id: str) -> int:
-        return int(self._scoring_state(metric_id).get("tune_generation", 0))
+        return int(self._scoring_state(metric_id)["tune_generation"])

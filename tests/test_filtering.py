@@ -103,12 +103,12 @@ def reference_kalman_pass(model, state, values):
     included, with per-step lists: the reference the fixed-point pass
     must match bit for bit.  Returns the per-step predicted level, level
     residual, innovation and innovation variance, then the last posterior
-    and prior as (x, P) of the model's size."""
+    and prior as (x, P) of the model's size; ``values`` holds at least one
+    point."""
     m = model.state_dim
     q00, q11 = (model.Q.item(), 0.0) if m == 1 else model.Q.diagonal().tolist()
     r = model.R
     x0, x1, p00, p01, p11 = _trend_entries(state.x_post, state.P_post)
-    xp0, xp1, pp00, pp01, pp11 = _trend_entries(state.x_prior, state.P_prior)
     n = len(values)
     level, eta, innovation, s_innov = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
     for i, y in enumerate(values):
@@ -175,8 +175,8 @@ def reference_training_pass(model, values):
     the per-step weighted Welford recursion of ``run_filter`` over its
     level residuals: the probabilities, final state and levels the
     training pass must match to rounding."""
-    level, eta, _, _, (x, P), (xp, Pp) = reference_kalman_pass(model, FilterState.initial(model),
-                                                                values.tolist())
+    level, eta, _, _, (x, P), _ = reference_kalman_pass(model, FilterState.initial(model),
+                                                         values.tolist())
     lam = model.forgetting
     w_sum = mean = s_accum = var = 0.0
     probs = []
@@ -187,8 +187,8 @@ def reference_training_pass(model, values):
         mean = mean + delta / w_sum
         s_accum = lam * s_accum + delta * (e - mean)
         var = max(s_accum / w_sum, 0.0)
-    state = FilterState(x_prior=xp, x_post=x, P_prior=Pp, P_post=P, eta=eta[-1], eta_mean=mean,
-                        eta_var=var, w_sum=w_sum, s_accum=s_accum)
+    state = FilterState(x_post=x, P_post=P, eta_mean=mean, eta_var=var, w_sum=w_sum,
+                        s_accum=s_accum)
     return np.array(probs), state, np.array(level)
 
 
@@ -259,15 +259,15 @@ class TestKalmanStep:
         _, state, level = run_filter(model, [1.0])
         k = 1.1 / 2.1
         assert state.x_post[0] == pytest.approx(k, rel=1e-12)
-        assert state.eta == pytest.approx(k, rel=1e-12)
-        assert state.P_prior[0, 0] == pytest.approx(1.1)
+        assert state.x_post[0] - level[0] == pytest.approx(k, rel=1e-12)
+        assert state.P_post[0, 0] == pytest.approx((1 - k) * 1.1)
         assert level.tolist() == [0.0]
 
     def test_noiseless_constant_tracking(self):
         model = StateSpaceModel.local_level(q=0.0, r=1e-9, x0=0.0, p0=1.0)
-        _, state, _ = run_filter(model, np.full(50, 4.0))
+        _, state, level = run_filter(model, np.full(50, 4.0))
         assert state.x_post[0] == pytest.approx(4.0, abs=1e-6)
-        assert abs(state.eta) < 1e-6
+        assert abs(state.x_post[0] - level[-1]) < 1e-6
 
     @pytest.mark.parametrize("state_dim", [1, 2])
     def test_matches_direct_recursion_oracle(self, state_dim, rng):
@@ -371,15 +371,15 @@ class TestFixedPoint:
         ys = series[:length if from_fixed_point is None else max(1, fixed + from_fixed_point)]
         n = ys.size
 
-        level, eta, nu, s, (x, P), (xp, Pp) = reference_kalman_pass(model, start, ys.tolist())
-        got_level, got_eta, (gx, gP), (gxp, gPp) = _kalman_pass(model, start, ys.tolist())
+        level, eta, nu, s, (x, P), _ = reference_kalman_pass(model, start, ys.tolist())
+        got_level, got_eta, (gx, gP) = _kalman_pass(model, start, ys.tolist())
         assert got_level == level
         assert got_eta == eta
         assert [y - lv for y, lv in zip(ys.tolist(), got_level)] == nu
         _, _, *p0 = _trend_entries(model.x0, model.P0)
-        gains, _, _ = _gains(model, p0, n)
+        gains, _ = _gains(model, p0, n)
         assert [g[2] for g in _held(gains, n)] == s
-        for got, want in ((gx, x), (gP, P), (gxp, xp), (gPp, Pp)):
+        for got, want in ((gx, x), (gP, P)):
             assert np.array_equal(got, want)
         # past the fixed point the scan filters the values as one linear
         # filter, which sums in another order: it agrees to rounding
@@ -392,14 +392,13 @@ class TestFixedPoint:
         splits = sorted({int(c * n) for c in cuts} | ({fixed} if fixed < n else set()))
         state, levels, etas = start, [], []
         for chunk in np.split(ys, splits):
-            lv, e, (x_post, P_post), (x_prior, P_prior) = _kalman_pass(model, state, chunk.tolist())
+            lv, e, (x_post, P_post) = _kalman_pass(model, state, chunk.tolist())
             levels += lv
             etas += e
-            state = FilterState(x_prior=x_prior, x_post=x_post, P_prior=P_prior, P_post=P_post)
+            state = FilterState(x_post=x_post, P_post=P_post)
         assert levels == level
         assert etas == eta
-        for got, want in ((state.x_post, x), (state.P_post, P),
-                          (state.x_prior, xp), (state.P_prior, Pp)):
+        for got, want in ((state.x_post, x), (state.P_post, P)):
             assert np.array_equal(got, want)
 
     def test_noise_scan_reaches_the_fixed_point_on_the_hourly_fixtures(self, monkeypatch):
@@ -481,11 +480,11 @@ class TestTrainingPass:
         want_probs, want, want_level = reference_training_pass(model, ys)
         assert np.max(np.abs(probs - want_probs)) <= 1e-10
         assert np.max(np.abs(level - want_level)) <= 1e-9 * np.max(np.abs(want_level))
-        for key in ("x_prior", "x_post", "P_prior", "P_post"):
+        for key in ("x_post", "P_post"):
             got, expected = getattr(state, key), getattr(want, key)
             assert np.max(np.abs(got - expected)) <= 1e-9 * np.max(np.abs(expected)), key
         sd = math.sqrt(want.eta_var)
-        for key in ("eta", "eta_mean"):
+        for key in ("eta_mean",):
             expected = getattr(want, key)
             assert abs(getattr(state, key) - expected) <= 1e-9 * max(abs(expected), sd), key
         for key in ("eta_var", "w_sum", "s_accum"):
@@ -547,7 +546,7 @@ class TestFitFiltering:
     def test_white_noise_prediction_variance(self, rng):
         y = rng.normal(0, 1, 1000)
         model, state, probs = fit_filtering(ts_of(y), filtering_config())
-        pred_var = state.P_prior[0, 0] + model.Q[0, 0] + model.R
+        pred_var = state.P_post[0, 0] + model.Q[0, 0] + model.R
         assert 0.8 <= pred_var <= 1.2
         # the warm-up pass is a run_filter over the training values, run
         # past the covariance fixed point as a linear filter: it agrees to
@@ -629,25 +628,21 @@ class TestAnomalyProbability:
     def test_zero_at_residual_mean(self):
         model = StateSpaceModel.local_level(q=0.1, r=1.0)
         state = FilterState(
-            x_prior=np.array([0.0]),
             x_post=np.array([0.0]),
-            P_prior=np.array([[0.5]]),
             P_post=np.array([[0.25]]),
             eta_mean=0.0,
             eta_var=0.04,
             w_sum=100.0,
         )
         # the observation whose update produces eta == eta_mean scores zero
-        probs, new_state, _ = run_filter(model, [0.0], state)
-        assert new_state.eta == pytest.approx(state.eta_mean)
+        probs, new_state, level = run_filter(model, [0.0], state)
+        assert new_state.x_post[0] - level[0] == pytest.approx(state.eta_mean)
         assert probs[0] == pytest.approx(0.0)
 
     def test_ninety_five_at_z196(self, rng):
         model = StateSpaceModel.local_level(q=0.1, r=1.0)
         state = FilterState(
-            x_prior=np.array([0.0]),
             x_post=np.array([0.0]),
-            P_prior=np.array([[0.5]]),
             P_post=np.array([[0.25]]),
             eta_mean=0.0,
             eta_var=0.04,
@@ -671,16 +666,14 @@ class TestAnomalyProbability:
         """Both scorers reduce to the same two-sided Gaussian tail."""
         model = StateSpaceModel.local_level(q=0.1, r=1.0)
         state = FilterState(
-            x_prior=np.array([0.0]),
             x_post=np.array([0.0]),
-            P_prior=np.array([[0.5]]),
             P_post=np.array([[0.25]]),
             eta_mean=0.1,
             eta_var=0.09,
             w_sum=50.0,
         )
-        probs, new_state, _ = run_filter(model, [1.7], state)
-        z_equiv = (new_state.eta - state.eta_mean) / math.sqrt(state.eta_var)
+        probs, new_state, level = run_filter(model, [1.7], state)
+        z_equiv = (new_state.x_post[0] - level[0] - state.eta_mean) / math.sqrt(state.eta_var)
         structural = gaussian_anomaly_probability(z_equiv, 1.0)
         assert probs[0] == pytest.approx(structural, abs=1e-12)
 

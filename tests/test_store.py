@@ -24,6 +24,7 @@ from .test_orchestrator import job_for, make_series
 RESTART_TICKS = 400
 TRAINING_TICKS = range(96, RESTART_TICKS + 1, 48)  # the fleet's checkpoint ticks
 RETUNE_TICK = 336  # the drifted metric's first retune
+STATE_KEYS = {"last_scored", "filter_state", "tune_generation", "last_training_failed"}
 
 
 def fleet_engine(root) -> Engine:
@@ -336,21 +337,44 @@ class TestCaches:
         engine.register_job(job_for(make_series()))
         engine.advance_clock(100)
         state = json.loads(engine._state_path("m1").read_text())
-        assert set(state) == {"origin", "last_scored", "filter_state",
-                              "tune_generation", "last_training_failed"}
+        assert set(state) == STATE_KEYS
         # the file is the checkpoint of tick 96; ticks 97..100 are redone from the journal
         assert fleet_engine(tmp_path)._scoring_state("m1")["last_scored"] == 100
 
-    def test_old_state_log_is_ignored(self, tmp_path):
-        engine = fleet_engine(tmp_path)
+    @pytest.mark.parametrize("stale", ["log", "origin", "filter_prior"])
+    def test_old_state_log_is_ignored(self, tmp_path, monkeypatch, stale):
+        """A checkpointed state document of a filter model that holds what
+        older stores kept there (the score log, the training tick, the
+        filter's predicted state and last residual) loads with the keys of
+        a fresh state only, and the run carries on as one that never had
+        them."""
+        def boom(*args, **kwargs):
+            raise NonConvergence("forced failure")
+
+        monkeypatch.setattr(optimizer, "fit_structural", boom)
+        old, straight = tmp_path / "old", tmp_path / "straight"
+        engine = fleet_engine(old)
         engine.register_job(job_for(make_series()))
-        engine.advance_clock(100)
+        engine.advance_clock(96)  # a checkpoint tick: the files hold the whole store
+        assert engine._active_record("m1")["method"] == "filtering"
         path = engine._state_path("m1")
         state = json.loads(path.read_text())
-        path.write_text(json.dumps({**state, "log": [[0, 0.5, 1.0]]}))
-        fresh = fleet_engine(tmp_path)
-        assert "log" not in fresh._scoring_state("m1")
+        filter_state = state["filter_state"]
+        path.write_text(json.dumps({
+            "log": {**state, "log": [[0, 0.5, 1.0]]},
+            "origin": {**state, "origin": 96},
+            "filter_prior": {**state, "filter_state": {
+                **filter_state, "x_prior": filter_state["x_post"],
+                "P_prior": filter_state["P_post"], "eta": 0.5}},
+        }[stale]))
+        fresh = fleet_engine(old)
+        assert set(fresh._scoring_state("m1")) == STATE_KEYS
         assert fresh._score_log("m1").entries == csv_log(fresh, "m1")
+        fresh.advance_clock(48)  # to the next checkpoint
+        engine = fleet_engine(straight)
+        engine.register_job(job_for(make_series()))
+        engine.advance_clock(144)
+        assert snapshot(old) == snapshot(straight)
 
     def test_pre_journal_store_drops_the_state_log(self, tmp_path):
         """A store kept before the journal (``meta.json`` holds only the clock)
@@ -487,14 +511,14 @@ class TestFailureIsolation:
         engine.register_job(job_for(make_series(seed=1), metric="bad", job="jb"))
         engine.register_job(job_for(make_series(seed=2), metric="good", job="jg"))
         engine.advance_clock(150)
-        original = engine._curve_stats
+        original = engine.metric_curves
 
         def flaky(spec, now):
             if spec.metric_id == "bad":
                 raise RuntimeError("injected")
             return original(spec, now)
 
-        monkeypatch.setattr(engine, "_curve_stats", flaky)
+        monkeypatch.setattr(engine, "metric_curves", flaky)
         snaps = engine.run_evaluation_cycle(150)
         assert snaps["bad"].health == "R"
         assert snaps["good"].health in "GY"
