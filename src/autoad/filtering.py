@@ -5,6 +5,12 @@ local linear trend (state_dim 2).  Each observation updates the state; the
 level shift between posterior and prior estimates is the residual whose
 running Gaussian statistics (with exponential forgetting) drive anomaly
 probabilities.
+
+One pass, :func:`run_filter`, serves training, tuning and scoring.  Its
+predicted level is a linear filter of the values and its residual law three
+forgetting sums, run by ``scipy.signal.lfilter`` for long runs and by loops
+with lfilter's arithmetic for short ones: the same bits however a stream is
+cut into passes.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import InsufficientData, NumericalBreakdown
-from .series import TimeSeries, from_model_scale, log_offset, to_log, to_model_scale
+from .series import TimeSeries, fit_scale, from_model_scale, to_model_scale
 from .stats import gaussian_anomaly_probability
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -25,15 +31,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _ETA_VAR_FLOOR = 1e-12
 _R_FLOOR = 1e-10
-# passes up to this long are scored point by point, with the same bits:
-# the array path costs about 17 us at any short length, the scalar one
-# about 1 us a point, and the two cross at 18-20 points
-_SCALAR_PASS = 16
-# a noise-scan or training pass runs its steps past the covariance fixed
-# point as one linear filter once there are at least this many of them:
-# the filter adds about 16 us at any short length, the per-step recursion
-# about 0.3 us a step, and the two cross at 50-60 steps
-_LINEAR_TAIL = 52
+# a held-gain run of at least this many steps is one lfilter call, and a
+# pass this long runs its residual law as lfilter calls.  A call costs about
+# 11 us at short lengths; a pass costs 0.8 us a point in the loops and 60-65
+# us through lfilter up to 80 points, and the two cross at 64-80 points
+_LOOP_PASS = 64
 
 
 @dataclass(frozen=True)
@@ -136,83 +138,79 @@ class StateSpaceModel:
 
 @dataclass(frozen=True)
 class FilterState:
-    """What a :func:`run_filter` pass carries to the next one: the last
-    posterior state and covariance, and the weighted Welford statistics of
-    the level residuals (mean, variance, weight sum and the sum of squared
-    deviations).  Each pass predicts afresh from the posterior."""
+    """What a :func:`run_filter` pass carries to the next one: the level
+    kernel's ``delays`` (the posterior level for a local level; the next
+    predicted level and minus the posterior level for a trend), the posterior
+    covariance, and the forgetting sums of weight, residuals and squares."""
 
-    x_post: np.ndarray
+    delays: tuple
     P_post: np.ndarray
-    eta_mean: float = 0.0
-    eta_var: float = 0.0
     w_sum: float = 0.0
+    eta_sum: float = 0.0
     s_accum: float = 0.0
 
     @classmethod
     def initial(cls, model: StateSpaceModel) -> "FilterState":
-        return cls(x_post=model.x0.copy(), P_post=model.P0.copy())
+        x = model.x0.tolist()
+        return cls(delays=tuple(x) if model.state_dim == 1 else (x[0] + x[1], -x[0]), P_post=model.P0.copy())
+
+    @property
+    def eta_mean(self) -> float:
+        return self.eta_sum / self.w_sum if self.w_sum else 0.0
+
+    @property
+    def eta_var(self) -> float:
+        return self.s_accum / self.w_sum if self.w_sum else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "x_post": self.x_post.tolist(),
-            "P_post": self.P_post.tolist(),
-            "eta_mean": self.eta_mean,
-            "eta_var": self.eta_var,
-            "w_sum": self.w_sum,
-            "s_accum": self.s_accum,
-        }
+        return {"delays": list(self.delays), "P_post": self.P_post.tolist(), "w_sum": self.w_sum,
+                "eta_sum": self.eta_sum, "s_accum": self.s_accum}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FilterState":
-        """Reads the named keys only, so a stored state with more keys loads too."""
-        return cls(
-            x_post=np.asarray(data["x_post"], dtype=float),
-            P_post=np.asarray(data["P_post"], dtype=float),
-            eta_mean=float(data["eta_mean"]),
-            eta_var=float(data["eta_var"]),
-            w_sum=float(data["w_sum"]),
-            s_accum=float(data["s_accum"]),
-        )
+        """Reads the named keys only, so a stored state with more keys loads
+        too.  A state stored as the posterior ``x_post`` and the residual
+        mean ``eta_mean`` converts once to the delays and the residual sum."""
+        if "delays" in data:
+            delays, eta_sum = tuple(map(float, data["delays"])), float(data["eta_sum"])
+        else:
+            x = [float(v) for v in data["x_post"]]
+            delays = (x[0],) if len(x) == 1 else (x[0] + x[1], -x[0])
+            eta_sum = float(data["eta_mean"]) * float(data["w_sum"])
+        return cls(delays=delays, P_post=np.asarray(data["P_post"], dtype=float),
+                   w_sum=float(data["w_sum"]), eta_sum=eta_sum, s_accum=float(data["s_accum"]))
 
 
-def _trend_entries(x: np.ndarray, P: np.ndarray) -> tuple:
-    """(x0, x1, p00, p01, p11) of a state of either size, as the local
-    linear trend's, with any slope entries it lacks held at zero."""
-    if x.shape[0] == 1:
-        return x.item(), 0.0, P.item(), 0.0, 0.0
-    (x0, x1), ((p00, p01), (_, p11)) = x.tolist(), P.tolist()
-    return x0, x1, p00, p01, p11
+def _gains(model: StateSpaceModel, P: np.ndarray, n: int) -> tuple:
+    """The covariance half of the Kalman recursion: ``n`` >= 1 steps from
+    the posterior covariance ``P``.  It never reads the observations.
 
-
-def _sized(m: int, x0: float, x1: float, p00: float, p01: float, p11: float) -> tuple:
-    """(x, P) of the model's size from the local linear trend's entries."""
-    if m == 1:
-        return np.array([x0]), np.array([[p00]])
-    return np.array([x0, x1]), np.array([[p00, p01], [p01, p11]])
-
-
-def _gains(model: StateSpaceModel, post, n: int) -> tuple:
-    """The covariance half of the one Kalman recursion: ``n`` >= 1 steps
-    from the posterior covariance entries ``post`` = (p00, p01, p11) of
-    :func:`_trend_entries`.  It never reads the observations.
-
-    Returns a ``(k0, k1, s)`` entry per step run (the gains and the
-    innovation variance), then the last posterior covariance entries.  A
-    time-invariant model's covariance converges to the Riccati fixed
-    point (Anderson & Moore 1979, ch. 4; Harvey 1989, sec. 3.3.4).  Once a
-    step's posterior covariance equals the one it started from bit for
-    bit, every later step would repeat that step's gains and variance
-    exactly, so the recursion stops there and the later steps take its
-    entry (see :func:`_held`).  Fewer than ``n`` entries mean the fixed
-    point came before the last step.  About one model in fifteen ends
-    instead in a rounding cycle of two to four covariances, and its passes
-    run the recursion to the end.
+    Returns an entry per step run, then the last posterior covariance.  An
+    entry is the innovation variance s, the level gain k0 and the level
+    kernel's coefficients: (s, k0, b1, a1) of b = [0, k0], a = [1, k0 - 1]
+    for a local level, (s, k0, b1, b2, a1, a2) of b = [0, k0 + k1, -k0],
+    a = [1, k0 + k1 - 2, 1 - k0] for a trend.  The covariance converges to
+    the Riccati fixed point (Anderson & Moore 1979, ch. 4).  Once a step's
+    posterior covariance equals the one it started from bit for bit, every
+    later step repeats its entry, so the recursion stops and fewer than
+    ``n`` entries come back.  About one model in fifteen ends in a rounding
+    cycle of two to four covariances instead, and runs to the end.
     """
-    m = model.state_dim
-    q00, q11 = (model.Q.item(), 0.0) if m == 1 else model.Q.diagonal().tolist()
-    r = model.R
-    p00, p01, p11 = post
-    gains = []
+    r, steps = model.R, []
+    if model.state_dim == 1:
+        q, p = model.Q.item(), P.item()
+        for _ in range(n):
+            pp = p + q
+            s = pp + r
+            if s <= 0.0:
+                raise NumericalBreakdown(f"innovation variance {s} <= 0")
+            k0 = pp / s
+            steps.append((s, k0, k0, k0 - 1.0))
+            p, before = (1.0 - k0) * pp, p
+            if p == before:
+                break
+        return steps, np.array([[p]])
+    (q00, q11), ((p00, p01), (_, p11)) = model.Q.diagonal().tolist(), P.tolist()
     for _ in range(n):
         # predict with the transition [[1, 1], [0, 1]], then update
         pp00 = p00 + 2.0 * p01 + p11 + q00
@@ -223,103 +221,125 @@ def _gains(model: StateSpaceModel, post, n: int) -> tuple:
             raise NumericalBreakdown(f"innovation variance {s} <= 0")
         k0 = pp00 / s
         k1 = pp01 / s
-        gains.append((k0, k1, s))
+        c = 1.0 - k0
+        steps.append((s, k0, k0 + k1, -k0, k0 + k1 - 2.0, c))
         b00, b01, b11 = p00, p01, p11
-        p00 = (1.0 - k0) * pp00
-        p01 = (1.0 - k0) * pp01
+        p00 = c * pp00
+        p01 = c * pp01
         p11 = pp11 - k1 * pp01
         if p00 == b00 and p01 == b01 and p11 == b11:
             break
-    return gains, (p00, p01, p11)
+    return steps, np.array([[p00, p01], [p01, p11]])
 
 
-def _held(entries: list, n: int) -> list:
-    """``n`` per-step entries: those given, then the last one held."""
-    return entries + entries[-1:] * (n - len(entries))
+def _level_loop(steps: list, points: list, delays: tuple) -> tuple:
+    """The level kernel one step at a time, each step with its own entry of
+    :func:`_gains`, in ``lfilter``'s transposed direct form II and order:
+    y = z0 + b0 x, z0 = z1 + x b1 - y a1, z1 = x b2 - y a2.  A run at held
+    gains gives the bits of ``lfilter(b, a, points, zi=delays)``."""
+    level = []
+    if len(delays) == 1:
+        (z0,) = delays
+        for x, (_, _, b1, a1) in zip(points, steps):
+            y = z0 + 0.0 * x
+            z0 = x * b1 - y * a1
+            level.append(y)
+        return level, (z0,)
+    z0, z1 = delays
+    for x, (_, _, b1, b2, a1, a2) in zip(points, steps):
+        y = z0 + 0.0 * x
+        z0 = z1 + x * b1 - y * a1
+        z1 = x * b2 - y * a2
+        level.append(y)
+    return level, (z0, z1)
 
 
-def _kalman_pass(model: StateSpaceModel, state: FilterState, values) -> tuple:
-    """The one Kalman predict/update recursion, for both state sizes.
+def _level_pass(model: StateSpaceModel, state: FilterState, values: np.ndarray) -> tuple:
+    """The state half of a pass over ``values``, at least one: the entries
+    of :func:`_gains`, each step's predicted level (a list if the pass stays
+    in the loop, an array otherwise), and the new delays and posterior
+    covariance.  Past the covariance fixed point the gains are held and the
+    kernel is exponential smoothing for the local level, Holt's method for
+    the trend (Harvey 1989, sec. 3.3.4).  A held run of at least
+    ``_LOOP_PASS`` steps is one ``lfilter`` call; the rest goes through
+    :func:`_level_loop` with the same bits."""
+    n = values.size
+    steps, P_post = _gains(model, state.P_post, n)
+    head = len(steps) if n - len(steps) >= _LOOP_PASS else n
+    held = steps + steps[-1:] * (head - len(steps))
+    level, delays = _level_loop(held, values[:head].tolist(), state.delays)
+    if head == n:
+        return steps, level, delays, P_post
+    ba = steps[-1][2:]
+    order = len(ba) // 2
+    tail, zf = lfilter([0.0, *ba[:order]], [1.0, *ba[order:]], values[head:], zi=delays)
+    return steps, np.concatenate([level, tail]), tuple(zf.tolist()), P_post
 
-    The local level runs as the local linear trend with its slope state,
-    slope noise and slope covariance held at zero; every level quantity
-    then comes out exactly as a scalar recursion would give it.  The
-    covariance half runs in :func:`_gains` up to its fixed point; the
-    state then follows with the gains of each step.  Returns the per-step
-    predicted level and level residual (posterior minus predicted level),
-    then the last posterior as (x, P) of the model's size.  An empty pass
-    returns the state's own posterior.
-    """
-    if not values:
-        return [], [], (state.x_post, state.P_post)
-    x0, x1, *post = _trend_entries(state.x_post, state.P_post)
-    gains, post = _gains(model, post, len(values))
-    level, eta, (x0, x1) = _state_steps(x0, x1, gains, values)
-    return level, eta, _sized(model.state_dim, x0, x1, *post)
+
+def _law_loop(lam: float, sums: tuple, gains: list, points: list, level: list) -> tuple:
+    """The residual law one step at a time: each level residual eta = k0 (x -
+    level) is scored against the mean and variance of the sums before it,
+    then absorbed as w = lam w + 1, eta_sum = lam eta_sum + eta and s = lam s
+    + lam w_prev / w delta^2.  Returns what :func:`_law_filter` returns."""
+    w, total, s = sums
+    mean, var = (total / w, s / w) if w else (0.0, 0.0)
+    probs, sqrt, floor = [], math.sqrt, _ETA_VAR_FLOOR
+    for k0, x, y in zip(gains, points, level):
+        e = k0 * (x - y)
+        d = e - mean
+        probs.append(gaussian_anomaly_probability(d, sqrt(var if var > floor else floor)))
+        w_prev, w = w, lam * w + 1.0
+        total = lam * total + e
+        s = lam * s + lam * w_prev / w * d * d
+        mean, var = total / w, s / w
+    return probs, (w, total, s)
 
 
-def _state_steps(x0: float, x1: float, gains: list, values: list) -> tuple:
-    """The state half of the recursion: the posterior (x0, x1) stepped
-    through ``values``, at least one, with the gains of :func:`_gains`
-    held past their end.  Returns each step's predicted level and level
-    residual (posterior minus predicted level), then the last posterior."""
-    n = len(values)
-    level, eta = [0.0] * n, [0.0] * n
-    for i, (y, (k0, k1, _)) in enumerate(zip(values, _held(gains, n))):
-        xp0 = x0 + x1
-        nu = y - xp0
-        x0 = xp0 + k0 * nu
-        x1 = x1 + k1 * nu
-        level[i] = xp0
-        eta[i] = x0 - xp0
-    return level, eta, (x0, x1)
+def _law_filter(lam: float, sums: tuple, eta: np.ndarray) -> tuple:
+    """:func:`_law_loop` as three first-order linear filters with the
+    forgetting factor as their pole: ``lfilter([1], [1, -lam], x,
+    zi=[lam * prev])`` sums lam * prev + x in the loop's order."""
+    w0, total0, s0 = sums
+    pole = [1.0, -lam]
+    (w, total), _ = lfilter([1.0], pole, [np.ones(eta.size), eta], zi=[[lam * w0], [lam * total0]])
+    w_prev = np.concatenate([[w0], w[:-1]])
+    mean = np.concatenate([[total0 / w0 if w0 else 0.0], total[:-1] / w[:-1]])
+    d = eta - mean
+    s, _ = lfilter([1.0], pole, lam * w_prev / w * d * d, zi=[lam * s0])
+    var = np.concatenate([[s0 / w0 if w0 else 0.0], s[:-1] / w[:-1]])
+    probs = gaussian_anomaly_probability(d, np.sqrt(np.maximum(var, _ETA_VAR_FLOOR)))
+    return probs, (float(w[-1]), float(total[-1]), float(s[-1]))
 
 
 def run_filter(
     model: StateSpaceModel, values: np.ndarray, state: Optional[FilterState] = None
 ) -> tuple[np.ndarray, FilterState, np.ndarray]:
-    """Filter a whole sequence: per-step anomaly probabilities, the final
-    state and each step's predicted level (on the model's scale).
+    """The one filter pass, for training, tuning and scoring: per-step
+    anomaly probabilities, the final state and each step's predicted level
+    (on the model's scale).
 
-    Each observation is scored against the residual statistics before it
-    is absorbed, so the pass is causal end to end, and a sequence split
-    into consecutive passes gives the same probabilities as one pass, bit
-    for bit.  That is why this, the scoring pass, keeps the per-step
-    recursion past the covariance fixed point: the linear filter of
-    :func:`_training_pass` sums in another order, so its bits would
-    depend on where a stream is cut into passes.
+    Each observation is scored against the residual law before it is
+    absorbed.  The loops and the ``lfilter`` calls do the same arithmetic
+    in the same order, so a sequence split into consecutive passes anywhere
+    gives the bits of one pass.  An empty pass returns the state unchanged.
     Raises ValueError on a non-finite observation before filtering any.
     """
     if state is None:
         state = FilterState.initial(model)
-    points = np.asarray(values, dtype=float).tolist()
-    if not all(map(math.isfinite, points)):
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
         raise ValueError("observations must be finite")
-    level, eta, (x_post, P_post) = _kalman_pass(model, state, points)
-
-    # weighted Welford recursion over the level residuals; forgetting 1
-    # reproduces exact batch statistics
-    lam = model.forgetting
-    w_sum, mean, s_accum, var = state.w_sum, state.eta_mean, state.s_accum, state.eta_var
-    means, variances = [0.0] * len(eta), [0.0] * len(eta)
-    for i, e in enumerate(eta):
-        means[i] = mean
-        variances[i] = var
-        w_sum = lam * w_sum + 1.0
-        delta = e - mean
-        mean = mean + delta / w_sum
-        s_accum = lam * s_accum + delta * (e - mean)
-        var = max(s_accum / w_sum, 0.0)
-
-    if len(eta) <= _SCALAR_PASS:
-        probs = np.array([gaussian_anomaly_probability(e - mu, math.sqrt(max(v, _ETA_VAR_FLOOR)))
-                          for e, mu, v in zip(eta, means, variances)])
+    if not values.size:
+        return np.empty(0), state, np.empty(0)
+    steps, level, delays, P_post = _level_pass(model, state, values)
+    n, lam, sums = values.size, model.forgetting, (state.w_sum, state.eta_sum, state.s_accum)
+    gains = [g[1] for g in steps]  # each step's k0, the last one held past them
+    if n < _LOOP_PASS:
+        probs, sums = _law_loop(lam, sums, gains + gains[-1:] * (n - len(gains)), values.tolist(), level)
     else:
-        sd = np.sqrt(np.maximum(variances, _ETA_VAR_FLOOR))
-        probs = gaussian_anomaly_probability(np.array(eta) - np.array(means), sd)
-    final = FilterState(x_post=x_post, P_post=P_post, eta_mean=mean, eta_var=var,
-                        w_sum=w_sum, s_accum=s_accum)
-    return probs, final, np.array(level)
+        eta = np.concatenate([gains, np.full(n - len(gains), gains[-1])]) * (values - level)
+        probs, sums = _law_filter(lam, sums, eta)
+    return np.asarray(probs), FilterState(delays, P_post, *sums), np.asarray(level)
 
 
 def _noise_model(state_dim: int, q: float, r: float, x0: np.ndarray, p0: float, **kw) -> StateSpaceModel:
@@ -329,86 +349,23 @@ def _noise_model(state_dim: int, q: float, r: float, x0: np.ndarray, p0: float, 
     return StateSpaceModel.local_linear_trend(q_level=q, q_slope=q * 0.01, r=r, x0=x0, p0=p0, **kw)
 
 
-def _linear_pass(model: StateSpaceModel, values: np.ndarray) -> tuple:
-    """A noise-scan or training pass over ``values`` from the model's
-    initial state: the gains of :func:`_gains`, then what
-    :func:`_kalman_pass` returns (each step's predicted level and level
-    residual as arrays, then the last posterior (x, P)).
-
-    The steps up to the covariance fixed point run the per-step recursion.
-    Past it the gains are constant, and the predicted level is a fixed
-    linear filter of the values: exponential smoothing for the local
-    level, Holt's method for the trend (Harvey 1989, sec. 3.3.4).  One
-    ``lfilter`` call runs those steps from the last per-step posterior; a
-    tail shorter than ``_LINEAR_TAIL`` stays in the recursion.  The filter
-    sums in another order, so its outputs agree with the recursion's to
-    rounding, not bit for bit.
-    """
-    n = values.size
-    x0, x1, *post = _trend_entries(model.x0, model.P0)
-    gains, post = _gains(model, post, n)
-    head = len(gains) if n - len(gains) >= _LINEAR_TAIL else n
-    level, eta, (x0, x1) = _state_steps(x0, x1, gains, values[:head].tolist())
-    if head < n:
-        k0, k1, _ = gains[-1]
-        if model.state_dim == 1:
-            tail, (x0,) = lfilter([0.0, k0], [1.0, k0 - 1.0], values[head:], zi=[x0])
-        else:
-            tail, (z0, z1) = lfilter([0.0, k0 + k1, -k0], [1.0, k0 + k1 - 2.0, 1.0 - k0],
-                                     values[head:], zi=[x0 + x1, -x0])
-            x0, x1 = -z1, z0 + z1
-        nu = values[head:] - tail
-        level, eta = np.concatenate([level, tail]), np.concatenate([eta, k0 * nu])
-    return gains, np.asarray(level), np.asarray(eta), _sized(model.state_dim, x0, x1, *post)
-
-
 def _concentrated_likelihood(values: np.ndarray, model: StateSpaceModel):
     """Prediction-error likelihood of a model with R = 1, R concentrated out.
 
-    The innovations come from :func:`_linear_pass`: the per-step recursion
-    up to the covariance fixed point, one linear filter past it.  Past the
-    fixed point log(s) is one constant, so its sum there is a product.
-    Every scan over both hourly fixtures and a corpus of simulated series
-    selects the noise ratio the all-recursion pass selected, with a
-    log-likelihood within 1e-9 relative of it.
+    The innovations come from the level kernel of :func:`_level_pass`, from
+    the model's initial state.  Past the covariance fixed point log(s) is
+    one constant, so its sum there is a product.
     """
     n = values.size
-    gains, level, _, _ = _linear_pass(model, values)
+    steps, level, _, _ = _level_pass(model, FilterState.initial(model), values)
     nu = values - level
-    s = np.array([g[2] for g in gains])
-    sum_ratio = float(np.sum(nu[:s.size] ** 2 / s) + np.sum(nu[s.size:] ** 2) / s[-1])
-    log_s = [math.log(g[2]) for g in gains]
-    sum_log_s = math.fsum(log_s) + (n - len(gains)) * log_s[-1]
+    s = [g[0] for g in steps]
+    sum_ratio = float(np.sum(nu[:len(s)] ** 2 / s) + np.sum(nu[len(s):] ** 2) / s[-1])
+    log_s = list(map(math.log, s))
+    sum_log_s = math.fsum(log_s) + (n - len(steps)) * log_s[-1]
     r_hat = max(sum_ratio / n, _R_FLOOR)
     loglik = -0.5 * (sum_log_s + n * math.log(r_hat) + n)
     return loglik, r_hat
-
-
-def _training_pass(model: StateSpaceModel, values: np.ndarray) -> tuple[np.ndarray, FilterState, np.ndarray]:
-    """What :func:`run_filter` gives over ``values`` from the model's
-    initial state, to rounding: probabilities, final state and levels.
-
-    The state half is :func:`_linear_pass`.  The weighted Welford
-    statistics of :func:`run_filter` are three first-order linear filters
-    with the forgetting factor as their pole: of ones (the weight), of the
-    residuals (weight times mean), and of lam * w_{k-1} / w_k * delta^2,
-    which is the Welford increment delta * (eta - mean) in a form whose
-    terms are all non-negative, so nothing cancels.
-    """
-    n = values.size
-    _, level, eta, (x_post, P_post) = _linear_pass(model, values)
-    pole = [1.0, -model.forgetting]
-    w_sum = lfilter([1.0], pole, np.ones(n))
-    mean = lfilter([1.0], pole, eta) / w_sum
-    w_before = np.concatenate([[0.0], w_sum[:-1]])
-    delta = eta - np.concatenate([[0.0], mean[:-1]])
-    s_accum = lfilter([1.0], pole, model.forgetting * w_before / w_sum * delta * delta)
-    var = np.maximum(s_accum / w_sum, 0.0)
-    sd = np.sqrt(np.maximum(np.concatenate([[0.0], var[:-1]]), _ETA_VAR_FLOOR))
-    probs = gaussian_anomaly_probability(delta, sd)
-    final = FilterState(x_post=x_post, P_post=P_post, eta_mean=float(mean[-1]),
-                        eta_var=float(var[-1]), w_sum=float(w_sum[-1]), s_accum=float(s_accum[-1]))
-    return probs, final, level
 
 
 def _initial_state(y: np.ndarray, state_dim: int) -> tuple:
@@ -427,11 +384,11 @@ def _select_noise(y: np.ndarray, state_dim: int) -> tuple:
 
     Scans 7 log-spaced ratios, then 5 around the best, whose middle one is
     the best itself and reuses its pass; R is concentrated out of the
-    likelihood analytically.  Each of the 11 passes runs the per-step
-    recursion only until the covariance fixed point, a few to a few
-    hundred steps, and the rest of the values as one linear filter (see
-    :func:`_linear_pass`).  The result depends only on the values and the
-    state size, never on the forgetting factor.
+    likelihood analytically.  Each of the 11 passes runs the covariance
+    recursion only until its fixed point, a few to a few hundred steps,
+    and the level kernel of :func:`_level_pass` over the values.  The
+    result depends only on the values and the state size, never on the
+    forgetting factor.
     """
     x0, p0_scale = _initial_state(y, state_dim)
     passes: dict = {}
@@ -461,10 +418,9 @@ def fit_filtering(
     analytically.  A full training pass then populates the residual
     statistics under the configured forgetting factor; its per-point
     anomaly probabilities are returned with the model and final state.
-    The training pass is :func:`_training_pass`, which runs the values
-    past the covariance fixed point as linear filters and agrees with a
-    :func:`run_filter` pass to rounding; scoring from the final state
-    runs the per-step :func:`run_filter`.
+    The training pass is :func:`run_filter` from the model's initial
+    state, so scoring on from the final state gives the bits of one pass
+    over the training and the new values.
 
     ``noise_memo`` is an optional dict that a caller fitting several
     configurations on the same series passes to every call: the noise
@@ -482,12 +438,7 @@ def fit_filtering(
     if ts.missing_mask.any():
         raise ValueError("fit_filtering requires an imputed series")
 
-    y = ts.values.astype(float)
-    offset = 0.0
-    if config.log_scale:
-        offset = log_offset(y)
-        y = to_log(y, offset)
-
+    y, offset = fit_scale(ts, config.log_scale)
     m = params.state_dim
     memo = {} if noise_memo is None else noise_memo
     key = (y.tobytes(), m)
@@ -501,7 +452,7 @@ def fit_filtering(
         m, rho_best * r, r, x0, p0_scale,
         forgetting=params.forgetting, log_scale=config.log_scale, log_offset=offset,
     )
-    probs, state, _ = _training_pass(model, y)
+    probs, state, _ = run_filter(model, y)
     return model, state, probs
 
 
@@ -526,14 +477,13 @@ class FilterDetector:
     def predictive(self, step: int) -> tuple[float, float]:
         """(center, scale) of the predictive Gaussian of the next
         observation on the model's scale, changing nothing.  One more
-        update from the live state scores y by its level residual
-        gain0 * (y - x0 - x1) against the residual law (mean, sd), so y is
-        judged against center x0 + x1 + mean / gain0 and scale sd / gain0."""
+        update scores y by its level residual gain0 * (y - level), with the
+        first delay as the level, against the residual law (mean, sd): so
+        center level + mean / gain0 and scale sd / gain0."""
         state = self._state
-        x0, x1, *post = _trend_entries(state.x_post, state.P_post)
-        [(gain0, _, _)], _ = _gains(self.model, post, 1)
+        [(_, gain0, *_)], _ = _gains(self.model, state.P_post, 1)
         sd = math.sqrt(max(state.eta_var, _ETA_VAR_FLOOR))
-        return x0 + x1 + state.eta_mean / gain0, sd / gain0
+        return state.delays[0] + state.eta_mean / gain0, sd / gain0
 
     def state(self) -> dict:
         return self._state.to_dict()

@@ -12,7 +12,7 @@ rather than exceptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -288,8 +288,7 @@ def cost(
     if config.truncate_at is not None and config.truncate_at > 0:
         if len(series) - config.truncate_at < 40:
             return math.inf
-        start_epoch = int(series.start_epoch + config.truncate_at * series.step)
-        series = replace(series, start_epoch=start_epoch, values=series.values[config.truncate_at :])
+        series = series.truncated(config.truncate_at)
         labels = labels[config.truncate_at :]
     if series.missing_mask.any():
         return math.inf

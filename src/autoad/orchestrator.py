@@ -638,9 +638,7 @@ class Engine:
                 config = default_config(prof, len(data))
             prepared = impute(data, config.max_missing_fraction)
             if config.truncate_at is not None and 0 < config.truncate_at < len(prepared) - 30:
-                start_epoch = int(prepared.start_epoch + config.truncate_at * prepared.step)
-                prepared = dataclasses.replace(prepared, start_epoch=start_epoch,
-                                               values=prepared.values[config.truncate_at :])
+                prepared = prepared.truncated(config.truncate_at)
 
             try:
                 detector, _ = fit_detector(prepared, prof, config, horizon=spec.model_ttl)

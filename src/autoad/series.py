@@ -88,6 +88,10 @@ class TimeSeries:
     def with_values(self, values) -> "TimeSeries":
         return replace(self, values=np.asarray(values, dtype=float))
 
+    def truncated(self, at: int) -> "TimeSeries":
+        """The series from grid point ``at`` on, its start moved with it."""
+        return replace(self, start_epoch=int(self.start_epoch + at * self.step), values=self.values[at:])
+
     @classmethod
     def from_values(cls, values, step: int = 3600, start_epoch: int = 0) -> "TimeSeries":
         return cls(start_epoch=start_epoch, step=step, values=np.asarray(values, dtype=float))
@@ -177,6 +181,17 @@ def to_log(values, offset: float) -> np.ndarray:
 def from_log(values, offset: float) -> np.ndarray:
     """Inverse of :func:`to_log` above the floor: exp(values) - offset."""
     return np.exp(values) - offset
+
+
+def fit_scale(ts: TimeSeries, log_scale: bool) -> tuple[np.ndarray, float]:
+    """The values a model is fitted on and its log offset: the series'
+    values, on the log scale of :func:`to_log` when ``log_scale`` is set
+    (offset 0 otherwise)."""
+    y = ts.values.astype(float)
+    if not log_scale:
+        return y, 0.0
+    offset = log_offset(y)
+    return to_log(y, offset), offset
 
 
 def to_model_scale(values, model) -> np.ndarray:

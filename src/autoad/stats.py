@@ -9,6 +9,7 @@ from scipy.special import erfc
 
 #: Variance floor used wherever a scale estimate may collapse to zero.
 EPS_VAR = 1e-12
+_SQRT2 = math.sqrt(2.0)
 
 
 def gaussian_anomaly_probability(deviation, std, eps: float = EPS_VAR):
@@ -26,13 +27,13 @@ def gaussian_anomaly_probability(deviation, std, eps: float = EPS_VAR):
     if type(deviation) is float and type(std) is float:
         if std <= eps:
             return 1.0 if abs(deviation) > eps else 0.0
-        return float(1.0 - erfc(abs(deviation) / std / math.sqrt(2.0)))
+        return 1.0 - float(erfc(abs(deviation) / std / _SQRT2))
     deviation = np.asarray(deviation, dtype=float)
     std = np.asarray(std, dtype=float)
     degenerate = std <= eps
     safe_std = np.where(degenerate, 1.0, std)
     z = np.abs(deviation) / safe_std
-    prob = 1.0 - erfc(z / math.sqrt(2.0))
+    prob = 1.0 - erfc(z / _SQRT2)
     prob = np.where(degenerate, np.where(np.abs(deviation) > eps, 1.0, 0.0), prob)
     if prob.ndim == 0:
         return float(prob)

@@ -24,7 +24,7 @@ from scipy.signal import lfilter
 
 from .errors import InsufficientData, NonConvergence
 from .profiling import DataProfile
-from .series import TimeSeries, from_log, from_model_scale, log_offset, to_log, to_model_scale
+from .series import TimeSeries, fit_scale, from_log, from_model_scale, to_model_scale
 from .stats import autocovariances, gaussian_anomaly_probability
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -302,11 +302,7 @@ def fit_structural(ts: TimeSeries, profile: DataProfile, config: "ModelConfig") 
     if ts.missing_mask.any():
         raise ValueError("fit_structural requires an imputed series")
 
-    y = ts.values.astype(float)
-    offset = 0.0
-    if config.log_scale:
-        offset = log_offset(y)
-        y = to_log(y, offset)
+    y, offset = fit_scale(ts, config.log_scale)
 
     d = profile.diff_order
     tail_values = np.empty(d)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import autoad.optimizer as optimizer
 import autoad.orchestrator as orch
 from autoad.errors import NonConvergence
+from autoad.filtering import FilterState
 from autoad.orchestrator import Engine
 from autoad.series import TimeSeries
 
@@ -25,6 +26,7 @@ RESTART_TICKS = 400
 TRAINING_TICKS = range(96, RESTART_TICKS + 1, 48)  # the fleet's checkpoint ticks
 RETUNE_TICK = 336  # the drifted metric's first retune
 STATE_KEYS = {"last_scored", "filter_state", "tune_generation", "last_training_failed"}
+FILTER_STATE_KEYS = {"delays", "P_post", "w_sum", "eta_sum", "s_accum"}
 
 
 def fleet_engine(root) -> Engine:
@@ -364,7 +366,7 @@ class TestCaches:
             "log": {**state, "log": [[0, 0.5, 1.0]]},
             "origin": {**state, "origin": 96},
             "filter_prior": {**state, "filter_state": {
-                **filter_state, "x_prior": filter_state["x_post"],
+                **filter_state, "x_prior": filter_state["delays"][:1],
                 "P_prior": filter_state["P_post"], "eta": 0.5}},
         }[stale]))
         fresh = fleet_engine(old)
@@ -375,6 +377,40 @@ class TestCaches:
         engine.register_job(job_for(make_series()))
         engine.advance_clock(144)
         assert snapshot(old) == snapshot(straight)
+
+    def test_filter_state_stored_as_posterior_converts_once(self, tmp_path, monkeypatch):
+        """A checkpointed filter state in the form stored before the delays
+        (the posterior ``x_post`` and the residual mean ``eta_mean``) loads;
+        its next 48 scores lie within 1e-9 of an uninterrupted run's, and
+        the next checkpoint writes the new keys only."""
+        def boom(*args, **kwargs):
+            raise NonConvergence("forced failure")
+
+        monkeypatch.setattr(optimizer, "fit_structural", boom)
+        old, straight = tmp_path / "old", tmp_path / "straight"
+        engine = fleet_engine(old)
+        engine.register_job(job_for(make_series()))
+        engine.advance_clock(96)  # a checkpoint tick: the files hold the whole store
+        assert engine._active_record("m1")["method"] == "filtering"
+        path = engine._state_path("m1")
+        state = json.loads(path.read_text())
+        fs = FilterState.from_dict(state["filter_state"])
+        z = fs.delays
+        state["filter_state"] = {
+            "x_post": [z[0]] if len(z) == 1 else [-z[1], z[0] + z[1]], "P_post": fs.P_post.tolist(),
+            "eta_mean": fs.eta_mean, "eta_var": fs.eta_var, "w_sum": fs.w_sum, "s_accum": fs.s_accum}
+        path.write_text(json.dumps(state))
+        fresh = fleet_engine(old)
+        fresh.advance_clock(48)  # to the next checkpoint
+        engine = fleet_engine(straight)
+        engine.register_job(job_for(make_series()))
+        engine.advance_clock(144)
+        got, want = csv_log(fresh, "m1"), csv_log(engine, "m1")
+        assert [(t, obs) for t, _, obs in got] == [(t, obs) for t, _, obs in want]
+        scored = [(g[1], w[1]) for g, w in zip(got, want) if g[0] >= 96 * 3600]
+        assert len(scored) == 48
+        assert all(abs(g - w) <= 1e-9 for g, w in scored)
+        assert set(json.loads(path.read_text())["filter_state"]) == FILTER_STATE_KEYS
 
     def test_pre_journal_store_drops_the_state_log(self, tmp_path):
         """A store kept before the journal (``meta.json`` holds only the clock)
