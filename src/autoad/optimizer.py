@@ -129,7 +129,7 @@ Detector = Union[StructuralDetector, FilterDetector]
 
 def fit_detector(
     ts: TimeSeries,
-    prof: DataProfile,
+    prof: Optional[DataProfile],
     config: ModelConfig,
     noise_memo: Optional[dict] = None,
     horizon: int = 0,
@@ -152,7 +152,9 @@ def fit_detector(
       detector), which :func:`load_detector` takes back;
     - ``model`` is the fitted model; its ``to_dict()`` is the stored payload.
 
-    ``noise_memo`` is handed to :func:`~autoad.filtering.fit_filtering`.
+    Only the structural fit reads ``prof``, the profile of ``ts``; a
+    filter fit may be given None.  ``noise_memo`` is handed to
+    :func:`~autoad.filtering.fit_filtering`.
     """
     if config.method == "structural":
         model = fit_structural(ts, prof, config)
@@ -266,7 +268,7 @@ def cost(
     config: ModelConfig,
     labeled: LabeledSeries,
     alpha: float,
-    profile: Optional[DataProfile] = None,
+    profile: DataProfile,
     noise_memo: Optional[dict] = None,
 ) -> float:
     """Convex combination of anomaly cross-entropy and holdout MAPE.
@@ -279,8 +281,7 @@ def cost(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    prof = profile if profile is not None else DataProfile()
-    if prof.missing_fraction > config.max_missing_fraction:
+    if profile.missing_fraction > config.max_missing_fraction:
         return math.inf
 
     series = labeled.series
@@ -299,7 +300,7 @@ def cost(
     holdout = series.values[n_train:]
 
     try:
-        detector, train_probs = fit_detector(train, prof, config, noise_memo, horizon=holdout.size)
+        detector, train_probs = fit_detector(train, profile, config, noise_memo, horizon=holdout.size)
         hold_probs, preds = detector.score(np.arange(holdout.size), holdout)
     except (AutoAdError, np.linalg.LinAlgError):
         return math.inf
@@ -324,6 +325,7 @@ class TuneResult:
     best_cost: float
     trials: tuple[tuple[ModelConfig, float], ...]
     seed: int
+    profile: DataProfile  # of the tuned series; not part of the stored log
 
     def to_dict(self) -> dict:
         return {
@@ -609,6 +611,7 @@ def tune(
         best_cost=costs[best_idx],
         trials=tuple(trials),
         seed=seed,
+        profile=prof,
     )
 
 

@@ -68,7 +68,7 @@ from .errors import (
     MissingModel,
 )
 from .optimizer import ModelConfig, default_config, fit_detector, load_detector, tune
-from .profiling import DataProfile, profile as profile_series
+from .profiling import profile as profile_series
 from .series import TimeSeries, impute, read_csv
 
 RATE_WINDOW = 48  # scores considered by the anomaly-rate trigger
@@ -409,7 +409,7 @@ class Engine:
         return cached[1]
 
     def _publish_model(self, spec: JobSpec, now: int, detector, config: ModelConfig,
-                       prof: DataProfile, generation: int) -> dict:
+                       generation: int) -> dict:
         record = {
             "schema": 1,
             "model_id": f"{spec.metric_id}-t{now}-g{generation}",
@@ -417,7 +417,6 @@ class Engine:
             "method": config.method,
             "payload": detector.model.to_dict(),
             "config": config.to_dict(),
-            "profile": prof.to_dict(),
             "published_at": now,
             "expires_at": now + spec.model_ttl,
             "tune_generation": generation,
@@ -626,15 +625,14 @@ class Engine:
                     self.root / "tunes" / f"{spec.metric_id}-g{generation}.json",
                     result.to_dict(),
                 )
-                config = result.best_config
+                config, prof = result.best_config, result.profile
                 outcome["tuned"] = True
             elif record is not None:
                 config = ModelConfig.from_dict(record["config"])
+                # only the structural fit reads the profile
+                prof = profile_series(data) if config.method == "structural" else None
             else:
-                config = None  # profile-informed default, built below
-
-            prof = profile_series(data)
-            if config is None:
+                prof = profile_series(data)
                 config = default_config(prof, len(data))
             prepared = impute(data, config.max_missing_fraction)
             if config.truncate_at is not None and 0 < config.truncate_at < len(prepared) - 30:
@@ -650,7 +648,7 @@ class Engine:
                 config = dataclasses.replace(config, method="filtering", structural_params=None)
                 detector, _ = fit_detector(prepared, prof, config)
 
-            self._publish_model(spec, now, detector, config, prof, generation)
+            self._publish_model(spec, now, detector, config, generation)
             outcome["method"] = config.method
             outcome["status"] = "trained" if outcome["error"] is None else "trained_fallback"
         except Exception as exc:  # noqa: BLE001 - cycle must survive any metric

@@ -30,27 +30,6 @@ class DataProfile:
     fourier_terms: tuple[tuple[float, float], ...] = ()
     missing_fraction: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "change_points": list(self.change_points),
-            "diff_order": self.diff_order,
-            "skewness": self.skewness,
-            "log_recommended": self.log_recommended,
-            "fourier_terms": [[f, p] for f, p in self.fourier_terms],
-            "missing_fraction": self.missing_fraction,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DataProfile":
-        return cls(
-            change_points=tuple(data.get("change_points", ())),
-            diff_order=int(data.get("diff_order", 0)),
-            skewness=float(data.get("skewness", 0.0)),
-            log_recommended=bool(data.get("log_recommended", False)),
-            fourier_terms=tuple((float(f), float(p)) for f, p in data.get("fourier_terms", ())),
-            missing_fraction=float(data.get("missing_fraction", 0.0)),
-        )
-
 
 # -- change points ---------------------------------------------------------
 

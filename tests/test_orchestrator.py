@@ -10,6 +10,7 @@ import autoad.optimizer as optimizer
 import autoad.orchestrator as orch
 from autoad.errors import DuplicateId, InvalidSpec, NonConvergence
 from autoad.orchestrator import Engine, JobSpec, series_to_doc, series_from_doc
+from autoad.profiling import profile
 from autoad.series import TimeSeries
 from autoad.structural import StructuralModel, forecast
 
@@ -21,6 +22,30 @@ def make_series(n=480, seed=0, shift_at=None, shift_factor=3.0, step=3600):
     if shift_at is not None:
         values[shift_at:] *= shift_factor
     return TimeSeries.from_values(values, step=step)
+
+
+def count_profiles(monkeypatch) -> list:
+    """Count every profile the engine or the tuner builds from now on."""
+    calls = []
+
+    def counted(ts):
+        calls.append(len(ts))
+        return profile(ts)
+
+    monkeypatch.setattr(orch, "profile_series", counted)
+    monkeypatch.setattr(optimizer, "profile_series", counted)
+    return calls
+
+
+def failing_fit(*args, **kwargs):
+    raise NonConvergence("forced failure")
+
+
+def mark_red(engine, at):
+    health = {"at": at, "snapshot": {"mv_avg": 0, "em_avg": 0, "anomaly_rate": 1.0,
+                                      "consecutive_anomalies": 9, "coefficient_of_variation": 0,
+                                      "model_age_fraction": 0.1, "health": "R"}}
+    engine._health_path("m1").write_text(json.dumps(health))
 
 
 def job_for(series, metric="m1", job="job1", train_every=48, ttl=96, **kw):
@@ -88,13 +113,7 @@ class TestTrainingCycle:
     def test_red_health_triggers_tune(self, engine, tmp_path):
         engine.register_job(job_for(make_series()))
         engine.run_training_cycle(96)
-        # force a red label, then retrain
-        health = {"at": 96, "snapshot": {"mv_avg": 0, "em_avg": 0, "anomaly_rate": 1.0,
-                                          "consecutive_anomalies": 9, "coefficient_of_variation": 0,
-                                          "model_age_fraction": 0.1, "health": "R"}}
-        engine._read_json  # readability no-op
-        path = engine._health_path("m1")
-        path.write_text(json.dumps(health))
+        mark_red(engine, 96)  # force a red label, then retrain
         report = engine.run_training_cycle(144, force=True)
         assert report[0]["tuned"] is True
         assert engine.tune_generation("m1") == 1
@@ -102,11 +121,7 @@ class TestTrainingCycle:
 
     def test_structural_failure_falls_back_to_filtering(self, engine, monkeypatch):
         engine.register_job(job_for(make_series()))
-
-        def boom(*args, **kwargs):
-            raise NonConvergence("forced failure")
-
-        monkeypatch.setattr(optimizer, "fit_structural", boom)
+        monkeypatch.setattr(optimizer, "fit_structural", failing_fit)
         report = engine.run_training_cycle(96)
         assert report[0]["status"] == "trained_fallback"
         assert report[0]["method"] == "filtering"
@@ -136,6 +151,31 @@ class TestTrainingCycle:
         assert engine._active_record("bad") is None
         assert not (engine.root / "scores" / "bad.csv").exists()
         assert (engine.root / "scores" / "good.csv").exists()
+
+    def test_profile_only_where_the_fit_reads_it(self, engine, monkeypatch):
+        calls = count_profiles(monkeypatch)
+        engine.register_job(job_for(make_series()))
+        engine.run_training_cycle(96)
+        assert len(calls) == 1  # the default config reads it
+        assert engine._active_record("m1")["method"] == "structural"
+        engine.run_training_cycle(144, force=True)
+        assert len(calls) == 2  # a structural refit reads it
+        mark_red(engine, 144)
+        report = engine.run_training_cycle(192, force=True)
+        assert report[0]["tuned"] is True
+        assert len(calls) == 3  # tune's own profile serves the fit
+
+    def test_filter_refit_does_not_profile(self, engine, monkeypatch):
+        engine.register_job(job_for(make_series()))
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "fit_structural", failing_fit)
+            assert engine.run_training_cycle(96)[0]["status"] == "trained_fallback"
+        assert engine._active_record("m1")["method"] == "filtering"
+        calls = count_profiles(monkeypatch)
+        report = engine.run_training_cycle(144, force=True)
+        assert report[0]["status"] == "trained"
+        assert report[0]["method"] == "filtering"
+        assert calls == []
 
     def test_one_active_model_per_metric(self, engine):
         engine.register_job(job_for(make_series()))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from autoad.errors import SeriesTooShort
 from autoad.profiling import (
-    DataProfile,
     detect_change_points,
     profile,
     select_fourier_frequencies,
@@ -201,9 +200,3 @@ class TestProfile:
         values = rng.normal(0, 1, 200) + np.sin(np.arange(200) / 5)
         ts = ts_of(values)
         assert profile(ts) == profile(ts)
-
-    def test_serialization_round_trip(self, rng):
-        t = np.arange(480.0)
-        values = np.sin(2 * np.pi * t / 24) + rng.normal(0, 0.1, 480)
-        prof = profile(ts_of(values))
-        assert DataProfile.from_dict(prof.to_dict()) == prof

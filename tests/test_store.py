@@ -26,6 +26,8 @@ RESTART_TICKS = 400
 TRAINING_TICKS = range(96, RESTART_TICKS + 1, 48)  # the fleet's checkpoint ticks
 RETUNE_TICK = 336  # the drifted metric's first retune
 STATE_KEYS = {"last_scored", "filter_state", "tune_generation", "last_training_failed"}
+MODEL_KEYS = {"schema", "model_id", "metric_id", "method", "payload", "config",
+              "published_at", "expires_at", "tune_generation"}
 FILTER_STATE_KEYS = {"delays", "P_post", "w_sum", "eta_sum", "s_accum"}
 
 
@@ -334,6 +336,12 @@ class TestCaches:
         assert report[0]["tuned"] is True
         assert engine.tune_generation("m1") == 1
 
+    def test_model_records_store_no_profile(self, single_run):
+        records = [json.loads(doc) for name, doc in single_run.items() if name.startswith("models/")]
+        assert {r["metric_id"] for r in records} == {"quiet", "drifted"}
+        for record in records:
+            assert set(record) == MODEL_KEYS
+
     def test_state_document_has_no_log(self, tmp_path):
         engine = fleet_engine(tmp_path)
         engine.register_job(job_for(make_series()))
@@ -535,7 +543,7 @@ class TestFailureIsolation:
             raise RuntimeError("store down")
 
         engine._scoring_state("m1")["last_scored"] = -1  # a change never written through
-        monkeypatch.setattr(orch, "profile_series", boom)
+        monkeypatch.setattr(orch, "fit_detector", boom)
         report = engine.run_training_cycle(101, force=True)
         assert report[0]["status"] == "failed"
         state = engine._scoring_state("m1")
