@@ -36,6 +36,11 @@ _R_FLOOR = 1e-10
 # 11 us at short lengths; a pass costs 0.8 us a point in the loops and 60-65
 # us through lfilter up to 80 points, and the two cross at 64-80 points
 _LOOP_PASS = 64
+# the noise scan's q/r ratios: a coarse grid, then steps around its best
+_COARSE_RATIOS = np.logspace(-3.0, 3.0, 7)
+_FINE_STEPS = np.logspace(-0.5, 0.5, 5)
+# every ratio the scan can pick, ascending: 31 distinct products
+SCAN_RATIOS = tuple(sorted({float(c * f) for c in _COARSE_RATIOS for f in _FINE_STEPS}))
 
 
 @dataclass(frozen=True)
@@ -382,13 +387,15 @@ def _initial_state(y: np.ndarray, state_dim: int) -> tuple:
 def _select_noise(y: np.ndarray, state_dim: int) -> tuple:
     """Likelihood-best noise ratio q/r for the values ``y``, and its R estimate.
 
-    Scans 7 log-spaced ratios, then 5 around the best, whose middle one is
-    the best itself and reuses its pass; R is concentrated out of the
-    likelihood analytically.  Each of the 11 passes runs the covariance
-    recursion only until its fixed point, a few to a few hundred steps,
-    and the level kernel of :func:`_level_pass` over the values.  The
-    result depends only on the values and the state size, never on the
-    forgetting factor.
+    Scans the 7 ratios of ``_COARSE_RATIOS``, then the 5 of ``_FINE_STEPS``
+    times the best, whose middle one is the best itself and reuses its pass;
+    R is concentrated out of the likelihood analytically.  Each of the 11
+    passes runs the covariance recursion only until its fixed point, a few
+    to a few hundred steps, and the level kernel of :func:`_level_pass`
+    over the values.  The result depends only on the values and the state
+    size, never on the forgetting factor, and is always one of
+    ``SCAN_RATIOS``.  Only a first fit and the tuner scan: a refit keeps
+    its model's ratio (:func:`scan_ratio`).
     """
     x0, p0_scale = _initial_state(y, state_dim)
     passes: dict = {}
@@ -403,31 +410,49 @@ def _select_noise(y: np.ndarray, state_dim: int) -> tuple:
                 best = (loglik, rho, r_hat)
         return best
 
-    _, rho_best, _ = scan(np.logspace(-3.0, 3.0, 7))
-    _, rho_best, r_hat = scan(rho_best * np.logspace(-0.5, 0.5, 5))
+    _, rho_best, _ = scan(_COARSE_RATIOS)
+    _, rho_best, r_hat = scan(rho_best * _FINE_STEPS)
     return rho_best, r_hat
 
 
-def fit_filtering(
-    ts: TimeSeries, config: "ModelConfig", noise_memo: Optional[dict] = None
-) -> tuple[StateSpaceModel, FilterState, np.ndarray]:
-    """Select noise parameters by likelihood and warm up the residual law.
+def scan_ratio(q: float, r: float) -> float:
+    """The ratio of ``SCAN_RATIOS`` that a fitted model of level noise ``q``
+    and observation noise ``r`` was built at.
 
-    The q/r ratio is searched over 7 log-spaced values with one local
-    refinement round; R is concentrated out of the likelihood
-    analytically.  A full training pass then populates the residual
-    statistics under the configured forgetting factor; its per-point
-    anomaly probabilities are returned with the model and final state.
-    The training pass is :func:`run_filter` from the model's initial
-    state, so scoring on from the final state gives the bits of one pass
-    over the training and the new values.
+    A fit builds its level noise as q = fl(rho * r), and fl(q / r) misses
+    rho by a rounding about one time in ten, so the ratio is the one whose
+    product with r is nearest q: the one that gives q bit for bit.  Two
+    pairs of scan ratios lie a rounding apart (10^-0.5 and 10^1.5, each
+    reached from either coarse neighbour); where both give the same q, the
+    models are the same and the smaller ratio is kept.
+    """
+    return min(SCAN_RATIOS, key=lambda rho: abs(rho * r - q))
+
+
+def fit_filtering(
+    ts: TimeSeries, config: "ModelConfig", noise_memo: Optional[dict] = None,
+    ratio: Optional[float] = None,
+) -> tuple[StateSpaceModel, FilterState, np.ndarray]:
+    """Fit the noise parameters by likelihood and warm up the residual law.
+
+    ``ratio`` is the q/r ratio to keep; None scans for it
+    (:func:`_select_noise`).  Either way R is concentrated out of the
+    likelihood at the ratio, so a kept ratio that the scan would pick gives
+    the scan's model bit for bit, at one likelihood pass instead of 11.
+    A full training pass then populates the residual statistics under the
+    configured forgetting factor; its per-point anomaly probabilities are
+    returned with the model and final state.  The training pass is
+    :func:`run_filter` from the model's initial state, so scoring on from
+    the final state gives the bits of one pass over the training and the
+    new values.
 
     ``noise_memo`` is an optional dict that a caller fitting several
     configurations on the same series passes to every call: the noise
     scan's result is kept there per (transformed training values, state
     size), and a later call with the same pair reuses it, giving the same
     model bit for bit.  The caller owns the dict and decides how long it
-    lives; ``None`` scans every time.
+    lives; ``None`` scans every time.  A kept ratio neither reads nor
+    fills it.
     """
     params = config.filtering_params
     if params is None:
@@ -440,16 +465,19 @@ def fit_filtering(
 
     y, offset = fit_scale(ts, config.log_scale)
     m = params.state_dim
-    memo = {} if noise_memo is None else noise_memo
-    key = (y.tobytes(), m)
-    if key not in memo:
-        memo[key] = _select_noise(y, m)
-    rho_best, r_hat = memo[key]
     x0, p0_scale = _initial_state(y, m)
+    if ratio is None:
+        memo = {} if noise_memo is None else noise_memo
+        key = (y.tobytes(), m)
+        if key not in memo:
+            memo[key] = _select_noise(y, m)
+        ratio, r_hat = memo[key]
+    else:
+        _, r_hat = _concentrated_likelihood(y, _noise_model(m, ratio, 1.0, x0, p0_scale))
 
     r = max(r_hat, _R_FLOOR)
     model = _noise_model(
-        m, rho_best * r, r, x0, p0_scale,
+        m, ratio * r, r, x0, p0_scale,
         forgetting=params.forgetting, log_scale=config.log_scale, log_offset=offset,
     )
     probs, state, _ = run_filter(model, y)

@@ -133,6 +133,7 @@ def fit_detector(
     config: ModelConfig,
     noise_memo: Optional[dict] = None,
     horizon: int = 0,
+    ratio: Optional[float] = None,
 ) -> tuple[Detector, np.ndarray]:
     """Fit the configured model family on an imputed series.
 
@@ -153,13 +154,14 @@ def fit_detector(
     - ``model`` is the fitted model; its ``to_dict()`` is the stored payload.
 
     Only the structural fit reads ``prof``, the profile of ``ts``; a
-    filter fit may be given None.  ``noise_memo`` is handed to
+    filter fit may be given None.  ``noise_memo`` and ``ratio``, the
+    filter's q/r ratio to keep (None scans for it), are handed to
     :func:`~autoad.filtering.fit_filtering`.
     """
     if config.method == "structural":
         model = fit_structural(ts, prof, config)
         return StructuralDetector(model, horizon), in_sample_probabilities(model)
-    model, state, probs = fit_filtering(ts, config, noise_memo)
+    model, state, probs = fit_filtering(ts, config, noise_memo, ratio)
     return FilterDetector(model, state), probs
 
 

@@ -67,6 +67,7 @@ from .errors import (
     InvalidSpec,
     MissingModel,
 )
+from .filtering import scan_ratio
 from .optimizer import ModelConfig, default_config, fit_detector, load_detector, tune
 from .profiling import profile as profile_series
 from .series import TimeSeries, impute, read_csv
@@ -610,6 +611,7 @@ class Engine:
             health = health_doc["snapshot"]["health"] if health_doc else None
             record = self._active_record(spec.metric_id)
             generation = int(state["tune_generation"])
+            ratio = None
 
             if health == "R":
                 result = tune(
@@ -629,8 +631,11 @@ class Engine:
                 outcome["tuned"] = True
             elif record is not None:
                 config = ModelConfig.from_dict(record["config"])
-                # only the structural fit reads the profile
+                # only the structural fit reads the profile, and a filter
+                # refit keeps its model's noise ratio
                 prof = profile_series(data) if config.method == "structural" else None
+                if record["payload"]["method"] == "filtering":
+                    ratio = scan_ratio(record["payload"]["Q"][0][0], record["payload"]["R"])
             else:
                 prof = profile_series(data)
                 config = default_config(prof, len(data))
@@ -639,7 +644,7 @@ class Engine:
                 prepared = prepared.truncated(config.truncate_at)
 
             try:
-                detector, _ = fit_detector(prepared, prof, config, horizon=spec.model_ttl)
+                detector, _ = fit_detector(prepared, prof, config, horizon=spec.model_ttl, ratio=ratio)
             except AutoAdError as exc:
                 if config.method != "structural":
                     raise

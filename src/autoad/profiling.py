@@ -193,18 +193,15 @@ def select_fourier_frequencies(
     smoothed = np.convolve(padded, kernel, mode="valid")
     floor = noise_floor_multiplier * float(np.median(smoothed))
 
+    # local maxima of the smoothed periodogram (ties included) above the floor
+    below_left = np.concatenate([[False], smoothed[1:] < smoothed[:-1]])
+    below_right = np.concatenate([smoothed[:-1] < smoothed[1:], [False]])
+    candidates = np.flatnonzero(~below_left & ~below_right & (smoothed > floor))
     peaks: list[tuple[float, float]] = []
-    for i in range(power.size):
-        lo = max(0, i - 1)
-        hi = min(power.size, i + 2)
-        if smoothed[i] < max(smoothed[lo:hi]):
-            continue
-        if smoothed[i] <= floor:
-            continue
+    for i in candidates.tolist():
         # refine to the strongest raw bin near the smoothed peak
         wlo = max(0, i - 2)
-        whi = min(power.size, i + 3)
-        j = wlo + int(np.argmax(power[wlo:whi]))
+        j = wlo + int(np.argmax(power[wlo:i + 3]))
         peaks.append((float(bins[j]), float(power[j])))
     peaks.sort(key=lambda fp: -fp[1])
     deduped: list[tuple[float, float]] = []

@@ -22,11 +22,13 @@ from autoad.filtering import (
     _LOOP_PASS,
     _noise_model,
     _select_noise,
+    SCAN_RATIOS,
     fit_filtering,
     run_filter,
+    scan_ratio,
 )
 from autoad.optimizer import FilteringParams, ModelConfig
-from autoad.series import TimeSeries, to_model_scale
+from autoad.series import TimeSeries, fit_scale, to_model_scale
 from autoad.stats import gaussian_anomaly_probability
 
 ts_of = TimeSeries.from_values
@@ -682,6 +684,45 @@ class TestFitFiltering:
             assert np.array_equal(probs, want_probs)
         # one entry per (transformed values, state size); forgetting is not in it
         assert len(memo) == 4
+
+
+class TestKeptRatio:
+    def test_scan_ratios_are_every_pick_of_the_scan(self):
+        picks = {float(c * f) for c in filtering._COARSE_RATIOS for f in filtering._FINE_STEPS}
+        assert SCAN_RATIOS == tuple(sorted(picks)) and len(SCAN_RATIOS) == 31
+
+    def test_plain_division_misses_the_ratio(self):
+        rng = np.random.default_rng(3)
+        draws = zip(rng.choice(SCAN_RATIOS, 20000), 10.0 ** rng.uniform(-10, 10, 20000))
+        misses = sum((rho * r) / r != rho for rho, r in draws)
+        assert 0.05 < misses / 20000 < 0.15
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(SCAN_RATIOS), st.floats(1e-10, 1e10))
+    def test_snap_returns_the_ratio_bit_for_bit(self, rho, r):
+        got = scan_ratio(rho * r, r)
+        if got != rho:
+            # 10^-0.5 and 10^1.5 are each two adjacent floats, one from
+            # either coarse neighbour; where both give this q the models
+            # are the same, and no snap can tell them apart
+            assert got * r == rho * r and math.nextafter(got, rho) == rho
+
+    def test_snap_takes_the_nearest_ratio_off_the_scan(self):
+        assert scan_ratio(0.9, 1.0) == 1.0
+        assert scan_ratio(2e-4, 2.0) == SCAN_RATIOS[0]
+
+    @pytest.mark.parametrize("state_dim, log_scale", [(1, False), (2, False), (1, True), (2, True)])
+    def test_refit_at_the_scanned_ratio_builds_the_scanned_model(self, state_dim, log_scale, rng):
+        y = 50.0 + np.cumsum(rng.normal(0, 0.5, 600)) + rng.normal(0, 1, 600)
+        config = filtering_config(state_dim, 0.99, log_scale)
+        model, state, probs = fit_filtering(ts_of(y), config)
+        rho = scan_ratio(model.Q[0, 0], model.R)
+        assert rho == _select_noise(fit_scale(ts_of(y), log_scale)[0], state_dim)[0]
+        kept, kept_state, kept_probs = fit_filtering(ts_of(y), config, ratio=rho)
+        for name in ("Q", "x0", "P0"):
+            assert (getattr(kept, name) == getattr(model, name)).all()
+        assert kept.R == model.R and kept.to_dict() == model.to_dict()
+        assert (kept_probs == probs).all() and kept_state.to_dict() == state.to_dict()
 
 
 class TestAnomalyProbability:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import autoad.evaluation as ev
+import autoad.filtering as filtering
 import autoad.optimizer as optimizer
 import autoad.orchestrator as orch
 from autoad.errors import DuplicateId, InvalidSpec, NonConvergence
@@ -34,6 +35,19 @@ def count_profiles(monkeypatch) -> list:
 
     monkeypatch.setattr(orch, "profile_series", counted)
     monkeypatch.setattr(optimizer, "profile_series", counted)
+    return calls
+
+
+def count_noise_scans(monkeypatch) -> list:
+    """Count every noise-ratio scan a filter fit runs from now on."""
+    calls = []
+    scan = filtering._select_noise
+
+    def counted(y, state_dim):
+        calls.append(y.size)
+        return scan(y, state_dim)
+
+    monkeypatch.setattr(filtering, "_select_noise", counted)
     return calls
 
 
@@ -176,6 +190,35 @@ class TestTrainingCycle:
         assert report[0]["status"] == "trained"
         assert report[0]["method"] == "filtering"
         assert calls == []
+
+    def test_only_a_first_training_or_a_retune_scans_for_the_noise_ratio(self, engine, monkeypatch):
+        engine.register_job(job_for(make_series()))
+        monkeypatch.setattr(optimizer, "fit_structural", failing_fit)
+        scans = count_noise_scans(monkeypatch)
+        assert engine.run_training_cycle(96)[0]["status"] == "trained_fallback"
+        assert len(scans) == 1  # the first training's fallback filter
+        first = engine._active_record("m1")["payload"]
+
+        report = engine.run_training_cycle(144, force=True)
+        assert (report[0]["status"], report[0]["method"]) == ("trained", "filtering")
+        assert len(scans) == 1  # a refit keeps the model's ratio
+        kept = engine._active_record("m1")["payload"]
+        assert filtering.scan_ratio(kept["Q"][0][0], kept["R"]) == \
+            filtering.scan_ratio(first["Q"][0][0], first["R"])
+
+        in_tune = []
+
+        def counted_tune(*args, **kwargs):
+            result = optimizer.tune(*args, **kwargs)
+            in_tune.append(len(scans))
+            return result
+
+        monkeypatch.setattr(orch, "tune", counted_tune)
+        mark_red(engine, 144)
+        report = engine.run_training_cycle(192, force=True)
+        assert report[0]["tuned"] is True and report[0]["method"] == "filtering"
+        assert in_tune[0] > 1  # the tuner's cost scans after the first training's
+        assert len(scans) == in_tune[0] + 1  # and so does the retuned fit
 
     def test_one_active_model_per_metric(self, engine):
         engine.register_job(job_for(make_series()))

@@ -130,7 +130,61 @@ class TestStationarize:
             assert d2 == 0
 
 
+def loop_fourier_frequencies(values, l_max=3, noise_floor_multiplier=10.0):
+    """select_fourier_frequencies as a loop over every periodogram bin:
+    the oracle the masked peak search must match bit for bit."""
+    n = values.size
+    spectrum = np.abs(np.fft.rfft(values - values.mean())) ** 2 / n
+    freqs = np.fft.rfftfreq(n)
+    power = spectrum[1:-1] if n % 2 == 0 else spectrum[1:]
+    bins = freqs[1:-1] if n % 2 == 0 else freqs[1:]
+    if power.size < 5:
+        return []
+    padded = np.concatenate([power[:2][::-1], power, power[-2:][::-1]])
+    smoothed = np.convolve(padded, np.ones(5) / 5.0, mode="valid")
+    floor = noise_floor_multiplier * float(np.median(smoothed))
+    peaks = []
+    for i in range(power.size):
+        lo, hi = max(0, i - 1), min(power.size, i + 2)
+        if smoothed[i] < max(smoothed[lo:hi]) or smoothed[i] <= floor:
+            continue
+        wlo, whi = max(0, i - 2), min(power.size, i + 3)
+        j = wlo + int(np.argmax(power[wlo:whi]))
+        peaks.append((float(bins[j]), float(power[j])))
+    peaks.sort(key=lambda fp: -fp[1])
+    deduped = []
+    for f, p in peaks:
+        if all(abs(f - g) > 1.5 / n for g, _ in deduped):
+            deduped.append((f, p))
+    return deduped[:l_max]
+
+
 class TestFourierSelection:
+    @given(n=st.integers(16, 3000), seed=st.integers(0, 2**16), kind=st.sampled_from(["float", "rounded", "tiled"]),
+           l_max=st.integers(1, 5), multiplier=st.sampled_from([10.0, 3.0, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_masked_peaks_match_the_loop(self, n, seed, kind, l_max, multiplier):
+        rng = np.random.default_rng(seed)
+        t = np.arange(n)
+        if kind == "tiled":
+            # whole repeats of an integer pattern: isolated spectral lines,
+            # whose smoothed copies are plateaus of exactly equal bins
+            pattern = rng.integers(0, 4, rng.integers(2, 13))
+            values = np.tile(pattern, -(-n // pattern.size)).astype(float)
+        else:
+            values = np.sin(2 * np.pi * t / rng.integers(2, 200)) + rng.normal(0, rng.uniform(0.05, 2), n)
+            if kind == "rounded":
+                values = np.round(values, int(rng.integers(0, 2)))
+        want = loop_fourier_frequencies(values, l_max, multiplier)
+        assert select_fourier_frequencies(ts_of(values), l_max, multiplier) == want
+
+    @pytest.mark.parametrize("pattern, repeats", [([2, 3, 2, 0, 0], 15), ([2, 2, 0, 2, 1, 1, 1, 2, 0], 5)])
+    def test_plateau_ties_match_the_loop(self, pattern, repeats):
+        """Every bin of a plateau is a peak, and the tied bins refine to
+        different raw bins here."""
+        values = np.tile(np.asarray(pattern, dtype=float), repeats)
+        assert select_fourier_frequencies(ts_of(values)) == loop_fourier_frequencies(values)
+
     def test_hourly_sinusoid_recovered(self, rng):
         t = np.arange(480.0)
         values = np.sin(2 * np.pi * t / 24) + rng.normal(0, 0.1, 480)
