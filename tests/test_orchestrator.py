@@ -206,19 +206,19 @@ class TestTrainingCycle:
         assert filtering.scan_ratio(kept["Q"][0][0], kept["R"]) == \
             filtering.scan_ratio(first["Q"][0][0], first["R"])
 
-        in_tune = []
+        after_tune = []
 
         def counted_tune(*args, **kwargs):
             result = optimizer.tune(*args, **kwargs)
-            in_tune.append(len(scans))
+            after_tune.append(len(scans))
             return result
 
         monkeypatch.setattr(orch, "tune", counted_tune)
         mark_red(engine, 144)
         report = engine.run_training_cycle(192, force=True)
         assert report[0]["tuned"] is True and report[0]["method"] == "filtering"
-        assert in_tune[0] > 1  # the tuner's cost scans after the first training's
-        assert len(scans) == in_tune[0] + 1  # and so does the retuned fit
+        assert after_tune[0] > 1  # the tuner's cost scans too
+        assert len(scans) == after_tune[0] + 1  # and so does the retuned fit
 
     def test_one_active_model_per_metric(self, engine):
         engine.register_job(job_for(make_series()))
