@@ -6,8 +6,9 @@ residual is fitted as an ARMA(p, q) process by conditional sum-of-squares
 (CSS): in closed form for a pure AR, otherwise by Levenberg-Marquardt over
 the partial autocorrelations of the AR and MA polynomials, so that every
 fit is stationary and invertible.
-Forecasts recurse the ARMA part, add the deterministic regression part and
-integrate back through differencing and the log transform.
+The fit's innovations and a forecast's mean and psi weights run one ARMA
+filter; a forecast adds the deterministic regression part and integrates
+back through differencing and the log transform.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 from scipy.linalg import solve_toeplitz
 from scipy.optimize import least_squares
-from scipy.signal import lfilter
+from scipy.signal import lfilter, lfiltic, unit_impulse
 
 from .errors import InsufficientData, NonConvergence
 from .profiling import DataProfile
@@ -283,7 +284,8 @@ def fit_structural(ts: TimeSeries, profile: DataProfile, config: "ModelConfig") 
     The ARMA part minimizes the CSS of the innovations after the first p:
     by least squares on the lagged residuals when q = 0, and by
     :func:`_fit_css` otherwise, whose AR polynomial is stationary and MA
-    polynomial invertible at every iterate.
+    polynomial invertible at every iterate.  At every order the
+    innovations are then one :func:`_css_innovations` filter.
 
     Raises InsufficientData when the series cannot support the requested
     order and NonConvergence when the CSS optimization breaks down.
@@ -323,25 +325,18 @@ def fit_structural(ts: TimeSeries, profile: DataProfile, config: "ModelConfig") 
     theta = coef[1:]
     r = z - design @ coef
 
-    burn = p
-    if p == 0 and q == 0:
-        phi = np.zeros(0)
-        omega = np.zeros(0)
-        eps = r.copy()
-    elif q == 0:
+    phi = omega = np.zeros(0)
+    if q:
+        phi, omega = _fit_css(r, p, q)
+    elif p:
         # pure AR: conditional least squares has a closed form
         lagged = np.column_stack([r[p - i - 1 : r.size - i - 1] for i in range(p)])
-        target = r[p:]
-        phi, *_ = np.linalg.lstsq(lagged, target, rcond=None)
+        phi, *_ = np.linalg.lstsq(lagged, r[p:], rcond=None)
         if not np.all(np.isfinite(phi)):
             raise NonConvergence("AR least squares produced non-finite coefficients")
-        omega = np.zeros(0)
-        eps = _css_innovations(phi, omega, r)
-    else:
-        phi, omega = _fit_css(r, p, q)
-        eps = _css_innovations(phi, omega, r)
+    eps = _css_innovations(phi, omega, r)
 
-    sigma2 = float(np.mean(eps[burn:] ** 2)) if eps.size > burn else float(np.mean(eps**2))
+    sigma2 = float(np.mean(eps[p:] ** 2))
     if not math.isfinite(sigma2):
         raise NonConvergence("innovation variance is not finite")
     sigma2 = max(sigma2, _SIGMA2_FLOOR)
@@ -370,25 +365,16 @@ def fit_structural(ts: TimeSeries, profile: DataProfile, config: "ModelConfig") 
     )
 
 
-def _psi_weights(model: StructuralModel, h: int) -> np.ndarray:
-    psi = np.zeros(h)
-    psi[0] = 1.0
-    for j in range(1, h):
-        acc = model.omega[j - 1] if j - 1 < model.q else 0.0
-        for i in range(1, min(j, model.p) + 1):
-            acc += model.phi[i - 1] * psi[j - i]
-        psi[j] = acc
-    return psi
-
-
 def forecast(model: StructuralModel, h: int, transformed: bool = False) -> list[tuple[float, float]]:
     """h-step-ahead (mean, std) pairs.
 
-    The ARMA recursion runs on the regression-residual scale; the
-    deterministic Fourier part is added back, the result integrated
-    through the differencing levels, and (unless ``transformed``) mapped
-    back through the log transform.  Forecast variance accumulates the
-    d-times-cumulated psi weights:
+    The ARMA part is the fit's filter (1 + omega(B)) / (1 - phi(B)) run
+    on the regression-residual scale: on zero future innovations from the
+    training tail's state for the mean, and on a unit impulse for the psi
+    weights.  The deterministic Fourier part is added back, the result
+    integrated through the differencing levels, and (unless
+    ``transformed``) mapped back through the log transform.  Forecast
+    variance accumulates the d-times-cumulated psi weights:
 
         var(h) = sigma2 * sum_{j<h} (psi*_j)^2,   psi* = cumsum^d(psi)
 
@@ -397,19 +383,12 @@ def forecast(model: StructuralModel, h: int, transformed: bool = False) -> list[
     if h < 1:
         raise ValueError("horizon must be >= 1")
     p, q = model.p, model.q
-    r_hist = list(model.r_tail[-p:]) if p else []
-    eps_hist = list(model.eps_tail[-q:]) if q else []
+    ar = np.concatenate([[1.0], -model.phi])
+    ma = np.concatenate([[1.0], model.omega])
     r_fc = np.zeros(h)
-    for k in range(h):
-        acc = 0.0
-        for i in range(1, p + 1):
-            past = r_fc[k - i] if k - i >= 0 else (r_hist[k - i] if p and k - i >= -len(r_hist) else 0.0)
-            acc += model.phi[i - 1] * past
-        for j in range(1, q + 1):
-            idx = k - j
-            if idx < 0 and q and idx >= -len(eps_hist):
-                acc += model.omega[j - 1] * eps_hist[idx]
-        r_fc[k] = acc
+    if p or q:
+        zi = lfiltic(ma, ar, model.r_tail[::-1][:p], model.eps_tail[::-1][:q])
+        r_fc = lfilter(ma, ar, r_fc, zi=zi)[0]
 
     t_future = np.arange(model.train_len, model.train_len + h, dtype=float)
     design = _fourier_design(t_future, model.frequencies)
@@ -421,7 +400,7 @@ def forecast(model: StructuralModel, h: int, transformed: bool = False) -> list[
         level = model.tail_values[k] + np.cumsum(level)
     mean = level
 
-    psi = _psi_weights(model, h)
+    psi = lfilter(ma, ar, unit_impulse(h))
     for _ in range(model.d):
         psi = np.cumsum(psi)
     var = model.sigma2 * np.cumsum(psi**2)

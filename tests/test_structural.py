@@ -13,7 +13,7 @@ from autoad import bench
 from autoad.errors import InsufficientData, NonConvergence
 from autoad.optimizer import ModelConfig, StructuralParams
 from autoad.profiling import DataProfile, profile
-from autoad.series import TimeSeries
+from autoad.series import TimeSeries, from_log
 from autoad.stats import gaussian_anomaly_probability
 from autoad import structural
 from autoad.structural import (
@@ -305,7 +305,93 @@ def test_fit_path_identical_to_roots_oracle(monkeypatch, log_scale, diff_order):
             assert new == old, (p, q)
 
 
+def loop_psi_weights(model, h):
+    psi = np.zeros(h)
+    psi[0] = 1.0
+    for j in range(1, h):
+        acc = model.omega[j - 1] if j - 1 < model.q else 0.0
+        for i in range(1, min(j, model.p) + 1):
+            acc += model.phi[i - 1] * psi[j - i]
+        psi[j] = acc
+    return psi
+
+
+def loop_forecast(model, h, transformed=False):
+    """The ARMA forecast as per-step recursions: the mean step by step from
+    the training tail, the psi weights by their defining recursion
+    (Box, Jenkins & Reinsel, ch. 5).  The reference for :func:`forecast`."""
+    p, q = model.p, model.q
+    r_hist = list(model.r_tail[-p:]) if p else []
+    eps_hist = list(model.eps_tail[-q:]) if q else []
+    r_fc = np.zeros(h)
+    for k in range(h):
+        acc = 0.0
+        for i in range(1, p + 1):
+            past = r_fc[k - i] if k - i >= 0 else (r_hist[k - i] if p and k - i >= -len(r_hist) else 0.0)
+            acc += model.phi[i - 1] * past
+        for j in range(1, q + 1):
+            idx = k - j
+            if idx < 0 and q and idx >= -len(eps_hist):
+                acc += model.omega[j - 1] * eps_hist[idx]
+        r_fc[k] = acc
+
+    t_future = np.arange(model.train_len, model.train_len + h, dtype=float)
+    design = structural._fourier_design(t_future, model.frequencies)
+    coef = np.concatenate([[model.train_mean], model.theta])
+    z_fc = design @ coef + r_fc
+
+    level = z_fc
+    for k in range(model.d - 1, -1, -1):
+        level = model.tail_values[k] + np.cumsum(level)
+    mean = level
+
+    psi = loop_psi_weights(model, h)
+    for _ in range(model.d):
+        psi = np.cumsum(psi)
+    var = model.sigma2 * np.cumsum(psi**2)
+    std = np.sqrt(var)
+
+    if model.log_scale and not transformed:
+        raw_mean = from_log(mean, model.log_offset)
+        raw_std = np.exp(mean) * std
+        return list(zip(raw_mean.tolist(), raw_std.tolist()))
+    return list(zip(mean.tolist(), std.tolist()))
+
+
+def drawn_model(data, p, q, d, log_scale):
+    """A stationary, invertible structural model with random training tail."""
+    unit = st.floats(-1.0, 1.0)
+    u = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=p + q, max_size=p + q)))
+    phi, omega, _ = _css_coefficients(u, p)
+    scale = 10.0 ** data.draw(st.floats(-6.0, 1.0))
+    frequencies = tuple(data.draw(st.lists(st.floats(0.001, 0.5), max_size=2)))
+    vector = lambda n: scale * np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
+    return StructuralModel(
+        p=p, q=q, phi=phi, omega=omega, theta=vector(2 * len(frequencies)), frequencies=frequencies,
+        d=d, log_scale=log_scale, log_offset=data.draw(st.floats(0.0, 10.0)),
+        sigma2=scale**2 * data.draw(st.floats(1e-6, 4.0)), train_mean=float(vector(1)[0]),
+        residuals=np.zeros(0), train_len=data.draw(st.integers(10, 5000)),
+        tail_values=vector(d), r_tail=vector(max(p, 1)), eps_tail=vector(max(q, 1)),
+    )
+
+
 class TestForecast:
+    @given(p=st.integers(0, 3), q=st.integers(0, 3), d=st.integers(0, 2), h=st.integers(1, 400),
+           log_scale=st.booleans(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_filter_forecast_matches_loop_oracle(self, p, q, d, h, log_scale, data):
+        """The mean and the psi-weight std agree with the per-step
+        recursions at every order, MA terms and p >= 2 included."""
+        model = drawn_model(data, p, q, d, log_scale)
+        if log_scale:  # keep exp() of the modeled mean far from overflow
+            assume(max(abs(m) for m, _ in loop_forecast(model, h, transformed=True)) < 50.0)
+        want = np.array(loop_forecast(model, h))
+        got = np.array(forecast(model, h))
+        assert got.shape == want.shape == (h, 2)
+        tol = 1e-9 * max(1.0, np.max(np.abs(want[:, 0])))
+        assert np.max(np.abs(got[:, 0] - want[:, 0])) <= tol
+        assert np.max(np.abs(got[:, 1] - want[:, 1]) / want[:, 1]) <= 1e-9
+
     def test_white_noise_forecast_is_mean_and_sigma(self, rng):
         values = rng.normal(3.0, 1.0, 400)
         model = fit_structural(ts_of(values), DataProfile(), structural_config(0, 0, 0))
