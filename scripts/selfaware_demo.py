@@ -24,8 +24,7 @@ def make_series(shift: bool, n: int = 480, seed: int = 0) -> TimeSeries:
 
 
 def main() -> int:
-    with tempfile.TemporaryDirectory() as root:
-        engine = Engine(root, tune_budget=12, seed=1)
+    with tempfile.TemporaryDirectory() as root, Engine(root, tune_budget=12, seed=1) as engine:
         for label, shift in (("drifted", True), ("stationary", False)):
             engine.register_job(
                 JobSpec(

@@ -149,8 +149,7 @@ def replay(lbs: LabeledBenchSeries, tune_budget: int = 16, seed: int = 0) -> tup
         score_every=1,
         model_ttl=2 * train_every,
     )
-    with tempfile.TemporaryDirectory() as root:
-        engine = Engine(root, tune_budget=tune_budget, seed=seed)
+    with tempfile.TemporaryDirectory() as root, Engine(root, tune_budget=tune_budget, seed=seed) as engine:
         engine.register_job(spec)
         engine.advance_clock(len(lbs.series))
         records = read_score_csv(Path(root) / "scores" / f"{spec.metric_id}.csv")

@@ -19,18 +19,18 @@ def _engine(args) -> Engine:
 
 def cmd_register(args) -> int:
     spec = JobSpec.from_dict(json.loads(Path(args.spec).read_text()))
-    engine = _engine(args)
-    job_id = engine.register_job(spec)
+    with _engine(args) as engine:
+        job_id = engine.register_job(spec)
     print(f"registered job {job_id} (metric {spec.metric_id})")
     return 0
 
 
 def cmd_run(args) -> int:
-    engine = _engine(args)
-    if args.until <= engine.now:
-        print(f"clock already at {engine.now}, nothing to do")
-        return 0
-    engine.advance_clock(args.until - engine.now)
+    with _engine(args) as engine:
+        if args.until <= engine.now:
+            print(f"clock already at {engine.now}, nothing to do")
+            return 0
+        engine.advance_clock(args.until - engine.now)
     print(f"advanced clock to {engine.now}")
     for row in engine.status():
         print(
@@ -41,8 +41,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_status(args) -> int:
-    engine = _engine(args)
-    rows = engine.status()
+    with _engine(args) as engine:
+        rows = engine.status()
     if not rows:
         print("no jobs registered")
         return 0
@@ -58,11 +58,11 @@ def cmd_status(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    engine = _engine(args)
-    if args.metric not in {s.metric_id for s in engine.jobs()}:
-        print(f"unknown metric {args.metric!r}", file=sys.stderr)
-        return 2
-    snapshots = engine.run_evaluation_cycle(engine.now)
+    with _engine(args) as engine:
+        if args.metric not in {s.metric_id for s in engine.jobs()}:
+            print(f"unknown metric {args.metric!r}", file=sys.stderr)
+            return 2
+        snapshots = engine.run_evaluation_cycle(engine.now)
     snap = snapshots[args.metric]
     print(json.dumps(snap.to_dict(), indent=1, sort_keys=True))
     if args.emit_curves:

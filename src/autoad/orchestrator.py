@@ -15,15 +15,16 @@ with redo recovery (Mohan et al., "ARIES", 1992):
 - ``scores/*.csv`` and ``alerts/*.jsonl`` are appended during a tick.
 - Each tick then appends one line to ``journal.jsonl``, its commit
   record: the tick, the full documents it changed (scoring states, model
-  records, health documents) and the byte length of every scores and
-  alerts file after it.  A tick with no work writes only its tick.
+  records, health documents) and the byte lengths of the scores and
+  alerts files it appended to.  A tick with no work writes only its tick.
 - Model and health documents are held in memory until the commit record
   is appended, and only then written (atomically).  ``tunes/*.json`` is
   never read back and a replayed tick rewrites it byte for byte, so it
   is written at once.
-- ``state/*.json`` and ``meta.json`` (the clock and the appended files'
-  lengths) are checkpoints, written after the commit record of every
-  tick that runs a training cycle; the journal is then emptied.
+- ``state/*.json`` and ``meta.json`` (the clock and every appended
+  file's length) are checkpoints, written after the commit record of
+  every tick that runs a training cycle; the journal is then emptied in
+  place, by truncation.
 - A new engine loads the checkpoint and redoes every complete journal
   line in order into memory (records hold full documents, so redo is
   idempotent); opening a store changes no file, so ``status`` may run
@@ -37,11 +38,22 @@ with redo recovery (Mohan et al., "ARIES", 1992):
 
 A cycle called on its own (not from :meth:`Engine.advance_clock`)
 commits its own changes, with a checkpoint, before it returns.  Only one
-engine may write to a directory at a time.  Nothing calls ``fsync``:
-files are flushed when closed.  The engine keeps in-memory copies of
-the registry, each metric's scoring state, score log and active model.
-The score log is not stored twice: it is the tail of the metric's scores
-CSV, read back when an engine first needs it.
+engine may write to a directory at a time.
+
+The engine appends through handles it holds open, one per appended file
+(the journal included), opened on first append; at most
+:data:`MAX_HANDLES` are open, the least recently used being closed past
+that.  The handles are unbuffered, so each append is one ``write(2)``
+and nothing waits in the process to be written later: an engine that
+crashed, or was dropped unclosed, cannot add bytes after a new engine has
+repaired the store.  :meth:`Engine.close` (or leaving a ``with`` block)
+closes them; a later append opens its file again.  Nothing calls
+``fsync``.
+
+The engine keeps in-memory copies of the registry, each metric's scoring
+state, score log and active model.  The score log is not stored twice:
+it is the tail of the metric's scores CSV, read back when an engine
+first needs it.
 """
 
 from __future__ import annotations
@@ -53,7 +65,7 @@ import json
 import math
 import os
 import zlib
-from collections import deque
+from collections import OrderedDict, deque
 from pathlib import Path
 from typing import Optional
 
@@ -77,6 +89,11 @@ MIN_EVAL_SCORES = 8  # fewer stable scores than this keeps a series in Y
 LOG_WINDOW = 500  # newest scores kept in a metric's score log
 JOURNAL = "journal.jsonl"
 APPENDED = (("scores", "*.csv"), ("alerts", "*.jsonl"))  # files a tick appends to
+# append handles an engine holds open at once: every scores and alerts file
+# and the journal of a fleet of up to 63 metrics, while six engines in one
+# process still leave a quarter of the usual soft limit of 1024 descriptors
+# for the files, pipes and sockets the rest of the program opens
+MAX_HANDLES = 128
 # a metric's scoring state before its first training; a loaded state keeps
 # exactly these keys, so what older stores kept beside them drops out
 FRESH_STATE = {"last_scored": 0, "filter_state": None, "tune_generation": 0,
@@ -168,9 +185,15 @@ def _write_json(path: Path, data) -> None:
     _atomic_write(path, _doc_text(data))
 
 
-def _append(path: Path, data: bytes) -> None:
-    with open(path, "ab") as fh:
-        fh.write(data)
+def _write(fh, data: bytes, truncate: bool = False) -> None:
+    """Append ``data`` to a held file in one ``write(2)``, after emptying
+    the file if ``truncate``.  Every change the store makes to an appended
+    file comes through here.  A short write raises, so the lengths the
+    engine records never run ahead of the file."""
+    if truncate:
+        fh.truncate(0)
+    if data and fh.write(data) != len(data):
+        raise OSError(f"short write to {fh.name}")
 
 
 class Engine:
@@ -190,6 +213,7 @@ class Engine:
         thread, and the evaluation volumes are exact, not sampled.  The
         two keywords stay because ``perfbench/workload.py`` passes them,
         and the benchmark harness changes only with the benchmark itself."""
+        self._handles: OrderedDict[str, io.FileIO] = OrderedDict()  # store name -> held append handle
         if alert_channel not in ("stdout", "file", "webhook_stub"):
             raise ValueError(f"unknown alert channel {alert_channel!r}")
         self.root = Path(data_dir)
@@ -212,10 +236,27 @@ class Engine:
         self._since_checkpoint: dict[str, dict] = {}
         # metric -> the (mv, em) curves the last evaluation cycle built, or None
         self.last_curves: dict[str, Optional[tuple]] = {}
-        self._appended = False  # the tick in progress appended to scores/ or alerts/
+        self._appended: set[str] = set()  # scores/ and alerts/ files the tick in progress appended to
         self._ticking = False
         self._repaired = False
         self._load()
+
+    def close(self) -> None:
+        """Close the held append handles.  Idempotent; the engine stays
+        usable, and its next append to a file opens it again."""
+        while self._handles:
+            self._handles.popitem()[1].close()
+
+    def __enter__(self) -> "Engine":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __del__(self) -> None:
+        # an engine dropped unclosed (the benchmark harness drops its
+        # engines) gives its descriptors back without a ResourceWarning
+        self.close()
 
     # -- storage helpers --------------------------------------------------
 
@@ -295,12 +336,14 @@ class Engine:
         then write the documents it holds; a checkpoint follows if asked."""
         record: dict = {"tick": self.now}
         if self._pending or self._appended:
-            record.update(docs=self._pending, lengths=self._lengths)
+            record.update(docs=self._pending,
+                          lengths={name: self._lengths[name] for name in self._appended})
         if checkpoint:
             record["checkpoint"] = True
         line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        _append(self.root / JOURNAL, line.encode())
-        pending, self._pending, self._appended = self._pending, {}, False
+        _write(self._handle(JOURNAL), line.encode())
+        pending, self._pending = self._pending, {}
+        self._appended.clear()
         for name, doc in sorted(pending.items()):
             if name.startswith("state/"):
                 self._since_checkpoint[name] = doc
@@ -314,7 +357,7 @@ class Engine:
         for name, doc in sorted(self._since_checkpoint.items()):
             _write_json(self.root / name, doc)
         _write_json(self.root / "meta.json", {"lengths": self._lengths, "now": self.now})
-        _atomic_write(self.root / JOURNAL, "")
+        _write(self._handle(JOURNAL), b"", truncate=True)
         self._since_checkpoint.clear()
 
     def _end_cycle(self) -> None:
@@ -331,11 +374,23 @@ class Engine:
                 return held[name]
         return self._read_json(self.root / name)
 
+    def _handle(self, name: str) -> io.FileIO:
+        """The held append handle of an appended file, opened on first use;
+        past MAX_HANDLES the least recently used one is closed."""
+        fh = self._handles.get(name)
+        if fh is not None:
+            self._handles.move_to_end(name)
+            return fh
+        if len(self._handles) >= MAX_HANDLES:
+            self._handles.popitem(last=False)[1].close()
+        fh = self._handles[name] = open(self.root / name, "ab", buffering=0)
+        return fh
+
     def _append_file(self, name: str, text: str) -> None:
         data = text.encode()
-        _append(self.root / name, data)
+        _write(self._handle(name), data)
         self._lengths[name] = self._lengths.get(name, 0) + len(data)
-        self._appended = True
+        self._appended.add(name)
 
     def _job_path(self, job_id: str) -> Path:
         return self.root / "jobs" / f"{job_id}.json"

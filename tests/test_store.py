@@ -2,8 +2,10 @@
 
 import csv
 import dataclasses
+import gc
 import json
 import math
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -42,6 +44,11 @@ def register_fleet(engine: Engine) -> None:
 
 def snapshot(root: Path) -> dict:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def store_name(target, root: Path) -> str:
+    """The store name of a write hook's target: a path, or a held handle."""
+    return str(Path(target if isinstance(target, Path) else target.name).relative_to(root))
 
 
 def score_rows(engine: Engine, metric: str) -> list[dict]:
@@ -148,18 +155,18 @@ class TestCrashRecovery:
         engine = fleet_engine(base)
         register_fleet(engine)
         engine.advance_clock(RETUNE_TICK - 1)
-        originals = {kind: getattr(orch, kind) for kind in ("_append", "_atomic_write")}
+        originals = {kind: getattr(orch, kind) for kind in ("_write", "_atomic_write")}
 
         def run_tick(root, fail_at=None):
             """Tick RETUNE_TICK on a copy of ``base``; its store writes, in order."""
             shutil.copytree(base, root)
             writes = []
             for kind, original in originals.items():
-                def write(path, data, kind=kind, original=original):
-                    writes.append((kind, str(Path(path).relative_to(root))))
+                def write(target, *args, kind=kind, original=original, **kwargs):
+                    writes.append((kind, store_name(target, root)))
                     if len(writes) == fail_at:
                         raise Crash(f"write {fail_at}")
-                    return original(path, data)
+                    return original(target, *args, **kwargs)
 
                 monkeypatch.setattr(orch, kind, write)
             try:
@@ -173,7 +180,7 @@ class TestCrashRecovery:
         after_tick = snapshot(tmp_path / "probe")
         names = [name for _, name in writes]
         commit = names.index("journal.jsonl")
-        assert writes[commit][0] == "_append"
+        assert writes[commit][0] == "_write"
         assert "tunes/drifted-g1.json" in names[:commit]
         assert {n.split("/")[0] for n in names[:commit]} <= {"scores", "alerts", "tunes"}
         assert [n.split("/")[0] for n in names[commit + 1:]] == [
@@ -230,6 +237,7 @@ class TestCrashRecovery:
             for metric in ("quiet", "drifted"):
                 assert reader._score_log(metric).entries == engine._score_log(metric).entries[:-1]
             assert snapshot(tmp_path) == before
+            assert not reader._handles  # reading opens no append handle
             opened.append(now)
             return train(now, *args, **kwargs)
 
@@ -273,18 +281,18 @@ class TestCrashRecovery:
         register_fleet(engine)
         engine.advance_clock(96)
         writes = []
-        for kind in ("_append", "_atomic_write"):
-            def write(path, data, kind=kind, original=getattr(orch, kind)):
-                writes.append((kind, str(Path(path).relative_to(tmp_path))))
-                return original(path, data)
+        for kind in ("_write", "_atomic_write"):
+            def write(target, *args, kind=kind, original=getattr(orch, kind), **kwargs):
+                writes.append((kind, store_name(target, tmp_path)))
+                return original(target, *args, **kwargs)
 
             monkeypatch.setattr(orch, kind, write)
         engine.advance_clock(47)  # ticks 97..143 score and do not train
-        assert sorted(set(writes)) == [("_append", "alerts/drifted.jsonl"), ("_append", "alerts/quiet.jsonl"),
-                                       ("_append", "journal.jsonl"), ("_append", "scores/drifted.csv"),
-                                       ("_append", "scores/quiet.csv")]
-        assert writes.count(("_append", "journal.jsonl")) == 47
-        assert writes.count(("_append", "scores/quiet.csv")) == 47
+        assert sorted(set(writes)) == [("_write", "alerts/drifted.jsonl"), ("_write", "alerts/quiet.jsonl"),
+                                       ("_write", "journal.jsonl"), ("_write", "scores/drifted.csv"),
+                                       ("_write", "scores/quiet.csv")]
+        assert writes.count(("_write", "journal.jsonl")) == 47
+        assert writes.count(("_write", "scores/quiet.csv")) == 47
 
     def test_same_tick_training_sees_the_red_label_scoring_held(self, tmp_path):
         """A model expiring at a training tick is labelled R by that tick's
@@ -311,6 +319,79 @@ class TestCrashRecovery:
             assert fresh._active_record(metric)["model_id"] == engine._active_record(metric)["model_id"]
             assert fresh._score_log(metric).entries == engine._score_log(metric).entries
             assert json.loads(fresh._health_path(metric).read_text())["at"] == 103
+
+
+class TestHeldHandles:
+    """The engine appends through held, unbuffered handles."""
+
+    def test_record_after_a_checkpoint_is_on_disk(self, tmp_path):
+        engine = fleet_engine(tmp_path)
+        register_fleet(engine)
+        engine.advance_clock(TRAINING_TICKS[0])
+        assert (tmp_path / "journal.jsonl").read_bytes() == b""  # emptied through its held handle
+        engine.advance_clock(1)
+        records = [json.loads(line) for line in (tmp_path / "journal.jsonl").read_text().splitlines()]
+        assert [record["tick"] for record in records] == [TRAINING_TICKS[0] + 1]
+        assert set(records[0]["lengths"]) == {"scores/quiet.csv", "scores/drifted.csv"}
+
+    def test_crashed_engine_dropped_after_a_restart_adds_nothing(self, single_run, tmp_path):
+        """An engine that died with rows its tick never committed holds
+        their files open; dropping it after a new engine has cut them
+        back and finished the run leaves the finished store alone."""
+        crashed = fleet_engine(tmp_path)
+        register_fleet(crashed)
+        crash_after(crashed, "run_scoring_cycle", 150)
+        with pytest.raises(Crash):
+            crashed.advance_clock(RESTART_TICKS)
+        assert "scores/quiet.csv" in crashed._handles
+        finish_run(tmp_path)
+        assert snapshot(tmp_path) == single_run
+        del crashed
+        gc.collect()
+        assert snapshot(tmp_path) == single_run
+
+    def test_handles_stay_within_the_bound(self, single_run, tmp_path, monkeypatch):
+        monkeypatch.setattr(orch, "MAX_HANDLES", 2)
+        engine = fleet_engine(tmp_path)
+        register_fleet(engine)
+        written, held = set(), []
+        original = orch._write
+
+        def write(fh, *args, **kwargs):
+            written.add(fh.name)
+            held.append(len(engine._handles))
+            return original(fh, *args, **kwargs)
+
+        monkeypatch.setattr(orch, "_write", write)
+        engine.advance_clock(RESTART_TICKS)
+        assert len(written) == 5  # two scores files, two alerts files and the journal
+        assert max(held) == 2
+        assert snapshot(tmp_path) == single_run
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    def test_engines_dropped_unclosed_release_their_descriptors(self, tmp_path):
+        gc.collect()  # engines earlier tests left behind
+        before = len(os.listdir("/proc/self/fd"))
+        register_fleet(fleet_engine(tmp_path))
+        engines = []
+        for _ in range(20):
+            engines.append(fleet_engine(tmp_path))
+            engines[-1].advance_clock(10)
+        assert len(os.listdir("/proc/self/fd")) > before  # the engines hold their handles
+        del engines
+        gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_close_is_idempotent_and_appending_reopens(self, tmp_path):
+        with fleet_engine(tmp_path) as engine:
+            register_fleet(engine)
+            engine.advance_clock(100)
+        assert not engine._handles
+        engine.close()
+        engine.advance_clock(1)
+        assert set(engine._handles) >= {"journal.jsonl", "scores/quiet.csv"}
+        engine.close()
+        assert fleet_engine(tmp_path).now == 101
 
 
 class TestCaches:
