@@ -13,28 +13,34 @@ cycle is inspectable and re-runnable.  The store is a write-ahead log
 with redo recovery (Mohan et al., "ARIES", 1992):
 
 - ``scores/*.csv`` and ``alerts/*.jsonl`` are appended during a tick.
-- Each tick then appends one line to ``journal.jsonl``, its commit
-  record: the tick, the full documents it changed (scoring states, model
-  records, health documents) and the byte lengths of the scores and
-  alerts files it appended to.  A tick with no work writes only its tick.
-- Model and health documents are held in memory until the commit record
-  is appended, and only then written (atomically).  ``tunes/*.json`` is
-  never read back and a replayed tick rewrites it byte for byte, so it
-  is written at once.
-- ``state/*.json`` and ``meta.json`` (the clock and every appended
-  file's length) are checkpoints, written after the commit record of
-  every tick that runs a training cycle; the journal is then emptied in
-  place, by truncation.
-- A new engine loads the checkpoint and redoes every complete journal
-  line in order into memory (records hold full documents, so redo is
-  idempotent); opening a store changes no file, so ``status`` may run
-  beside a running engine.  Before its first write, the engine drops a
-  torn last line, writes the committed documents the files lack, cuts
-  the appended files back to the lengths of the last record and
-  finishes an interrupted checkpoint.  A tick that crashed before its
-  commit record is then run again: its file and webhook-stub alerts come
-  out exactly once, its stdout alerts are printed again (at-least-once
-  delivery).
+  ``tunes/*.json`` is never read back and a replayed tick rewrites it
+  byte for byte, so it is written at once.
+- ``meta.json`` is the checkpoint, the one file of documents: every
+  metric's committed scoring state, model record and health document,
+  under their store names (``state/<m>.json``, ``models/<m>.json``,
+  ``health/<m>.json``), the clock and every appended file's length.  It
+  is compact JSON, as the indented encoder is pure Python (about 130 µs
+  against 40 µs for a two-metric fleet's 2.9 KB document); read it with
+  ``python -m json.tool meta.json`` or ``autoad status``.
+- A tick that runs a training cycle commits by rewriting the checkpoint
+  (atomically, by one rename); the journal is then emptied in place, by
+  truncation.  Any other tick commits by appending one line to
+  ``journal.jsonl``: the tick, the full documents it changed and the
+  byte lengths of the scores and alerts files it appended to.  A tick
+  with no work writes only its tick.
+- A new engine loads the checkpoint and redoes, in order and in memory,
+  every complete journal line after the checkpoint's clock (records hold
+  full documents, so redo is idempotent); opening a store changes no
+  file, so ``status`` may run beside a running engine.  Before its first
+  write, the engine cuts the journal back to those lines, so a torn line
+  and the lines a crash before a truncation left go, and cuts the
+  appended files back to the lengths of the last commit.  A tick that
+  crashed before its commit is then run again: its file and webhook-stub
+  alerts come out exactly once, its stdout alerts are printed again
+  (at-least-once delivery).
+- A store kept with one file per document (under ``state/``,
+  ``models/`` and ``health/``) is read once; the first write checkpoints
+  it and then deletes those files.
 
 A cycle called on its own (not from :meth:`Engine.advance_clock`)
 commits its own changes, with a checkpoint, before it returns.  Only one
@@ -50,10 +56,10 @@ repaired the store.  :meth:`Engine.close` (or leaving a ``with`` block)
 closes them; a later append opens its file again.  Nothing calls
 ``fsync``.
 
-The engine keeps in-memory copies of the registry, each metric's scoring
-state, score log and active model.  The score log is not stored twice:
-it is the tail of the metric's scores CSV, read back when an engine
-first needs it.
+The engine keeps in memory the registry and every committed document,
+and never reads a document back from disk.  The score log is not stored
+twice: it is the tail of the metric's scores CSV, read back when an
+engine first needs it.
 """
 
 from __future__ import annotations
@@ -101,8 +107,9 @@ FRESH_STATE = {"last_scored": 0, "filter_state": None, "tune_generation": 0,
 
 
 def _doc_name(kind: str, metric_id: str) -> str:
-    """The store name (path under the data directory) of a metric's file:
-    ``state``, ``models`` and ``health`` documents, or its ``scores`` CSV."""
+    """The store name of a metric's ``state``, ``models`` or ``health``
+    document (its key in the checkpoint), or of its ``scores`` CSV (its
+    path under the data directory)."""
     return f"{kind}/{metric_id}.csv" if kind == "scores" else f"{kind}/{metric_id}.json"
 
 
@@ -177,12 +184,13 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _doc_text(data) -> str:
-    return json.dumps(data, indent=1, sort_keys=True)
+def _compact(data) -> str:
+    """The journal's and the checkpoint's encoding, which runs the C encoder."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def _write_json(path: Path, data) -> None:
-    _atomic_write(path, _doc_text(data))
+    _atomic_write(path, json.dumps(data, indent=1, sort_keys=True))
 
 
 def _write(fh, data: bytes, truncate: bool = False) -> None:
@@ -217,7 +225,8 @@ class Engine:
         if alert_channel not in ("stdout", "file", "webhook_stub"):
             raise ValueError(f"unknown alert channel {alert_channel!r}")
         self.root = Path(data_dir)
-        for sub in ("jobs", "models", "state", "scores", "health", "alerts", "tunes"):
+        # the store's documents all live in meta.json, its checkpoint
+        for sub in ("jobs", "scores", "alerts", "tunes"):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
         self.tune_budget = tune_budget
         self.alert_channel = alert_channel
@@ -230,10 +239,9 @@ class Engine:
         self._records: dict[str, Optional[dict]] = {}
         self._detectors: dict[str, tuple] = {}  # metric -> (model_id, detector)
         # documents by store name: saved by the tick in progress, and
-        # committed since the last checkpoint but not in the files: state
-        # documents, and until _repair the journal's other documents
+        # committed (the checkpoint's, with the journal's redone over them)
         self._pending: dict[str, dict] = {}
-        self._since_checkpoint: dict[str, dict] = {}
+        self._committed: dict[str, dict] = {}
         # metric -> the (mv, em) curves the last evaluation cycle built, or None
         self.last_curves: dict[str, Optional[tuple]] = {}
         self._appended: set[str] = set()  # scores/ and alerts/ files the tick in progress appended to
@@ -268,23 +276,32 @@ class Engine:
 
     def _load(self) -> None:
         """Read the committed store: the checkpoint, then every complete
-        journal line in order.  Changes no file; see :meth:`_repair`."""
-        meta = self._read_json(self.root / "meta.json")
+        journal line after it in order.  Changes no file; see :meth:`_repair`."""
+        meta = self._read_json(self.root / "meta.json") or {}
+        self.now = int(meta.get("now", 0))
+        # a new store, or one kept with a file per document: adopt its files.
+        # The next checkpoint deletes them, and any that a crash right after
+        # a checkpoint's rename left behind
+        self._checkpoint_due = "docs" not in meta
+        self._adopted = [path for kind in ("state", "models", "health")
+                         for path in sorted((self.root / kind).glob("*.json"))]
+        self._committed = meta["docs"] if "docs" in meta else {
+            _doc_name(path.parent.name, path.stem): json.loads(path.read_text()) for path in self._adopted}
         records, self._journal_end = self._read_journal()
-        if meta is None or "lengths" not in meta:
-            # a new store, or one kept before the journal: adopt its files
-            self.now = int(meta.get("now", 0)) if meta else 0
+        if "lengths" not in meta:  # a new store, or one kept before the journal
             self._lengths = self._appended_lengths()
-            self._checkpoint_due = True
             return
-        self.now = int(meta["now"])
         self._lengths = dict(meta["lengths"])
-        for record in records:
+        # only a crash between a checkpoint and the journal's truncation
+        # leaves records at or before the checkpoint's clock, and then every
+        # record is one; an adopted store's records are all redone
+        redo = [record for record in records if self._checkpoint_due or int(record["tick"]) > self.now]
+        if len(redo) < len(records):
+            self._journal_end = 0
+        for record in redo:
             self.now = int(record["tick"])
             self._lengths.update(record.get("lengths", {}))
-            self._since_checkpoint.update(record.get("docs", {}))
-        # a crash came between a checkpoint tick's record and its checkpoint
-        self._checkpoint_due = bool(records and records[-1].get("checkpoint"))
+            self._committed.update(record.get("docs", {}))
 
     def _read_journal(self) -> tuple[list[dict], int]:
         """The journal's complete records and their byte length; a torn
@@ -303,20 +320,14 @@ class Engine:
 
     def _repair(self) -> None:
         """Before this engine's first write, bring the files in line with the
-        committed store: cut a torn journal line, write the committed model
-        and health documents the files lack, cut the appended files back to
-        their committed lengths and finish an interrupted checkpoint."""
+        committed store: cut the journal back to the records it redid, cut
+        the appended files back to their committed lengths and checkpoint
+        a new or adopted store."""
         if self._repaired:
             return
         journal = self.root / JOURNAL
         if journal.exists() and journal.stat().st_size > self._journal_end:
             os.truncate(journal, self._journal_end)
-        for name in sorted(self._since_checkpoint):
-            if not name.startswith("state/"):
-                doc = self._since_checkpoint.pop(name)
-                path = self.root / name
-                if not path.exists() or path.read_text() != _doc_text(doc):
-                    _write_json(path, doc)
         for name, size in self._appended_lengths().items():
             committed = self._lengths.get(name)
             if committed is None:
@@ -332,33 +343,28 @@ class Engine:
                 for sub, pattern in APPENDED for path in sorted((self.root / sub).glob(pattern))}
 
     def _commit(self, checkpoint: bool = False) -> None:
-        """Append the commit record of the changes made since the last one,
-        then write the documents it holds; a checkpoint follows if asked."""
-        record: dict = {"tick": self.now}
-        if self._pending or self._appended:
-            record.update(docs=self._pending,
-                          lengths={name: self._lengths[name] for name in self._appended})
-        if checkpoint:
-            record["checkpoint"] = True
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        _write(self._handle(JOURNAL), line.encode())
+        """Commit the changes made since the last commit: by a checkpoint if
+        asked, else by appending their record to the journal."""
         pending, self._pending = self._pending, {}
-        self._appended.clear()
-        for name, doc in sorted(pending.items()):
-            if name.startswith("state/"):
-                self._since_checkpoint[name] = doc
-            else:
-                _write_json(self.root / name, doc)
+        self._committed.update(pending)
         if checkpoint:
             self._checkpoint()
+        else:
+            record: dict = {"tick": self.now}
+            if pending or self._appended:
+                record.update(docs=pending, lengths={name: self._lengths[name] for name in self._appended})
+            _write(self._handle(JOURNAL), (_compact(record) + "\n").encode())
+        self._appended.clear()
 
     def _checkpoint(self) -> None:
-        """Write the committed state documents and the clock, then empty the journal."""
-        for name, doc in sorted(self._since_checkpoint.items()):
-            _write_json(self.root / name, doc)
-        _write_json(self.root / "meta.json", {"lengths": self._lengths, "now": self.now})
+        """Write every committed document, the clock and the appended files'
+        lengths to meta.json by one rename, the commit; then empty the
+        journal and delete the files of an adopted store."""
+        _atomic_write(self.root / "meta.json",
+                      _compact({"docs": self._committed, "lengths": self._lengths, "now": self.now}))
         _write(self._handle(JOURNAL), b"", truncate=True)
-        self._since_checkpoint.clear()
+        while self._adopted:
+            self._adopted.pop().unlink()
 
     def _end_cycle(self) -> None:
         """A cycle called on its own commits its changes and checkpoints; in
@@ -367,12 +373,8 @@ class Engine:
             self._commit(checkpoint=True)
 
     def _doc(self, name: str) -> Optional[dict]:
-        """A store document as last saved: by the tick in progress, by a
-        committed tick since the last checkpoint, or on disk."""
-        for held in (self._pending, self._since_checkpoint):
-            if name in held:
-                return held[name]
-        return self._read_json(self.root / name)
+        """A store document as last saved: by the tick in progress, or committed."""
+        return self._pending.get(name, self._committed.get(name))
 
     def _handle(self, name: str) -> io.FileIO:
         """The held append handle of an appended file, opened on first use;
@@ -394,12 +396,6 @@ class Engine:
 
     def _job_path(self, job_id: str) -> Path:
         return self.root / "jobs" / f"{job_id}.json"
-
-    def _state_path(self, metric_id: str) -> Path:
-        return self.root / _doc_name("state", metric_id)
-
-    def _health_path(self, metric_id: str) -> Path:
-        return self.root / _doc_name("health", metric_id)
 
     def _scores_path(self, metric_id: str) -> Path:
         return self.root / _doc_name("scores", metric_id)

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -41,3 +44,22 @@ def grid_volume(score_fn, domain, n: int = 100_000):
         return (hi - lo) * (n - np.searchsorted(fx, us, side="left")) / n
 
     return volume
+
+
+def stored_doc(root, name: str, doc=None):
+    """The committed document ``name`` (say ``health/m1.json``) of the store
+    at ``root``: as its checkpoint ``meta.json`` holds it, with the journal's
+    records redone over it; None if there is none.  Given ``doc``, first
+    writes that in its place in ``meta.json``, which is allowed only at a
+    checkpoint, when the journal is empty.  An engine reads its documents
+    when it opens, so it sees an edit only when reopened."""
+    path = Path(root) / "meta.json"
+    meta = json.loads(path.read_text())
+    records = (path.parent / "journal.jsonl").read_text().splitlines()
+    if doc is not None:
+        assert not records, "documents are edited at a checkpoint"
+        meta["docs"][name] = doc
+        path.write_text(json.dumps(meta, sort_keys=True, separators=(",", ":")))
+    for line in records:
+        meta["docs"].update(json.loads(line).get("docs", {}))
+    return meta["docs"].get(name)

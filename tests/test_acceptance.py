@@ -34,7 +34,7 @@ from autoad.reference_values import NAB_DATA_PATHS, NAB_WINDOWS_FILE
 from autoad.series import TimeSeries
 from autoad.structural import fit_structural
 
-from .conftest import grid_volume, seasonal_ar_series
+from .conftest import grid_volume, seasonal_ar_series, stored_doc
 from .test_filtering import oracle_deviation, random_model
 from .test_structural import simulate_arma, structural_config
 
@@ -219,7 +219,7 @@ def test_criterion_08_self_awareness_loop(tmp_path):
         trace = {}
         for _ in range(10):
             engine.advance_clock(48)
-            doc = engine._read_json(engine._health_path(label))
+            doc = stored_doc(engine.root, f"health/{label}.json")
             if doc:
                 trace[engine.now] = doc["snapshot"]["health"]
         results[label] = (trace, engine.tune_generation(label))

@@ -15,6 +15,8 @@ from autoad.profiling import profile
 from autoad.series import TimeSeries
 from autoad.structural import StructuralModel, forecast
 
+from .conftest import stored_doc
+
 
 def make_series(n=480, seed=0, shift_at=None, shift_factor=3.0, step=3600):
     rng = np.random.default_rng(seed)
@@ -56,10 +58,15 @@ def failing_fit(*args, **kwargs):
 
 
 def mark_red(engine, at):
+    """Hand-write a red health document into ``engine``'s store at a
+    checkpoint; returns an engine reopened on the store, which reads it."""
     health = {"at": at, "snapshot": {"mv_avg": 0, "em_avg": 0, "anomaly_rate": 1.0,
                                       "consecutive_anomalies": 9, "coefficient_of_variation": 0,
                                       "model_age_fraction": 0.1, "health": "R"}}
-    engine._health_path("m1").write_text(json.dumps(health))
+    stored_doc(engine.root, "health/m1.json", health)
+    engine.close()
+    return Engine(engine.root, tune_budget=engine.tune_budget, alert_channel=engine.alert_channel,
+                  seed=engine.seed)
 
 
 def job_for(series, metric="m1", job="job1", train_every=48, ttl=96, **kw):
@@ -127,7 +134,7 @@ class TestTrainingCycle:
     def test_red_health_triggers_tune(self, engine, tmp_path):
         engine.register_job(job_for(make_series()))
         engine.run_training_cycle(96)
-        mark_red(engine, 96)  # force a red label, then retrain
+        engine = mark_red(engine, 96)  # force a red label, then retrain
         report = engine.run_training_cycle(144, force=True)
         assert report[0]["tuned"] is True
         assert engine.tune_generation("m1") == 1
@@ -174,7 +181,7 @@ class TestTrainingCycle:
         assert engine._active_record("m1")["method"] == "structural"
         engine.run_training_cycle(144, force=True)
         assert len(calls) == 2  # a structural refit reads it
-        mark_red(engine, 144)
+        engine = mark_red(engine, 144)
         report = engine.run_training_cycle(192, force=True)
         assert report[0]["tuned"] is True
         assert len(calls) == 3  # tune's own profile serves the fit
@@ -214,7 +221,7 @@ class TestTrainingCycle:
             return result
 
         monkeypatch.setattr(orch, "tune", counted_tune)
-        mark_red(engine, 144)
+        engine = mark_red(engine, 144)
         report = engine.run_training_cycle(192, force=True)
         assert report[0]["tuned"] is True and report[0]["method"] == "filtering"
         assert after_tune[0] > 1  # the tuner's cost scans too
@@ -272,7 +279,7 @@ class TestScoringCycle:
         engine.register_job(job_for(make_series(), train_every=48, ttl=48))
         engine.run_training_cycle(96)
         engine.run_scoring_cycle(144)  # expires_at == 96 + 48
-        doc = engine._read_json(engine._health_path("m1"))
+        doc = stored_doc(engine.root, "health/m1.json")
         assert doc["snapshot"]["health"] == "R"
         assert doc["reason"] == "expired model"
 
@@ -318,7 +325,7 @@ class TestEvaluationCycle:
         assert engine._active_record("m1")["model_id"] == record["model_id"]
         assert engine._scoring_state("m1")["last_training_failed"] is True
         # tick 240's evaluation labelled the metric itself, with no error
-        assert "reason" not in engine._read_json(engine._health_path("m1"))
+        assert "reason" not in stored_doc(engine.root, "health/m1.json")
 
         horizon, ttl = 240 - record["published_at"], record["expires_at"] - record["published_at"]
         model = StructuralModel.from_dict(record["payload"])
@@ -395,7 +402,7 @@ class TestSelfAwareness:
         healths = []
         for _ in range(10):
             eng.advance_clock(48)
-            doc = eng._read_json(eng._health_path("drift"))
+            doc = stored_doc(eng.root, "health/drift.json")
             if doc:
                 healths.append((eng.now, doc["snapshot"]["health"]))
         assert ("240", "G") not in healths  # sanity: tuples hold ints
@@ -410,7 +417,7 @@ class TestSelfAwareness:
         eng.register_job(job_for(make_series(seed=0), metric="flat", job="jf"))
         eng.advance_clock(480)
         assert eng.tune_generation("flat") <= 1
-        doc = eng._read_json(eng._health_path("flat"))
+        doc = stored_doc(eng.root, "health/flat.json")
         assert doc["snapshot"]["health"] == "G"
 
 

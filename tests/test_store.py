@@ -22,6 +22,7 @@ from autoad.filtering import FilterState
 from autoad.orchestrator import Engine
 from autoad.series import TimeSeries
 
+from .conftest import stored_doc
 from .test_orchestrator import job_for, make_series
 
 RESTART_TICKS = 400
@@ -149,8 +150,8 @@ class TestCrashRecovery:
 
     def test_crash_at_every_write_of_a_checkpoint_tick(self, single_run, tmp_path, monkeypatch):
         """The retune tick's writes come in the order: appended rows and the
-        tune, the commit record, the held documents, the checkpoint, the
-        journal truncation.  A crash at any one of them restarts exactly."""
+        tune, the checkpoint ``meta.json``, which is its commit, the journal
+        truncation.  A crash at any one of them restarts exactly."""
         base = tmp_path / "base"
         engine = fleet_engine(base)
         register_fleet(engine)
@@ -179,12 +180,11 @@ class TestCrashRecovery:
         writes = run_tick(tmp_path / "probe")
         after_tick = snapshot(tmp_path / "probe")
         names = [name for _, name in writes]
-        commit = names.index("journal.jsonl")
-        assert writes[commit][0] == "_write"
+        commit = names.index("meta.json")
+        assert writes[commit][0] == "_atomic_write"
         assert "tunes/drifted-g1.json" in names[:commit]
         assert {n.split("/")[0] for n in names[:commit]} <= {"scores", "alerts", "tunes"}
-        assert [n.split("/")[0] for n in names[commit + 1:]] == [
-            "health", "health", "models", "models", "state", "state", "meta.json", "journal.jsonl"]
+        assert names[commit + 1:] == ["journal.jsonl"]
         for k in range(1, len(writes) + 1):
             root = tmp_path / f"crash{k}"
             with pytest.raises(Crash):
@@ -193,6 +193,8 @@ class TestCrashRecovery:
             engine = fleet_engine(root)
             assert snapshot(root) == crashed  # opening the store writes nothing
             assert engine.now == (RETUNE_TICK - 1 if k <= commit + 1 else RETUNE_TICK)
+            if k > commit + 1:  # the journal still holds the records the checkpoint took in
+                assert crashed["journal.jsonl"] and not engine._journal_end
             if engine.now < RETUNE_TICK:
                 engine.advance_clock(1)
             else:
@@ -294,6 +296,31 @@ class TestCrashRecovery:
         assert writes.count(("_write", "journal.jsonl")) == 47
         assert writes.count(("_write", "scores/quiet.csv")) == 47
 
+    def test_a_training_tick_renames_only_its_checkpoint(self, tmp_path, monkeypatch):
+        """Over ticks 96..RETUNE_TICK, a tick that trains renames one file,
+        ``meta.json``, and a retune tick also its new ``tunes/`` file; a
+        scoring tick renames none."""
+        engine = fleet_engine(tmp_path)
+        register_fleet(engine)
+        engine.advance_clock(TRAINING_TICKS[0] - 1)
+        renamed = []
+
+        def replace(src, dst, original=os.replace):
+            renamed.append(store_name(Path(dst), tmp_path))
+            return original(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        for tick in range(TRAINING_TICKS[0], RETUNE_TICK + 1):
+            renamed.clear()
+            engine.advance_clock(1)
+            if tick == RETUNE_TICK:
+                assert renamed == ["tunes/drifted-g1.json", "meta.json"]
+            elif tick in TRAINING_TICKS:
+                assert renamed == ["meta.json"], tick
+            else:
+                assert renamed == [], tick
+        assert engine.tune_generation("drifted") == 1
+
     def test_same_tick_training_sees_the_red_label_scoring_held(self, tmp_path):
         """A model expiring at a training tick is labelled R by that tick's
         scoring cycle; the training cycle that follows reads the label before
@@ -318,7 +345,7 @@ class TestCrashRecovery:
             assert fresh._scoring_state(metric) == engine._scoring_state(metric)
             assert fresh._active_record(metric)["model_id"] == engine._active_record(metric)["model_id"]
             assert fresh._score_log(metric).entries == engine._score_log(metric).entries
-            assert json.loads(fresh._health_path(metric).read_text())["at"] == 103
+            assert stored_doc(tmp_path, f"health/{metric}.json")["at"] == 103
 
 
 class TestHeldHandles:
@@ -407,18 +434,24 @@ class TestCaches:
         assert engine._scoring_state("b")["last_scored"] == 100
 
     def test_hand_written_health_is_honoured_with_warm_caches(self, tmp_path):
+        """A health document edited by hand at a checkpoint is read by the
+        next engine opened on the store (a running engine reads no document
+        back from disk), also once its caches are warm again."""
         engine = fleet_engine(tmp_path)
         engine.register_job(job_for(make_series()))
-        engine.advance_clock(100)
-        doc = json.loads(engine._health_path("m1").read_text())
+        engine.advance_clock(96)  # a checkpoint tick
+        doc = stored_doc(tmp_path, "health/m1.json")
         doc["snapshot"]["health"] = "R"
-        engine._health_path("m1").write_text(json.dumps(doc))
+        stored_doc(tmp_path, "health/m1.json", doc)
+        engine = fleet_engine(tmp_path)
+        engine.advance_clock(4)  # scoring ticks warm the caches
         report = engine.run_training_cycle(101, force=True)
         assert report[0]["tuned"] is True
         assert engine.tune_generation("m1") == 1
 
     def test_model_records_store_no_profile(self, single_run):
-        records = [json.loads(doc) for name, doc in single_run.items() if name.startswith("models/")]
+        docs = json.loads(single_run["meta.json"])["docs"]  # the checkpoint of the last training tick
+        records = [doc for name, doc in docs.items() if name.startswith("models/")]
         assert {r["metric_id"] for r in records} == {"quiet", "drifted"}
         for record in records:
             assert set(record) == MODEL_KEYS
@@ -426,10 +459,11 @@ class TestCaches:
     def test_state_document_has_no_log(self, tmp_path):
         engine = fleet_engine(tmp_path)
         engine.register_job(job_for(make_series()))
-        engine.advance_clock(100)
-        state = json.loads(engine._state_path("m1").read_text())
+        engine.advance_clock(96)  # a checkpoint tick
+        state = stored_doc(tmp_path, "state/m1.json")
         assert set(state) == STATE_KEYS
-        # the file is the checkpoint of tick 96; ticks 97..100 are redone from the journal
+        engine.advance_clock(4)
+        # the checkpoint is of tick 96; ticks 97..100 are redone from the journal
         assert fleet_engine(tmp_path)._scoring_state("m1")["last_scored"] == 100
 
     @pytest.mark.parametrize("stale", ["log", "origin", "filter_prior"])
@@ -448,16 +482,15 @@ class TestCaches:
         engine.register_job(job_for(make_series()))
         engine.advance_clock(96)  # a checkpoint tick: the files hold the whole store
         assert engine._active_record("m1")["method"] == "filtering"
-        path = engine._state_path("m1")
-        state = json.loads(path.read_text())
+        state = stored_doc(old, "state/m1.json")
         filter_state = state["filter_state"]
-        path.write_text(json.dumps({
+        stored_doc(old, "state/m1.json", {
             "log": {**state, "log": [[0, 0.5, 1.0]]},
             "origin": {**state, "origin": 96},
             "filter_prior": {**state, "filter_state": {
                 **filter_state, "x_prior": filter_state["delays"][:1],
                 "P_prior": filter_state["P_post"], "eta": 0.5}},
-        }[stale]))
+        }[stale])
         fresh = fleet_engine(old)
         assert set(fresh._scoring_state("m1")) == STATE_KEYS
         assert fresh._score_log("m1").entries == csv_log(fresh, "m1")
@@ -481,14 +514,13 @@ class TestCaches:
         engine.register_job(job_for(make_series()))
         engine.advance_clock(96)  # a checkpoint tick: the files hold the whole store
         assert engine._active_record("m1")["method"] == "filtering"
-        path = engine._state_path("m1")
-        state = json.loads(path.read_text())
+        state = stored_doc(old, "state/m1.json")
         fs = FilterState.from_dict(state["filter_state"])
         z = fs.delays
         state["filter_state"] = {
             "x_post": [z[0]] if len(z) == 1 else [-z[1], z[0] + z[1]], "P_post": fs.P_post.tolist(),
             "eta_mean": fs.eta_mean, "eta_var": fs.eta_var, "w_sum": fs.w_sum, "s_accum": fs.s_accum}
-        path.write_text(json.dumps(state))
+        stored_doc(old, "state/m1.json", state)
         fresh = fleet_engine(old)
         fresh.advance_clock(48)  # to the next checkpoint
         engine = fleet_engine(straight)
@@ -499,30 +531,79 @@ class TestCaches:
         scored = [(g[1], w[1]) for g, w in zip(got, want) if g[0] >= 96 * 3600]
         assert len(scored) == 48
         assert all(abs(g - w) <= 1e-9 for g, w in scored)
-        assert set(json.loads(path.read_text())["filter_state"]) == FILTER_STATE_KEYS
+        assert set(stored_doc(old, "state/m1.json")["filter_state"]) == FILTER_STATE_KEYS
 
     def test_pre_journal_store_drops_the_state_log(self, tmp_path):
-        """A store kept before the journal (``meta.json`` holds only the clock)
-        whose state document still holds the score log carries on as a run
-        that never had it."""
+        """A store kept before the journal (``meta.json`` holds only the clock,
+        and each document has its file) whose state document still holds the
+        score log carries on as a run that never had it."""
         old, straight = tmp_path / "old", tmp_path / "straight"
         engine = fleet_engine(old)
         engine.register_job(job_for(make_series()))
-        engine.advance_clock(96)  # a checkpoint tick: the files hold the whole store
-        path = engine._state_path("m1")
-        state = json.loads(path.read_text())
-        path.write_text(json.dumps({**state, "log": [[0, 0.5, 1.0]]}))
-        (old / "meta.json").write_text(json.dumps({"now": 96}))
+        engine.advance_clock(96)  # a checkpoint tick: meta.json holds the whole store
+        docs = json.loads((old / "meta.json").read_text())["docs"]
+        docs["state/m1.json"]["log"] = [[0, 0.5, 1.0]]
+        keep_file_per_document(old, docs, {"now": 96})
         (old / "journal.jsonl").unlink()
         fresh = fleet_engine(old)
         assert fresh.now == 96
+        assert fresh._committed == docs
         assert "log" not in fresh._scoring_state("m1")
         fresh.advance_clock(48)  # to the next checkpoint
-        assert "log" not in json.loads(path.read_text())
+        assert "log" not in stored_doc(old, "state/m1.json")
+        assert per_document_files(old) == []
         engine = fleet_engine(straight)
         engine.register_job(job_for(make_series()))
         engine.advance_clock(144)
         assert snapshot(old) == snapshot(straight)
+
+    def test_store_with_a_file_per_document_finishes_its_checkpoint(self, tmp_path):
+        """A store kept with a file per document, whose journal ends in the
+        record of a training tick (``"checkpoint": true``) that a crash cut
+        off before its checkpoint, opens at that tick with its documents as
+        written, and carries on as a straight run; its next checkpoint
+        leaves no file per document."""
+        old, straight = tmp_path / "old", tmp_path / "straight"
+        engine = fleet_engine(old)
+        register_fleet(engine)
+        engine.advance_clock(96)  # a checkpoint tick
+        checkpoint = json.loads((old / "meta.json").read_text())
+        engine.advance_clock(47)
+        before = fleet_engine(old)
+        records = (old / "journal.jsonl").read_text()
+        engine.advance_clock(1)  # tick 144 trains
+        after = json.loads((old / "meta.json").read_text())
+        record = {"checkpoint": True, "tick": 144,
+                  "docs": {name: doc for name, doc in after["docs"].items() if before._committed.get(name) != doc},
+                  "lengths": {name: n for name, n in after["lengths"].items() if before._lengths.get(name) != n}}
+        # state documents were written at checkpoints, the others after each record
+        docs = {name: doc for name, doc in before._committed.items() if not name.startswith("state/")}
+        docs.update((name, doc) for name, doc in checkpoint["docs"].items() if name.startswith("state/"))
+        keep_file_per_document(old, docs, {"lengths": checkpoint["lengths"], "now": 96})
+        (old / "journal.jsonl").write_text(records + json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+        assert set(record["docs"]) >= {"models/quiet.json", "health/drifted.json", "state/quiet.json"}
+        fresh = fleet_engine(old)
+        assert fresh.now == 144
+        assert fresh._committed == after["docs"]
+        fresh.advance_clock(48)  # to the next checkpoint
+        assert per_document_files(old) == []
+        engine = fleet_engine(straight)
+        register_fleet(engine)
+        engine.advance_clock(192)
+        assert snapshot(old) == snapshot(straight)
+
+
+def keep_file_per_document(root: Path, docs: dict, meta: dict) -> None:
+    """Rewrite the store at ``root`` in the layout kept before ``meta.json``
+    held the documents: one file per document, ``meta`` beside them."""
+    for name, doc in docs.items():
+        (root / name).parent.mkdir(exist_ok=True)
+        (root / name).write_text(json.dumps(doc, indent=1, sort_keys=True))
+    (root / "meta.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
+
+
+def per_document_files(root: Path) -> list:
+    return [path for kind in ("state", "models", "health") for path in (root / kind).glob("*")]
 
 
 def gapped_series(start=100, length=6):
@@ -554,7 +635,7 @@ class TestMissingObservations:
         stamps = [int(r["timestamp"]) for r in score_rows(engine, "m1")]
         epoch, step = make_series().start_epoch, make_series().step
         assert stamps == [epoch + i * step for i in (*range(96, 100), *range(106, 110))]
-        assert not engine._health_path("m1").exists()  # no failure forced it red
+        assert stored_doc(tmp_path, "health/m1.json") is None  # no failure forced it red
 
     @pytest.mark.parametrize("method", ["structural", "filtering"])
     def test_batch_cadence_writes_the_same_scores(self, tmp_path, monkeypatch, method):
@@ -609,7 +690,7 @@ class TestFailureIsolation:
         assert {r["metric_id"] for r in records} == {"good"}
         assert engine._score_log("bad").entries == csv_log(engine, "bad")
         assert engine._scoring_state("bad")["last_scored"] == 100
-        doc = json.loads(engine._health_path("bad").read_text())
+        doc = stored_doc(tmp_path, "health/bad.json")
         assert doc["snapshot"]["health"] == "R"
         assert doc["reason"] == "scoring failed: injected"
         monkeypatch.setattr(engine, "_finish_score", original)
@@ -647,5 +728,5 @@ class TestFailureIsolation:
         snaps = engine.run_evaluation_cycle(150)
         assert snaps["bad"].health == "R"
         assert snaps["good"].health in "GY"
-        doc = json.loads(engine._health_path("bad").read_text())
+        doc = stored_doc(tmp_path, "health/bad.json")
         assert doc["reason"] == "evaluation failed: injected"
