@@ -10,6 +10,8 @@ from pathlib import Path
 
 from . import evaluation as ev
 from .bench import BenchConfig, run_benchmark
+from .errors import AutoAdError
+from .optimizer import MIN_BUDGET
 from .orchestrator import Engine, JobSpec
 
 
@@ -150,9 +152,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a library error is reported on one line, status 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    if args.tune_budget < MIN_BUDGET:
+        parser.error(f"--tune-budget must be at least {MIN_BUDGET}")
+    try:
+        return args.func(args)
+    except AutoAdError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -77,6 +77,10 @@ class MissingModel(AutoAdError):
     """No model available for the metric."""
 
 
+class UnsupportedStore(AutoAdError):
+    """Data directory written in a store schema this version does not read."""
+
+
 # -- benchmarking -------------------------------------------------------------
 
 class UnknownDataset(AutoAdError):

@@ -115,7 +115,6 @@ class StateSpaceModel:
 
     def to_dict(self) -> dict:
         return {
-            "schema": 1,
             "method": "filtering",
             "state_dim": self.state_dim,
             "Q": self.Q.tolist(),
@@ -135,9 +134,9 @@ class StateSpaceModel:
             R=float(data["R"]),
             x0=np.asarray(data["x0"], dtype=float),
             P0=np.asarray(data["P0"], dtype=float),
-            forgetting=float(data.get("forgetting", 0.99)),
-            log_scale=bool(data.get("log_scale", False)),
-            log_offset=float(data.get("log_offset", 0.0)),
+            forgetting=float(data["forgetting"]),
+            log_scale=bool(data["log_scale"]),
+            log_offset=float(data["log_offset"]),
         )
 
 
@@ -173,17 +172,9 @@ class FilterState:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FilterState":
-        """Reads the named keys only, so a stored state with more keys loads
-        too.  A state stored as the posterior ``x_post`` and the residual
-        mean ``eta_mean`` converts once to the delays and the residual sum."""
-        if "delays" in data:
-            delays, eta_sum = tuple(map(float, data["delays"])), float(data["eta_sum"])
-        else:
-            x = [float(v) for v in data["x_post"]]
-            delays = (x[0],) if len(x) == 1 else (x[0] + x[1], -x[0])
-            eta_sum = float(data["eta_mean"]) * float(data["w_sum"])
-        return cls(delays=delays, P_post=np.asarray(data["P_post"], dtype=float),
-                   w_sum=float(data["w_sum"]), eta_sum=eta_sum, s_accum=float(data["s_accum"]))
+        """The state :meth:`to_dict` wrote."""
+        return cls(delays=tuple(map(float, data["delays"])), P_post=np.asarray(data["P_post"], dtype=float),
+                   w_sum=float(data["w_sum"]), eta_sum=float(data["eta_sum"]), s_accum=float(data["s_accum"]))
 
 
 def _gains(model: StateSpaceModel, P: np.ndarray, n: int) -> tuple:

@@ -32,6 +32,7 @@ DEFAULT_RATE = 0.05
 SMOOTH_WINDOW = 5  # rolling median applied before injection
 GAMMA = 0.25  # share of trials the TPE counts as good
 N_EI = 24  # TPE candidates drawn per trial
+MIN_BUDGET = 10  # fewest trials a tune runs
 
 
 # -- configuration record ----------------------------------------------------
@@ -115,12 +116,12 @@ class ModelConfig:
         fp = data.get("filtering_params")
         return cls(
             method=data["method"],
-            truncate_at=data.get("truncate_at"),
-            max_missing_fraction=float(data.get("max_missing_fraction", 0.3)),
-            log_scale=bool(data.get("log_scale", False)),
+            truncate_at=data["truncate_at"],
+            max_missing_fraction=float(data["max_missing_fraction"]),
+            log_scale=bool(data["log_scale"]),
             structural_params=StructuralParams(**sp) if sp else None,
             filtering_params=FilteringParams(**fp) if fp else None,
-            decision_threshold=float(data.get("decision_threshold", 0.95)),
+            decision_threshold=float(data["decision_threshold"]),
         )
 
 
@@ -572,8 +573,8 @@ def tune(
     the forgetting factor, which is what tells them apart, never enters
     it.  The scans are kept for this call only.
     """
-    if budget < 10:
-        raise ValueError("budget must be at least 10")
+    if budget < MIN_BUDGET:
+        raise ValueError(f"budget must be at least {MIN_BUDGET}")
     labeled, prof = prepare_labeled(ts, seed=seed)
     if n_startup is None:
         n_startup = max(1, budget // 4)

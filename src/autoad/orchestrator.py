@@ -18,10 +18,11 @@ with redo recovery (Mohan et al., "ARIES", 1992):
 - ``meta.json`` is the checkpoint, the one file of documents: every
   metric's committed scoring state, model record and health document,
   under their store names (``state/<m>.json``, ``models/<m>.json``,
-  ``health/<m>.json``), the clock and every appended file's length.  It
-  is compact JSON, as the indented encoder is pure Python (about 130 µs
-  against 40 µs for a two-metric fleet's 2.9 KB document); read it with
-  ``python -m json.tool meta.json`` or ``autoad status``.
+  ``health/<m>.json``), the clock, every appended file's length and the
+  store's :data:`SCHEMA`.  It is compact JSON, as the indented encoder
+  is pure Python (about 130 µs against 40 µs for a two-metric fleet's
+  2.9 KB document); read it with ``python -m json.tool meta.json`` or
+  ``autoad status``.
 - A tick that runs a training cycle commits by rewriting the checkpoint
   (atomically, by one rename); the journal is then emptied in place, by
   truncation.  Any other tick commits by appending one line to
@@ -38,9 +39,9 @@ with redo recovery (Mohan et al., "ARIES", 1992):
   crashed before its commit is then run again: its file and webhook-stub
   alerts come out exactly once, its stdout alerts are printed again
   (at-least-once delivery).
-- A store kept with one file per document (under ``state/``,
-  ``models/`` and ``health/``) is read once; the first write checkpoints
-  it and then deletes those files.
+- A directory whose ``meta.json`` holds another schema, or none, is
+  refused with :class:`~autoad.errors.UnsupportedStore` and left as it
+  is; its jobs are registered again in a new data directory.
 
 A cycle called on its own (not from :meth:`Engine.advance_clock`)
 commits its own changes, with a checkpoint, before it returns.  Only one
@@ -84,9 +85,10 @@ from .errors import (
     ExpiredModel,
     InvalidSpec,
     MissingModel,
+    UnsupportedStore,
 )
 from .filtering import scan_ratio
-from .optimizer import ModelConfig, default_config, fit_detector, load_detector, tune
+from .optimizer import MIN_BUDGET, ModelConfig, default_config, fit_detector, load_detector, tune
 from .profiling import profile as profile_series
 from .series import TimeSeries, impute, read_csv
 
@@ -94,14 +96,14 @@ RATE_WINDOW = 48  # scores considered by the anomaly-rate trigger
 MIN_EVAL_SCORES = 8  # fewer stable scores than this keeps a series in Y
 LOG_WINDOW = 500  # newest scores kept in a metric's score log
 JOURNAL = "journal.jsonl"
+SCHEMA = 2  # the layout of meta.json and the documents in it; no other is read
 APPENDED = (("scores", "*.csv"), ("alerts", "*.jsonl"))  # files a tick appends to
 # append handles an engine holds open at once: every scores and alerts file
 # and the journal of a fleet of up to 63 metrics, while six engines in one
 # process still leave a quarter of the usual soft limit of 1024 descriptors
 # for the files, pipes and sockets the rest of the program opens
 MAX_HANDLES = 128
-# a metric's scoring state before its first training; a loaded state keeps
-# exactly these keys, so what older stores kept beside them drops out
+# a metric's scoring state before its first training
 FRESH_STATE = {"last_scored": 0, "filter_state": None, "tune_generation": 0,
                "last_training_failed": False}
 
@@ -224,10 +226,9 @@ class Engine:
         self._handles: OrderedDict[str, io.FileIO] = OrderedDict()  # store name -> held append handle
         if alert_channel not in ("stdout", "file", "webhook_stub"):
             raise ValueError(f"unknown alert channel {alert_channel!r}")
+        if tune_budget < MIN_BUDGET:
+            raise ValueError(f"tune_budget must be at least {MIN_BUDGET}")
         self.root = Path(data_dir)
-        # the store's documents all live in meta.json, its checkpoint
-        for sub in ("jobs", "scores", "alerts", "tunes"):
-            (self.root / sub).mkdir(parents=True, exist_ok=True)
         self.tune_budget = tune_budget
         self.alert_channel = alert_channel
         self.seed = seed
@@ -248,6 +249,9 @@ class Engine:
         self._ticking = False
         self._repaired = False
         self._load()
+        # the store's documents all live in meta.json, its checkpoint
+        for sub in ("jobs", "scores", "alerts", "tunes"):
+            (self.root / sub).mkdir(parents=True, exist_ok=True)
 
     def close(self) -> None:
         """Close the held append handles.  Idempotent; the engine stays
@@ -276,26 +280,21 @@ class Engine:
 
     def _load(self) -> None:
         """Read the committed store: the checkpoint, then every complete
-        journal line after it in order.  Changes no file; see :meth:`_repair`."""
-        meta = self._read_json(self.root / "meta.json") or {}
-        self.now = int(meta.get("now", 0))
-        # a new store, or one kept with a file per document: adopt its files.
-        # The next checkpoint deletes them, and any that a crash right after
-        # a checkpoint's rename left behind
-        self._checkpoint_due = "docs" not in meta
-        self._adopted = [path for kind in ("state", "models", "health")
-                         for path in sorted((self.root / kind).glob("*.json"))]
-        self._committed = meta["docs"] if "docs" in meta else {
-            _doc_name(path.parent.name, path.stem): json.loads(path.read_text()) for path in self._adopted}
+        journal line after it in order.  Changes no file; see :meth:`_repair`.
+        A store of another schema raises UnsupportedStore."""
+        meta = self._read_json(self.root / "meta.json")
+        self._checkpoint_due = meta is None  # a new store: its first write checkpoints it
+        if meta is None:
+            meta = {"docs": {}, "lengths": self._appended_lengths(), "now": 0}
+        elif meta.get("schema") != SCHEMA:
+            raise UnsupportedStore(f"{self.root} holds a store of schema {meta.get('schema')}, not {SCHEMA}; "
+                                   "register its jobs again in a new data directory")
+        self.now, self._committed, self._lengths = int(meta["now"]), meta["docs"], meta["lengths"]
         records, self._journal_end = self._read_journal()
-        if "lengths" not in meta:  # a new store, or one kept before the journal
-            self._lengths = self._appended_lengths()
-            return
-        self._lengths = dict(meta["lengths"])
         # only a crash between a checkpoint and the journal's truncation
         # leaves records at or before the checkpoint's clock, and then every
-        # record is one; an adopted store's records are all redone
-        redo = [record for record in records if self._checkpoint_due or int(record["tick"]) > self.now]
+        # record is one
+        redo = [record for record in records if int(record["tick"]) > self.now]
         if len(redo) < len(records):
             self._journal_end = 0
         for record in redo:
@@ -322,7 +321,7 @@ class Engine:
         """Before this engine's first write, bring the files in line with the
         committed store: cut the journal back to the records it redid, cut
         the appended files back to their committed lengths and checkpoint
-        a new or adopted store."""
+        a new store."""
         if self._repaired:
             return
         journal = self.root / JOURNAL
@@ -357,14 +356,12 @@ class Engine:
         self._appended.clear()
 
     def _checkpoint(self) -> None:
-        """Write every committed document, the clock and the appended files'
-        lengths to meta.json by one rename, the commit; then empty the
-        journal and delete the files of an adopted store."""
-        _atomic_write(self.root / "meta.json",
-                      _compact({"docs": self._committed, "lengths": self._lengths, "now": self.now}))
+        """Write every committed document, the clock, the appended files'
+        lengths and the schema to meta.json by one rename, the commit; then
+        empty the journal."""
+        _atomic_write(self.root / "meta.json", _compact(
+            {"docs": self._committed, "lengths": self._lengths, "now": self.now, "schema": SCHEMA}))
         _write(self._handle(JOURNAL), b"", truncate=True)
-        while self._adopted:
-            self._adopted.pop().unlink()
 
     def _end_cycle(self) -> None:
         """A cycle called on its own commits its changes and checkpoints; in
@@ -463,7 +460,6 @@ class Engine:
     def _publish_model(self, spec: JobSpec, now: int, detector, config: ModelConfig,
                        generation: int) -> dict:
         record = {
-            "schema": 1,
             "model_id": f"{spec.metric_id}-t{now}-g{generation}",
             "metric_id": spec.metric_id,
             "method": config.method,
@@ -486,9 +482,7 @@ class Engine:
     def _scoring_state(self, metric_id: str) -> dict:
         state = self._states.get(metric_id)
         if state is None:
-            saved = self._doc(_doc_name("state", metric_id)) or {}
-            state = {key: saved.get(key, fresh) for key, fresh in FRESH_STATE.items()}
-            self._states[metric_id] = state
+            state = self._states[metric_id] = dict(self._doc(_doc_name("state", metric_id)) or FRESH_STATE)
         return state
 
     def _save_scoring_state(self, metric_id: str, state: dict) -> None:

@@ -57,7 +57,6 @@ class StructuralModel:
 
     def to_dict(self) -> dict:
         return {
-            "schema": 1,
             "method": "structural",
             "p": self.p,
             "q": self.q,

@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from autoad.cli import main
 from autoad.orchestrator import series_to_doc
@@ -68,6 +69,42 @@ def test_register_twice_is_idempotent(tmp_path, capsys):
     data_dir = str(tmp_path / "store")
     assert main(["register", "--spec", str(job), "--data-dir", data_dir]) == 0
     assert main(["register", "--spec", str(job), "--data-dir", data_dir]) == 0
+
+
+def library_error(capsys) -> str:
+    """The one line a command that failed with a library error printed."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("autoad: error: ")
+    return captured.err
+
+
+def test_store_of_another_schema_is_one_error_line(tmp_path, capsys):
+    data_dir = tmp_path / "store"
+    data_dir.mkdir()
+    (data_dir / "meta.json").write_text(json.dumps({"docs": {}, "lengths": {}, "now": 0, "schema": 1}))
+    assert main(["status", "--data-dir", str(data_dir)]) == 2
+    assert "schema 1" in library_error(capsys)
+
+
+def test_conflicting_register_is_one_error_line(tmp_path, capsys):
+    job = make_job_file(tmp_path)
+    data_dir = str(tmp_path / "store")
+    assert main(["register", "--spec", str(job), "--data-dir", data_dir]) == 0
+    capsys.readouterr()
+    spec = json.loads(job.read_text())
+    job.write_text(json.dumps({**spec, "train_every": 24}))
+    assert main(["register", "--spec", str(job), "--data-dir", data_dir]) == 2
+    assert "already registered" in library_error(capsys)
+
+
+def test_tune_budget_below_the_floor_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--tune-budget", "5", "run", "--until", "10", "--data-dir", str(tmp_path / "store")])
+    assert exit_.value.code == 2
+    assert "--tune-budget must be at least 10" in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
 
 
 def test_eval_unknown_metric(tmp_path, capsys):

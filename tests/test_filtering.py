@@ -814,24 +814,6 @@ class TestSerialization:
         assert np.array_equal(l1, l2)
         assert s1.to_dict() == s2.to_dict()
 
-    @pytest.mark.parametrize("state_dim", [1, 2])
-    def test_state_stored_as_posterior_and_mean_converts(self, state_dim, rng):
-        """A state stored as the posterior ``x_post`` and the residual mean
-        ``eta_mean`` (the form before the delays) loads as the delays and the
-        residual sum, and is written back in the new form only."""
-        y = rng.normal(0, 1, 200)
-        _, state, _ = fit_filtering(ts_of(y), filtering_config(state_dim=state_dim))
-        stored = {"x_post": posterior(state).tolist(), "P_post": state.P_post.tolist(),
-                  "eta_mean": state.eta_mean, "eta_var": state.eta_var, "w_sum": state.w_sum,
-                  "s_accum": state.s_accum}
-        loaded = FilterState.from_dict(stored)
-        x = stored["x_post"]
-        assert loaded.delays == ((x[0],) if state_dim == 1 else (x[0] + x[1], -x[0]))
-        assert loaded.eta_sum == stored["eta_mean"] * stored["w_sum"]
-        assert (loaded.w_sum, loaded.s_accum) == (state.w_sum, state.s_accum)
-        assert np.array_equal(loaded.P_post, state.P_post)
-        assert set(loaded.to_dict()) == {"delays", "P_post", "w_sum", "eta_sum", "s_accum"}
-
 
 class TestModelValidation:
     """The filter reads only Q's diagonal and P0's upper triangle, so a

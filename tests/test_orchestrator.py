@@ -140,6 +140,13 @@ class TestTrainingCycle:
         assert engine.tune_generation("m1") == 1
         assert (engine.root / "tunes" / "m1-g1.json").exists()
 
+    def test_tune_budget_below_the_floor_is_refused(self, tmp_path):
+        """A budget the tuner would refuse is refused when the engine opens,
+        before it touches the directory, not at the first retune."""
+        with pytest.raises(ValueError, match="tune_budget"):
+            Engine(tmp_path / "store", tune_budget=optimizer.MIN_BUDGET - 1)
+        assert not (tmp_path / "store").exists()
+
     def test_structural_failure_falls_back_to_filtering(self, engine, monkeypatch):
         engine.register_job(job_for(make_series()))
         monkeypatch.setattr(optimizer, "fit_structural", failing_fit)

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 import autoad.optimizer as optimizer
 import autoad.orchestrator as orch
-from autoad.errors import NonConvergence
-from autoad.filtering import FilterState
+from autoad.errors import NonConvergence, UnsupportedStore
 from autoad.orchestrator import Engine
 from autoad.series import TimeSeries
 
@@ -29,9 +28,8 @@ RESTART_TICKS = 400
 TRAINING_TICKS = range(96, RESTART_TICKS + 1, 48)  # the fleet's checkpoint ticks
 RETUNE_TICK = 336  # the drifted metric's first retune
 STATE_KEYS = {"last_scored", "filter_state", "tune_generation", "last_training_failed"}
-MODEL_KEYS = {"schema", "model_id", "metric_id", "method", "payload", "config",
+MODEL_KEYS = {"model_id", "metric_id", "method", "payload", "config",
               "published_at", "expires_at", "tune_generation"}
-FILTER_STATE_KEYS = {"delays", "P_post", "w_sum", "eta_sum", "s_accum"}
 
 
 def fleet_engine(root) -> Engine:
@@ -466,144 +464,27 @@ class TestCaches:
         # the checkpoint is of tick 96; ticks 97..100 are redone from the journal
         assert fleet_engine(tmp_path)._scoring_state("m1")["last_scored"] == 100
 
-    @pytest.mark.parametrize("stale", ["log", "origin", "filter_prior"])
-    def test_old_state_log_is_ignored(self, tmp_path, monkeypatch, stale):
-        """A checkpointed state document of a filter model that holds what
-        older stores kept there (the score log, the training tick, the
-        filter's predicted state and last residual) loads with the keys of
-        a fresh state only, and the run carries on as one that never had
-        them."""
-        def boom(*args, **kwargs):
-            raise NonConvergence("forced failure")
 
-        monkeypatch.setattr(optimizer, "fit_structural", boom)
-        old, straight = tmp_path / "old", tmp_path / "straight"
-        engine = fleet_engine(old)
+class TestSchema:
+    @pytest.mark.parametrize("form", ["no-schema", "schema-1", "pre-journal"])
+    def test_store_of_another_schema_is_refused_unchanged(self, tmp_path, form):
+        """A new store's first checkpoint writes the schema.  A store whose
+        meta.json holds another schema, or none, is refused when an engine
+        opens on it, and no file under it changes."""
+        engine = fleet_engine(tmp_path)
         engine.register_job(job_for(make_series()))
-        engine.advance_clock(96)  # a checkpoint tick: the files hold the whole store
-        assert engine._active_record("m1")["method"] == "filtering"
-        state = stored_doc(old, "state/m1.json")
-        filter_state = state["filter_state"]
-        stored_doc(old, "state/m1.json", {
-            "log": {**state, "log": [[0, 0.5, 1.0]]},
-            "origin": {**state, "origin": 96},
-            "filter_prior": {**state, "filter_state": {
-                **filter_state, "x_prior": filter_state["delays"][:1],
-                "P_prior": filter_state["P_post"], "eta": 0.5}},
-        }[stale])
-        fresh = fleet_engine(old)
-        assert set(fresh._scoring_state("m1")) == STATE_KEYS
-        assert fresh._score_log("m1").entries == csv_log(fresh, "m1")
-        fresh.advance_clock(48)  # to the next checkpoint
-        engine = fleet_engine(straight)
-        engine.register_job(job_for(make_series()))
-        engine.advance_clock(144)
-        assert snapshot(old) == snapshot(straight)
-
-    def test_filter_state_stored_as_posterior_converts_once(self, tmp_path, monkeypatch):
-        """A checkpointed filter state in the form stored before the delays
-        (the posterior ``x_post`` and the residual mean ``eta_mean``) loads;
-        its next 48 scores lie within 1e-9 of an uninterrupted run's, and
-        the next checkpoint writes the new keys only."""
-        def boom(*args, **kwargs):
-            raise NonConvergence("forced failure")
-
-        monkeypatch.setattr(optimizer, "fit_structural", boom)
-        old, straight = tmp_path / "old", tmp_path / "straight"
-        engine = fleet_engine(old)
-        engine.register_job(job_for(make_series()))
-        engine.advance_clock(96)  # a checkpoint tick: the files hold the whole store
-        assert engine._active_record("m1")["method"] == "filtering"
-        state = stored_doc(old, "state/m1.json")
-        fs = FilterState.from_dict(state["filter_state"])
-        z = fs.delays
-        state["filter_state"] = {
-            "x_post": [z[0]] if len(z) == 1 else [-z[1], z[0] + z[1]], "P_post": fs.P_post.tolist(),
-            "eta_mean": fs.eta_mean, "eta_var": fs.eta_var, "w_sum": fs.w_sum, "s_accum": fs.s_accum}
-        stored_doc(old, "state/m1.json", state)
-        fresh = fleet_engine(old)
-        fresh.advance_clock(48)  # to the next checkpoint
-        engine = fleet_engine(straight)
-        engine.register_job(job_for(make_series()))
-        engine.advance_clock(144)
-        got, want = csv_log(fresh, "m1"), csv_log(engine, "m1")
-        assert [(t, obs) for t, _, obs in got] == [(t, obs) for t, _, obs in want]
-        scored = [(g[1], w[1]) for g, w in zip(got, want) if g[0] >= 96 * 3600]
-        assert len(scored) == 48
-        assert all(abs(g - w) <= 1e-9 for g, w in scored)
-        assert set(stored_doc(old, "state/m1.json")["filter_state"]) == FILTER_STATE_KEYS
-
-    def test_pre_journal_store_drops_the_state_log(self, tmp_path):
-        """A store kept before the journal (``meta.json`` holds only the clock,
-        and each document has its file) whose state document still holds the
-        score log carries on as a run that never had it."""
-        old, straight = tmp_path / "old", tmp_path / "straight"
-        engine = fleet_engine(old)
-        engine.register_job(job_for(make_series()))
-        engine.advance_clock(96)  # a checkpoint tick: meta.json holds the whole store
-        docs = json.loads((old / "meta.json").read_text())["docs"]
-        docs["state/m1.json"]["log"] = [[0, 0.5, 1.0]]
-        keep_file_per_document(old, docs, {"now": 96})
-        (old / "journal.jsonl").unlink()
-        fresh = fleet_engine(old)
-        assert fresh.now == 96
-        assert fresh._committed == docs
-        assert "log" not in fresh._scoring_state("m1")
-        fresh.advance_clock(48)  # to the next checkpoint
-        assert "log" not in stored_doc(old, "state/m1.json")
-        assert per_document_files(old) == []
-        engine = fleet_engine(straight)
-        engine.register_job(job_for(make_series()))
-        engine.advance_clock(144)
-        assert snapshot(old) == snapshot(straight)
-
-    def test_store_with_a_file_per_document_finishes_its_checkpoint(self, tmp_path):
-        """A store kept with a file per document, whose journal ends in the
-        record of a training tick (``"checkpoint": true``) that a crash cut
-        off before its checkpoint, opens at that tick with its documents as
-        written, and carries on as a straight run; its next checkpoint
-        leaves no file per document."""
-        old, straight = tmp_path / "old", tmp_path / "straight"
-        engine = fleet_engine(old)
-        register_fleet(engine)
-        engine.advance_clock(96)  # a checkpoint tick
-        checkpoint = json.loads((old / "meta.json").read_text())
-        engine.advance_clock(47)
-        before = fleet_engine(old)
-        records = (old / "journal.jsonl").read_text()
-        engine.advance_clock(1)  # tick 144 trains
-        after = json.loads((old / "meta.json").read_text())
-        record = {"checkpoint": True, "tick": 144,
-                  "docs": {name: doc for name, doc in after["docs"].items() if before._committed.get(name) != doc},
-                  "lengths": {name: n for name, n in after["lengths"].items() if before._lengths.get(name) != n}}
-        # state documents were written at checkpoints, the others after each record
-        docs = {name: doc for name, doc in before._committed.items() if not name.startswith("state/")}
-        docs.update((name, doc) for name, doc in checkpoint["docs"].items() if name.startswith("state/"))
-        keep_file_per_document(old, docs, {"lengths": checkpoint["lengths"], "now": 96})
-        (old / "journal.jsonl").write_text(records + json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-        assert set(record["docs"]) >= {"models/quiet.json", "health/drifted.json", "state/quiet.json"}
-        fresh = fleet_engine(old)
-        assert fresh.now == 144
-        assert fresh._committed == after["docs"]
-        fresh.advance_clock(48)  # to the next checkpoint
-        assert per_document_files(old) == []
-        engine = fleet_engine(straight)
-        register_fleet(engine)
-        engine.advance_clock(192)
-        assert snapshot(old) == snapshot(straight)
-
-
-def keep_file_per_document(root: Path, docs: dict, meta: dict) -> None:
-    """Rewrite the store at ``root`` in the layout kept before ``meta.json``
-    held the documents: one file per document, ``meta`` beside them."""
-    for name, doc in docs.items():
-        (root / name).parent.mkdir(exist_ok=True)
-        (root / name).write_text(json.dumps(doc, indent=1, sort_keys=True))
-    (root / "meta.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
-
-
-def per_document_files(root: Path) -> list:
-    return [path for kind in ("state", "models", "health") for path in (root / kind).glob("*")]
+        engine.advance_clock(1)  # the first write checkpoints the new store
+        assert json.loads((tmp_path / "meta.json").read_text())["schema"] == orch.SCHEMA == 2
+        engine.advance_clock(99)  # a checkpoint at tick 96, then journal records
+        engine.close()
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        del meta["schema"]
+        (tmp_path / "meta.json").write_text(json.dumps(
+            {"no-schema": meta, "schema-1": {**meta, "schema": 1}, "pre-journal": {"now": 96}}[form]))
+        before = snapshot(tmp_path)
+        with pytest.raises(UnsupportedStore, match="new data directory"):
+            fleet_engine(tmp_path)
+        assert snapshot(tmp_path) == before
 
 
 def gapped_series(start=100, length=6):
