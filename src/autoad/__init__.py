@@ -21,10 +21,8 @@ from .evaluation import (
 )
 from .filtering import FilterState, StateSpaceModel, fit_filtering
 from .optimizer import (
-    FilteringParams,
     LabeledSeries,
     ModelConfig,
-    StructuralParams,
     TuneResult,
     cost,
     inject_synthetic_anomalies,
@@ -56,7 +54,6 @@ __all__ = [
     "DataProfile",
     "Engine",
     "FilterState",
-    "FilteringParams",
     "HealthSnapshot",
     "HealthThresholds",
     "JobSpec",
@@ -66,7 +63,6 @@ __all__ = [
     "ScoreLog",
     "StateSpaceModel",
     "StructuralModel",
-    "StructuralParams",
     "TimeSeries",
     "TuneResult",
     "aggregate",

@@ -152,11 +152,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; a library error is reported on one line, status 2."""
+    """Run one command; a library error, or a data directory that does not
+    exist for a command other than ``register``, is reported on one line,
+    status 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.tune_budget < MIN_BUDGET:
         parser.error(f"--tune-budget must be at least {MIN_BUDGET}")
+    # only register makes a data directory, so a mistyped path is no empty store
+    if args.command in ("run", "status", "eval") and not Path(args.data_dir).is_dir():
+        print(f"{parser.prog}: error: no data directory {args.data_dir}; register a job there first",
+              file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except AutoAdError as exc:

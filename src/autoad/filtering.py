@@ -445,8 +445,7 @@ def fit_filtering(
     lives; ``None`` scans every time.  A kept ratio neither reads nor
     fills it.
     """
-    params = config.filtering_params
-    if params is None:
+    if config.method != "filtering":
         raise ValueError("config has no filtering parameters")
     n = len(ts)
     if n < 30:
@@ -455,7 +454,7 @@ def fit_filtering(
         raise ValueError("fit_filtering requires an imputed series")
 
     y, offset = fit_scale(ts, config.log_scale)
-    m = params.state_dim
+    m = config.state_dim
     x0, p0_scale = _initial_state(y, m)
     if ratio is None:
         memo = {} if noise_memo is None else noise_memo
@@ -469,7 +468,7 @@ def fit_filtering(
     r = max(r_hat, _R_FLOOR)
     model = _noise_model(
         m, ratio * r, r, x0, p0_scale,
-        forgetting=params.forgetting, log_scale=config.log_scale, log_offset=offset,
+        forgetting=config.forgetting, log_scale=config.log_scale, log_offset=offset,
     )
     probs, state, _ = run_filter(model, y)
     return model, state, probs

@@ -38,91 +38,63 @@ MIN_BUDGET = 10  # fewest trials a tune runs
 # -- configuration record ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructuralParams:
-    p: int = 1
-    q: int = 0
-    l: int = 0
-
-    def __post_init__(self):
-        if not (0 <= self.p <= 3 and 0 <= self.q <= 3 and self.l >= 0):
-            raise ValueError("structural orders out of range")
-
-
-@dataclass(frozen=True)
-class FilteringParams:
-    state_dim: int = 1
-    forgetting: float = 0.99
-
-    def __post_init__(self):
-        if self.state_dim not in (1, 2):
-            raise ValueError("state_dim must be 1 or 2")
-        if not 0.9 <= self.forgetting <= 0.9999:
-            raise ValueError("forgetting must lie in [0.9, 0.9999]")
+#: Each family's own fields, in stored order, with their defaults; a
+#: configuration's fields of the other family are None.
+FAMILY_DEFAULTS = {
+    "structural": {"p": 1, "q": 0, "l": 0},
+    "filtering": {"state_dim": 1, "forgetting": 0.99},
+}
+_SHARED = ("method", "truncate_at", "max_missing_fraction", "log_scale", "decision_threshold")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """One point of the tunable configuration space."""
+    """One point of the tunable configuration space: its fields are the
+    dimensions :func:`tune` samples, under the same names."""
 
     method: str = "structural"
     truncate_at: Optional[int] = None
     max_missing_fraction: float = 0.3
     log_scale: bool = False
-    structural_params: Optional[StructuralParams] = None
-    filtering_params: Optional[FilteringParams] = None
     decision_threshold: float = 0.95
+    p: Optional[int] = None
+    q: Optional[int] = None
+    l: Optional[int] = None
+    state_dim: Optional[int] = None
+    forgetting: Optional[float] = None
 
     def __post_init__(self):
-        if self.method not in ("structural", "filtering"):
+        if self.method not in FAMILY_DEFAULTS:
             raise ValueError(f"unknown method {self.method!r}")
         if not 0.0 <= self.max_missing_fraction <= 1.0:
             raise ValueError("max_missing_fraction must lie in [0, 1]")
         if not 0.0 < self.decision_threshold < 1.0:
             raise ValueError("decision_threshold must lie in (0, 1)")
+        for family, defaults in FAMILY_DEFAULTS.items():
+            for name, default in defaults.items():
+                if family == self.method:
+                    if getattr(self, name) is None:
+                        object.__setattr__(self, name, default)
+                elif getattr(self, name) is not None:
+                    raise ValueError(f"a {self.method} config must not set {name}")
         if self.method == "structural":
-            if self.structural_params is None:
-                object.__setattr__(self, "structural_params", StructuralParams())
-            if self.filtering_params is not None:
-                raise ValueError("structural config must not carry filtering params")
-        else:
-            if self.filtering_params is None:
-                object.__setattr__(self, "filtering_params", FilteringParams())
-            if self.structural_params is not None:
-                raise ValueError("filtering config must not carry structural params")
+            if not (0 <= self.p <= 3 and 0 <= self.q <= 3 and self.l >= 0):
+                raise ValueError("structural orders out of range")
+        elif self.state_dim not in (1, 2):
+            raise ValueError("state_dim must be 1 or 2")
+        elif not 0.9 <= self.forgetting <= 0.9999:
+            raise ValueError("forgetting must lie in [0.9, 0.9999]")
 
     def to_dict(self) -> dict:
-        data = {
-            "method": self.method,
-            "truncate_at": self.truncate_at,
-            "max_missing_fraction": self.max_missing_fraction,
-            "log_scale": self.log_scale,
-            "decision_threshold": self.decision_threshold,
-        }
-        if self.structural_params is not None:
-            sp = self.structural_params
-            data["structural_params"] = {"p": sp.p, "q": sp.q, "l": sp.l}
-        if self.filtering_params is not None:
-            fp = self.filtering_params
-            data["filtering_params"] = {
-                "state_dim": fp.state_dim,
-                "forgetting": fp.forgetting,
-            }
+        """The stored form: the shared fields, then ``<method>_params``
+        holding the family's own."""
+        data = {name: getattr(self, name) for name in _SHARED}
+        data[f"{self.method}_params"] = {name: getattr(self, name) for name in FAMILY_DEFAULTS[self.method]}
         return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        sp = data.get("structural_params")
-        fp = data.get("filtering_params")
-        return cls(
-            method=data["method"],
-            truncate_at=data["truncate_at"],
-            max_missing_fraction=float(data["max_missing_fraction"]),
-            log_scale=bool(data["log_scale"]),
-            structural_params=StructuralParams(**sp) if sp else None,
-            filtering_params=FilteringParams(**fp) if fp else None,
-            decision_threshold=float(data["decision_threshold"]),
-        )
+        return cls(**{name: data[name] for name in _SHARED}, **data[f"{data['method']}_params"])
 
 
 Detector = Union[StructuralDetector, FilterDetector]
@@ -136,7 +108,8 @@ def fit_detector(
     horizon: int = 0,
     ratio: Optional[float] = None,
 ) -> tuple[Detector, np.ndarray]:
-    """Fit the configured model family on an imputed series.
+    """Fit the model family ``config.method`` names, with that family's
+    fields of ``config``, on an imputed series.
 
     Returns the detector, set to score the ``horizon`` steps after the
     end of ``ts``, and the anomaly probability of each training point.
@@ -182,11 +155,7 @@ def default_config(profile: DataProfile, n: int) -> ModelConfig:
             l = cand
             break
     if n >= 10 * (1 + 0 + 2 * l + 1):
-        return ModelConfig(
-            method="structural",
-            log_scale=profile.log_recommended,
-            structural_params=StructuralParams(p=1, q=0, l=l),
-        )
+        return ModelConfig(method="structural", log_scale=profile.log_recommended, l=l)
     return ModelConfig(method="filtering", log_scale=profile.log_recommended)
 
 
@@ -479,17 +448,6 @@ def _build_space(prof: DataProfile, n: int):
     return method, shared, structural, filtering
 
 
-def _assemble(row: dict) -> ModelConfig:
-    """The configuration of one sampled row."""
-    shared = {name: row[name] for name in
-              ("method", "truncate_at", "max_missing_fraction", "log_scale", "decision_threshold")}
-    if row["method"] == "structural":
-        return ModelConfig(**shared, structural_params=StructuralParams(
-            p=row["p"], q=row["q"], l=row["l"]))
-    return ModelConfig(**shared, filtering_params=FilteringParams(
-        state_dim=row["state_dim"], forgetting=row["forgetting"]))
-
-
 def _sample_prior(rng, method, shared, structural, filtering) -> dict:
     values = {dim.name: dim.prior_sample(rng) for dim in shared}
     values["method"] = method.prior_sample(rng)
@@ -598,7 +556,7 @@ def tune(
             # deterministic, so re-evaluating a known configuration is a wasted trial
             row = next((cand for _, cand in ranked
                         if _cost_key(cand, missing_fraction) not in cache), ranked[0][1])
-        config = _assemble(row)
+        config = ModelConfig(**row)
         key = _cost_key(row, missing_fraction)
         c = cache.get(key)
         if c is None:

@@ -31,14 +31,16 @@ with redo recovery (Mohan et al., "ARIES", 1992):
   with no work writes only its tick.
 - A new engine loads the checkpoint and redoes, in order and in memory,
   every complete journal line after the checkpoint's clock (records hold
-  full documents, so redo is idempotent); opening a store changes no
-  file, so ``status`` may run beside a running engine.  Before its first
-  write, the engine cuts the journal back to those lines, so a torn line
-  and the lines a crash before a truncation left go, and cuts the
-  appended files back to the lengths of the last commit.  A tick that
-  crashed before its commit is then run again: its file and webhook-stub
-  alerts come out exactly once, its stdout alerts are printed again
-  (at-least-once delivery).
+  full documents, so redo is idempotent).  Opening a store changes no
+  file, so ``status`` may run beside a running engine, and creates none:
+  a missing data directory stays missing until
+  :meth:`Engine.register_job` makes ``jobs/`` or the first write makes
+  the rest.  Before its first write, the engine cuts the journal back to
+  those lines, so a torn line and the lines a crash before a truncation
+  left go, and cuts the appended files back to the lengths of the last
+  commit.  A tick that crashed before its commit is then run again: its
+  file and webhook-stub alerts come out exactly once, its stdout alerts
+  are printed again (at-least-once delivery).
 - A directory whose ``meta.json`` holds another schema, or none, is
   refused with :class:`~autoad.errors.UnsupportedStore` and left as it
   is; its jobs are registered again in a new data directory.
@@ -233,11 +235,9 @@ class Engine:
         self.alert_channel = alert_channel
         self.seed = seed
         self._series_cache: dict[str, TimeSeries] = {}
-        # in-memory copies of the store; _forget drops a metric's copies
+        # built from the store on first use; _forget drops a metric's log and detector
         self._jobs: Optional[list[JobSpec]] = None
-        self._states: dict[str, dict] = {}
         self._logs: dict[str, ev.ScoreLog] = {}
-        self._records: dict[str, Optional[dict]] = {}
         self._detectors: dict[str, tuple] = {}  # metric -> (model_id, detector)
         # documents by store name: saved by the tick in progress, and
         # committed (the checkpoint's, with the journal's redone over them)
@@ -249,9 +249,6 @@ class Engine:
         self._ticking = False
         self._repaired = False
         self._load()
-        # the store's documents all live in meta.json, its checkpoint
-        for sub in ("jobs", "scores", "alerts", "tunes"):
-            (self.root / sub).mkdir(parents=True, exist_ok=True)
 
     def close(self) -> None:
         """Close the held append handles.  Idempotent; the engine stays
@@ -319,11 +316,13 @@ class Engine:
 
     def _repair(self) -> None:
         """Before this engine's first write, bring the files in line with the
-        committed store: cut the journal back to the records it redid, cut
-        the appended files back to their committed lengths and checkpoint
-        a new store."""
+        committed store: make its directories, cut the journal back to the
+        records it redid, cut the appended files back to their committed
+        lengths and checkpoint a new store."""
         if self._repaired:
             return
+        for sub in ("scores", "alerts", "tunes"):
+            (self.root / sub).mkdir(parents=True, exist_ok=True)
         journal = self.root / JOURNAL
         if journal.exists() and journal.stat().st_size > self._journal_end:
             os.truncate(journal, self._journal_end)
@@ -398,8 +397,8 @@ class Engine:
         return self.root / _doc_name("scores", metric_id)
 
     def _forget(self, metric_id: str) -> None:
-        """Drop a metric's cached state, log and model; they reload as last saved."""
-        for cache in (self._states, self._logs, self._records, self._detectors):
+        """Drop a metric's score log and detector; they reload as last saved."""
+        for cache in (self._logs, self._detectors):
             cache.pop(metric_id, None)
 
     # -- registry ----------------------------------------------------------
@@ -414,6 +413,7 @@ class Engine:
         for other in self.jobs():
             if other.metric_id == spec.metric_id:
                 raise DuplicateId(f"metric {spec.metric_id!r} already registered under job {other.job_id!r}")
+        self._job_path(spec.job_id).parent.mkdir(parents=True, exist_ok=True)
         _write_json(self._job_path(spec.job_id), spec.to_dict())
         self._jobs = None
         return spec.job_id
@@ -441,9 +441,7 @@ class Engine:
     # -- model store --------------------------------------------------------
 
     def _active_record(self, metric_id: str) -> Optional[dict]:
-        if metric_id not in self._records:
-            self._records[metric_id] = self._doc(_doc_name("models", metric_id))
-        return self._records[metric_id]
+        return self._doc(_doc_name("models", metric_id))
 
     def _detector(self, record: dict):
         """The detector of an active record, loaded once per model_id from
@@ -470,7 +468,6 @@ class Engine:
             "tune_generation": generation,
         }
         self._pending[_doc_name("models", spec.metric_id)] = record
-        self._records[spec.metric_id] = record
         self._detectors[spec.metric_id] = (record["model_id"], detector)
         state = self._scoring_state(spec.metric_id)
         state.update(last_scored=now, filter_state=detector.state(), last_training_failed=False)
@@ -480,14 +477,12 @@ class Engine:
     # -- scoring state / log ---------------------------------------------------
 
     def _scoring_state(self, metric_id: str) -> dict:
-        state = self._states.get(metric_id)
-        if state is None:
-            state = self._states[metric_id] = dict(self._doc(_doc_name("state", metric_id)) or FRESH_STATE)
-        return state
+        """A copy of the metric's scoring state as last saved, to edit and
+        hand to :meth:`_save_scoring_state`."""
+        return dict(self._doc(_doc_name("state", metric_id)) or FRESH_STATE)
 
     def _save_scoring_state(self, metric_id: str, state: dict) -> None:
-        self._states[metric_id] = state
-        self._pending[_doc_name("state", metric_id)] = dict(state)
+        self._pending[_doc_name("state", metric_id)] = state
 
     def _score_log(self, metric_id: str) -> ev.ScoreLog:
         """The metric's newest LOG_WINDOW scores, rebuilt from the committed
@@ -540,8 +535,9 @@ class Engine:
         Returns the ScoreRecords written this cycle.  Expired models skip
         the metric and force its health to R; metrics without a model are
         skipped silently (they are still warming up).  Any other failure
-        is isolated to its metric: the metric's cached state is dropped
-        and its health forced to R with the error as the reason.
+        is isolated to its metric: its unsaved scoring state, score log
+        and detector are dropped and its health forced to R with the
+        error as the reason.
         """
         self._repair()
         records: list[dict] = []
@@ -695,7 +691,7 @@ class Engine:
                     raise
                 # keep the metric alive on a filter model rather than alert-blind
                 outcome["error"] = f"structural fit failed: {exc}"
-                config = dataclasses.replace(config, method="filtering", structural_params=None)
+                config = dataclasses.replace(config, method="filtering", p=None, q=None, l=None)
                 detector, _ = fit_detector(prepared, prof, config)
 
             self._publish_model(spec, now, detector, config, generation)

@@ -289,10 +289,9 @@ def fit_structural(ts: TimeSeries, profile: DataProfile, config: "ModelConfig") 
     Raises InsufficientData when the series cannot support the requested
     order and NonConvergence when the CSS optimization breaks down.
     """
-    params = config.structural_params
-    if params is None:
+    if config.method != "structural":
         raise ValueError("config has no structural parameters")
-    p, q, l = params.p, params.q, params.l
+    p, q, l = config.p, config.q, config.l
     frequencies = tuple(f for f, _ in profile.fourier_terms[:l])
     l = len(frequencies)
     n = len(ts)

@@ -107,9 +107,24 @@ def test_tune_budget_below_the_floor_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "store").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--until", "10"],
+    ["status"],
+    ["eval", "--metric", "cli-metric"],
+], ids=["run", "status", "eval"])
+def test_missing_data_directory_is_one_error_line(tmp_path, capsys, command):
+    """Only register makes a data directory: a mistyped one is an error, not an empty store."""
+    typo = tmp_path / "typo"
+    assert main([*command, "--data-dir", str(typo)]) == 2
+    assert "no data directory" in library_error(capsys)
+    assert not typo.exists()
+
+
 def test_eval_unknown_metric(tmp_path, capsys):
-    data_dir = str(tmp_path / "store")
-    assert main(["eval", "--metric", "nope", "--data-dir", data_dir]) == 2
+    data_dir = tmp_path / "store"
+    data_dir.mkdir()
+    assert main(["eval", "--metric", "nope", "--data-dir", str(data_dir)]) == 2
+    assert "unknown metric 'nope'" in capsys.readouterr().err
 
 
 def test_bench_fixture_only(tmp_path, capsys):

@@ -27,7 +27,7 @@ from autoad.filtering import (
     run_filter,
     scan_ratio,
 )
-from autoad.optimizer import FilteringParams, ModelConfig
+from autoad.optimizer import ModelConfig
 from autoad.series import TimeSeries, fit_scale, to_model_scale
 from autoad.stats import gaussian_anomaly_probability
 
@@ -38,7 +38,7 @@ def filtering_config(state_dim=1, forgetting=0.99, log_scale=False):
     return ModelConfig(
         method="filtering",
         log_scale=log_scale,
-        filtering_params=FilteringParams(state_dim=state_dim, forgetting=forgetting),
+        state_dim=state_dim, forgetting=forgetting,
     )
 
 

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from autoad import filtering
 from autoad.errors import RateTooHigh
 from autoad.optimizer import (
-    FilteringParams,
     LabeledSeries,
     ModelConfig,
-    StructuralParams,
     GAMMA,
     N_EI,
     _CatDensity,
@@ -48,14 +46,14 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(
                 method="structural",
-                structural_params=StructuralParams(),
-                filtering_params=FilteringParams(),
+                p=1, q=0, l=0,
+                state_dim=1, forgetting=0.99,
             )
 
     def test_defaults_fill_active_branch(self):
         cfg = ModelConfig(method="filtering")
-        assert cfg.filtering_params is not None
-        assert cfg.structural_params is None
+        assert cfg.state_dim is not None and cfg.forgetting is not None
+        assert cfg.p is None and cfg.q is None and cfg.l is None
 
     def test_round_trip(self):
         cfg = ModelConfig(
@@ -63,10 +61,48 @@ class TestModelConfig:
             truncate_at=120,
             max_missing_fraction=0.1,
             log_scale=True,
-            structural_params=StructuralParams(p=2, q=1, l=1),
+            p=2, q=1, l=1,
             decision_threshold=0.9,
         )
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        cfg = replace(cfg, method="filtering", p=None, q=None, l=None, state_dim=2, forgetting=0.97)
+        assert ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    def test_stored_form_is_pinned(self):
+        """The stored layout, key order included: the tune logs' bytes
+        and the train-retune digest hash it."""
+        stored = [
+            ModelConfig(method="structural", truncate_at=120, p=2, q=1, l=1).to_dict(),
+            ModelConfig(method="filtering", log_scale=True, state_dim=2, forgetting=0.97).to_dict(),
+        ]
+        assert json.dumps(stored) == json.dumps([
+            {"method": "structural", "truncate_at": 120, "max_missing_fraction": 0.3,
+             "log_scale": False, "decision_threshold": 0.95,
+             "structural_params": {"p": 2, "q": 1, "l": 1}},
+            {"method": "filtering", "truncate_at": None, "max_missing_fraction": 0.3,
+             "log_scale": True, "decision_threshold": 0.95,
+             "filtering_params": {"state_dim": 2, "forgetting": 0.97}},
+        ])
+
+    @pytest.mark.parametrize("fields", [
+        {"p": 4}, {"q": -1}, {"l": -1},
+        {"method": "filtering", "state_dim": 3},
+        {"method": "filtering", "forgetting": 0.5},
+    ], ids=["p", "q", "l", "state_dim", "forgetting"])
+    def test_out_of_range_field_is_refused(self, fields):
+        with pytest.raises(ValueError, match="out of range|must"):
+            ModelConfig(**fields)
+
+    @pytest.mark.parametrize("method, field, value", [
+        ("structural", "state_dim", 1),
+        ("structural", "forgetting", 0.99),
+        ("filtering", "p", 1),
+        ("filtering", "q", 0),
+        ("filtering", "l", 0),
+    ])
+    def test_field_of_the_other_family_is_refused(self, method, field, value):
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(method=method, **{field: value})
 
     def test_threshold_bounds(self):
         with pytest.raises(ValueError):
@@ -151,7 +187,7 @@ class TestCost:
     def test_structural_cost_affine_in_alpha(self):
         task = seasonal_ar_series()
         labeled, prof = prepare_labeled(task, seed=2)
-        cfg = ModelConfig(method="structural", structural_params=StructuralParams(1, 0, 1))
+        cfg = ModelConfig(method="structural", p=1, q=0, l=1)
         c0 = cost(cfg, labeled, 0.0, profile=prof)
         c1 = cost(cfg, labeled, 1.0, profile=prof)
         c_half = cost(cfg, labeled, 0.5, profile=prof)
@@ -169,7 +205,7 @@ class TestCost:
         "cfg",
         [
             ModelConfig(method="filtering"),
-            ModelConfig(method="structural", structural_params=StructuralParams(1, 1, 1)),
+            ModelConfig(method="structural", p=1, q=1, l=1),
         ],
         ids=["filtering", "structural"],
     )
@@ -312,8 +348,8 @@ class TestPinnedTrials:
                 truncate_at=truncate_at,
                 max_missing_fraction=missing,
                 log_scale=log_scale,
-                structural_params=StructuralParams(*params) if method == "structural" else None,
-                filtering_params=FilteringParams(*params) if method == "filtering" else None,
+                **dict(zip(("p", "q", "l") if method == "structural" else ("state_dim", "forgetting"),
+                           params)),
                 decision_threshold=threshold,
             )
             assert cfg == expected
@@ -342,8 +378,8 @@ class TestNoiseMemo:
         assert all(math.isfinite(c) for cfg, c in result.trials if cfg in fits)
         # the training values of a filtering trial are set by truncation
         # and the log transform
-        pairs = {(cfg.truncate_at, cfg.log_scale, cfg.filtering_params.state_dim) for cfg in fits}
-        evaluated = {(cfg.truncate_at, cfg.log_scale, cfg.filtering_params) for cfg in fits}
+        pairs = {(cfg.truncate_at, cfg.log_scale, cfg.state_dim) for cfg in fits}
+        evaluated = {(cfg.truncate_at, cfg.log_scale, cfg.state_dim, cfg.forgetting) for cfg in fits}
         assert len(pairs) < len(evaluated), "no two filtering trials share a scan"
         assert first == 11 * len(pairs)
 
@@ -583,7 +619,7 @@ class TestDefaultConfig:
         prof = DataProfile(fourier_terms=((1 / 24, 50.0),))
         cfg = default_config(prof, 500)
         assert cfg.method == "structural"
-        assert cfg.structural_params.l == 1
+        assert cfg.l == 1
 
     def test_filtering_for_tiny_series(self):
         cfg = default_config(DataProfile(), 15)
@@ -596,10 +632,8 @@ class TestDefaultConfig:
 
 class TestDetectors:
     @pytest.mark.parametrize("config", [
-        ModelConfig(method="structural", log_scale=True,
-                    structural_params=StructuralParams(p=2, q=1, l=1)),
-        ModelConfig(method="filtering", log_scale=True,
-                    filtering_params=FilteringParams(state_dim=2, forgetting=0.97)),
+        ModelConfig(method="structural", log_scale=True, p=2, q=1, l=1),
+        ModelConfig(method="filtering", log_scale=True, state_dim=2, forgetting=0.97),
     ], ids=["structural", "filtering"])
     def test_restarted_detector_scores_like_the_fitted_one(self, config):
         """A detector rebuilt by load_detector from the stored payload and
@@ -640,11 +674,9 @@ class TestDetectors:
         range as a one-point score from the same detector state does, and a
         structural step past the forecast table is forecast anew."""
         if method == "structural":
-            config = ModelConfig(method="structural", log_scale=log_scale,
-                                 structural_params=StructuralParams(p=2, q=1, l=1))
+            config = ModelConfig(method="structural", log_scale=log_scale, p=2, q=1, l=1)
         else:
-            config = ModelConfig(method="filtering", log_scale=log_scale,
-                                 filtering_params=FilteringParams(state_dim=2, forgetting=0.97))
+            config = ModelConfig(method="filtering", log_scale=log_scale, state_dim=2, forgetting=0.97)
         series = seasonal_ar_series(330)
         train, later = series.with_values(series.values[:300]), series.values[300:]
         candidates = np.linspace(later.min() - 5.0, later.max() + 5.0, 60)

@@ -466,6 +466,11 @@ class TestCaches:
 
 
 class TestSchema:
+    def test_opening_a_missing_directory_creates_nothing(self, tmp_path):
+        missing = tmp_path / "typo"
+        assert Engine(missing).status() == []
+        assert not missing.exists()
+
     @pytest.mark.parametrize("form", ["no-schema", "schema-1", "pre-journal"])
     def test_store_of_another_schema_is_refused_unchanged(self, tmp_path, form):
         """A new store's first checkpoint writes the schema.  A store whose

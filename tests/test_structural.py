@@ -12,7 +12,7 @@ from scipy.stats import multivariate_normal
 
 from autoad import bench
 from autoad.errors import InsufficientData, NonConvergence
-from autoad.optimizer import ModelConfig, StructuralParams
+from autoad.optimizer import ModelConfig
 from autoad.profiling import DataProfile, profile
 from autoad.series import TimeSeries, from_log
 from autoad.stats import gaussian_anomaly_probability
@@ -41,7 +41,7 @@ def structural_config(p, q, l, log_scale=False):
     return ModelConfig(
         method="structural",
         log_scale=log_scale,
-        structural_params=StructuralParams(p=p, q=q, l=l),
+        p=p, q=q, l=l,
     )
 
 
