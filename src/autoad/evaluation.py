@@ -278,20 +278,10 @@ class ScoreLog:
         probs = self.probabilities()
         if probs.size == 0:
             return probs
-        decisions = probs >= threshold
+        # the starts and (exclusive) ends of the runs of decisions
+        runs = np.flatnonzero(np.diff(np.concatenate(([False], probs >= threshold, [False])))).reshape(-1, 2)
         exclude = np.zeros(probs.size, dtype=bool)
-        i = 0
-        while i < probs.size:
-            if decisions[i]:
-                j = i
-                while j + 1 < probs.size and decisions[j + 1]:
-                    j += 1
-                if j - i + 1 >= 2:  # a run of >= 2 counts as confirmed
-                    lo = max(0, i - guard)
-                    hi = min(probs.size, j + 1 + guard)
-                    exclude[lo:hi] = True
-                i = j + 1
-            else:
-                i += 1
+        for start, end in runs[runs[:, 1] - runs[:, 0] >= 2].tolist():  # a run of >= 2 counts as confirmed
+            exclude[max(0, start - guard):end + guard] = True
         kept = probs[~exclude]
         return scoring_function(kept) if kept.size else np.array([])

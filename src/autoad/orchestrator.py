@@ -23,31 +23,39 @@ with redo recovery (Mohan et al., "ARIES", 1992):
   is pure Python (about 130 µs against 40 µs for a two-metric fleet's
   2.9 KB document); read it with ``python -m json.tool meta.json`` or
   ``autoad status``.
-- A tick that runs a training cycle commits by rewriting the checkpoint
-  (atomically, by one rename); the journal is then emptied in place, by
-  truncation.  Any other tick commits by appending one line to
-  ``journal.jsonl``: the tick, the full documents it changed and the
-  byte lengths of the scores and alerts files it appended to.  A tick
-  with no work writes only its tick.
+- Every tick commits by appending one line to ``journal.jsonl``: the
+  tick, the full documents it changed and the byte lengths of the scores
+  and alerts files it appended to.  A tick with no work writes only its
+  tick.  A cycle called on its own (not from :meth:`Engine.advance_clock`)
+  commits the same way before it returns, under the engine's clock.
+- A commit whose line takes the journal past :data:`CHECKPOINT_RATIO`
+  times the size of ``meta.json`` then compacts it: it rewrites the
+  checkpoint, atomically by one rename, and empties the journal in place
+  by truncation.  So the journal never holds more than that bound plus
+  one line, the checkpoint's cost is spread over the ticks that grew the
+  journal, and the decision reads only the byte lengths of committed
+  files: an engine that restarts, or a run split into chunks, compacts at
+  the same ticks and writes the same bytes (a log-structured file
+  system cleans by size too: Rosenblum & Ousterhout, 1992).  A new
+  store's first write is a checkpoint.
 - A new engine loads the checkpoint and redoes, in order and in memory,
-  every complete journal line after the checkpoint's clock (records hold
-  full documents, so redo is idempotent).  Opening a store changes no
-  file, so ``status`` may run beside a running engine, and creates none:
-  a missing data directory stays missing until
+  every complete journal line (records hold full documents, so redoing
+  lines the checkpoint already holds changes nothing).  Opening a store
+  changes no file, so ``status`` may run beside a running engine, and
+  creates none: a missing data directory stays missing until
   :meth:`Engine.register_job` makes ``jobs/`` or the first write makes
-  the rest.  Before its first write, the engine cuts the journal back to
-  those lines, so a torn line and the lines a crash before a truncation
-  left go, and cuts the appended files back to the lengths of the last
-  commit.  A tick that crashed before its commit is then run again: its
-  file and webhook-stub alerts come out exactly once, its stdout alerts
-  are printed again (at-least-once delivery).
+  the rest.  Before its first write, the engine cuts a torn last line
+  from the journal, cuts the appended files back to the lengths of the
+  last commit and finishes a compaction a crash cut short (a journal past
+  its bound, or one whose every line the checkpoint holds).  A tick that
+  crashed before its commit is then run again: its file and
+  webhook-stub alerts come out exactly once, its stdout alerts are
+  printed again (at-least-once delivery).
 - A directory whose ``meta.json`` holds another schema, or none, is
   refused with :class:`~autoad.errors.UnsupportedStore` and left as it
   is; its jobs are registered again in a new data directory.
 
-A cycle called on its own (not from :meth:`Engine.advance_clock`)
-commits its own changes, with a checkpoint, before it returns.  Only one
-engine may write to a directory at a time.
+Only one engine may write to a directory at a time.
 
 The engine appends through handles it holds open, one per appended file
 (the journal included), opened on first append; at most
@@ -105,6 +113,11 @@ APPENDED = (("scores", "*.csv"), ("alerts", "*.jsonl"))  # files a tick appends 
 # process still leave a quarter of the usual soft limit of 1024 descriptors
 # for the files, pipes and sockets the rest of the program opens
 MAX_HANDLES = 128
+# a commit that takes the journal past this many times the size of meta.json
+# compacts it into a checkpoint: over the 1,440 ticks of the two-metric
+# benchmark fleet, 25 compactions (it trains 29 times) and a journal of at
+# most 46 KB; 8 compacts twice as often, 32 doubles the journal to redo
+CHECKPOINT_RATIO = 16
 # a metric's scoring state before its first training
 FRESH_STATE = {"last_scored": 0, "filter_state": None, "tune_generation": 0,
                "last_training_failed": False}
@@ -277,27 +290,31 @@ class Engine:
 
     def _load(self) -> None:
         """Read the committed store: the checkpoint, then every complete
-        journal line after it in order.  Changes no file; see :meth:`_repair`.
+        journal line in order.  Changes no file; see :meth:`_repair`.
         A store of another schema raises UnsupportedStore."""
-        meta = self._read_json(self.root / "meta.json")
-        self._checkpoint_due = meta is None  # a new store: its first write checkpoints it
-        if meta is None:
+        path = self.root / "meta.json"
+        text = path.read_text() if path.exists() else None
+        self._meta_size = len(text or "")  # meta.json is ASCII, so this is its byte length
+        if text is None:
             meta = {"docs": {}, "lengths": self._appended_lengths(), "now": 0}
-        elif meta.get("schema") != SCHEMA:
-            raise UnsupportedStore(f"{self.root} holds a store of schema {meta.get('schema')}, not {SCHEMA}; "
-                                   "register its jobs again in a new data directory")
+        else:
+            meta = json.loads(text)
+            if meta.get("schema") != SCHEMA:
+                raise UnsupportedStore(f"{self.root} holds a store of schema {meta.get('schema')}, not {SCHEMA}; "
+                                       "register its jobs again in a new data directory")
         self.now, self._committed, self._lengths = int(meta["now"]), meta["docs"], meta["lengths"]
+        checkpoint = (self.now, dict(self._lengths), dict(self._committed))
         records, self._journal_end = self._read_journal()
-        # only a crash between a checkpoint and the journal's truncation
-        # leaves records at or before the checkpoint's clock, and then every
-        # record is one
-        redo = [record for record in records if int(record["tick"]) > self.now]
-        if len(redo) < len(records):
-            self._journal_end = 0
-        for record in redo:
+        for record in records:
             self.now = int(record["tick"])
             self._lengths.update(record.get("lengths", {}))
             self._committed.update(record.get("docs", {}))
+        # the first write of a new store checkpoints it, and so does the first
+        # write after a crash inside a compaction: one before the rename
+        # leaves the journal past its bound, one after it leaves records the
+        # checkpoint already holds, whose redo changes nothing
+        self._checkpoint_due = (text is None or self._journal_end > CHECKPOINT_RATIO * self._meta_size
+                                or bool(records) and (self.now, self._lengths, self._committed) == checkpoint)
 
     def _read_journal(self) -> tuple[list[dict], int]:
         """The journal's complete records and their byte length; a torn
@@ -318,7 +335,8 @@ class Engine:
         """Before this engine's first write, bring the files in line with the
         committed store: make its directories, cut the journal back to the
         records it redid, cut the appended files back to their committed
-        lengths and checkpoint a new store."""
+        lengths, and checkpoint a new store or one whose compaction a crash
+        cut short."""
         if self._repaired:
             return
         for sub in ("scores", "alerts", "tunes"):
@@ -340,33 +358,37 @@ class Engine:
         return {f"{sub}/{path.name}": path.stat().st_size
                 for sub, pattern in APPENDED for path in sorted((self.root / sub).glob(pattern))}
 
-    def _commit(self, checkpoint: bool = False) -> None:
-        """Commit the changes made since the last commit: by a checkpoint if
-        asked, else by appending their record to the journal."""
+    def _commit(self) -> None:
+        """Commit the changes made since the last commit by appending their
+        record to the journal; then, once the journal has outgrown
+        CHECKPOINT_RATIO times meta.json, compact it into a checkpoint."""
         pending, self._pending = self._pending, {}
         self._committed.update(pending)
-        if checkpoint:
-            self._checkpoint()
-        else:
-            record: dict = {"tick": self.now}
-            if pending or self._appended:
-                record.update(docs=pending, lengths={name: self._lengths[name] for name in self._appended})
-            _write(self._handle(JOURNAL), (_compact(record) + "\n").encode())
+        record: dict = {"tick": self.now}
+        if pending or self._appended:
+            record.update(docs=pending, lengths={name: self._lengths[name] for name in self._appended})
+        data = (_compact(record) + "\n").encode()
+        _write(self._handle(JOURNAL), data)
+        self._journal_end += len(data)
         self._appended.clear()
+        if self._journal_end > CHECKPOINT_RATIO * self._meta_size:
+            self._checkpoint()
 
     def _checkpoint(self) -> None:
         """Write every committed document, the clock, the appended files'
-        lengths and the schema to meta.json by one rename, the commit; then
-        empty the journal."""
-        _atomic_write(self.root / "meta.json", _compact(
-            {"docs": self._committed, "lengths": self._lengths, "now": self.now, "schema": SCHEMA}))
+        lengths and the schema to meta.json by one rename; then empty the
+        journal, whose records the checkpoint holds."""
+        text = _compact({"docs": self._committed, "lengths": self._lengths, "now": self.now, "schema": SCHEMA})
+        _atomic_write(self.root / "meta.json", text)
+        self._meta_size = len(text)
         _write(self._handle(JOURNAL), b"", truncate=True)
+        self._journal_end = 0
 
     def _end_cycle(self) -> None:
-        """A cycle called on its own commits its changes and checkpoints; in
-        a tick, the tick does."""
+        """A cycle called on its own commits its changes; in a tick, the
+        tick does."""
         if not self._ticking:
-            self._commit(checkpoint=True)
+            self._commit()
 
     def _doc(self, name: str) -> Optional[dict]:
         """A store document as last saved: by the tick in progress, or committed."""
@@ -537,7 +559,8 @@ class Engine:
         skipped silently (they are still warming up).  Any other failure
         is isolated to its metric: its unsaved scoring state, score log
         and detector are dropped and its health forced to R with the
-        error as the reason.
+        error as the reason.  Called on its own, the cycle commits before
+        it returns, as a tick does.
         """
         self._repair()
         records: list[dict] = []
@@ -630,7 +653,8 @@ class Engine:
         """Retrain every due metric, tuning first where health is red.
 
         Per-metric failures are isolated: they are recorded (feeding the
-        health evaluation) and never abort the cycle.
+        health evaluation) and never abort the cycle.  Called on its own,
+        the cycle commits before it returns, as a tick does.
         """
         self._repair()
         outcomes = [self._train_metric(spec, now) for spec in self.jobs()
@@ -790,7 +814,8 @@ class Engine:
 
         A metric whose evaluation fails is labelled R with the error as
         the reason; the other metrics are labelled as usual.  The curves
-        built for each metric stay in :attr:`last_curves`.
+        built for each metric stay in :attr:`last_curves`.  Called on its
+        own, the cycle commits before it returns, as a tick does.
         """
         self._repair()
         specs = self.jobs()
@@ -838,10 +863,10 @@ class Engine:
     def advance_clock(self, steps: int) -> int:
         """Advance the simulated clock tick by tick, firing due cycles.
 
-        Each tick ends with its commit record, and a tick that trains with
-        a checkpoint.  If an exception escapes a tick, the store holds the
-        ticks committed before it, and a new engine on the same directory
-        carries on from there exactly.
+        Each tick ends with its commit record, followed by a checkpoint when
+        the record takes the journal past its bound.  If an exception
+        escapes a tick, the store holds the ticks committed before it, and
+        a new engine on the same directory carries on from there exactly.
         """
         if steps < 1:
             raise ValueError("steps must be >= 1")
@@ -850,17 +875,16 @@ class Engine:
         for _ in range(steps):
             self.now += 1
             tick = self.now
-            training = any(tick % s.train_every == 0 and tick >= self._warmup(s) for s in specs)
             self._ticking = True
             try:
                 if any(tick % s.score_every == 0 for s in specs):
                     self.run_scoring_cycle(tick)
-                if training:
+                if any(tick % s.train_every == 0 and tick >= self._warmup(s) for s in specs):
                     self.run_training_cycle(tick)
                     self.run_evaluation_cycle(tick)
             finally:
                 self._ticking = False
-            self._commit(checkpoint=training)
+            self._commit()
         return self.now
 
     # -- reporting ----------------------------------------------------------------------

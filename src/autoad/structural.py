@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_toeplitz
-from scipy.optimize import least_squares
+from scipy.optimize import leastsq
 from scipy.signal import lfilter, unit_impulse
 
 from .errors import InsufficientData, NonConvergence
@@ -261,19 +261,22 @@ def _fit_css(r: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     :func:`_css_coefficients`, so every iterate is stationary and
     invertible.  One start: the Yule-Walker AR part and a zero MA part.
     The fit's memo (see :func:`_css_terms`) hands each point's terms from
-    the residual call to the Jacobian call.
+    the residual call to the Jacobian call.  MINPACK's ``lmder`` gets the
+    arguments ``least_squares(method="lm", x_scale=1.0)`` would give it,
+    without that wrapper's per-call cost; the full output only keeps
+    ``leastsq`` from warning where ``least_squares`` stops silently.
     """
-    u0 = np.zeros(p + q)
+    n = p + q
+    u0 = np.zeros(n)
     u0[:p] = np.arctanh(_partial_autocorrelations(_yule_walker(r, p).tolist()))
     memo: dict = {}
-    try:
-        res = least_squares(_css_residuals, u0, jac=_css_jacobian, args=(r, p, memo), method="lm",
-                            x_scale=1.0, xtol=1e-10, ftol=1e-12)
-    except ValueError as exc:  # the innovations at the start are not finite
-        raise NonConvergence(f"CSS optimization failed: {exc}") from exc
-    if not np.all(np.isfinite(res.x)):
+    if not np.all(np.isfinite(_css_residuals(u0, r, p, memo))):
+        raise NonConvergence("CSS optimization failed: the innovations at the start are not finite")
+    u, *_ = leastsq(_css_residuals, u0, args=(r, p, memo), Dfun=_css_jacobian, full_output=True,
+                    ftol=1e-12, xtol=1e-10, gtol=1e-8, maxfev=100 * n, diag=np.ones(n))
+    if not np.all(np.isfinite(u)):
         raise NonConvergence("CSS optimization diverged")
-    phi, omega, _, _ = _css_terms(res.x, r, p, memo)
+    phi, omega, _, _ = _css_terms(u, r, p, memo)
     return phi, omega
 
 

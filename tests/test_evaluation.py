@@ -25,6 +25,28 @@ from autoad.evaluation import (
 from .conftest import grid_volume
 
 
+def stable_scores_oracle(probs, threshold, guard):
+    """``ScoreLog.stable_scores`` as a loop over the decisions: each run of
+    two or more, widened by ``guard`` on both sides, is excluded."""
+    if probs.size == 0:
+        return probs
+    decisions = probs >= threshold
+    exclude = np.zeros(probs.size, dtype=bool)
+    i = 0
+    while i < probs.size:
+        if decisions[i]:
+            j = i
+            while j + 1 < probs.size and decisions[j + 1]:
+                j += 1
+            if j - i + 1 >= 2:
+                exclude[max(0, i - guard):min(probs.size, j + 1 + guard)] = True
+            i = j + 1
+        else:
+            i += 1
+    kept = probs[~exclude]
+    return scoring_function(kept) if kept.size else np.array([])
+
+
 def indicator(width):
     return lambda x: (np.asarray(x) <= width).astype(float)
 
@@ -291,6 +313,16 @@ class TestScoreLog:
         # the 3-run and its 1-step neighborhood go; the isolated spike stays
         assert stable.size == 5
         assert np.all(stable >= 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(probs=st.lists(st.sampled_from([0.1, 0.5, 0.95, 0.99]), max_size=60),
+           guard=st.integers(0, 7))
+    def test_stable_scores_match_the_loop_oracle(self, probs, guard):
+        log = ScoreLog("m", window=100)
+        for i, p in enumerate(probs):
+            log.append(i, p, 1.0)
+        want = stable_scores_oracle(log.probabilities(), 0.95, guard)
+        assert np.array_equal(log.stable_scores(0.95, guard=guard), want)
 
     def test_coefficient_of_variation(self):
         log = ScoreLog("m")

@@ -25,8 +25,9 @@ from .conftest import stored_doc
 from .test_orchestrator import job_for, make_series
 
 RESTART_TICKS = 400
-TRAINING_TICKS = range(96, RESTART_TICKS + 1, 48)  # the fleet's checkpoint ticks
-RETUNE_TICK = 336  # the drifted metric's first retune
+TRAINING_TICKS = range(96, RESTART_TICKS + 1, 48)  # the fleet's training ticks
+RETUNE_TICK = 336  # the drifted metric's first retune, which only appends
+COMPACTION_TICK = 290  # a scoring tick whose record takes the journal past its bound
 STATE_KEYS = {"last_scored", "filter_state", "tune_generation", "last_training_failed"}
 MODEL_KEYS = {"model_id", "metric_id", "method", "payload", "config",
               "published_at", "expires_at", "tune_generation"}
@@ -76,6 +77,7 @@ def single_run(tmp_path_factory):
 class TestRestart:
     @settings(max_examples=5, deadline=None)
     @example(cuts=[97, 247])
+    @example(cuts=[COMPACTION_TICK - 1, COMPACTION_TICK])  # chunks ending before, at and after a compaction
     @given(cuts=st.lists(st.integers(1, RESTART_TICKS - 1), max_size=4, unique=True))
     def test_chunked_run_with_restarts_matches_single_run(self, single_run, cuts):
         bounds = [0, *sorted(cuts), RESTART_TICKS]
@@ -118,6 +120,58 @@ def finish_run(root: Path) -> None:
     engine.advance_clock(RESTART_TICKS - engine.now)
 
 
+def crash_at_every_write(single_run, tmp_path, monkeypatch, tick) -> list:
+    """Crash a run at each store write of ``tick`` in turn, and check that
+    the store the crash left, once an engine has opened and repaired it,
+    finishes as one run that never crashed.  Returns the tick's store
+    writes, in order, as (writer, store name) pairs."""
+    base = tmp_path / "base"
+    engine = fleet_engine(base)
+    register_fleet(engine)
+    engine.advance_clock(tick - 1)
+    engine.close()
+    originals = {kind: getattr(orch, kind) for kind in ("_write", "_atomic_write")}
+
+    def run_tick(root, fail_at=None):
+        """Tick ``tick`` on a copy of ``base``; its store writes, in order."""
+        shutil.copytree(base, root)
+        writes = []
+        for kind, original in originals.items():
+            def write(target, *args, kind=kind, original=original, **kwargs):
+                writes.append((kind, store_name(target, root)))
+                if len(writes) == fail_at:
+                    raise Crash(f"write {fail_at}")
+                return original(target, *args, **kwargs)
+
+            monkeypatch.setattr(orch, kind, write)
+        try:
+            fleet_engine(root).advance_clock(1)
+        finally:
+            for kind, original in originals.items():
+                monkeypatch.setattr(orch, kind, original)
+        return writes
+
+    writes = run_tick(tmp_path / "probe")
+    after_tick = snapshot(tmp_path / "probe")
+    commit = writes.index(("_write", "journal.jsonl")) + 1  # the record's append
+    for k in range(1, len(writes) + 1):
+        root = tmp_path / f"crash{k}"
+        with pytest.raises(Crash):
+            run_tick(root, fail_at=k)
+        crashed = snapshot(root)
+        engine = fleet_engine(root)
+        assert snapshot(root) == crashed  # opening the store writes nothing
+        assert engine.now == (tick - 1 if k <= commit else tick)
+        if engine.now < tick:
+            engine.advance_clock(1)
+        else:
+            engine._repair()  # what the engine's first write starts with
+        assert snapshot(root) == after_tick, f"crash at write {k}: {writes[k - 1]}"
+        finish_run(root)
+        assert snapshot(root) == single_run, f"crash at write {k}: {writes[k - 1]}"
+    return writes
+
+
 crash_points = st.one_of(
     st.tuples(st.just("run_scoring_cycle"), st.integers(1, RESTART_TICKS)),
     st.tuples(st.sampled_from(["run_training_cycle", "run_evaluation_cycle"]),
@@ -147,59 +201,29 @@ class TestCrashRecovery:
             assert snapshot(root) == single_run
 
     def test_crash_at_every_write_of_a_checkpoint_tick(self, single_run, tmp_path, monkeypatch):
-        """The retune tick's writes come in the order: appended rows and the
-        tune, the checkpoint ``meta.json``, which is its commit, the journal
-        truncation.  A crash at any one of them restarts exactly."""
-        base = tmp_path / "base"
-        engine = fleet_engine(base)
-        register_fleet(engine)
-        engine.advance_clock(RETUNE_TICK - 1)
-        originals = {kind: getattr(orch, kind) for kind in ("_write", "_atomic_write")}
+        """A tick whose record takes the journal past its bound writes, in
+        order: its appended rows, its journal record, which is its commit,
+        the checkpoint ``meta.json`` and the journal's truncation.  A crash
+        at any one of them restarts exactly.  At the first training the
+        first models make ``meta.json`` many times larger, so a crash before
+        the truncation leaves a journal within the new bound; the engine
+        tells it is spent because its redo changes nothing."""
+        for tick in (TRAINING_TICKS[0], COMPACTION_TICK):
+            writes = crash_at_every_write(single_run, tmp_path / str(tick), monkeypatch, tick)
+            names = [name for _, name in writes]
+            commit = names.index("journal.jsonl")
+            assert {n.split("/")[0] for n in names[:commit]} <= {"scores", "alerts"}
+            assert writes[commit + 1:] == [("_atomic_write", "meta.json"), ("_write", "journal.jsonl")]
 
-        def run_tick(root, fail_at=None):
-            """Tick RETUNE_TICK on a copy of ``base``; its store writes, in order."""
-            shutil.copytree(base, root)
-            writes = []
-            for kind, original in originals.items():
-                def write(target, *args, kind=kind, original=original, **kwargs):
-                    writes.append((kind, store_name(target, root)))
-                    if len(writes) == fail_at:
-                        raise Crash(f"write {fail_at}")
-                    return original(target, *args, **kwargs)
-
-                monkeypatch.setattr(orch, kind, write)
-            try:
-                fleet_engine(root).advance_clock(1)
-            finally:
-                for kind, original in originals.items():
-                    monkeypatch.setattr(orch, kind, original)
-            return writes
-
-        writes = run_tick(tmp_path / "probe")
-        after_tick = snapshot(tmp_path / "probe")
+    def test_crash_at_every_write_of_the_retune_tick(self, single_run, tmp_path, monkeypatch):
+        """The retune tick writes its appended rows and its new ``tunes/``
+        file, then commits by appending its journal record, and renames no
+        ``meta.json``.  A crash at any one of them restarts exactly."""
+        writes = crash_at_every_write(single_run, tmp_path, monkeypatch, RETUNE_TICK)
         names = [name for _, name in writes]
-        commit = names.index("meta.json")
-        assert writes[commit][0] == "_atomic_write"
-        assert "tunes/drifted-g1.json" in names[:commit]
-        assert {n.split("/")[0] for n in names[:commit]} <= {"scores", "alerts", "tunes"}
-        assert names[commit + 1:] == ["journal.jsonl"]
-        for k in range(1, len(writes) + 1):
-            root = tmp_path / f"crash{k}"
-            with pytest.raises(Crash):
-                run_tick(root, fail_at=k)
-            crashed = snapshot(root)
-            engine = fleet_engine(root)
-            assert snapshot(root) == crashed  # opening the store writes nothing
-            assert engine.now == (RETUNE_TICK - 1 if k <= commit + 1 else RETUNE_TICK)
-            if k > commit + 1:  # the journal still holds the records the checkpoint took in
-                assert crashed["journal.jsonl"] and not engine._journal_end
-            if engine.now < RETUNE_TICK:
-                engine.advance_clock(1)
-            else:
-                engine._repair()  # what the engine's first write starts with
-            assert snapshot(root) == after_tick, f"crash at write {k}: {writes[k - 1]}"
-            finish_run(root)
-            assert snapshot(root) == single_run, f"crash at write {k}: {writes[k - 1]}"
+        assert ("_atomic_write", "tunes/drifted-g1.json") in writes
+        assert {n.split("/")[0] for n in names[:-1]} <= {"scores", "alerts", "tunes"}
+        assert writes[-1] == ("_write", "journal.jsonl")
 
     def test_torn_journal_line_and_uncommitted_rows_are_dropped(self, tmp_path):
         engine = fleet_engine(tmp_path)
@@ -294,30 +318,73 @@ class TestCrashRecovery:
         assert writes.count(("_write", "journal.jsonl")) == 47
         assert writes.count(("_write", "scores/quiet.csv")) == 47
 
-    def test_a_training_tick_renames_only_its_checkpoint(self, tmp_path, monkeypatch):
-        """Over ticks 96..RETUNE_TICK, a tick that trains renames one file,
-        ``meta.json``, and a retune tick also its new ``tunes/`` file; a
-        scoring tick renames none."""
+    def test_a_training_tick_renames_nothing_and_appends_one_record(self, tmp_path, monkeypatch):
+        """Over ticks 96..RETUNE_TICK every tick appends one journal record.
+        It renames ``meta.json`` exactly when that record takes the journal
+        past CHECKPOINT_RATIO times ``meta.json``, whether it trains or not;
+        otherwise a training tick renames nothing, and the retune tick only
+        its new ``tunes/`` file."""
         engine = fleet_engine(tmp_path)
         register_fleet(engine)
         engine.advance_clock(TRAINING_TICKS[0] - 1)
-        renamed = []
+        renamed, journal = [], []
 
         def replace(src, dst, original=os.replace):
             renamed.append(store_name(Path(dst), tmp_path))
             return original(src, dst)
 
+        def write(fh, data, truncate=False, original=orch._write):
+            if store_name(fh, tmp_path) == "journal.jsonl" and not truncate:
+                journal.append(data)
+            return original(fh, data, truncate)
+
         monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(orch, "_write", write)
+        appending_trainings = 0
         for tick in range(TRAINING_TICKS[0], RETUNE_TICK + 1):
             renamed.clear()
+            journal.clear()
+            bound = orch.CHECKPOINT_RATIO * (tmp_path / "meta.json").stat().st_size
+            before = (tmp_path / "journal.jsonl").stat().st_size
             engine.advance_clock(1)
-            if tick == RETUNE_TICK:
-                assert renamed == ["tunes/drifted-g1.json", "meta.json"]
-            elif tick in TRAINING_TICKS:
-                assert renamed == ["meta.json"], tick
-            else:
-                assert renamed == [], tick
+            assert [json.loads(record)["tick"] for record in journal] == [tick]
+            compacted = before + len(journal[0]) > bound
+            tunes = ["tunes/drifted-g1.json"] if tick == RETUNE_TICK else []
+            assert renamed == tunes + (["meta.json"] if compacted else []), tick
+            appending_trainings += tick in TRAINING_TICKS and not compacted
+        assert appending_trainings == 4  # 144, 240, 288 and the retune at 336
         assert engine.tune_generation("drifted") == 1
+
+    def test_journal_stays_within_its_bound(self, tmp_path, monkeypatch):
+        """Over 1,440 ticks of a two-metric fleet the journal never holds
+        more than CHECKPOINT_RATIO times ``meta.json`` plus one record, and
+        a tick leaves it within the bound.  It is compacted no more often
+        than the fleet trains."""
+        engine = fleet_engine(tmp_path)
+        engine.register_job(job_for(make_series(n=1440, seed=1), metric="quiet", job="j1"))
+        engine.register_job(job_for(make_series(n=1440, seed=2, shift_at=240), metric="drifted", job="j2"))
+        journal, meta = tmp_path / "journal.jsonl", tmp_path / "meta.json"
+        appends, checkpoints = [], []
+
+        def within_bound():
+            return journal.stat().st_size <= orch.CHECKPOINT_RATIO * meta.stat().st_size
+
+        def write(fh, data, truncate=False, original=orch._write):
+            if store_name(fh, tmp_path) == "journal.jsonl":
+                if truncate:
+                    checkpoints.append(engine.now)
+                else:  # so the journal holds at most the bound plus this record
+                    assert within_bound()
+                    appends.append(engine.now)
+            return original(fh, data, truncate)
+
+        monkeypatch.setattr(orch, "_write", write)
+        for _ in range(1440):
+            engine.advance_clock(1)
+            assert within_bound()
+        assert appends == list(range(1, 1441))
+        assert engine.tune_generation("drifted") >= 1
+        assert 0 < len(checkpoints) <= 1440 // 48
 
     def test_same_tick_training_sees_the_red_label_scoring_held(self, tmp_path):
         """A model expiring at a training tick is labelled R by that tick's
@@ -336,7 +403,11 @@ class TestCrashRecovery:
         for tick in range(97, 104):
             engine.run_scoring_cycle(tick)
         engine.run_evaluation_cycle(103)
-        assert (tmp_path / "journal.jsonl").read_bytes() == b""  # each one checkpoints
+        # the training record compacted the new store's journal; each later
+        # cycle appended its record, at the clock of the checkpoint
+        records = [json.loads(line) for line in (tmp_path / "journal.jsonl").read_text().splitlines()]
+        assert [record["tick"] for record in records] == [0] * 8
+        assert json.loads((tmp_path / "meta.json").read_text())["now"] == 0
         fresh = fleet_engine(tmp_path)
         assert fresh.now == 0
         for metric in ("quiet", "drifted"):
