@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import evaluation as ev
 from .bench import BenchConfig, run_benchmark
-from .errors import AutoAdError
+from .errors import AutoAdError, InvalidSpec
 from .optimizer import MIN_BUDGET
 from .orchestrator import Engine, JobSpec
 
@@ -20,7 +20,11 @@ def _engine(args) -> Engine:
 
 
 def cmd_register(args) -> int:
-    spec = JobSpec.from_dict(json.loads(Path(args.spec).read_text()))
+    try:
+        data = json.loads(Path(args.spec).read_text())
+    except (OSError, ValueError) as exc:
+        raise InvalidSpec(f"cannot read job spec {args.spec}: {exc}") from None
+    spec = JobSpec.from_dict(data)
     with _engine(args) as engine:
         job_id = engine.register_job(spec)
     print(f"registered job {job_id} (metric {spec.metric_id})")

@@ -26,8 +26,8 @@ with redo recovery (Mohan et al., "ARIES", 1992):
 - Every tick commits by appending one line to ``journal.jsonl``: the
   tick, the full documents it changed and the byte lengths of the scores
   and alerts files it appended to.  A tick with no work writes only its
-  tick.  A cycle called on its own (not from :meth:`Engine.advance_clock`)
-  commits the same way before it returns, under the engine's clock.
+  tick.  Only a tick commits: a cycle called on its own leaves its changes
+  to the same engine's next tick, and a new engine cuts its rows back.
 - A commit whose line takes the journal past :data:`CHECKPOINT_RATIO`
   times the size of ``meta.json`` then compacts it: it rewrites the
   checkpoint, atomically by one rename, and empties the journal in place
@@ -41,13 +41,14 @@ with redo recovery (Mohan et al., "ARIES", 1992):
 - A new engine loads the checkpoint and redoes, in order and in memory,
   every complete journal line (records hold full documents, so redoing
   lines the checkpoint already holds changes nothing).  Opening a store
-  changes no file, so ``status`` may run beside a running engine, and
-  creates none: a missing data directory stays missing until
-  :meth:`Engine.register_job` makes ``jobs/`` or the first write makes
-  the rest.  Before its first write, the engine cuts a torn last line
-  from the journal, cuts the appended files back to the lengths of the
-  last commit and finishes a compaction a crash cut short (a journal past
-  its bound, or one whose every line the checkpoint holds).  A tick that
+  changes no file, nor does an evaluation cycle, so ``status`` and
+  ``eval`` may run beside a running engine, and opening creates none: a
+  missing data directory stays missing until :meth:`Engine.register_job`
+  makes ``jobs/`` or the first write makes the rest.  Before its first
+  write, the engine cuts a torn last line from the journal, cuts the
+  appended files back to the lengths of the last commit and finishes a
+  compaction a crash cut short (a journal past its bound, or one whose
+  last record is of no later tick than the checkpoint).  A tick that
   crashed before its commit is then run again: its file and
   webhook-stub alerts come out exactly once, its stdout alerts are
   printed again (at-least-once delivery).
@@ -172,17 +173,22 @@ class JobSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "JobSpec":
-        return cls(
-            job_id=data["job_id"],
-            metric_id=data["metric_id"],
-            source=data["source"],
-            train_every=int(data["train_every"]),
-            score_every=int(data.get("score_every", 1)),
-            model_ttl=int(data.get("model_ttl", 0)),
-            alpha=float(data.get("alpha", 0.5)),
-            alert_threshold=float(data.get("alert_threshold", 0.95)),
-        )
+    def from_dict(cls, data) -> "JobSpec":
+        """The spec a JSON document describes; a missing or malformed
+        field raises InvalidSpec naming it."""
+        if not isinstance(data, dict):
+            raise InvalidSpec("a job spec must be a JSON object")
+        fields = {}
+        for field in dataclasses.fields(cls):
+            value = data.get(field.name, field.default)
+            if value is dataclasses.MISSING:
+                raise InvalidSpec(f"job spec lacks {field.name!r}")
+            number = {"int": int, "float": float}.get(field.type)  # the annotation, a string here
+            try:
+                fields[field.name] = value if number is None else number(value)
+            except (TypeError, ValueError):
+                raise InvalidSpec(f"job spec field {field.name!r} must be a number, not {value!r}") from None
+        return cls(**fields)
 
 
 def series_to_doc(ts: TimeSeries) -> dict:
@@ -252,14 +258,13 @@ class Engine:
         self._jobs: Optional[list[JobSpec]] = None
         self._logs: dict[str, ev.ScoreLog] = {}
         self._detectors: dict[str, tuple] = {}  # metric -> (model_id, detector)
-        # documents by store name: saved by the tick in progress, and
+        # documents by store name: saved since the last commit, and
         # committed (the checkpoint's, with the journal's redone over them)
         self._pending: dict[str, dict] = {}
         self._committed: dict[str, dict] = {}
         # metric -> the (mv, em) curves the last evaluation cycle built, or None
         self.last_curves: dict[str, Optional[tuple]] = {}
-        self._appended: set[str] = set()  # scores/ and alerts/ files the tick in progress appended to
-        self._ticking = False
+        self._appended: set[str] = set()  # scores/ and alerts/ files appended to since the last commit
         self._repaired = False
         self._load()
 
@@ -303,18 +308,17 @@ class Engine:
                 raise UnsupportedStore(f"{self.root} holds a store of schema {meta.get('schema')}, not {SCHEMA}; "
                                        "register its jobs again in a new data directory")
         self.now, self._committed, self._lengths = int(meta["now"]), meta["docs"], meta["lengths"]
-        checkpoint = (self.now, dict(self._lengths), dict(self._committed))
         records, self._journal_end = self._read_journal()
+        # the first write of a new store checkpoints it, and so does the first
+        # write after a crash inside a compaction: before its rename the journal
+        # is past its bound, after it the journal is spent (only a tick commits,
+        # so otherwise every record is of a later tick than the checkpoint's)
+        spent = bool(records) and int(records[-1]["tick"]) <= self.now
         for record in records:
             self.now = int(record["tick"])
             self._lengths.update(record.get("lengths", {}))
             self._committed.update(record.get("docs", {}))
-        # the first write of a new store checkpoints it, and so does the first
-        # write after a crash inside a compaction: one before the rename
-        # leaves the journal past its bound, one after it leaves records the
-        # checkpoint already holds, whose redo changes nothing
-        self._checkpoint_due = (text is None or self._journal_end > CHECKPOINT_RATIO * self._meta_size
-                                or bool(records) and (self.now, self._lengths, self._committed) == checkpoint)
+        self._checkpoint_due = text is None or spent or self._journal_end > CHECKPOINT_RATIO * self._meta_size
 
     def _read_journal(self) -> tuple[list[dict], int]:
         """The journal's complete records and their byte length; a torn
@@ -384,14 +388,8 @@ class Engine:
         _write(self._handle(JOURNAL), b"", truncate=True)
         self._journal_end = 0
 
-    def _end_cycle(self) -> None:
-        """A cycle called on its own commits its changes; in a tick, the
-        tick does."""
-        if not self._ticking:
-            self._commit()
-
     def _doc(self, name: str) -> Optional[dict]:
-        """A store document as last saved: by the tick in progress, or committed."""
+        """A store document as last saved: since the last commit, or committed."""
         return self._pending.get(name, self._committed.get(name))
 
     def _handle(self, name: str) -> io.FileIO:
@@ -551,7 +549,7 @@ class Engine:
 
     # -- scoring cycle ---------------------------------------------------------------
 
-    def run_scoring_cycle(self, now: int, force: bool = False) -> list[dict]:
+    def run_scoring_cycle(self, now: int) -> list[dict]:
         """Score every due metric's new observations with its active model.
 
         Returns the ScoreRecords written this cycle.  Expired models skip
@@ -559,13 +557,13 @@ class Engine:
         skipped silently (they are still warming up).  Any other failure
         is isolated to its metric: its unsaved scoring state, score log
         and detector are dropped and its health forced to R with the
-        error as the reason.  Called on its own, the cycle commits before
-        it returns, as a tick does.
+        error as the reason.  Called on its own, the cycle commits nothing:
+        the engine's next tick does.
         """
         self._repair()
         records: list[dict] = []
         for spec in self.jobs():
-            if not force and now % spec.score_every != 0:
+            if now % spec.score_every != 0:
                 continue
             try:
                 records.extend(self._score_metric(spec, now))
@@ -576,7 +574,6 @@ class Engine:
             except Exception as exc:  # noqa: BLE001 - cycle must survive any metric
                 self._forget(spec.metric_id)
                 self._force_red(spec, now, reason=f"scoring failed: {exc}")
-        self._end_cycle()
         return records
 
     def _score_metric(self, spec: JobSpec, now: int) -> list[dict]:
@@ -649,18 +646,16 @@ class Engine:
 
     # -- training cycle ------------------------------------------------------------------
 
-    def run_training_cycle(self, now: int, force: bool = False) -> list[dict]:
+    def run_training_cycle(self, now: int) -> list[dict]:
         """Retrain every due metric, tuning first where health is red.
 
         Per-metric failures are isolated: they are recorded (feeding the
         health evaluation) and never abort the cycle.  Called on its own,
-        the cycle commits before it returns, as a tick does.
+        the cycle commits nothing: the engine's next tick does.
         """
         self._repair()
-        outcomes = [self._train_metric(spec, now) for spec in self.jobs()
-                    if force or (now % spec.train_every == 0 and now >= self._warmup(spec))]
-        self._end_cycle()
-        return outcomes
+        return [self._train_metric(spec, now) for spec in self.jobs()
+                if now % spec.train_every == 0 and now >= self._warmup(spec)]
 
     def _tune_seed(self, metric_id: str, generation: int) -> int:
         return (zlib.crc32(metric_id.encode()) + 7919 * generation + self.seed) % (2**31)
@@ -814,10 +809,10 @@ class Engine:
 
         A metric whose evaluation fails is labelled R with the error as
         the reason; the other metrics are labelled as usual.  The curves
-        built for each metric stay in :attr:`last_curves`.  Called on its
-        own, the cycle commits before it returns, as a tick does.
+        built for each metric stay in :attr:`last_curves`.  The cycle
+        writes no file (the engine's next tick commits its labels), so
+        ``autoad eval`` reads the store as ``status`` does.
         """
-        self._repair()
         specs = self.jobs()
         self.last_curves = {}
         stats: dict[str, Optional[tuple[float, float]]] = {}
@@ -855,7 +850,6 @@ class Engine:
                 self._forget(spec.metric_id)
                 snapshot = self._force_red(spec, now, reason=f"evaluation failed: {error}")
             out[spec.metric_id] = snapshot
-        self._end_cycle()
         return out
 
     # -- clock ---------------------------------------------------------------------------
@@ -863,10 +857,11 @@ class Engine:
     def advance_clock(self, steps: int) -> int:
         """Advance the simulated clock tick by tick, firing due cycles.
 
-        Each tick ends with its commit record, followed by a checkpoint when
-        the record takes the journal past its bound.  If an exception
-        escapes a tick, the store holds the ticks committed before it, and
-        a new engine on the same directory carries on from there exactly.
+        Each tick, and nothing else, ends with a commit record, followed by
+        a checkpoint when the record takes the journal past its bound.  If
+        an exception escapes a tick, the store holds the ticks committed
+        before it, and a new engine on the same directory carries on from
+        there exactly.
         """
         if steps < 1:
             raise ValueError("steps must be >= 1")
@@ -875,15 +870,11 @@ class Engine:
         for _ in range(steps):
             self.now += 1
             tick = self.now
-            self._ticking = True
-            try:
-                if any(tick % s.score_every == 0 for s in specs):
-                    self.run_scoring_cycle(tick)
-                if any(tick % s.train_every == 0 and tick >= self._warmup(s) for s in specs):
-                    self.run_training_cycle(tick)
-                    self.run_evaluation_cycle(tick)
-            finally:
-                self._ticking = False
+            if any(tick % s.score_every == 0 for s in specs):
+                self.run_scoring_cycle(tick)
+            if any(tick % s.train_every == 0 and tick >= self._warmup(s) for s in specs):
+                self.run_training_cycle(tick)
+                self.run_evaluation_cycle(tick)
             self._commit()
         return self.now
 

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 from scipy.linalg import solve_toeplitz
 from scipy.optimize import leastsq
-from scipy.signal import lfilter, unit_impulse
+from scipy.signal import lfilter, lfiltic, unit_impulse
 
 from .errors import InsufficientData, NonConvergence
 from .profiling import DataProfile
@@ -366,28 +366,6 @@ def fit_structural(ts: TimeSeries, profile: DataProfile, config: "ModelConfig") 
     )
 
 
-def _initial_conditions(ar: list, ma: list, r_past: list, eps_past: list) -> np.ndarray:
-    """``lfilter``'s state for the filter ``ma / ar`` after the outputs
-    ``r_past`` and inputs ``eps_past`` (newest first, missing ones zero).
-
-    This is ``scipy.signal.lfiltic``'s arithmetic in its order, each sum
-    from 0.0, so the bits are the same; in plain floats it skips lfiltic's
-    array set-up, most of its cost on these short tails.
-    """
-    zi = [0.0] * (max(len(ar), len(ma)) - 1)
-    for m in range(len(ma) - 1):
-        acc = 0.0
-        for b, x in zip(ma[m + 1:], eps_past):
-            acc += b * x
-        zi[m] = acc
-    for m in range(len(ar) - 1):
-        acc = 0.0
-        for a, y in zip(ar[m + 1:], r_past):
-            acc += a * y
-        zi[m] -= acc
-    return np.array(zi)
-
-
 def forecast(model: StructuralModel, h: int, transformed: bool = False) -> list[tuple[float, float]]:
     """h-step-ahead (mean, std) pairs.
 
@@ -410,8 +388,7 @@ def forecast(model: StructuralModel, h: int, transformed: bool = False) -> list[
     ma = np.concatenate([[1.0], model.omega])
     r_fc = np.zeros(h)
     if p or q:
-        zi = _initial_conditions(ar.tolist(), ma.tolist(), model.r_tail[::-1][:p].tolist(),
-                                 model.eps_tail[::-1][:q].tolist())
+        zi = lfiltic(ma, ar, model.r_tail[::-1][:p], model.eps_tail[::-1][:q])
         r_fc = lfilter(ma, ar, r_fc, zi=zi)[0]
 
     t_future = np.arange(model.train_len, model.train_len + h, dtype=float)

@@ -99,6 +99,33 @@ def test_conflicting_register_is_one_error_line(tmp_path, capsys):
     assert "already registered" in library_error(capsys)
 
 
+MALFORMED_SPECS = {  # case -> (the spec file's text from a valid spec, or None for no file; the error)
+    "missing-field": (lambda spec: json.dumps({k: v for k, v in spec.items() if k != "train_every"}),
+                      "job spec lacks 'train_every'"),
+    "not-a-number": (lambda spec: json.dumps({**spec, "train_every": "often"}),
+                     "job spec field 'train_every' must be a number, not 'often'"),
+    "null-number": (lambda spec: json.dumps({**spec, "alpha": None}),
+                    "job spec field 'alpha' must be a number, not None"),
+    "not-an-object": (lambda spec: json.dumps([spec]), "a job spec must be a JSON object"),
+    "not-json": (lambda spec: "{train_every: 48", "cannot read job spec"),
+    "no-file": (None, "cannot read job spec"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_SPECS))
+def test_malformed_spec_is_one_error_line(tmp_path, capsys, case):
+    text, message = MALFORMED_SPECS[case]
+    job = make_job_file(tmp_path)
+    if text is None:
+        job.unlink()
+    else:
+        job.write_text(text(json.loads(job.read_text())))
+    data_dir = tmp_path / "store"
+    assert main(["register", "--spec", str(job), "--data-dir", str(data_dir)]) == 2
+    assert message in library_error(capsys)
+    assert not data_dir.exists()
+
+
 def test_tune_budget_below_the_floor_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_:
         main(["--tune-budget", "5", "run", "--until", "10", "--data-dir", str(tmp_path / "store")])

@@ -135,7 +135,7 @@ class TestTrainingCycle:
         engine.register_job(job_for(make_series()))
         engine.run_training_cycle(96)
         engine = mark_red(engine, 96)  # force a red label, then retrain
-        report = engine.run_training_cycle(144, force=True)
+        report = engine.run_training_cycle(144)
         assert report[0]["tuned"] is True
         assert engine.tune_generation("m1") == 1
         assert (engine.root / "tunes" / "m1-g1.json").exists()
@@ -162,7 +162,7 @@ class TestTrainingCycle:
         engine.register_job(
             JobSpec(job_id="jb", metric_id="bad", source=str(bad_csv), train_every=48)
         )
-        report = engine.run_training_cycle(96, force=True)
+        report = engine.run_training_cycle(96)
         by_metric = {r["metric_id"]: r for r in report}
         assert by_metric["good"]["status"] in ("trained", "trained_fallback")
         assert by_metric["bad"]["status"] == "failed"
@@ -186,10 +186,10 @@ class TestTrainingCycle:
         engine.run_training_cycle(96)
         assert len(calls) == 1  # the default config reads it
         assert engine._active_record("m1")["method"] == "structural"
-        engine.run_training_cycle(144, force=True)
+        engine.run_training_cycle(144)
         assert len(calls) == 2  # a structural refit reads it
         engine = mark_red(engine, 144)
-        report = engine.run_training_cycle(192, force=True)
+        report = engine.run_training_cycle(192)
         assert report[0]["tuned"] is True
         assert len(calls) == 3  # tune's own profile serves the fit
 
@@ -200,7 +200,7 @@ class TestTrainingCycle:
             assert engine.run_training_cycle(96)[0]["status"] == "trained_fallback"
         assert engine._active_record("m1")["method"] == "filtering"
         calls = count_profiles(monkeypatch)
-        report = engine.run_training_cycle(144, force=True)
+        report = engine.run_training_cycle(144)
         assert report[0]["status"] == "trained"
         assert report[0]["method"] == "filtering"
         assert calls == []
@@ -213,7 +213,7 @@ class TestTrainingCycle:
         assert len(scans) == 1  # the first training's fallback filter
         first = engine._active_record("m1")["payload"]
 
-        report = engine.run_training_cycle(144, force=True)
+        report = engine.run_training_cycle(144)
         assert (report[0]["status"], report[0]["method"]) == ("trained", "filtering")
         assert len(scans) == 1  # a refit keeps the model's ratio
         kept = engine._active_record("m1")["payload"]
@@ -229,7 +229,7 @@ class TestTrainingCycle:
 
         monkeypatch.setattr(orch, "tune", counted_tune)
         engine = mark_red(engine, 144)
-        report = engine.run_training_cycle(192, force=True)
+        report = engine.run_training_cycle(192)
         assert report[0]["tuned"] is True and report[0]["method"] == "filtering"
         assert after_tune[0] > 1  # the tuner's cost scans too
         assert len(scans) == after_tune[0] + 1  # and so does the retuned fit
@@ -238,7 +238,7 @@ class TestTrainingCycle:
         engine.register_job(job_for(make_series()))
         engine.run_training_cycle(96)
         first = engine._active_record("m1")["model_id"]
-        engine.run_training_cycle(144, force=True)
+        engine.run_training_cycle(144)
         second = engine._active_record("m1")["model_id"]
         assert first != second  # superseded, single active document
 
@@ -262,7 +262,7 @@ class TestScoringCycle:
         values = np.full(200, 25.0)
         series = TimeSeries.from_values(values, step=3600)
         engine.register_job(job_for(series, metric="flat", job="jf", train_every=48, ttl=96))
-        engine.run_training_cycle(96, force=True)
+        engine.run_training_cycle(96)
         records = engine.run_scoring_cycle(97)
         assert records[0]["probability"] <= 1e-9
         assert not (engine.root / "alerts" / "flat.jsonl").exists()
@@ -273,7 +273,7 @@ class TestScoringCycle:
         values[100] += 50.0  # enormous spike well past any forecast band
         spiked = TimeSeries.from_values(values, step=3600)
         engine.register_job(job_for(spiked, metric="spiky", job="js"))
-        engine.run_training_cycle(96, force=True)
+        engine.run_training_cycle(96)
         records = []
         for t in range(97, 102):
             records.extend(engine.run_scoring_cycle(t))
@@ -286,7 +286,7 @@ class TestScoringCycle:
         engine.register_job(job_for(make_series(), train_every=48, ttl=48))
         engine.run_training_cycle(96)
         engine.run_scoring_cycle(144)  # expires_at == 96 + 48
-        doc = stored_doc(engine.root, "health/m1.json")
+        doc = engine._doc("health/m1.json")  # held for the next tick's commit
         assert doc["snapshot"]["health"] == "R"
         assert doc["reason"] == "expired model"
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import autoad.optimizer as optimizer
 import autoad.orchestrator as orch
+from autoad import cli
 from autoad.errors import NonConvergence, UnsupportedStore
 from autoad.orchestrator import Engine
 from autoad.series import TimeSeries
@@ -207,7 +208,8 @@ class TestCrashRecovery:
         at any one of them restarts exactly.  At the first training the
         first models make ``meta.json`` many times larger, so a crash before
         the truncation leaves a journal within the new bound; the engine
-        tells it is spent because its redo changes nothing."""
+        tells it is spent because its last record is of the checkpoint's
+        tick."""
         for tick in (TRAINING_TICKS[0], COMPACTION_TICK):
             writes = crash_at_every_write(single_run, tmp_path / str(tick), monkeypatch, tick)
             names = [name for _, name in writes]
@@ -396,25 +398,56 @@ class TestCrashRecovery:
         assert engine.tune_generation("m1") == 1
         assert (tmp_path / "tunes" / "m1-g1.json").exists()
 
-    def test_cycles_called_on_their_own_commit(self, tmp_path):
+    def test_only_a_tick_commits(self, tmp_path):
+        """Only a tick commits: cycles called on their own leave the journal
+        and the checkpoint as they were, and the engine's next tick commits
+        their changes."""
         engine = fleet_engine(tmp_path)
         register_fleet(engine)
-        engine.run_training_cycle(96, force=True)
+        engine.advance_clock(1)  # the new store's checkpoint and tick 1's record
+        committed = {name: (tmp_path / name).read_bytes() for name in ("meta.json", "journal.jsonl")}
+        engine.run_training_cycle(96)
         for tick in range(97, 104):
             engine.run_scoring_cycle(tick)
         engine.run_evaluation_cycle(103)
-        # the training record compacted the new store's journal; each later
-        # cycle appended its record, at the clock of the checkpoint
-        records = [json.loads(line) for line in (tmp_path / "journal.jsonl").read_text().splitlines()]
-        assert [record["tick"] for record in records] == [0] * 8
-        assert json.loads((tmp_path / "meta.json").read_text())["now"] == 0
+        assert {name: (tmp_path / name).read_bytes() for name in committed} == committed
         fresh = fleet_engine(tmp_path)
-        assert fresh.now == 0
+        assert fresh.now == 1
+        assert [fresh._active_record(metric) for metric in ("quiet", "drifted")] == [None, None]
+        engine.advance_clock(1)  # tick 2 has no work of its own
+        fresh = fleet_engine(tmp_path)
+        assert fresh.now == 2
         for metric in ("quiet", "drifted"):
             assert fresh._scoring_state(metric) == engine._scoring_state(metric)
             assert fresh._active_record(metric)["model_id"] == engine._active_record(metric)["model_id"]
             assert fresh._score_log(metric).entries == engine._score_log(metric).entries
             assert stored_doc(tmp_path, f"health/{metric}.json")["at"] == 103
+
+    def test_eval_inside_a_tick_changes_nothing(self, single_run, tmp_path, capsys):
+        """``autoad eval`` run while an engine is inside a tick writes no
+        file: it reads the store as ``status`` does, and the running engine
+        finishes the same store as a run nobody evaluated."""
+        root = tmp_path / "store"
+        engine = fleet_engine(root)
+        register_fleet(engine)
+        train = engine.run_training_cycle
+        evaluated = []
+
+        def eval_then_train(now):
+            if now == 192:
+                before = snapshot(root)
+                argv = ["eval", "--metric", "quiet", "--data-dir", str(root),
+                        "--emit-curves", str(tmp_path / "curves.csv")]
+                assert cli.main(argv) == 0
+                assert snapshot(root) == before
+                evaluated.append(json.loads(capsys.readouterr().out.split("\ncurves written")[0])["health"])
+            return train(now)
+
+        engine.run_training_cycle = eval_then_train
+        engine.advance_clock(RESTART_TICKS)
+        assert len(evaluated) == 1 and evaluated[0] in "GYR"
+        assert (tmp_path / "curves.csv").stat().st_size > 0
+        assert snapshot(root) == single_run
 
 
 class TestHeldHandles:
@@ -514,7 +547,7 @@ class TestCaches:
         stored_doc(tmp_path, "health/m1.json", doc)
         engine = fleet_engine(tmp_path)
         engine.advance_clock(4)  # scoring ticks warm the caches
-        report = engine.run_training_cycle(101, force=True)
+        report = engine.run_training_cycle(144)
         assert report[0]["tuned"] is True
         assert engine.tune_generation("m1") == 1
 
@@ -580,7 +613,7 @@ class TestMissingObservations:
             monkeypatch.setattr(optimizer, "fit_structural", boom)
         engine = fleet_engine(tmp_path)
         engine.register_job(job_for(gapped_series()))
-        engine.run_training_cycle(96, force=True)
+        engine.run_training_cycle(96)
         assert engine._active_record("m1")["method"] == method
         assert len(engine.run_scoring_cycle(100)) == 4
         before = engine._scoring_state("m1")["filter_state"]
@@ -592,7 +625,7 @@ class TestMissingObservations:
         stamps = [int(r["timestamp"]) for r in score_rows(engine, "m1")]
         epoch, step = make_series().start_epoch, make_series().step
         assert stamps == [epoch + i * step for i in (*range(96, 100), *range(106, 110))]
-        assert stored_doc(tmp_path, "health/m1.json") is None  # no failure forced it red
+        assert engine._doc("health/m1.json") is None  # no failure forced it red
 
     @pytest.mark.parametrize("method", ["structural", "filtering"])
     def test_batch_cadence_writes_the_same_scores(self, tmp_path, monkeypatch, method):
@@ -630,7 +663,7 @@ class TestFailureIsolation:
         engine = fleet_engine(tmp_path)
         engine.register_job(job_for(make_series(seed=1), metric="bad", job="jb"))
         engine.register_job(job_for(make_series(seed=2), metric="good", job="jg"))
-        engine.run_training_cycle(96, force=True)
+        engine.run_training_cycle(96)
         engine.run_scoring_cycle(100)
         original = engine._finish_score
         calls = {"bad": 0}
@@ -647,7 +680,7 @@ class TestFailureIsolation:
         assert {r["metric_id"] for r in records} == {"good"}
         assert engine._score_log("bad").entries == csv_log(engine, "bad")
         assert engine._scoring_state("bad")["last_scored"] == 100
-        doc = stored_doc(tmp_path, "health/bad.json")
+        doc = engine._doc("health/bad.json")  # held for the next tick's commit
         assert doc["snapshot"]["health"] == "R"
         assert doc["reason"] == "scoring failed: injected"
         monkeypatch.setattr(engine, "_finish_score", original)
@@ -663,7 +696,7 @@ class TestFailureIsolation:
 
         engine._scoring_state("m1")["last_scored"] = -1  # a change never written through
         monkeypatch.setattr(orch, "fit_detector", boom)
-        report = engine.run_training_cycle(101, force=True)
+        report = engine.run_training_cycle(144)
         assert report[0]["status"] == "failed"
         state = engine._scoring_state("m1")
         assert state["last_scored"] == 100
@@ -685,5 +718,5 @@ class TestFailureIsolation:
         snaps = engine.run_evaluation_cycle(150)
         assert snaps["bad"].health == "R"
         assert snaps["good"].health in "GY"
-        doc = stored_doc(tmp_path, "health/bad.json")
+        doc = engine._doc("health/bad.json")  # held for the next tick's commit
         assert doc["reason"] == "evaluation failed: injected"

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_lyapunov, toeplitz
 from scipy.optimize import least_squares, minimize
-from scipy.signal import lfiltic
 from scipy.stats import multivariate_normal
 
 from autoad import bench
@@ -23,7 +22,6 @@ from autoad.structural import (
     _css_innovations,
     _css_jacobian,
     _css_residuals,
-    _initial_conditions,
     _partial_autocorrelations,
     _stationary,
     _step_up,
@@ -393,21 +391,6 @@ class TestForecast:
         tol = 1e-9 * max(1.0, np.max(np.abs(want[:, 0])))
         assert np.max(np.abs(got[:, 0] - want[:, 0])) <= tol
         assert np.max(np.abs(got[:, 1] - want[:, 1]) / want[:, 1]) <= 1e-9
-
-    @given(p=st.integers(0, 3), q=st.integers(0, 3), data=st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_initial_conditions_are_lfiltics_bits(self, p, q, data):
-        """The forecast's filter state equals scipy's ``lfiltic`` bit for
-        bit, with tails shorter than the orders among the draws."""
-        value = st.floats(-1e6, 1e6, allow_subnormal=False)
-        ar = [1.0, *data.draw(st.lists(value, min_size=p, max_size=p))]
-        ma = [1.0, *data.draw(st.lists(value, min_size=q, max_size=q))]
-        r_past = data.draw(st.lists(value, max_size=p))
-        eps_past = data.draw(st.lists(value, max_size=q))
-        got = _initial_conditions(ar, ma, r_past, eps_past)
-        want = lfiltic(ma, ar, r_past, eps_past)
-        assert got.shape == want.shape
-        assert (got == want).all()
 
     def test_white_noise_forecast_is_mean_and_sigma(self, rng):
         values = rng.normal(3.0, 1.0, 400)
