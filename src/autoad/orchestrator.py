@@ -37,11 +37,14 @@ with redo recovery (Mohan et al., "ARIES", 1992):
   files: an engine that restarts, or a run split into chunks, compacts at
   the same ticks and writes the same bytes (a log-structured file
   system cleans by size too: Rosenblum & Ousterhout, 1992).  A new
-  store's first write is a checkpoint.
+  store's first write is a checkpoint, and it is not compacted again
+  before it holds a document, at its first training.
 - A new engine loads the checkpoint and redoes, in order and in memory,
   every complete journal line (records hold full documents, so redoing
-  lines the checkpoint already holds changes nothing).  Opening a store
-  changes no file, nor does an evaluation cycle, so ``status`` and
+  lines the checkpoint already holds changes nothing).  If a running
+  engine compacted between the two reads, the journal's first record is
+  not of the checkpoint's next tick, and both are read again.  Opening a
+  store changes no file, nor does an evaluation cycle, so ``status`` and
   ``eval`` may run beside a running engine, and opening creates none: a
   missing data directory stays missing until :meth:`Engine.register_job`
   makes ``jobs/`` or the first write makes the rest.  Before its first
@@ -69,9 +72,12 @@ closes them; a later append opens its file again.  Nothing calls
 ``fsync``.
 
 The engine keeps in memory the registry and every committed document,
-and never reads a document back from disk.  The score log is not stored
-twice: it is the tail of the metric's scores CSV, read back when an
-engine first needs it.
+and never reads a document back from disk.  What the score rows already
+hold is not stored twice, so a scoring tick's record holds only its
+metrics' scoring positions: the score log is the tail of the metric's
+scores CSV, and a filter model's live state is redone from its state at
+publication over the model's rows in that CSV (the redo-from-the-log of
+ARIES again), both read back when an engine first needs them.
 """
 
 from __future__ import annotations
@@ -107,7 +113,7 @@ RATE_WINDOW = 48  # scores considered by the anomaly-rate trigger
 MIN_EVAL_SCORES = 8  # fewer stable scores than this keeps a series in Y
 LOG_WINDOW = 500  # newest scores kept in a metric's score log
 JOURNAL = "journal.jsonl"
-SCHEMA = 2  # the layout of meta.json and the documents in it; no other is read
+SCHEMA = 3  # the layout of meta.json and the documents in it; no other is read
 APPENDED = (("scores", "*.csv"), ("alerts", "*.jsonl"))  # files a tick appends to
 # append handles an engine holds open at once: every scores and alerts file
 # and the journal of a fleet of up to 63 metrics, while six engines in one
@@ -116,12 +122,13 @@ APPENDED = (("scores", "*.csv"), ("alerts", "*.jsonl"))  # files a tick appends 
 MAX_HANDLES = 128
 # a commit that takes the journal past this many times the size of meta.json
 # compacts it into a checkpoint: over the 1,440 ticks of the two-metric
-# benchmark fleet, 25 compactions (it trains 29 times) and a journal of at
-# most 46 KB; 8 compacts twice as often, 32 doubles the journal to redo
+# benchmark fleet, 12 compactions (it trains 29 times) and a journal of at
+# most 47 KB; 8 compacts about twice as often (23), 32 doubles the journal
+# to redo
 CHECKPOINT_RATIO = 16
 # a metric's scoring state before its first training
-FRESH_STATE = {"last_scored": 0, "filter_state": None, "tune_generation": 0,
-               "last_training_failed": False}
+FRESH_STATE = {"last_scored": 0, "tune_generation": 0, "last_training_error": None}
+SCORES_HEADER = "metric_id,timestamp,observed,expected,probability,is_anomaly,model_id\r\n"
 
 
 def _doc_name(kind: str, metric_id: str) -> str:
@@ -216,6 +223,32 @@ def _write_json(path: Path, data) -> None:
     _atomic_write(path, json.dumps(data, indent=1, sort_keys=True))
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as a field of ``csv.writer``'s default dialect: quoted,
+    with its quotes doubled, when it holds a comma, a quote or a line break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _score_lines(rows: list[dict]) -> str:
+    """The scores CSV lines of one cycle's rows of one metric, all scored by
+    one model, byte for byte as ``csv.writer`` writes them.  The floats are
+    written with ``repr``, so they read back exactly."""
+    head, tail = _csv_field(rows[0]["metric_id"]), _csv_field(rows[0]["model_id"])
+    return "".join(f"{head},{r['timestamp']},{r['observed']!r},{r['expected']!r},"
+                   f"{r['probability']!r},{r['is_anomaly']},{tail}\r\n" for r in rows)
+
+
+def _csv_rows(data: bytes, offset: int):
+    """The rows of a scores CSV's bytes from byte ``offset`` on, as lists
+    of fields; the header, which starts the file, is not among them."""
+    rows = csv.reader(io.StringIO(data[offset:].decode(), newline=""))
+    if offset == 0:
+        next(rows, None)
+    return rows
+
+
 def _write(fh, data: bytes, truncate: bool = False) -> None:
     """Append ``data`` to a held file in one ``write(2)``, after emptying
     the file if ``truncate``.  Every change the store makes to an appended
@@ -299,26 +332,38 @@ class Engine:
         A store of another schema raises UnsupportedStore."""
         path = self.root / "meta.json"
         text = path.read_text() if path.exists() else None
-        self._meta_size = len(text or "")  # meta.json is ASCII, so this is its byte length
-        if text is None:
-            meta = {"docs": {}, "lengths": self._appended_lengths(), "now": 0}
-        else:
-            meta = json.loads(text)
-            if meta.get("schema") != SCHEMA:
-                raise UnsupportedStore(f"{self.root} holds a store of schema {meta.get('schema')}, not {SCHEMA}; "
-                                       "register its jobs again in a new data directory")
-        self.now, self._committed, self._lengths = int(meta["now"]), meta["docs"], meta["lengths"]
-        records, self._journal_end = self._read_journal()
-        # the first write of a new store checkpoints it, and so does the first
-        # write after a crash inside a compaction: before its rename the journal
-        # is past its bound, after it the journal is spent (only a tick commits,
-        # so otherwise every record is of a later tick than the checkpoint's)
-        spent = bool(records) and int(records[-1]["tick"]) <= self.now
+        while True:
+            self._meta_size = len(text or "")  # meta.json is ASCII, so this is its byte length
+            if text is None:
+                meta = {"docs": {}, "lengths": self._appended_lengths(), "now": 0}
+            else:
+                meta = json.loads(text)
+                if meta.get("schema") != SCHEMA:
+                    raise UnsupportedStore(f"{self.root} holds a store of schema {meta.get('schema')}, "
+                                           f"not {SCHEMA}; register its jobs again in a new data directory")
+            self.now, self._committed, self._lengths = int(meta["now"]), meta["docs"], meta["lengths"]
+            records, self._journal_end = self._read_journal()
+            # only a tick commits, so the records after a checkpoint start at
+            # its next tick, unless the journal is spent: a crash inside a
+            # compaction left it, or a running engine has renamed meta.json and
+            # not yet emptied the journal
+            spent = bool(records) and int(records[-1]["tick"]) <= self.now
+            if not records or spent or int(records[0]["tick"]) == self.now + 1:
+                break
+            # a running engine compacted between the two reads: these records
+            # follow a later checkpoint, so read both again
+            again = path.read_text() if path.exists() else None
+            if again == text:
+                break
+            text = again
         for record in records:
             self.now = int(record["tick"])
             self._lengths.update(record.get("lengths", {}))
             self._committed.update(record.get("docs", {}))
-        self._checkpoint_due = text is None or spent or self._journal_end > CHECKPOINT_RATIO * self._meta_size
+        # the first write of a new store checkpoints it, and so does the first
+        # write after a crash inside a compaction: before its rename the journal
+        # is past its bound, after it the journal is spent
+        self._checkpoint_due = text is None or spent or self._compaction_due()
 
     def _read_journal(self) -> tuple[list[dict], int]:
         """The journal's complete records and their byte length; a torn
@@ -375,8 +420,14 @@ class Engine:
         _write(self._handle(JOURNAL), data)
         self._journal_end += len(data)
         self._appended.clear()
-        if self._journal_end > CHECKPOINT_RATIO * self._meta_size:
+        if self._compaction_due():
             self._checkpoint()
+
+    def _compaction_due(self) -> bool:
+        """Whether the journal has outgrown CHECKPOINT_RATIO times meta.json.
+        A store that holds no document yet (one warming up to its first
+        training) is not compacted: its checkpoint would hold only the clock."""
+        return bool(self._committed) and self._journal_end > CHECKPOINT_RATIO * self._meta_size
 
     def _checkpoint(self) -> None:
         """Write every committed document, the clock, the appended files'
@@ -464,15 +515,29 @@ class Engine:
         return self._doc(_doc_name("models", metric_id))
 
     def _detector(self, record: dict):
-        """The detector of an active record, loaded once per model_id from
-        the record and the stored filter state; it then keeps the live
-        state itself.  It scores up to the model's TTL."""
-        cached = self._detectors.get(record["metric_id"])
+        """The detector of an active record, loaded once per model_id; it
+        then keeps the live state itself.  It scores up to the model's TTL.
+
+        A filter model's live state is not stored: its state at
+        publication, the record's ``published_state``, is brought forward
+        by scoring again the observations of the model's committed rows,
+        which the scores CSV holds from the record's ``scores_offset`` on.
+        The filter gives the same bits however its stream is cut into
+        passes, so this redoes the live state exactly.
+        """
+        metric_id = record["metric_id"]
+        cached = self._detectors.get(metric_id)
         if cached is None or cached[0] != record["model_id"]:
-            state = self._scoring_state(record["metric_id"])
-            detector = load_detector(record["payload"], state["filter_state"],
+            detector = load_detector(record["payload"], record["published_state"],
                                      horizon=record["expires_at"] - record["published_at"])
-            cached = self._detectors[record["metric_id"]] = (record["model_id"], detector)
+            if record["published_state"] is not None:
+                data = self._committed_scores(metric_id)
+                if metric_id not in self._logs:  # the log reloads from the same read
+                    self._logs[metric_id] = self._log_of(metric_id, data)
+                observed = [float(r[2]) for r in _csv_rows(data, record["scores_offset"])]
+                if observed:  # a filter ignores the steps
+                    detector.score(None, np.array(observed))
+            cached = self._detectors[metric_id] = (record["model_id"], detector)
         return cached[1]
 
     def _publish_model(self, spec: JobSpec, now: int, detector, config: ModelConfig,
@@ -486,11 +551,15 @@ class Engine:
             "published_at": now,
             "expires_at": now + spec.model_ttl,
             "tune_generation": generation,
+            # a filter's state at publication (None for a structural model),
+            # and the byte offset in the scores CSV where this model's rows start
+            "published_state": detector.state(),
+            "scores_offset": self._lengths.get(_doc_name("scores", spec.metric_id), 0),
         }
         self._pending[_doc_name("models", spec.metric_id)] = record
         self._detectors[spec.metric_id] = (record["model_id"], detector)
         state = self._scoring_state(spec.metric_id)
-        state.update(last_scored=now, filter_state=detector.state(), last_training_failed=False)
+        state.update(last_scored=now, last_training_error=None)
         self._save_scoring_state(spec.metric_id, state)
         return record
 
@@ -504,24 +573,33 @@ class Engine:
     def _save_scoring_state(self, metric_id: str, state: dict) -> None:
         self._pending[_doc_name("state", metric_id)] = state
 
-    def _score_log(self, metric_id: str) -> ev.ScoreLog:
-        """The metric's newest LOG_WINDOW scores, rebuilt from the committed
-        rows of its scores CSV.
+    def _committed_scores(self, metric_id: str) -> bytes:
+        """The committed bytes of the metric's scores CSV; another engine
+        may be appending rows it has not committed."""
+        size = self._lengths.get(_doc_name("scores", metric_id), 0)
+        if not size:
+            return b""
+        with open(self._scores_path(metric_id), "rb") as fh:
+            return fh.read(size)
+
+    @staticmethod
+    def _log_of(metric_id: str, data: bytes) -> ev.ScoreLog:
+        """The score log of a scores CSV's bytes: its newest LOG_WINDOW rows.
 
         The CSV holds every (timestamp, probability, observed) the log
         ever held, written with ``repr``, so the rebuilt log is exact.
         """
+        log = ev.ScoreLog(metric_id, window=LOG_WINDOW)
+        log.entries = [(int(r[1]), float(r[4]), float(r[2]))
+                       for r in deque(_csv_rows(data, 0), maxlen=LOG_WINDOW)]
+        return log
+
+    def _score_log(self, metric_id: str) -> ev.ScoreLog:
+        """The metric's newest LOG_WINDOW scores, rebuilt from the committed
+        rows of its scores CSV."""
         log = self._logs.get(metric_id)
         if log is None:
-            log = ev.ScoreLog(metric_id, window=LOG_WINDOW)
-            size = self._lengths.get(_doc_name("scores", metric_id), 0)
-            if size:  # another engine may be appending rows it has not committed
-                with open(self._scores_path(metric_id), "rb") as fh:
-                    text = io.StringIO(fh.read(size).decode(), newline="")
-                rows = deque(csv.DictReader(text), maxlen=LOG_WINDOW)
-                log.entries = [(int(r["timestamp"]), float(r["probability"]), float(r["observed"]))
-                               for r in rows]
-            self._logs[metric_id] = log
+            log = self._logs[metric_id] = self._log_of(metric_id, self._committed_scores(metric_id))
         return log
 
     # -- alerting -----------------------------------------------------------------
@@ -598,7 +676,6 @@ class Engine:
         present = ~np.isnan(observed)
         index, observed = np.arange(start, end)[present], observed[present]
         probs, expected = detector.score(index - int(record["published_at"]), observed)
-        state["filter_state"] = detector.state()
 
         threshold = record["config"]["decision_threshold"]
         out = [self._finish_score(spec, series, i, obs, exp, prob, record, threshold, log)
@@ -629,20 +706,8 @@ class Engine:
         if not rows:
             return
         name = _doc_name("scores", metric_id)
-        text = io.StringIO()
-        writer = csv.writer(text)
-        if name not in self._lengths:
-            writer.writerow(
-                ["metric_id", "timestamp", "observed", "expected",
-                 "probability", "is_anomaly", "model_id"]
-            )
-        for r in rows:
-            writer.writerow(
-                [r["metric_id"], r["timestamp"], repr(r["observed"]),
-                 repr(r["expected"]), repr(r["probability"]),
-                 r["is_anomaly"], r["model_id"]]
-            )
-        self._append_file(name, text.getvalue())
+        text = _score_lines(rows)
+        self._append_file(name, text if name in self._lengths else SCORES_HEADER + text)
 
     # -- training cycle ------------------------------------------------------------------
 
@@ -721,7 +786,7 @@ class Engine:
             outcome["error"] = str(exc)
             self._forget(spec.metric_id)
             state = self._scoring_state(spec.metric_id)
-            state["last_training_failed"] = True
+            state["last_training_error"] = str(exc)
             self._save_scoring_state(spec.metric_id, state)
         return outcome
 
@@ -789,7 +854,7 @@ class Engine:
         rate = log.anomaly_rate(spec.alert_threshold, last=RATE_WINDOW)
         consec = log.consecutive_anomalies(spec.alert_threshold)
         cov = log.coefficient_of_variation()
-        failed = bool(state["last_training_failed"])
+        failed = state["last_training_error"] is not None
 
         if curve_stats is None:
             # not enough stable history: the series stays under scrutiny
@@ -842,8 +907,11 @@ class Engine:
             if error is None:
                 try:
                     snapshot = self._evaluate_metric(spec, now, thresholds, stats[spec.metric_id])
-                    self._pending[_doc_name("health", spec.metric_id)] = {
-                        "at": now, "snapshot": snapshot.to_dict()}
+                    doc = {"at": now, "snapshot": snapshot.to_dict()}
+                    training_error = self._scoring_state(spec.metric_id)["last_training_error"]
+                    if training_error is not None:
+                        doc["reason"] = f"training failed: {training_error}"
+                    self._pending[_doc_name("health", spec.metric_id)] = doc
                 except Exception as exc:  # noqa: BLE001 - cycle must survive any metric
                     error = exc
             if error is not None:

@@ -166,7 +166,8 @@ class TestTrainingCycle:
         by_metric = {r["metric_id"]: r for r in report}
         assert by_metric["good"]["status"] in ("trained", "trained_fallback")
         assert by_metric["bad"]["status"] == "failed"
-        assert engine._scoring_state("bad")["last_training_failed"] is True
+        assert engine._scoring_state("bad")["last_training_error"] == by_metric["bad"]["error"]
+        assert "missing.csv" in by_metric["bad"]["error"]
 
     def test_infinite_inline_value_fails_only_its_metric(self, engine):
         engine.register_job(job_for(make_series(), metric="good", job="jg"))
@@ -175,7 +176,7 @@ class TestTrainingCycle:
         engine.register_job(JobSpec(job_id="jb", metric_id="bad", source={"inline": doc},
                                     train_every=48, score_every=1, model_ttl=96))
         engine.advance_clock(120)
-        assert engine._scoring_state("bad")["last_training_failed"] is True
+        assert engine._scoring_state("bad")["last_training_error"] == "values must be finite or NaN (missing)"
         assert engine._active_record("bad") is None
         assert not (engine.root / "scores" / "bad.csv").exists()
         assert (engine.root / "scores" / "good.csv").exists()
@@ -330,9 +331,9 @@ class TestEvaluationCycle:
         monkeypatch.setattr(orch, "fit_detector", boom)
         engine.advance_clock(144)  # trainings at 144, 192 and 240 fail; the model expires at 196
         assert engine._active_record("m1")["model_id"] == record["model_id"]
-        assert engine._scoring_state("m1")["last_training_failed"] is True
-        # tick 240's evaluation labelled the metric itself, with no error
-        assert "reason" not in stored_doc(engine.root, "health/m1.json")
+        assert engine._scoring_state("m1")["last_training_error"] == "forced training failure"
+        # tick 240's evaluation labelled the metric itself, naming the training's error
+        assert stored_doc(engine.root, "health/m1.json")["reason"] == "training failed: forced training failure"
 
         horizon, ttl = 240 - record["published_at"], record["expires_at"] - record["published_at"]
         model = StructuralModel.from_dict(record["payload"])

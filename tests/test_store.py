@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import gc
+import io
 import json
 import math
 import os
@@ -19,19 +20,20 @@ import autoad.optimizer as optimizer
 import autoad.orchestrator as orch
 from autoad import cli
 from autoad.errors import NonConvergence, UnsupportedStore
+from autoad.optimizer import ModelConfig
 from autoad.orchestrator import Engine
 from autoad.series import TimeSeries
 
 from .conftest import stored_doc
-from .test_orchestrator import job_for, make_series
+from .test_orchestrator import failing_fit, job_for, make_series, mark_red
 
 RESTART_TICKS = 400
 TRAINING_TICKS = range(96, RESTART_TICKS + 1, 48)  # the fleet's training ticks
 RETUNE_TICK = 336  # the drifted metric's first retune, which only appends
-COMPACTION_TICK = 290  # a scoring tick whose record takes the journal past its bound
-STATE_KEYS = {"last_scored", "filter_state", "tune_generation", "last_training_failed"}
+COMPACTION_TICK = 206  # a scoring tick whose record takes the journal past its bound
+STATE_KEYS = {"last_scored", "tune_generation", "last_training_error"}
 MODEL_KEYS = {"model_id", "metric_id", "method", "payload", "config",
-              "published_at", "expires_at", "tune_generation"}
+              "published_at", "expires_at", "tune_generation", "published_state", "scores_offset"}
 
 
 def fleet_engine(root) -> Engine:
@@ -272,6 +274,32 @@ class TestCrashRecovery:
         assert opened == list(TRAINING_TICKS)
         assert snapshot(tmp_path) == single_run
 
+    def test_reader_across_a_compaction_loads_the_later_checkpoint(self, tmp_path, monkeypatch):
+        """An engine opened beside a running one, which compacts between the
+        reader's read of ``meta.json`` and its read of the journal, reads both
+        again: it loads the running engine's models, not the old
+        checkpoint's under the newer records."""
+        writer = fleet_engine(tmp_path)
+        register_fleet(writer)
+        writer.advance_clock(143)  # the checkpoint of tick 96 holds the first models
+        read_journal = Engine._read_journal
+        raced = []
+
+        def compact_then_read(engine):
+            if not raced:  # the writer trains at 144 and 192 and compacts at COMPACTION_TICK
+                raced.append(writer.advance_clock(COMPACTION_TICK + 5 - writer.now))
+            return read_journal(engine)
+
+        monkeypatch.setattr(Engine, "_read_journal", compact_then_read)
+        reader = fleet_engine(tmp_path)
+        assert raced == [COMPACTION_TICK + 5]
+        assert json.loads((tmp_path / "meta.json").read_text())["now"] == COMPACTION_TICK
+        assert reader.now == writer.now
+        assert reader._lengths == writer._lengths
+        for metric in ("quiet", "drifted"):
+            assert reader._active_record(metric)["model_id"] == f"{metric}-t192-g0"
+        assert reader._committed == writer._committed
+
     def test_restart_after_a_red_label_between_checkpoints(self, tmp_path):
         """A scoring failure labels its metric R at a tick that does not
         train, so the health document waits in the journal; an engine opened
@@ -354,14 +382,16 @@ class TestCrashRecovery:
             tunes = ["tunes/drifted-g1.json"] if tick == RETUNE_TICK else []
             assert renamed == tunes + (["meta.json"] if compacted else []), tick
             appending_trainings += tick in TRAINING_TICKS and not compacted
-        assert appending_trainings == 4  # 144, 240, 288 and the retune at 336
+        assert appending_trainings == 5  # 144, 192, 240, 288 and the retune at 336
         assert engine.tune_generation("drifted") == 1
 
     def test_journal_stays_within_its_bound(self, tmp_path, monkeypatch):
-        """Over 1,440 ticks of a two-metric fleet the journal never holds
-        more than CHECKPOINT_RATIO times ``meta.json`` plus one record, and
-        a tick leaves it within the bound.  It is compacted no more often
-        than the fleet trains."""
+        """Over 1,440 ticks of a two-metric fleet the journal, once the first
+        training has given the store its documents, never holds more than
+        CHECKPOINT_RATIO times ``meta.json`` plus one record, and a tick
+        leaves it within the bound.  The warm-up's records are not compacted:
+        after the new store's first checkpoint, the next is the first
+        training's.  It is compacted no more often than the fleet trains."""
         engine = fleet_engine(tmp_path)
         engine.register_job(job_for(make_series(n=1440, seed=1), metric="quiet", job="j1"))
         engine.register_job(job_for(make_series(n=1440, seed=2, shift_at=240), metric="drifted", job="j2"))
@@ -376,15 +406,16 @@ class TestCrashRecovery:
                 if truncate:
                     checkpoints.append(engine.now)
                 else:  # so the journal holds at most the bound plus this record
-                    assert within_bound()
+                    assert within_bound() or engine.now <= TRAINING_TICKS[0]
                     appends.append(engine.now)
             return original(fh, data, truncate)
 
         monkeypatch.setattr(orch, "_write", write)
         for _ in range(1440):
             engine.advance_clock(1)
-            assert within_bound()
+            assert within_bound() or engine.now < TRAINING_TICKS[0]
         assert appends == list(range(1, 1441))
+        assert checkpoints[:2] == [0, TRAINING_TICKS[0]]
         assert engine.tune_generation("drifted") >= 1
         assert 0 < len(checkpoints) <= 1440 // 48
 
@@ -569,13 +600,108 @@ class TestCaches:
         assert fleet_engine(tmp_path)._scoring_state("m1")["last_scored"] == 100
 
 
+class TestFilterStateRedo:
+    """A filter model's live state is not stored: an engine that loads the
+    model scores the model's committed rows again from its state at
+    publication, and goes on as if it had never stopped."""
+
+    @pytest.mark.parametrize("case", ["level", "log-scale", "gap", "quoted-id"])
+    def test_engine_opened_at_every_tick_scores_on_bit_identical(self, tmp_path, monkeypatch, case):
+        monkeypatch.setattr(optimizer, "fit_structural", failing_fit)  # every fit falls back to a filter
+        if case == "log-scale":
+            monkeypatch.setattr(orch, "default_config",
+                                lambda prof, n: ModelConfig(method="filtering", log_scale=True))
+        metric = 'cpu,"eu"' if case == "quoted-id" else "m1"
+        spec = job_for(gapped_series(start=120) if case == "gap" else make_series(), metric=metric)
+        single = fleet_engine(tmp_path / "single")
+        single.register_job(spec)
+        single.advance_clock(96)
+        live = {}
+        for tick in range(97, 200):  # the models of 96, 144 and 192
+            single.advance_clock(1)
+            live[tick] = single._detectors[metric][1].state()
+        record = single._active_record(metric)
+        assert record["method"] == "filtering"
+        assert record["config"]["log_scale"] is (case == "log-scale")
+        root = tmp_path / "reopened"
+        engine = fleet_engine(root)
+        engine.register_job(spec)
+        engine.advance_clock(96)
+        for tick in range(97, 200):
+            engine = fleet_engine(root)
+            engine.advance_clock(1)
+            assert engine._detectors[metric][1].state() == live[tick], tick
+            reader = fleet_engine(root)  # the state the next engine starts from
+            assert reader._detector(reader._active_record(metric)).state() == live[tick], tick
+            assert reader._score_log(metric).entries == csv_log(reader, metric), tick
+        assert snapshot(root) == snapshot(tmp_path / "single")
+        if case == "gap":
+            assert len(score_rows(engine, metric)) == 199 - 96 - 6
+
+    def test_reload_after_a_scoring_failure_redoes_the_state(self, tmp_path, monkeypatch):
+        """A scoring failure drops the metric's detector; the next tick
+        loads it again from the committed rows and scores the failed tick's
+        point with its own, writing the rows a run without the failure
+        writes, with the same filter state after each tick."""
+        monkeypatch.setattr(optimizer, "fit_structural", failing_fit)
+        runs = {}
+        for failing in (False, True):
+            engine = fleet_engine(tmp_path / str(failing))
+            engine.register_job(job_for(make_series()))
+            engine.advance_clock(109)
+            if failing:
+                original = engine._finish_score
+
+                def flaky(spec, *args, engine=engine, original=original):
+                    if engine.now == 110:
+                        raise RuntimeError("injected")
+                    return original(spec, *args)
+
+                engine._finish_score = flaky
+            states = []
+            for _ in range(110, 144):  # up to the next training, which the red label would retune
+                engine.advance_clock(1)
+                states.append(engine._detectors["m1"][1].state() if "m1" in engine._detectors else None)
+            runs[failing] = (states, engine._scores_path("m1").read_bytes())
+        assert runs[True][0][0] is None  # the failure dropped the detector
+        assert runs[True][0][1:] == runs[False][0][1:]
+        assert runs[True][1] == runs[False][1]
+        assert stored_doc(tmp_path / "True", "health/m1.json")["reason"] == "scoring failed: injected"
+
+
+csv_ids = st.text(st.sampled_from(list('ab1-_ ,"\r\n\'é')), min_size=1, max_size=8)
+
+
+class TestScoreRows:
+    @settings(max_examples=200, deadline=None)
+    @given(metric=csv_ids, model=csv_ids, rows=st.lists(
+        st.tuples(st.integers(0, 2**40), st.floats(), st.floats(), st.floats(0, 1), st.integers(0, 1)),
+        min_size=1, max_size=4))
+    def test_score_lines_are_what_csv_writer_writes(self, metric, model, rows):
+        """The scores CSV's lines are built as one string, byte for byte as
+        ``csv.writer`` writes them, and read back field for field, whatever
+        commas, quotes and line breaks the ids hold."""
+        records = [{"metric_id": metric, "timestamp": ts, "observed": obs, "expected": exp,
+                    "probability": prob, "is_anomaly": flag, "model_id": model}
+                   for ts, obs, exp, prob, flag in rows]
+        fields = [[metric, str(ts), repr(obs), repr(exp), repr(prob), str(flag), model]
+                  for ts, obs, exp, prob, flag in rows]
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(["metric_id", "timestamp", "observed", "expected", "probability", "is_anomaly",
+                         "model_id"])
+        writer.writerows(fields)
+        assert orch.SCORES_HEADER + orch._score_lines(records) == text.getvalue()
+        assert list(orch._csv_rows(text.getvalue().encode(), 0)) == fields
+
+
 class TestSchema:
     def test_opening_a_missing_directory_creates_nothing(self, tmp_path):
         missing = tmp_path / "typo"
         assert Engine(missing).status() == []
         assert not missing.exists()
 
-    @pytest.mark.parametrize("form", ["no-schema", "schema-1", "pre-journal"])
+    @pytest.mark.parametrize("form", ["no-schema", "schema-1", "schema-2", "pre-journal"])
     def test_store_of_another_schema_is_refused_unchanged(self, tmp_path, form):
         """A new store's first checkpoint writes the schema.  A store whose
         meta.json holds another schema, or none, is refused when an engine
@@ -583,13 +709,14 @@ class TestSchema:
         engine = fleet_engine(tmp_path)
         engine.register_job(job_for(make_series()))
         engine.advance_clock(1)  # the first write checkpoints the new store
-        assert json.loads((tmp_path / "meta.json").read_text())["schema"] == orch.SCHEMA == 2
+        assert json.loads((tmp_path / "meta.json").read_text())["schema"] == orch.SCHEMA == 3
         engine.advance_clock(99)  # a checkpoint at tick 96, then journal records
         engine.close()
         meta = json.loads((tmp_path / "meta.json").read_text())
         del meta["schema"]
         (tmp_path / "meta.json").write_text(json.dumps(
-            {"no-schema": meta, "schema-1": {**meta, "schema": 1}, "pre-journal": {"now": 96}}[form]))
+            {"no-schema": meta, "schema-1": {**meta, "schema": 1}, "schema-2": {**meta, "schema": 2},
+             "pre-journal": {"now": 96}}[form]))
         before = snapshot(tmp_path)
         with pytest.raises(UnsupportedStore, match="new data directory"):
             fleet_engine(tmp_path)
@@ -616,11 +743,12 @@ class TestMissingObservations:
         engine.run_training_cycle(96)
         assert engine._active_record("m1")["method"] == method
         assert len(engine.run_scoring_cycle(100)) == 4
-        before = engine._scoring_state("m1")["filter_state"]
+        detector = engine._detector(engine._active_record("m1"))
+        before = detector.state()
         assert engine.run_scoring_cycle(106) == []
         state = engine._scoring_state("m1")
         assert state["last_scored"] == 106
-        assert state["filter_state"] == before
+        assert detector.state() == before
         assert len(engine.run_scoring_cycle(110)) == 4
         stamps = [int(r["timestamp"]) for r in score_rows(engine, "m1")]
         epoch, step = make_series().start_epoch, make_series().step
@@ -700,7 +828,7 @@ class TestFailureIsolation:
         assert report[0]["status"] == "failed"
         state = engine._scoring_state("m1")
         assert state["last_scored"] == 100
-        assert state["last_training_failed"] is True
+        assert state["last_training_error"] == "store down"
 
     def test_evaluation_failure_is_isolated(self, tmp_path, monkeypatch):
         engine = fleet_engine(tmp_path)
@@ -720,3 +848,28 @@ class TestFailureIsolation:
         assert snaps["good"].health in "GY"
         doc = engine._doc("health/bad.json")  # held for the next tick's commit
         assert doc["reason"] == "evaluation failed: injected"
+
+    def test_training_error_reaches_the_health_document(self, tmp_path, monkeypatch):
+        """A failed retune's error is kept in the scoring state, and the
+        health document of the tick's evaluation gives it as the reason; the
+        next training that publishes a model clears it."""
+        engine = fleet_engine(tmp_path)
+        engine.register_job(job_for(make_series()))
+        engine.advance_clock(96)
+        engine = mark_red(engine, 96)
+        tune = orch.tune
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("tuner down")
+
+        monkeypatch.setattr(orch, "tune", boom)
+        engine.advance_clock(48)  # the red label makes the training at 144 retune
+        assert engine._scoring_state("m1")["last_training_error"] == "tuner down"
+        doc = stored_doc(tmp_path, "health/m1.json")
+        assert (doc["at"], doc["snapshot"]["health"]) == (144, "R")
+        assert doc["reason"] == "training failed: tuner down"
+        monkeypatch.setattr(orch, "tune", tune)
+        engine.advance_clock(48)  # the training at 192 retunes and publishes
+        assert engine._scoring_state("m1")["last_training_error"] is None
+        assert engine._active_record("m1")["published_at"] == 192
+        assert "reason" not in stored_doc(tmp_path, "health/m1.json")
