@@ -11,7 +11,9 @@ series; red labels trigger configuration retuning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,13 +33,24 @@ def scoring_function(anomaly_probability):
     return float(s) if s.ndim == 0 else s
 
 
+_ALPHAS = np.round(np.arange(0.900, 0.9995, 0.001), 6)
+_ALPHAS.flags.writeable = False
+
+
 def default_alphas() -> np.ndarray:
-    """Mass grid 0.900 .. 0.999 in steps of 0.001."""
-    return np.round(np.arange(0.900, 0.9995, 0.001), 6)
+    """Mass grid 0.900 .. 0.999 in steps of 0.001 (one shared, read-only array)."""
+    return _ALPHAS
 
 
 def default_em_ts(sample_scores, domain) -> np.ndarray:
-    """50 log-spaced volume penalties spanning the score range over the domain length."""
+    """50 log-spaced volume penalties from t_max / 1000 to t_max, t_max the
+    score range over the domain length.
+
+    The grid is ``np.geomspace(t_max / 1000, t_max, 50)`` with its
+    arithmetic written out: equal steps between the decimal logs, raised
+    to powers of 10, both ends pinned.  It gives geomspace's bits without
+    its per-call checks and promotions.
+    """
     lo, hi = domain
     length = hi - lo
     if length <= 0:
@@ -45,7 +58,15 @@ def default_em_ts(sample_scores, domain) -> np.ndarray:
     scores = np.asarray(sample_scores, dtype=float)
     span = float(scores.max() - scores.min()) if scores.size else 0.0
     t_max = max(span, 0.1) / length
-    return np.geomspace(t_max / 1000.0, t_max, 50)
+    t_min = t_max / 1000.0
+    log_min, log_max = np.log10(t_min), np.log10(t_max)
+    exponents = np.arange(50.0)
+    exponents *= (log_max - log_min) / 49
+    exponents += log_min
+    exponents[-1] = log_max
+    ts = np.power(10.0, exponents)
+    ts[0], ts[-1] = t_min, t_max
+    return ts
 
 
 def level_set_volume(us, center: float, scale: float, domain, log_offset: Optional[float] = None) -> np.ndarray:
@@ -81,14 +102,47 @@ def level_set_volume(us, center: float, scale: float, domain, log_offset: Option
     return np.maximum(np.minimum(right, hi) - np.maximum(left, lo), 0.0)
 
 
+class ScoreSample:
+    """A score sample sorted once, with its distinct scores.
+
+    :func:`mv_curve` and :func:`em_curve` take one in place of the raw
+    sample and sort nothing again; :meth:`shared_volume` lets both curves
+    share one call of the volume over the distinct scores.
+    """
+
+    def __init__(self, sample_scores):
+        self.sorted = np.sort(np.asarray(sample_scores, dtype=float))
+
+    @cached_property
+    def distinct(self) -> np.ndarray:
+        return np.unique(self.sorted)
+
+    def shared_volume(self, volume: Callable) -> Callable:
+        """``volume`` called once, over the distinct scores, and a callable
+        that looks up the volume of any threshold that is a sample score.
+
+        Every threshold :func:`mv_curve` and :func:`em_curve` ask for is a
+        sample score, and a level-set volume is elementwise in its
+        thresholds, so each curve gets the bits its own call would give.
+        """
+        distinct = self.distinct
+        volumes = np.asarray(volume(distinct), dtype=float)
+        return lambda us: volumes[np.searchsorted(distinct, us)]
+
+
+def _sample(sample_scores) -> ScoreSample:
+    return sample_scores if isinstance(sample_scores, ScoreSample) else ScoreSample(sample_scores)
+
+
 def mv_curve(volume: Callable, sample_scores, alphas) -> list[tuple[float, float]]:
     """Mass-Volume curve: level-set volume holding at least alpha score mass.
 
     For each alpha the threshold u* is the largest sample score with
     empirical P(s >= u*) >= alpha; ``volume`` maps an array of thresholds
     to the lengths of their level sets (:func:`level_set_volume`).
+    ``sample_scores`` is an array or a :class:`ScoreSample`.
     """
-    scores = np.sort(np.asarray(sample_scores, dtype=float))
+    scores = _sample(sample_scores).sorted
     if scores.size == 0:
         raise EmptyScores("mv_curve needs a non-empty score sample")
     alphas = np.asarray(alphas, dtype=float)
@@ -105,17 +159,19 @@ def em_curve(volume: Callable, sample_scores, t_values) -> list[tuple[float, flo
     Candidate thresholds are the unique sample scores, whose level-set
     lengths ``volume`` gives; choosing u above the maximum score yields
     the empty level set, which bounds every EM(t) below by zero.
+    ``sample_scores`` is an array or a :class:`ScoreSample`.
     """
-    scores = np.sort(np.asarray(sample_scores, dtype=float))
+    sample = _sample(sample_scores)
+    scores = sample.sorted
     if scores.size == 0:
         raise EmptyScores("em_curve needs a non-empty score sample")
     t_values = np.asarray(t_values, dtype=float)
     if np.any(t_values < 0):
         raise ValueError("t values must be non-negative")
     n = scores.size
-    us = np.unique(scores)
+    us = sample.distinct
     phat = (n - np.searchsorted(scores, us, side="left")) / n
-    em = np.maximum(np.max(phat - t_values[:, None] * volume(us), axis=1), 0.0)
+    em = np.maximum((phat - t_values[:, None] * volume(us)).max(axis=1), 0.0)
     return list(zip(t_values.tolist(), em.tolist()))
 
 
@@ -226,28 +282,57 @@ def classify_health(
 # -- score log -----------------------------------------------------------------
 
 
-@dataclass
 class ScoreLog:
-    """Per-series retention of recent scores for the evaluation cycle."""
+    """Per-series retention of the newest ``window`` scores for the
+    evaluation cycle.
 
-    series_id: str
-    window: int = 500
-    entries: list = field(default_factory=list)  # (timestamp, probability, observed)
+    The log holds its timestamp, probability and observation columns.
+    :meth:`probabilities` and :meth:`observations` turn a column into a
+    read-only array once per change of the log, and every reader of the
+    cycle shares that array.
+    """
+
+    def __init__(self, series_id: str, window: int = 500, entries=()):
+        self.series_id = series_id
+        self.window = window
+        self._timestamps: deque = deque(maxlen=window)
+        self._probabilities: deque = deque(maxlen=window)
+        self._observed: deque = deque(maxlen=window)
+        self._arrays: dict[str, np.ndarray] = {}
+        for entry in entries:
+            self.append(*entry)
 
     def append(self, timestamp: int, probability: float, observed: float) -> None:
         if not 0.0 <= probability <= 1.0:
             raise ValueError("probability must lie in [0, 1]")
-        if self.entries and timestamp <= self.entries[-1][0]:
+        if self._timestamps and timestamp <= self._timestamps[-1]:
             raise ValueError("entries must be appended in time order")
-        self.entries.append((timestamp, probability, observed))
-        if len(self.entries) > self.window:
-            del self.entries[: len(self.entries) - self.window]
+        self._timestamps.append(timestamp)
+        self._probabilities.append(probability)
+        self._observed.append(observed)
+        if self._arrays:
+            self._arrays = {}
+
+    def __len__(self) -> int:
+        return len(self._timestamps)
+
+    @property
+    def entries(self) -> list[tuple[int, float, float]]:
+        """The (timestamp, probability, observed) entries, oldest first."""
+        return list(zip(self._timestamps, self._probabilities, self._observed))
+
+    def _array(self, name: str, column: deque) -> np.ndarray:
+        array = self._arrays.get(name)
+        if array is None:
+            array = self._arrays[name] = np.fromiter(column, dtype=float, count=len(column))
+            array.flags.writeable = False
+        return array
 
     def probabilities(self) -> np.ndarray:
-        return np.array([p for _, p, _ in self.entries], dtype=float)
+        return self._array("probabilities", self._probabilities)
 
     def observations(self) -> np.ndarray:
-        return np.array([o for _, _, o in self.entries], dtype=float)
+        return self._array("observations", self._observed)
 
     def anomaly_rate(self, threshold: float, last: int = 48) -> float:
         probs = self.probabilities()[-last:]
@@ -257,7 +342,7 @@ class ScoreLog:
 
     def consecutive_anomalies(self, threshold: float) -> int:
         count = 0
-        for _, p, _ in reversed(self.entries):
+        for p in reversed(self._probabilities):
             if p >= threshold:
                 count += 1
             else:
@@ -283,5 +368,5 @@ class ScoreLog:
         exclude = np.zeros(probs.size, dtype=bool)
         for start, end in runs[runs[:, 1] - runs[:, 0] >= 2].tolist():  # a run of >= 2 counts as confirmed
             exclude[max(0, start - guard):end + guard] = True
-        kept = probs[~exclude]
-        return scoring_function(kept) if kept.size else np.array([])
+        # the probabilities were checked on append: s = 1 - p needs no check
+        return 1.0 - probs[~exclude]

@@ -589,10 +589,8 @@ class Engine:
         The CSV holds every (timestamp, probability, observed) the log
         ever held, written with ``repr``, so the rebuilt log is exact.
         """
-        log = ev.ScoreLog(metric_id, window=LOG_WINDOW)
-        log.entries = [(int(r[1]), float(r[4]), float(r[2]))
-                       for r in deque(_csv_rows(data, 0), maxlen=LOG_WINDOW)]
-        return log
+        rows = deque(_csv_rows(data, 0), maxlen=LOG_WINDOW)
+        return ev.ScoreLog(metric_id, LOG_WINDOW, ((int(r[1]), float(r[4]), float(r[2])) for r in rows))
 
     def _score_log(self, metric_id: str) -> ev.ScoreLog:
         """The metric's newest LOG_WINDOW scores, rebuilt from the committed
@@ -811,8 +809,9 @@ class Engine:
         The curves judge the stable scores against the active model's
         predictive Gaussian for the newest scored point, over the observed
         value range padded by 10% on each side; the level-set volumes are
-        exact (:func:`~autoad.evaluation.level_set_volume`).  None means
-        there is no model or not enough stable score history yet.
+        exact (:func:`~autoad.evaluation.level_set_volume`), computed once
+        over the distinct stable scores for both curves.  None means there
+        is no model or not enough stable score history yet.
         """
         record = self._active_record(spec.metric_id)
         if record is None:
@@ -833,11 +832,10 @@ class Engine:
         model = detector.model
         offset = model.log_offset if model.log_scale else None
 
-        def volume(us):
-            return ev.level_set_volume(us, center, scale, domain, offset)
-
-        mv = ev.mv_curve(volume, scores, ev.default_alphas())
-        em = ev.em_curve(volume, scores, ev.default_em_ts(scores, domain))
+        sample = ev.ScoreSample(scores)
+        volume = sample.shared_volume(lambda us: ev.level_set_volume(us, center, scale, domain, offset))
+        mv = ev.mv_curve(volume, sample, ev.default_alphas())
+        em = ev.em_curve(volume, sample, ev.default_em_ts(sample.sorted, domain))
         return mv, em
 
     def _evaluate_metric(self, spec: JobSpec, now: int,
@@ -857,8 +855,9 @@ class Engine:
         failed = state["last_training_error"] is not None
 
         if curve_stats is None:
-            # not enough stable history: the series stays under scrutiny
-            if record is None or len(log.entries) < MIN_EVAL_SCORES:
+            # not enough stable history: the series stays under scrutiny,
+            # unless its training failed
+            if not failed and (record is None or len(log) < MIN_EVAL_SCORES):
                 return ev.HealthSnapshot(0.0, 0.0, rate, consec, cov, age, "Y")
             mv_avg, em_avg = 0.0, 0.0
             thresholds = ev.HealthThresholds()

@@ -12,6 +12,7 @@ from autoad.evaluation import (
     HealthSnapshot,
     HealthThresholds,
     ScoreLog,
+    ScoreSample,
     classify_health,
     default_alphas,
     default_em_ts,
@@ -21,6 +22,10 @@ from autoad.evaluation import (
     scoring_function,
     summarize_criteria,
 )
+
+from autoad.orchestrator import LOG_WINDOW, SCORES_HEADER, Engine, _score_lines
+from autoad.series import LOG_FLOOR
+from autoad.stats import EPS_VAR
 
 from .conftest import grid_volume
 
@@ -205,6 +210,85 @@ class TestEmCurve:
             em_curve(grid_volume(indicator(0.3), (0.0, 1.0)), [], [0.5])
 
 
+@st.composite
+def shared_volume_cases(draw):
+    """A stable-score sample and a predictive Gaussian's level sets, as the
+    evaluation cycle builds them, with ties, single-valued samples, log-scale
+    centers whose intervals cross the floor, and scales at or below EPS_VAR."""
+    pool = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    scores = draw(st.one_of(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=120),  # ties
+        st.builds(lambda v, n: [v] * n, st.floats(0.0, 1.0), st.integers(1, 40)),  # one distinct score
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=120),
+    ))
+    log_offset = draw(st.one_of(st.none(), st.floats(0.0, 50.0)))
+    floor = math.log(LOG_FLOOR)
+    if log_offset is None:
+        center = draw(st.floats(-150.0, 150.0))
+    else:  # centers whose intervals reach the floor are cut there
+        center = draw(st.one_of(st.floats(-40.0, 6.0), st.floats(floor - 3.0, floor + 3.0)))
+    scale = draw(st.one_of(st.sampled_from([0.0, EPS_VAR / 2, EPS_VAR]), st.floats(EPS_VAR, 100.0)))
+    lo = draw(st.floats(-100.0, 100.0))
+    domain = (lo, lo + draw(st.floats(1e-2, 200.0)))
+    return np.array(scores), center, scale, log_offset, domain
+
+
+class TestSharedVolume:
+    @given(case=shared_volume_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_one_volume_call_gives_the_per_curve_bits(self, case):
+        """One sort, one np.unique and one volume call over the distinct
+        scores give both curves and their averages bit for bit as each
+        curve's own sort and volume call do."""
+        scores, center, scale, log_offset, domain = case
+
+        def volume(us):
+            return level_set_volume(us, center, scale, domain, log_offset)
+
+        ts = default_em_ts(scores, domain)
+        mv_want = mv_curve(volume, scores, default_alphas())
+        em_want = em_curve(volume, scores, ts)
+        sample = ScoreSample(scores)
+        shared = sample.shared_volume(volume)
+        mv = mv_curve(shared, sample, default_alphas())
+        em = em_curve(shared, sample, ts)
+        assert mv == mv_want
+        assert em == em_want
+        assert summarize_criteria(mv, em) == summarize_criteria(mv_want, em_want)
+
+    def test_volume_runs_once_over_the_distinct_scores(self):
+        calls = []
+
+        def volume(us):
+            calls.append(np.array(us))
+            return level_set_volume(us, 0.0, 1.0, (-5.0, 5.0))
+
+        sample = ScoreSample([0.3, 0.9, 0.3, 0.5, 0.9, 0.9])
+        shared = sample.shared_volume(volume)
+        mv_curve(shared, sample, default_alphas())
+        em_curve(shared, sample, [0.1, 1.0])
+        assert len(calls) == 1 and calls[0].tolist() == [0.3, 0.5, 0.9]
+
+    def test_empty_sample(self):
+        with pytest.raises(EmptyScores):
+            mv_curve(grid_volume(indicator(0.3), (0.0, 1.0)), ScoreSample([]), [0.5])
+        with pytest.raises(EmptyScores):
+            em_curve(grid_volume(indicator(0.3), (0.0, 1.0)), ScoreSample([]), [0.5])
+
+    @given(span=st.floats(0.0, 1.0), length=st.floats(1e-8, 1e12))
+    @settings(max_examples=300, deadline=None)
+    def test_em_grid_is_geomspace(self, span, length):
+        t_max = max(span, 0.1) / length
+        got = default_em_ts([0.0, span], (0.0, length))
+        assert got.tobytes() == np.geomspace(t_max / 1000.0, t_max, 50).tobytes()
+
+    def test_default_alphas_is_one_read_only_grid(self):
+        alphas = default_alphas()
+        assert alphas is default_alphas()
+        assert not alphas.flags.writeable
+        assert np.array_equal(alphas, np.round(np.arange(0.900, 0.9995, 0.001), 6))
+
+
 class TestSummarize:
     def test_single_point_curves(self):
         assert summarize_criteria([(0.5, 3.0)], [(1.0, 0.4)]) == (3.0, 0.4)
@@ -330,3 +414,65 @@ class TestScoreLog:
             log.append(i, 0.1, v)
         obs = np.array([10.0, 12.0, 8.0, 11.0])
         assert log.coefficient_of_variation() == pytest.approx(np.std(obs) / np.mean(obs))
+
+
+def log_figures(log: ScoreLog, threshold: float):
+    """The arrays the evaluation cycle reads and the figures it takes from
+    a log, beside the same built from the log's entries as tuples."""
+    entries = log.entries
+    probs = np.array([p for _, p, _ in entries], dtype=float)
+    obs = np.array([o for _, _, o in entries], dtype=float)
+    run = 0
+    for p in reversed(probs.tolist()):
+        if p < threshold:
+            break
+        run += 1
+    mean = float(np.mean(obs)) if obs.size else 0.0
+    want = (probs, obs,
+            float(np.mean(probs[-48:] >= threshold)) if probs.size else 0.0,
+            float(np.std(obs) / max(abs(mean), 1e-12)) if obs.size >= 2 else 0.0,
+            run)
+    got = (log.probabilities(), log.observations(), log.anomaly_rate(threshold, last=48),
+           log.coefficient_of_variation(), log.consecutive_anomalies(threshold))
+    return got, want
+
+
+class TestScoreLogColumns:
+    def test_arrays_and_figures_match_the_entries(self, rng):
+        """After appends, after the window trims, and after a reload from
+        the scores CSV, the arrays the cycle reads hold the entries' bits
+        and every figure equals one computed from the entries."""
+        threshold = 0.95
+        rows = [{"metric_id": "m", "timestamp": 3600 * i, "observed": float(v),
+                 "expected": 0.0, "probability": float(p), "is_anomaly": int(p >= threshold),
+                 "model_id": "m-t96-g0"}
+                for i, (v, p) in enumerate(zip(rng.normal(10.0, 2.0, LOG_WINDOW + 200),
+                                               rng.choice([0.01, 0.5, 0.97, 0.999], LOG_WINDOW + 200)))]
+        log = ScoreLog("m", window=LOG_WINDOW)
+
+        def check(state):
+            got, want = log_figures(state, threshold)
+            for array, expected in zip(got[:2], want[:2]):
+                assert array.tobytes() == expected.tobytes()
+                assert not array.flags.writeable
+            assert got[2:] == want[2:]
+
+        for start, end in ((0, 300), (300, LOG_WINDOW + 200)):  # the second stretch trims the oldest 200
+            for r in rows[start:end]:
+                log.append(r["timestamp"], r["probability"], r["observed"])
+            check(log)
+        assert len(log) == LOG_WINDOW and log.entries[0][0] == 3600 * 200
+        reloaded = Engine._log_of("m", (SCORES_HEADER + _score_lines(rows)).encode())
+        assert reloaded.entries == log.entries
+        check(reloaded)
+
+    def test_an_append_renews_the_arrays(self):
+        log = ScoreLog("m", window=3)
+        for i in range(3):
+            log.append(i, 0.1 * i, float(i))
+        before = log.probabilities()
+        assert log.probabilities() is before  # one array per state, shared by its readers
+        log.append(3, 0.9, 3.0)
+        assert before.tolist() == [0.0, 0.1, 0.2]
+        assert log.probabilities().tolist() == [0.1, 0.2, 0.9]
+        assert log.observations().tolist() == [1.0, 2.0, 3.0]

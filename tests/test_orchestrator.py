@@ -316,6 +316,40 @@ class TestEvaluationCycle:
         assert set(snaps) == {"m0", "m1", "m2"}
         assert all(s.health in "GYR" for s in snaps.values())
 
+    def test_a_metric_whose_every_training_fails_is_red(self, tmp_path, monkeypatch):
+        """A metric whose source is missing never gets a model: every
+        evaluation from its first training on labels it R, naming the
+        error, and the healthy metric beside it scores as it would alone."""
+
+        def fleet(root, with_failing):
+            eng = Engine(root, tune_budget=10, seed=1)
+            eng.register_job(job_for(make_series(seed=1), metric="good", job="jg"))
+            if with_failing:
+                eng.register_job(JobSpec(job_id="jb", metric_id="bad", source=str(tmp_path / "missing.csv"),
+                                         train_every=48, score_every=1, model_ttl=96))
+            return eng
+
+        with fleet(tmp_path / "alone", False) as alone:
+            alone.advance_clock(480)
+        engine = fleet(tmp_path / "fleet", True)
+        evaluate, labels = engine.run_evaluation_cycle, {}
+
+        def recorded(now):
+            snapshots = evaluate(now)
+            labels[now] = (snapshots["bad"].health, engine._doc("health/bad.json")["reason"])
+            return snapshots
+
+        monkeypatch.setattr(engine, "run_evaluation_cycle", recorded)
+        engine.advance_clock(480)
+        engine.close()
+        assert sorted(labels) == list(range(96, 481, 48))
+        for health, reason in labels.values():
+            assert health == "R"
+            assert reason.startswith("training failed: ") and "missing.csv" in reason
+        assert engine._active_record("bad") is None
+        good = "scores/good.csv"
+        assert (engine.root / good).read_bytes() == (alone.root / good).read_bytes()
+
     def test_expired_structural_model_is_judged_on_a_fresh_forecast(self, engine, monkeypatch):
         """Training that keeps failing leaves the structural model past its
         TTL; the evaluation scorer then uses row horizon - 1 of
