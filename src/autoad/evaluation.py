@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -216,27 +216,7 @@ class HealthSnapshot:
     health: str
 
     def to_dict(self) -> dict:
-        return {
-            "mv_avg": self.mv_avg,
-            "em_avg": self.em_avg,
-            "anomaly_rate": self.anomaly_rate,
-            "consecutive_anomalies": self.consecutive_anomalies,
-            "coefficient_of_variation": self.coefficient_of_variation,
-            "model_age_fraction": self.model_age_fraction,
-            "health": self.health,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HealthSnapshot":
-        return cls(
-            mv_avg=float(data["mv_avg"]),
-            em_avg=float(data["em_avg"]),
-            anomaly_rate=float(data["anomaly_rate"]),
-            consecutive_anomalies=int(data["consecutive_anomalies"]),
-            coefficient_of_variation=float(data["coefficient_of_variation"]),
-            model_age_fraction=float(data["model_age_fraction"]),
-            health=str(data["health"]),
-        )
+        return asdict(self)
 
 
 def classify_health(

@@ -9,75 +9,20 @@ scoring always uses the pre-existing model and retraining evidence stays
 uncontaminated.
 
 All state lives as JSON/CSV documents under a data directory, so every
-cycle is inspectable and re-runnable.  The store is a write-ahead log
-with redo recovery (Mohan et al., "ARIES", 1992):
+cycle is inspectable and re-runnable; :class:`~autoad.store.Store` makes
+every write to it (see :mod:`autoad.store` for the layout and the crash
+recovery).  Each tick, and nothing else, ends with a commit: a cycle
+called on its own leaves its changes to the same engine's next tick.  A
+tick that crashed before its commit runs again: its file and
+webhook-stub alerts come out exactly once, its stdout alerts are printed
+again (at-least-once delivery).
 
-- ``scores/*.csv`` and ``alerts/*.jsonl`` are appended during a tick.
-  ``tunes/*.json`` is never read back and a replayed tick rewrites it
-  byte for byte, so it is written at once.
-- ``meta.json`` is the checkpoint, the one file of documents: every
-  metric's committed scoring state, model record and health document,
-  under their store names (``state/<m>.json``, ``models/<m>.json``,
-  ``health/<m>.json``), the clock, every appended file's length and the
-  store's :data:`SCHEMA`.  It is compact JSON, as the indented encoder
-  is pure Python (about 130 µs against 40 µs for a two-metric fleet's
-  2.9 KB document); read it with ``python -m json.tool meta.json`` or
-  ``autoad status``.
-- Every tick commits by appending one line to ``journal.jsonl``: the
-  tick, the full documents it changed and the byte lengths of the scores
-  and alerts files it appended to.  A tick with no work writes only its
-  tick.  Only a tick commits: a cycle called on its own leaves its changes
-  to the same engine's next tick, and a new engine cuts its rows back.
-- A commit whose line takes the journal past :data:`CHECKPOINT_RATIO`
-  times the size of ``meta.json`` then compacts it: it rewrites the
-  checkpoint, atomically by one rename, and empties the journal in place
-  by truncation.  So the journal never holds more than that bound plus
-  one line, the checkpoint's cost is spread over the ticks that grew the
-  journal, and the decision reads only the byte lengths of committed
-  files: an engine that restarts, or a run split into chunks, compacts at
-  the same ticks and writes the same bytes (a log-structured file
-  system cleans by size too: Rosenblum & Ousterhout, 1992).  A new
-  store's first write is a checkpoint, and it is not compacted again
-  before it holds a document, at its first training.
-- A new engine loads the checkpoint and redoes, in order and in memory,
-  every complete journal line (records hold full documents, so redoing
-  lines the checkpoint already holds changes nothing).  If a running
-  engine compacted between the two reads, the journal's first record is
-  not of the checkpoint's next tick, and both are read again.  Opening a
-  store changes no file, nor does an evaluation cycle, so ``status`` and
-  ``eval`` may run beside a running engine, and opening creates none: a
-  missing data directory stays missing until :meth:`Engine.register_job`
-  makes ``jobs/`` or the first write makes the rest.  Before its first
-  write, the engine cuts a torn last line from the journal, cuts the
-  appended files back to the lengths of the last commit and finishes a
-  compaction a crash cut short (a journal past its bound, or one whose
-  last record is of no later tick than the checkpoint).  A tick that
-  crashed before its commit is then run again: its file and
-  webhook-stub alerts come out exactly once, its stdout alerts are
-  printed again (at-least-once delivery).
-- A directory whose ``meta.json`` holds another schema, or none, is
-  refused with :class:`~autoad.errors.UnsupportedStore` and left as it
-  is; its jobs are registered again in a new data directory.
-
-Only one engine may write to a directory at a time.
-
-The engine appends through handles it holds open, one per appended file
-(the journal included), opened on first append; at most
-:data:`MAX_HANDLES` are open, the least recently used being closed past
-that.  The handles are unbuffered, so each append is one ``write(2)``
-and nothing waits in the process to be written later: an engine that
-crashed, or was dropped unclosed, cannot add bytes after a new engine has
-repaired the store.  :meth:`Engine.close` (or leaving a ``with`` block)
-closes them; a later append opens its file again.  Nothing calls
-``fsync``.
-
-The engine keeps in memory the registry and every committed document,
-and never reads a document back from disk.  What the score rows already
-hold is not stored twice, so a scoring tick's record holds only its
-metrics' scoring positions: the score log is the tail of the metric's
-scores CSV, and a filter model's live state is redone from its state at
-publication over the model's rows in that CSV (the redo-from-the-log of
-ARIES again), both read back when an engine first needs them.
+What the score rows already hold is not stored twice, so a scoring
+tick's record holds only its metrics' scoring positions: the score log
+is the tail of the metric's scores CSV, and a filter model's live state
+is redone from its state at publication over the model's rows in that
+CSV (the redo-from-the-log of ARIES again), both read back when an
+engine first needs them.
 """
 
 from __future__ import annotations
@@ -87,10 +32,8 @@ import dataclasses
 import io
 import json
 import math
-import os
 import zlib
-from collections import OrderedDict, deque
-from pathlib import Path
+from collections import deque
 from typing import Optional
 
 import numpy as np
@@ -102,30 +45,16 @@ from .errors import (
     ExpiredModel,
     InvalidSpec,
     MissingModel,
-    UnsupportedStore,
 )
 from .filtering import scan_ratio
 from .optimizer import MIN_BUDGET, ModelConfig, default_config, fit_detector, load_detector, tune
 from .profiling import profile as profile_series
 from .series import TimeSeries, impute, read_csv
+from .store import Store
 
 RATE_WINDOW = 48  # scores considered by the anomaly-rate trigger
 MIN_EVAL_SCORES = 8  # fewer stable scores than this keeps a series in Y
 LOG_WINDOW = 500  # newest scores kept in a metric's score log
-JOURNAL = "journal.jsonl"
-SCHEMA = 3  # the layout of meta.json and the documents in it; no other is read
-APPENDED = (("scores", "*.csv"), ("alerts", "*.jsonl"))  # files a tick appends to
-# append handles an engine holds open at once: every scores and alerts file
-# and the journal of a fleet of up to 63 metrics, while six engines in one
-# process still leave a quarter of the usual soft limit of 1024 descriptors
-# for the files, pipes and sockets the rest of the program opens
-MAX_HANDLES = 128
-# a commit that takes the journal past this many times the size of meta.json
-# compacts it into a checkpoint: over the 1,440 ticks of the two-metric
-# benchmark fleet, 12 compactions (it trains 29 times) and a journal of at
-# most 47 KB; 8 compacts about twice as often (23), 32 doubles the journal
-# to redo
-CHECKPOINT_RATIO = 16
 # a metric's scoring state before its first training
 FRESH_STATE = {"last_scored": 0, "tune_generation": 0, "last_training_error": None}
 SCORES_HEADER = "metric_id,timestamp,observed,expected,probability,is_anomaly,model_id\r\n"
@@ -152,8 +81,11 @@ class JobSpec:
     alert_threshold: float = 0.95
 
     def __post_init__(self):
-        if not self.job_id or not self.metric_id:
-            raise InvalidSpec("job_id and metric_id must be non-empty")
+        # an id names files under the data directory, so it must name one there
+        for name in ("job_id", "metric_id"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value or "/" in value or "\0" in value:
+                raise InvalidSpec(f"{name} must be a non-empty string without '/' or NUL, not {value!r}")
         if self.train_every < 1 or self.score_every < 1:
             raise InvalidSpec("cadences must be positive step counts")
         if self.score_every > self.train_every:
@@ -168,16 +100,7 @@ class JobSpec:
             raise InvalidSpec("alert_threshold must lie in (0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "job_id": self.job_id,
-            "metric_id": self.metric_id,
-            "source": self.source,
-            "train_every": self.train_every,
-            "score_every": self.score_every,
-            "model_ttl": self.model_ttl,
-            "alpha": self.alpha,
-            "alert_threshold": self.alert_threshold,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data) -> "JobSpec":
@@ -208,21 +131,6 @@ def series_from_doc(doc: dict) -> TimeSeries:
     return TimeSeries.from_values(values, step=int(doc["step"]), start_epoch=int(doc["start_epoch"]))
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _compact(data) -> str:
-    """The journal's and the checkpoint's encoding, which runs the C encoder."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
-def _write_json(path: Path, data) -> None:
-    _atomic_write(path, json.dumps(data, indent=1, sort_keys=True))
-
-
 def _csv_field(text: str) -> str:
     """``text`` as a field of ``csv.writer``'s default dialect: quoted,
     with its quotes doubled, when it holds a comma, a quote or a line break."""
@@ -249,17 +157,6 @@ def _csv_rows(data: bytes, offset: int):
     return rows
 
 
-def _write(fh, data: bytes, truncate: bool = False) -> None:
-    """Append ``data`` to a held file in one ``write(2)``, after emptying
-    the file if ``truncate``.  Every change the store makes to an appended
-    file comes through here.  A short write raises, so the lengths the
-    engine records never run ahead of the file."""
-    if truncate:
-        fh.truncate(0)
-    if data and fh.write(data) != len(data):
-        raise OSError(f"short write to {fh.name}")
-
-
 class Engine:
     """File-backed orchestrator driven by a simulated step clock."""
 
@@ -277,12 +174,13 @@ class Engine:
         thread, and the evaluation volumes are exact, not sampled.  The
         two keywords stay because ``perfbench/workload.py`` passes them,
         and the benchmark harness changes only with the benchmark itself."""
-        self._handles: OrderedDict[str, io.FileIO] = OrderedDict()  # store name -> held append handle
         if alert_channel not in ("stdout", "file", "webhook_stub"):
             raise ValueError(f"unknown alert channel {alert_channel!r}")
         if tune_budget < MIN_BUDGET:
             raise ValueError(f"tune_budget must be at least {MIN_BUDGET}")
-        self.root = Path(data_dir)
+        self.store = Store(data_dir)
+        self.root = self.store.root
+        self.now = self.store.now  # the tick being run, once advance_clock starts it
         self.tune_budget = tune_budget
         self.alert_channel = alert_channel
         self.seed = seed
@@ -291,181 +189,18 @@ class Engine:
         self._jobs: Optional[list[JobSpec]] = None
         self._logs: dict[str, ev.ScoreLog] = {}
         self._detectors: dict[str, tuple] = {}  # metric -> (model_id, detector)
-        # documents by store name: saved since the last commit, and
-        # committed (the checkpoint's, with the journal's redone over them)
-        self._pending: dict[str, dict] = {}
-        self._committed: dict[str, dict] = {}
         # metric -> the (mv, em) curves the last evaluation cycle built, or None
         self.last_curves: dict[str, Optional[tuple]] = {}
-        self._appended: set[str] = set()  # scores/ and alerts/ files appended to since the last commit
-        self._repaired = False
-        self._load()
 
     def close(self) -> None:
-        """Close the held append handles.  Idempotent; the engine stays
-        usable, and its next append to a file opens it again."""
-        while self._handles:
-            self._handles.popitem()[1].close()
+        """Close the store's held append handles; see :meth:`Store.close`."""
+        self.store.close()
 
     def __enter__(self) -> "Engine":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def __del__(self) -> None:
-        # an engine dropped unclosed (the benchmark harness drops its
-        # engines) gives its descriptors back without a ResourceWarning
-        self.close()
-
-    # -- storage helpers --------------------------------------------------
-
-    @staticmethod
-    def _read_json(path: Path):
-        if not path.exists():
-            return None
-        return json.loads(path.read_text())
-
-    def _load(self) -> None:
-        """Read the committed store: the checkpoint, then every complete
-        journal line in order.  Changes no file; see :meth:`_repair`.
-        A store of another schema raises UnsupportedStore."""
-        path = self.root / "meta.json"
-        text = path.read_text() if path.exists() else None
-        while True:
-            self._meta_size = len(text or "")  # meta.json is ASCII, so this is its byte length
-            if text is None:
-                meta = {"docs": {}, "lengths": self._appended_lengths(), "now": 0}
-            else:
-                meta = json.loads(text)
-                if meta.get("schema") != SCHEMA:
-                    raise UnsupportedStore(f"{self.root} holds a store of schema {meta.get('schema')}, "
-                                           f"not {SCHEMA}; register its jobs again in a new data directory")
-            self.now, self._committed, self._lengths = int(meta["now"]), meta["docs"], meta["lengths"]
-            records, self._journal_end = self._read_journal()
-            # only a tick commits, so the records after a checkpoint start at
-            # its next tick, unless the journal is spent: a crash inside a
-            # compaction left it, or a running engine has renamed meta.json and
-            # not yet emptied the journal
-            spent = bool(records) and int(records[-1]["tick"]) <= self.now
-            if not records or spent or int(records[0]["tick"]) == self.now + 1:
-                break
-            # a running engine compacted between the two reads: these records
-            # follow a later checkpoint, so read both again
-            again = path.read_text() if path.exists() else None
-            if again == text:
-                break
-            text = again
-        for record in records:
-            self.now = int(record["tick"])
-            self._lengths.update(record.get("lengths", {}))
-            self._committed.update(record.get("docs", {}))
-        # the first write of a new store checkpoints it, and so does the first
-        # write after a crash inside a compaction: before its rename the journal
-        # is past its bound, after it the journal is spent
-        self._checkpoint_due = text is None or spent or self._compaction_due()
-
-    def _read_journal(self) -> tuple[list[dict], int]:
-        """The journal's complete records and their byte length; a torn
-        last line is not among them."""
-        path = self.root / JOURNAL
-        if not path.exists():
-            return [], 0
-        records, end = [], 0
-        for line in path.read_bytes().split(b"\n")[:-1]:
-            try:
-                records.append(json.loads(line))
-            except ValueError:
-                break
-            end += len(line) + 1
-        return records, end
-
-    def _repair(self) -> None:
-        """Before this engine's first write, bring the files in line with the
-        committed store: make its directories, cut the journal back to the
-        records it redid, cut the appended files back to their committed
-        lengths, and checkpoint a new store or one whose compaction a crash
-        cut short."""
-        if self._repaired:
-            return
-        for sub in ("scores", "alerts", "tunes"):
-            (self.root / sub).mkdir(parents=True, exist_ok=True)
-        journal = self.root / JOURNAL
-        if journal.exists() and journal.stat().st_size > self._journal_end:
-            os.truncate(journal, self._journal_end)
-        for name, size in self._appended_lengths().items():
-            committed = self._lengths.get(name)
-            if committed is None:
-                (self.root / name).unlink()
-            elif size > committed:
-                os.truncate(self.root / name, committed)
-        if self._checkpoint_due:
-            self._checkpoint()
-        self._repaired = True
-
-    def _appended_lengths(self) -> dict[str, int]:
-        return {f"{sub}/{path.name}": path.stat().st_size
-                for sub, pattern in APPENDED for path in sorted((self.root / sub).glob(pattern))}
-
-    def _commit(self) -> None:
-        """Commit the changes made since the last commit by appending their
-        record to the journal; then, once the journal has outgrown
-        CHECKPOINT_RATIO times meta.json, compact it into a checkpoint."""
-        pending, self._pending = self._pending, {}
-        self._committed.update(pending)
-        record: dict = {"tick": self.now}
-        if pending or self._appended:
-            record.update(docs=pending, lengths={name: self._lengths[name] for name in self._appended})
-        data = (_compact(record) + "\n").encode()
-        _write(self._handle(JOURNAL), data)
-        self._journal_end += len(data)
-        self._appended.clear()
-        if self._compaction_due():
-            self._checkpoint()
-
-    def _compaction_due(self) -> bool:
-        """Whether the journal has outgrown CHECKPOINT_RATIO times meta.json.
-        A store that holds no document yet (one warming up to its first
-        training) is not compacted: its checkpoint would hold only the clock."""
-        return bool(self._committed) and self._journal_end > CHECKPOINT_RATIO * self._meta_size
-
-    def _checkpoint(self) -> None:
-        """Write every committed document, the clock, the appended files'
-        lengths and the schema to meta.json by one rename; then empty the
-        journal, whose records the checkpoint holds."""
-        text = _compact({"docs": self._committed, "lengths": self._lengths, "now": self.now, "schema": SCHEMA})
-        _atomic_write(self.root / "meta.json", text)
-        self._meta_size = len(text)
-        _write(self._handle(JOURNAL), b"", truncate=True)
-        self._journal_end = 0
-
-    def _doc(self, name: str) -> Optional[dict]:
-        """A store document as last saved: since the last commit, or committed."""
-        return self._pending.get(name, self._committed.get(name))
-
-    def _handle(self, name: str) -> io.FileIO:
-        """The held append handle of an appended file, opened on first use;
-        past MAX_HANDLES the least recently used one is closed."""
-        fh = self._handles.get(name)
-        if fh is not None:
-            self._handles.move_to_end(name)
-            return fh
-        if len(self._handles) >= MAX_HANDLES:
-            self._handles.popitem(last=False)[1].close()
-        fh = self._handles[name] = open(self.root / name, "ab", buffering=0)
-        return fh
-
-    def _append_file(self, name: str, text: str) -> None:
-        data = text.encode()
-        _write(self._handle(name), data)
-        self._lengths[name] = self._lengths.get(name, 0) + len(data)
-        self._appended.add(name)
-
-    def _job_path(self, job_id: str) -> Path:
-        return self.root / "jobs" / f"{job_id}.json"
-
-    def _scores_path(self, metric_id: str) -> Path:
-        return self.root / _doc_name("scores", metric_id)
 
     def _forget(self, metric_id: str) -> None:
         """Drop a metric's score log and detector; they reload as last saved."""
@@ -476,16 +211,15 @@ class Engine:
 
     def register_job(self, spec: JobSpec) -> str:
         """Persist a job; idempotent for an identical spec, DuplicateId otherwise."""
-        existing = self._read_json(self._job_path(spec.job_id))
-        if existing is not None:
-            if existing == spec.to_dict():
-                return spec.job_id
+        registered = {other.job_id: other for other in self.jobs()}
+        if registered.get(spec.job_id, spec) != spec:
             raise DuplicateId(f"job {spec.job_id!r} already registered with a different spec")
-        for other in self.jobs():
+        if spec.job_id in registered:
+            return spec.job_id
+        for other in registered.values():
             if other.metric_id == spec.metric_id:
                 raise DuplicateId(f"metric {spec.metric_id!r} already registered under job {other.job_id!r}")
-        self._job_path(spec.job_id).parent.mkdir(parents=True, exist_ok=True)
-        _write_json(self._job_path(spec.job_id), spec.to_dict())
+        self.store.write(f"jobs/{spec.job_id}.json", spec.to_dict())
         self._jobs = None
         return spec.job_id
 
@@ -512,7 +246,7 @@ class Engine:
     # -- model store --------------------------------------------------------
 
     def _active_record(self, metric_id: str) -> Optional[dict]:
-        return self._doc(_doc_name("models", metric_id))
+        return self.store.doc(_doc_name("models", metric_id))
 
     def _detector(self, record: dict):
         """The detector of an active record, loaded once per model_id; it
@@ -531,7 +265,7 @@ class Engine:
             detector = load_detector(record["payload"], record["published_state"],
                                      horizon=record["expires_at"] - record["published_at"])
             if record["published_state"] is not None:
-                data = self._committed_scores(metric_id)
+                data = self.store.committed(_doc_name("scores", metric_id))
                 if metric_id not in self._logs:  # the log reloads from the same read
                     self._logs[metric_id] = self._log_of(metric_id, data)
                 observed = [float(r[2]) for r in _csv_rows(data, record["scores_offset"])]
@@ -554,33 +288,21 @@ class Engine:
             # a filter's state at publication (None for a structural model),
             # and the byte offset in the scores CSV where this model's rows start
             "published_state": detector.state(),
-            "scores_offset": self._lengths.get(_doc_name("scores", spec.metric_id), 0),
+            "scores_offset": self.store.length(_doc_name("scores", spec.metric_id)),
         }
-        self._pending[_doc_name("models", spec.metric_id)] = record
+        self.store.put(_doc_name("models", spec.metric_id), record)
         self._detectors[spec.metric_id] = (record["model_id"], detector)
         state = self._scoring_state(spec.metric_id)
         state.update(last_scored=now, last_training_error=None)
-        self._save_scoring_state(spec.metric_id, state)
+        self.store.put(_doc_name("state", spec.metric_id), state)
         return record
 
     # -- scoring state / log ---------------------------------------------------
 
     def _scoring_state(self, metric_id: str) -> dict:
         """A copy of the metric's scoring state as last saved, to edit and
-        hand to :meth:`_save_scoring_state`."""
-        return dict(self._doc(_doc_name("state", metric_id)) or FRESH_STATE)
-
-    def _save_scoring_state(self, metric_id: str, state: dict) -> None:
-        self._pending[_doc_name("state", metric_id)] = state
-
-    def _committed_scores(self, metric_id: str) -> bytes:
-        """The committed bytes of the metric's scores CSV; another engine
-        may be appending rows it has not committed."""
-        size = self._lengths.get(_doc_name("scores", metric_id), 0)
-        if not size:
-            return b""
-        with open(self._scores_path(metric_id), "rb") as fh:
-            return fh.read(size)
+        put back whole in the store."""
+        return dict(self.store.doc(_doc_name("state", metric_id)) or FRESH_STATE)
 
     @staticmethod
     def _log_of(metric_id: str, data: bytes) -> ev.ScoreLog:
@@ -597,7 +319,8 @@ class Engine:
         rows of its scores CSV."""
         log = self._logs.get(metric_id)
         if log is None:
-            log = self._logs[metric_id] = self._log_of(metric_id, self._committed_scores(metric_id))
+            data = self.store.committed(_doc_name("scores", metric_id))
+            log = self._logs[metric_id] = self._log_of(metric_id, data)
         return log
 
     # -- alerting -----------------------------------------------------------------
@@ -620,7 +343,7 @@ class Engine:
                 if self.alert_channel == "file"
                 else "webhook_outbox.jsonl"
             )
-            self._append_file(f"alerts/{name}", json.dumps(event, sort_keys=True) + "\n")
+            self.store.append(f"alerts/{name}", json.dumps(event, sort_keys=True) + "\n")
         return event
 
     # -- scoring cycle ---------------------------------------------------------------
@@ -636,7 +359,7 @@ class Engine:
         error as the reason.  Called on its own, the cycle commits nothing:
         the engine's next tick does.
         """
-        self._repair()
+        self.store.repair()
         records: list[dict] = []
         for spec in self.jobs():
             if now % spec.score_every != 0:
@@ -680,7 +403,7 @@ class Engine:
                for i, obs, exp, prob in zip(index.tolist(), observed.tolist(),
                                             expected.tolist(), probs.tolist())]
         state["last_scored"] = end
-        self._save_scoring_state(spec.metric_id, state)
+        self.store.put(_doc_name("state", spec.metric_id), state)
         self._append_score_rows(spec.metric_id, out)
         return out
 
@@ -705,7 +428,7 @@ class Engine:
             return
         name = _doc_name("scores", metric_id)
         text = _score_lines(rows)
-        self._append_file(name, text if name in self._lengths else SCORES_HEADER + text)
+        self.store.append(name, text if self.store.length(name) else SCORES_HEADER + text)
 
     # -- training cycle ------------------------------------------------------------------
 
@@ -716,7 +439,7 @@ class Engine:
         health evaluation) and never abort the cycle.  Called on its own,
         the cycle commits nothing: the engine's next tick does.
         """
-        self._repair()
+        self.store.repair()
         return [self._train_metric(spec, now) for spec in self.jobs()
                 if now % spec.train_every == 0 and now >= self._warmup(spec)]
 
@@ -730,13 +453,15 @@ class Engine:
             state = self._scoring_state(spec.metric_id)
             series = self._series(spec)
             data = series.with_values(series.values[: min(now, len(series))])
-            health_doc = self._doc(_doc_name("health", spec.metric_id))
+            health_doc = self.store.doc(_doc_name("health", spec.metric_id))
             health = health_doc["snapshot"]["health"] if health_doc else None
             record = self._active_record(spec.metric_id)
             generation = int(state["tune_generation"])
             ratio = None
 
-            if health == "R":
+            # a red metric tunes unless its newest tune was never published
+            # (its fit failed): then it refits as if it were not red
+            if health == "R" and generation == (record["tune_generation"] if record else 0):
                 result = tune(
                     data,
                     budget=self.tune_budget,
@@ -745,11 +470,8 @@ class Engine:
                 )
                 generation += 1
                 state["tune_generation"] = generation
-                self._save_scoring_state(spec.metric_id, state)
-                _write_json(
-                    self.root / "tunes" / f"{spec.metric_id}-g{generation}.json",
-                    result.to_dict(),
-                )
+                self.store.put(_doc_name("state", spec.metric_id), state)
+                self.store.write(f"tunes/{spec.metric_id}-g{generation}.json", result.to_dict())
                 config, prof = result.best_config, result.profile
                 outcome["tuned"] = True
             elif record is not None:
@@ -785,7 +507,7 @@ class Engine:
             self._forget(spec.metric_id)
             state = self._scoring_state(spec.metric_id)
             state["last_training_error"] = str(exc)
-            self._save_scoring_state(spec.metric_id, state)
+            self.store.put(_doc_name("state", spec.metric_id), state)
         return outcome
 
     # -- evaluation cycle -----------------------------------------------------------------
@@ -799,8 +521,8 @@ class Engine:
         if snapshot.health != "R":
             snapshot = dataclasses.replace(
                 snapshot, model_age_fraction=max(snapshot.model_age_fraction, 1.0), health="R")
-        self._pending[_doc_name("health", spec.metric_id)] = {
-            "at": now, "reason": reason, "snapshot": snapshot.to_dict()}
+        self.store.put(_doc_name("health", spec.metric_id),
+                       {"at": now, "reason": reason, "snapshot": snapshot.to_dict()})
         return snapshot
 
     def metric_curves(self, spec: JobSpec, now: int):
@@ -910,7 +632,7 @@ class Engine:
                     training_error = self._scoring_state(spec.metric_id)["last_training_error"]
                     if training_error is not None:
                         doc["reason"] = f"training failed: {training_error}"
-                    self._pending[_doc_name("health", spec.metric_id)] = doc
+                    self.store.put(_doc_name("health", spec.metric_id), doc)
                 except Exception as exc:  # noqa: BLE001 - cycle must survive any metric
                     error = exc
             if error is not None:
@@ -932,7 +654,7 @@ class Engine:
         """
         if steps < 1:
             raise ValueError("steps must be >= 1")
-        self._repair()
+        self.store.repair()
         specs = self.jobs()
         for _ in range(steps):
             self.now += 1
@@ -942,7 +664,7 @@ class Engine:
             if any(tick % s.train_every == 0 and tick >= self._warmup(s) for s in specs):
                 self.run_training_cycle(tick)
                 self.run_evaluation_cycle(tick)
-            self._commit()
+            self.store.commit(tick)
         return self.now
 
     # -- reporting ----------------------------------------------------------------------
@@ -950,7 +672,7 @@ class Engine:
     def status(self) -> list[dict]:
         rows = []
         for spec in self.jobs():
-            health_doc = self._doc(_doc_name("health", spec.metric_id))
+            health_doc = self.store.doc(_doc_name("health", spec.metric_id))
             record = self._active_record(spec.metric_id)
             state = self._scoring_state(spec.metric_id)
             rows.append(

@@ -109,6 +109,10 @@ MALFORMED_SPECS = {  # case -> (the spec file's text from a valid spec, or None 
     "not-an-object": (lambda spec: json.dumps([spec]), "a job spec must be a JSON object"),
     "not-json": (lambda spec: "{train_every: 48", "cannot read job spec"),
     "no-file": (None, "cannot read job spec"),
+    "numeric-id": (lambda spec: json.dumps({**spec, "metric_id": 7}),
+                   "metric_id must be a non-empty string without '/' or NUL, not 7"),
+    "id-with-slash": (lambda spec: json.dumps({**spec, "metric_id": "../escaped"}),
+                      "metric_id must be a non-empty string without '/' or NUL, not '../escaped'"),
 }
 
 

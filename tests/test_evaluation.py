@@ -363,7 +363,7 @@ class TestClassifyHealth:
 
     def test_snapshot_round_trip(self):
         snap = HealthSnapshot(1.0, 0.5, 0.1, 2, 0.3, 0.4, "Y")
-        assert HealthSnapshot.from_dict(snap.to_dict()) == snap
+        assert HealthSnapshot(**snap.to_dict()) == snap
 
 
 class TestScoreLog:

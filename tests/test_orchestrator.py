@@ -113,6 +113,21 @@ class TestRegistry:
         with pytest.raises(InvalidSpec):
             JobSpec(job_id="j", metric_id="m", source="x.csv", train_every=48, model_ttl=10)
 
+    @pytest.mark.parametrize("bad", [7, None, "", "sub/m", "../escaped", "a\0b"])
+    @pytest.mark.parametrize("field", ["job_id", "metric_id"])
+    def test_ids_that_name_no_file_in_the_store_are_refused(self, field, bad):
+        """An id names files under the data directory: one that is not a
+        string, or that holds a '/' or a NUL, would write elsewhere or fail
+        at every cycle."""
+        ids = {"job_id": "j", "metric_id": "m", field: bad}
+        with pytest.raises(InvalidSpec, match=field):
+            JobSpec(**ids, source="x.csv", train_every=48)
+
+    def test_ids_with_csv_specials_stay_valid(self, engine):
+        spec = job_for(make_series(100), metric='cpu,"eu"\r\n', job="j 1,\"x\"")
+        assert engine.register_job(spec) == spec.job_id
+        assert engine.jobs() == [spec]
+
     def test_series_doc_round_trip(self):
         ts = TimeSeries.from_values([1.0, math.nan, 3.0], step=300)
         back = series_from_doc(series_to_doc(ts))
@@ -287,7 +302,7 @@ class TestScoringCycle:
         engine.register_job(job_for(make_series(), train_every=48, ttl=48))
         engine.run_training_cycle(96)
         engine.run_scoring_cycle(144)  # expires_at == 96 + 48
-        doc = engine._doc("health/m1.json")  # held for the next tick's commit
+        doc = engine.store.doc("health/m1.json")  # held for the next tick's commit
         assert doc["snapshot"]["health"] == "R"
         assert doc["reason"] == "expired model"
 
@@ -336,7 +351,7 @@ class TestEvaluationCycle:
 
         def recorded(now):
             snapshots = evaluate(now)
-            labels[now] = (snapshots["bad"].health, engine._doc("health/bad.json")["reason"])
+            labels[now] = (snapshots["bad"].health, engine.store.doc("health/bad.json")["reason"])
             return snapshots
 
         monkeypatch.setattr(engine, "run_evaluation_cycle", recorded)
@@ -346,6 +361,46 @@ class TestEvaluationCycle:
         for health, reason in labels.values():
             assert health == "R"
             assert reason.startswith("training failed: ") and "missing.csv" in reason
+        assert engine._active_record("bad") is None
+        good = "scores/good.csv"
+        assert (engine.root / good).read_bytes() == (alone.root / good).read_bytes()
+
+    def test_a_metric_whose_every_fit_fails_tunes_once(self, tmp_path, monkeypatch):
+        """A metric whose every fit fails is labelled R at every evaluation
+        from its first training on.  Its first retune is never published,
+        so later trainings refit with the default config rather than tune
+        again; the healthy metric beside it scores as it would alone."""
+        fit = orch.fit_detector
+
+        def fit_unless_minutely(prepared, *args, **kwargs):
+            if prepared.step == 60:  # the failing metric's series, sampled each minute
+                raise NonConvergence("forced fit failure")
+            return fit(prepared, *args, **kwargs)
+
+        def fleet(root, with_failing):
+            eng = Engine(root, tune_budget=10, seed=1)
+            eng.register_job(job_for(make_series(seed=1), metric="good", job="jg"))
+            if with_failing:
+                eng.register_job(job_for(make_series(seed=2, step=60), metric="bad", job="jb"))
+            return eng
+
+        with fleet(tmp_path / "alone", False) as alone:
+            alone.advance_clock(480)
+        monkeypatch.setattr(orch, "fit_detector", fit_unless_minutely)
+        engine = fleet(tmp_path / "fleet", True)
+        evaluate, labels = engine.run_evaluation_cycle, {}
+
+        def recorded(now):
+            snapshots = evaluate(now)
+            labels[now] = snapshots["bad"].health
+            return snapshots
+
+        monkeypatch.setattr(engine, "run_evaluation_cycle", recorded)
+        engine.advance_clock(480)
+        engine.close()
+        assert labels == {now: "R" for now in range(96, 481, 48)}
+        assert [p.name for p in (engine.root / "tunes").glob("bad-g*.json")] == ["bad-g1.json"]
+        assert engine.tune_generation("bad") == 1
         assert engine._active_record("bad") is None
         good = "scores/good.csv"
         assert (engine.root / good).read_bytes() == (alone.root / good).read_bytes()

@@ -8,7 +8,9 @@ import json
 import math
 import os
 import shutil
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +20,13 @@ from hypothesis import strategies as st
 
 import autoad.optimizer as optimizer
 import autoad.orchestrator as orch
+import autoad.store as store
 from autoad import cli
 from autoad.errors import NonConvergence, UnsupportedStore
 from autoad.optimizer import ModelConfig
 from autoad.orchestrator import Engine
 from autoad.series import TimeSeries
+from autoad.store import Store
 
 from .conftest import stored_doc
 from .test_orchestrator import failing_fit, job_for, make_series, mark_red
@@ -133,7 +137,7 @@ def crash_at_every_write(single_run, tmp_path, monkeypatch, tick) -> list:
     register_fleet(engine)
     engine.advance_clock(tick - 1)
     engine.close()
-    originals = {kind: getattr(orch, kind) for kind in ("_write", "_atomic_write")}
+    originals = {kind: getattr(store, kind) for kind in ("_write", "_atomic_write")}
 
     def run_tick(root, fail_at=None):
         """Tick ``tick`` on a copy of ``base``; its store writes, in order."""
@@ -146,12 +150,12 @@ def crash_at_every_write(single_run, tmp_path, monkeypatch, tick) -> list:
                     raise Crash(f"write {fail_at}")
                 return original(target, *args, **kwargs)
 
-            monkeypatch.setattr(orch, kind, write)
+            monkeypatch.setattr(store, kind, write)
         try:
             fleet_engine(root).advance_clock(1)
         finally:
             for kind, original in originals.items():
-                monkeypatch.setattr(orch, kind, original)
+                monkeypatch.setattr(store, kind, original)
         return writes
 
     writes = run_tick(tmp_path / "probe")
@@ -168,7 +172,7 @@ def crash_at_every_write(single_run, tmp_path, monkeypatch, tick) -> list:
         if engine.now < tick:
             engine.advance_clock(1)
         else:
-            engine._repair()  # what the engine's first write starts with
+            engine.store.repair()  # what the engine's first write starts with
         assert snapshot(root) == after_tick, f"crash at write {k}: {writes[k - 1]}"
         finish_run(root)
         assert snapshot(root) == single_run, f"crash at write {k}: {writes[k - 1]}"
@@ -244,7 +248,7 @@ class TestCrashRecovery:
         assert fresh.now == 300
         assert fresh._score_log("quiet").entries == engine._score_log("quiet").entries
         assert snapshot(tmp_path) == torn  # opening the store writes nothing
-        fresh._repair()
+        fresh.store.repair()
         assert snapshot(tmp_path) == committed
 
     def test_engine_opened_mid_tick_changes_nothing(self, single_run, tmp_path):
@@ -265,7 +269,7 @@ class TestCrashRecovery:
             for metric in ("quiet", "drifted"):
                 assert reader._score_log(metric).entries == engine._score_log(metric).entries[:-1]
             assert snapshot(tmp_path) == before
-            assert not reader._handles  # reading opens no append handle
+            assert not reader.store._handles  # reading opens no append handle
             opened.append(now)
             return train(now, *args, **kwargs)
 
@@ -282,23 +286,23 @@ class TestCrashRecovery:
         writer = fleet_engine(tmp_path)
         register_fleet(writer)
         writer.advance_clock(143)  # the checkpoint of tick 96 holds the first models
-        read_journal = Engine._read_journal
+        read_journal = Store._read_journal
         raced = []
 
-        def compact_then_read(engine):
+        def compact_then_read(store):
             if not raced:  # the writer trains at 144 and 192 and compacts at COMPACTION_TICK
                 raced.append(writer.advance_clock(COMPACTION_TICK + 5 - writer.now))
-            return read_journal(engine)
+            return read_journal(store)
 
-        monkeypatch.setattr(Engine, "_read_journal", compact_then_read)
+        monkeypatch.setattr(Store, "_read_journal", compact_then_read)
         reader = fleet_engine(tmp_path)
         assert raced == [COMPACTION_TICK + 5]
         assert json.loads((tmp_path / "meta.json").read_text())["now"] == COMPACTION_TICK
         assert reader.now == writer.now
-        assert reader._lengths == writer._lengths
+        assert reader.store._lengths == writer.store._lengths
         for metric in ("quiet", "drifted"):
             assert reader._active_record(metric)["model_id"] == f"{metric}-t192-g0"
-        assert reader._committed == writer._committed
+        assert reader.store._committed == writer.store._committed
 
     def test_restart_after_a_red_label_between_checkpoints(self, tmp_path):
         """A scoring failure labels its metric R at a tick that does not
@@ -336,11 +340,11 @@ class TestCrashRecovery:
         engine.advance_clock(96)
         writes = []
         for kind in ("_write", "_atomic_write"):
-            def write(target, *args, kind=kind, original=getattr(orch, kind), **kwargs):
+            def write(target, *args, kind=kind, original=getattr(store, kind), **kwargs):
                 writes.append((kind, store_name(target, tmp_path)))
                 return original(target, *args, **kwargs)
 
-            monkeypatch.setattr(orch, kind, write)
+            monkeypatch.setattr(store, kind, write)
         engine.advance_clock(47)  # ticks 97..143 score and do not train
         assert sorted(set(writes)) == [("_write", "alerts/drifted.jsonl"), ("_write", "alerts/quiet.jsonl"),
                                        ("_write", "journal.jsonl"), ("_write", "scores/drifted.csv"),
@@ -363,18 +367,18 @@ class TestCrashRecovery:
             renamed.append(store_name(Path(dst), tmp_path))
             return original(src, dst)
 
-        def write(fh, data, truncate=False, original=orch._write):
+        def write(fh, data, truncate=False, original=store._write):
             if store_name(fh, tmp_path) == "journal.jsonl" and not truncate:
                 journal.append(data)
             return original(fh, data, truncate)
 
         monkeypatch.setattr(os, "replace", replace)
-        monkeypatch.setattr(orch, "_write", write)
+        monkeypatch.setattr(store, "_write", write)
         appending_trainings = 0
         for tick in range(TRAINING_TICKS[0], RETUNE_TICK + 1):
             renamed.clear()
             journal.clear()
-            bound = orch.CHECKPOINT_RATIO * (tmp_path / "meta.json").stat().st_size
+            bound = store.CHECKPOINT_RATIO * (tmp_path / "meta.json").stat().st_size
             before = (tmp_path / "journal.jsonl").stat().st_size
             engine.advance_clock(1)
             assert [json.loads(record)["tick"] for record in journal] == [tick]
@@ -399,9 +403,9 @@ class TestCrashRecovery:
         appends, checkpoints = [], []
 
         def within_bound():
-            return journal.stat().st_size <= orch.CHECKPOINT_RATIO * meta.stat().st_size
+            return journal.stat().st_size <= store.CHECKPOINT_RATIO * meta.stat().st_size
 
-        def write(fh, data, truncate=False, original=orch._write):
+        def write(fh, data, truncate=False, original=store._write):
             if store_name(fh, tmp_path) == "journal.jsonl":
                 if truncate:
                     checkpoints.append(engine.now)
@@ -410,7 +414,7 @@ class TestCrashRecovery:
                     appends.append(engine.now)
             return original(fh, data, truncate)
 
-        monkeypatch.setattr(orch, "_write", write)
+        monkeypatch.setattr(store, "_write", write)
         for _ in range(1440):
             engine.advance_clock(1)
             assert within_bound() or engine.now < TRAINING_TICKS[0]
@@ -503,7 +507,7 @@ class TestHeldHandles:
         crash_after(crashed, "run_scoring_cycle", 150)
         with pytest.raises(Crash):
             crashed.advance_clock(RESTART_TICKS)
-        assert "scores/quiet.csv" in crashed._handles
+        assert "scores/quiet.csv" in crashed.store._handles
         finish_run(tmp_path)
         assert snapshot(tmp_path) == single_run
         del crashed
@@ -511,18 +515,18 @@ class TestHeldHandles:
         assert snapshot(tmp_path) == single_run
 
     def test_handles_stay_within_the_bound(self, single_run, tmp_path, monkeypatch):
-        monkeypatch.setattr(orch, "MAX_HANDLES", 2)
+        monkeypatch.setattr(store, "MAX_HANDLES", 2)
         engine = fleet_engine(tmp_path)
         register_fleet(engine)
         written, held = set(), []
-        original = orch._write
+        original = store._write
 
         def write(fh, *args, **kwargs):
             written.add(fh.name)
-            held.append(len(engine._handles))
+            held.append(len(engine.store._handles))
             return original(fh, *args, **kwargs)
 
-        monkeypatch.setattr(orch, "_write", write)
+        monkeypatch.setattr(store, "_write", write)
         engine.advance_clock(RESTART_TICKS)
         assert len(written) == 5  # two scores files, two alerts files and the journal
         assert max(held) == 2
@@ -542,14 +546,31 @@ class TestHeldHandles:
         gc.collect()
         assert len(os.listdir("/proc/self/fd")) == before
 
+    def test_store_dropped_in_a_garbage_cycle_closes_its_handles(self, tmp_path, monkeypatch):
+        """A store that only a garbage cycle holds closes its handles before
+        the collector finalizes any of them, whatever order it meets them
+        in, so none is dropped open.  Here the handle is older than the
+        store, so the collector meets it first."""
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            older = open(tmp_path / "older.jsonl", "ab", buffering=0)
+            held = Store(tmp_path)
+            held._handles["older.jsonl"] = older
+            held.cycle = held
+            del older, held
+            gc.collect()
+        assert unraisable == []
+
     def test_close_is_idempotent_and_appending_reopens(self, tmp_path):
         with fleet_engine(tmp_path) as engine:
             register_fleet(engine)
             engine.advance_clock(100)
-        assert not engine._handles
+        assert not engine.store._handles
         engine.close()
         engine.advance_clock(1)
-        assert set(engine._handles) >= {"journal.jsonl", "scores/quiet.csv"}
+        assert set(engine.store._handles) >= {"journal.jsonl", "scores/quiet.csv"}
         engine.close()
         assert fleet_engine(tmp_path).now == 101
 
@@ -662,7 +683,7 @@ class TestFilterStateRedo:
             for _ in range(110, 144):  # up to the next training, which the red label would retune
                 engine.advance_clock(1)
                 states.append(engine._detectors["m1"][1].state() if "m1" in engine._detectors else None)
-            runs[failing] = (states, engine._scores_path("m1").read_bytes())
+            runs[failing] = (states, (engine.root / "scores" / "m1.csv").read_bytes())
         assert runs[True][0][0] is None  # the failure dropped the detector
         assert runs[True][0][1:] == runs[False][0][1:]
         assert runs[True][1] == runs[False][1]
@@ -709,7 +730,7 @@ class TestSchema:
         engine = fleet_engine(tmp_path)
         engine.register_job(job_for(make_series()))
         engine.advance_clock(1)  # the first write checkpoints the new store
-        assert json.loads((tmp_path / "meta.json").read_text())["schema"] == orch.SCHEMA == 3
+        assert json.loads((tmp_path / "meta.json").read_text())["schema"] == store.SCHEMA == 3
         engine.advance_clock(99)  # a checkpoint at tick 96, then journal records
         engine.close()
         meta = json.loads((tmp_path / "meta.json").read_text())
@@ -720,6 +741,117 @@ class TestSchema:
         before = snapshot(tmp_path)
         with pytest.raises(UnsupportedStore, match="new data directory"):
             fleet_engine(tmp_path)
+        assert snapshot(tmp_path) == before
+
+
+class TestStoreAlone:
+    """The store driven with no engine: what it commits is what a store
+    reopened on the directory holds."""
+
+    @staticmethod
+    def reopened_equal(s: Store, names, appended) -> Store:
+        s.close()
+        again = Store(s.root)
+        assert again.now == s.now
+        assert {name: again.doc(name) for name in names} == {name: s.doc(name) for name in names}
+        for name in appended:
+            assert again.length(name) == s.length(name)
+            assert again.committed(name) == s.committed(name)
+        return again
+
+    def test_put_append_commit_then_reopen(self, tmp_path):
+        s = Store(tmp_path / "new")
+        assert not s.root.exists()  # opening creates nothing
+        s.repair()
+        s.put("state/m.json", {"last_scored": 1})
+        s.append("scores/m.csv", "header\r\n")
+        s.append("alerts/m.jsonl", "{}\n")
+        s.commit(1)
+        s.put("state/m.json", {"last_scored": 2})
+        s.put("health/m.json", {"at": 2})
+        s.append("scores/m.csv", "row\r\n")
+        s.commit(2)
+        s.commit(3)  # a tick with no work
+        s.write("tunes/m-g1.json", {"trials": [1, 2]})  # whole, at once, never journaled
+        again = self.reopened_equal(s, ["state/m.json", "health/m.json", "models/m.json"],
+                                    ["scores/m.csv", "alerts/m.jsonl", "scores/other.csv"])
+        assert (again.now, again.doc("state/m.json"), again.doc("models/m.json")) == (3, {"last_scored": 2}, None)
+        assert again.committed("scores/m.csv") == b"header\r\nrow\r\n"
+        assert json.loads((s.root / "tunes" / "m-g1.json").read_text()) == {"trials": [1, 2]}
+        assert "tunes" not in (s.root / store.JOURNAL).read_text()
+        again.close()
+
+    def test_uncommitted_appends_are_cut_back(self, tmp_path):
+        s = Store(tmp_path)
+        s.repair()
+        s.append("scores/m.csv", "header\r\n")
+        s.commit(1)
+        committed = snapshot(tmp_path)
+        s.append("scores/m.csv", "lost\r\n")
+        s.append("alerts/new.jsonl", "{}\n")
+        s.put("state/m.json", {"last_scored": 2})
+        s.close()  # a crash before the commit of tick 2
+        crashed = snapshot(tmp_path)
+        again = Store(tmp_path)
+        assert snapshot(tmp_path) == crashed  # opening the store writes nothing
+        assert (again.now, again.doc("state/m.json"), again.length("scores/m.csv")) == (1, None, 8)
+        assert again.committed("scores/m.csv") == b"header\r\n"
+        again.repair()
+        assert snapshot(tmp_path) == committed
+        assert not (tmp_path / "alerts" / "new.jsonl").exists()
+        again.close()
+
+    def test_commits_past_the_ratio_checkpoint(self, tmp_path):
+        """A commit whose record takes the journal past CHECKPOINT_RATIO
+        times ``meta.json`` rewrites ``meta.json`` and empties the journal,
+        once the store holds a document."""
+        s = Store(tmp_path)
+        s.repair()  # a new store's first write is its checkpoint
+        meta, journal = tmp_path / "meta.json", tmp_path / store.JOURNAL
+        assert json.loads(meta.read_text()) == {"docs": {}, "lengths": {}, "now": 0, "schema": store.SCHEMA}
+        tick = 0
+        while journal.stat().st_size <= store.CHECKPOINT_RATIO * meta.stat().st_size:
+            tick += 1
+            s.commit(tick)  # past the bound, and not compacted: the store holds no document
+        first, compactions = tick + 1, []
+        while len(compactions) < 2:
+            tick += 1
+            before, bound = journal.stat().st_size, store.CHECKPOINT_RATIO * meta.stat().st_size
+            s.put("state/m.json", {"last_scored": tick})
+            s.append("scores/m.csv", f"{tick}\r\n")
+            record = store._compact({"docs": {"state/m.json": {"last_scored": tick}},
+                                     "lengths": {"scores/m.csv": s.length("scores/m.csv")}, "tick": tick})
+            s.commit(tick)
+            compacted = before + len(record) + 1 > bound
+            assert journal.stat().st_size == (0 if compacted else before + len(record) + 1), tick
+            compactions += [tick] if compacted else []
+        assert compactions[0] == first < compactions[1] - 1  # the first document compacts at once
+        assert json.loads(meta.read_text()) == {"docs": {"state/m.json": {"last_scored": tick}},
+                                                "lengths": {"scores/m.csv": s.length("scores/m.csv")},
+                                                "now": tick, "schema": store.SCHEMA}
+        self.reopened_equal(s, ["state/m.json"], ["scores/m.csv"]).close()
+
+    def test_torn_last_journal_line_is_dropped(self, tmp_path):
+        s = Store(tmp_path)
+        s.repair()
+        s.put("state/m.json", {"last_scored": 1})
+        s.commit(1)
+        s.close()
+        committed = snapshot(tmp_path)
+        with open(tmp_path / store.JOURNAL, "ab") as fh:
+            fh.write(b'{"docs":{"state/m.json":{"last_sc')
+        again = Store(tmp_path)
+        assert (again.now, again.doc("state/m.json")) == (1, {"last_scored": 1})
+        again.repair()
+        assert snapshot(tmp_path) == committed
+        again.close()
+
+    def test_store_of_another_schema_is_refused_unchanged(self, tmp_path):
+        (tmp_path / "meta.json").write_text(json.dumps({"docs": {}, "lengths": {}, "now": 5, "schema": 2}))
+        (tmp_path / store.JOURNAL).write_text('{"tick":6}\n')
+        before = snapshot(tmp_path)
+        with pytest.raises(UnsupportedStore, match="schema 2"):
+            Store(tmp_path)
         assert snapshot(tmp_path) == before
 
 
@@ -753,7 +885,7 @@ class TestMissingObservations:
         stamps = [int(r["timestamp"]) for r in score_rows(engine, "m1")]
         epoch, step = make_series().start_epoch, make_series().step
         assert stamps == [epoch + i * step for i in (*range(96, 100), *range(106, 110))]
-        assert engine._doc("health/m1.json") is None  # no failure forced it red
+        assert engine.store.doc("health/m1.json") is None  # no failure forced it red
 
     @pytest.mark.parametrize("method", ["structural", "filtering"])
     def test_batch_cadence_writes_the_same_scores(self, tmp_path, monkeypatch, method):
@@ -771,7 +903,7 @@ class TestMissingObservations:
             engine.register_job(spec)
             engine.advance_clock(300)
             assert engine._active_record("m1")["method"] == method
-            written[every] = engine._scores_path("m1").read_bytes()
+            written[every] = (engine.root / "scores" / "m1.csv").read_bytes()
         assert written[1] == written[6]
         assert written[1].count(b"\n") == 1 + 300 - 96 - 3
 
@@ -808,7 +940,7 @@ class TestFailureIsolation:
         assert {r["metric_id"] for r in records} == {"good"}
         assert engine._score_log("bad").entries == csv_log(engine, "bad")
         assert engine._scoring_state("bad")["last_scored"] == 100
-        doc = engine._doc("health/bad.json")  # held for the next tick's commit
+        doc = engine.store.doc("health/bad.json")  # held for the next tick's commit
         assert doc["snapshot"]["health"] == "R"
         assert doc["reason"] == "scoring failed: injected"
         monkeypatch.setattr(engine, "_finish_score", original)
@@ -846,7 +978,7 @@ class TestFailureIsolation:
         snaps = engine.run_evaluation_cycle(150)
         assert snaps["bad"].health == "R"
         assert snaps["good"].health in "GY"
-        doc = engine._doc("health/bad.json")  # held for the next tick's commit
+        doc = engine.store.doc("health/bad.json")  # held for the next tick's commit
         assert doc["reason"] == "evaluation failed: injected"
 
     def test_training_error_reaches_the_health_document(self, tmp_path, monkeypatch):
