@@ -69,14 +69,6 @@ class InvalidSpec(AutoAdError):
     """Job specification violates its invariants."""
 
 
-class ExpiredModel(AutoAdError):
-    """Active model passed its expiry at scoring time."""
-
-
-class MissingModel(AutoAdError):
-    """No model available for the metric."""
-
-
 class UnsupportedStore(AutoAdError):
     """Data directory written in a store schema this version does not read."""
 

@@ -3,8 +3,9 @@
 A deterministic step clock reveals each registered series one point per
 tick.  Scoring cycles consume the newest points with the active model,
 training cycles refit (tuning first when the last health label was red),
-and evaluation cycles turn score logs into green/yellow/red labels.  At
-a coincident tick the order is score, then train, then evaluate, so
+and evaluation cycles turn score logs into green/yellow/red labels; every
+label, a forced red included, comes from :meth:`Engine._label`.  At a
+coincident tick the order is score, then train, then evaluate, so
 scoring always uses the pre-existing model and retraining evidence stays
 uncontaminated.
 
@@ -15,7 +16,9 @@ recovery).  Each tick, and nothing else, ends with a commit: a cycle
 called on its own leaves its changes to the same engine's next tick.  A
 tick that crashed before its commit runs again: its file and
 webhook-stub alerts come out exactly once, its stdout alerts are printed
-again (at-least-once delivery).
+again (at-least-once delivery).  A metric whose score rows fail to be
+appended scores the same points at its next scoring tick, so their
+alerts, in any channel, come out at least once.
 
 What the score rows already hold is not stored twice, so a scoring
 tick's record holds only its metrics' scoring positions: the score log
@@ -39,13 +42,7 @@ from typing import Optional
 import numpy as np
 
 from . import evaluation as ev
-from .errors import (
-    AutoAdError,
-    DuplicateId,
-    ExpiredModel,
-    InvalidSpec,
-    MissingModel,
-)
+from .errors import AutoAdError, DuplicateId, InvalidSpec
 from .filtering import scan_ratio
 from .optimizer import MIN_BUDGET, ModelConfig, default_config, fit_detector, load_detector, tune
 from .profiling import profile as profile_series
@@ -351,13 +348,14 @@ class Engine:
     def run_scoring_cycle(self, now: int) -> list[dict]:
         """Score every due metric's new observations with its active model.
 
-        Returns the ScoreRecords written this cycle.  Expired models skip
-        the metric and force its health to R; metrics without a model are
-        skipped silently (they are still warming up).  Any other failure
-        is isolated to its metric: its unsaved scoring state, score log
-        and detector are dropped and its health forced to R with the
-        error as the reason.  Called on its own, the cycle commits nothing:
-        the engine's next tick does.
+        Returns the ScoreRecords written this cycle.  Metrics without a
+        model are skipped silently (they are still warming up); an expired
+        model skips its metric and labels it R.  Any other failure is
+        isolated to its metric: its score log and detector are dropped,
+        its scoring position stays where it was, so the next scoring tick
+        scores the same points again, and it is labelled R with the error
+        as the reason.  Called on its own, the cycle commits nothing: the
+        engine's next tick does.
         """
         self.store.repair()
         records: list[dict] = []
@@ -365,22 +363,19 @@ class Engine:
             if now % spec.score_every != 0:
                 continue
             try:
-                records.extend(self._score_metric(spec, now))
-            except MissingModel:
-                continue
-            except ExpiredModel:
-                self._force_red(spec, now, reason="expired model")
+                record = self._active_record(spec.metric_id)
+                if record is None:
+                    continue
+                if now >= record["expires_at"]:
+                    self._label(spec, now, reason="expired model")
+                else:
+                    records.extend(self._score_metric(spec, record, now))
             except Exception as exc:  # noqa: BLE001 - cycle must survive any metric
                 self._forget(spec.metric_id)
-                self._force_red(spec, now, reason=f"scoring failed: {exc}")
+                self._label(spec, now, reason=f"scoring failed: {exc}")
         return records
 
-    def _score_metric(self, spec: JobSpec, now: int) -> list[dict]:
-        record = self._active_record(spec.metric_id)
-        if record is None:
-            raise MissingModel(spec.metric_id)
-        if now >= record["expires_at"]:
-            raise ExpiredModel(spec.metric_id)
+    def _score_metric(self, spec: JobSpec, record: dict, now: int) -> list[dict]:
         series = self._series(spec)
         state = self._scoring_state(spec.metric_id)
         start = max(int(state["last_scored"]), int(record["published_at"]))
@@ -402,9 +397,9 @@ class Engine:
         out = [self._finish_score(spec, series, i, obs, exp, prob, record, threshold, log)
                for i, obs, exp, prob in zip(index.tolist(), observed.tolist(),
                                             expected.tolist(), probs.tolist())]
+        self._append_score_rows(spec.metric_id, out)
         state["last_scored"] = end
         self.store.put(_doc_name("state", spec.metric_id), state)
-        self._append_score_rows(spec.metric_id, out)
         return out
 
     def _finish_score(self, spec, series, index, observed, expected, prob, record, threshold, log) -> dict:
@@ -512,19 +507,6 @@ class Engine:
 
     # -- evaluation cycle -----------------------------------------------------------------
 
-    def _force_red(self, spec: JobSpec, now: int, reason: str) -> ev.HealthSnapshot:
-        try:
-            snapshot = self._evaluate_metric(spec, now, ev.HealthThresholds())
-        except Exception:  # noqa: BLE001 - the metric is labelled R regardless
-            self._forget(spec.metric_id)
-            snapshot = ev.HealthSnapshot(0.0, 0.0, 0.0, 0, 0.0, 1.0, "R")
-        if snapshot.health != "R":
-            snapshot = dataclasses.replace(
-                snapshot, model_age_fraction=max(snapshot.model_age_fraction, 1.0), health="R")
-        self.store.put(_doc_name("health", spec.metric_id),
-                       {"at": now, "reason": reason, "snapshot": snapshot.to_dict()})
-        return snapshot
-
     def metric_curves(self, spec: JobSpec, now: int):
         """(mv, em) curve points for one metric, or None without history.
 
@@ -560,35 +542,50 @@ class Engine:
         em = ev.em_curve(volume, sample, ev.default_em_ts(sample.sorted, domain))
         return mv, em
 
-    def _evaluate_metric(self, spec: JobSpec, now: int,
-                         thresholds: ev.HealthThresholds,
-                         curve_stats=None) -> ev.HealthSnapshot:
-        state = self._scoring_state(spec.metric_id)
-        log = self._score_log(spec.metric_id)
-        record = self._active_record(spec.metric_id)
-        if record is not None:
-            ttl = record["expires_at"] - record["published_at"]
-            age = (now - record["published_at"]) / ttl if ttl > 0 else 1.0
-        else:
-            age = 0.0
-        rate = log.anomaly_rate(spec.alert_threshold, last=RATE_WINDOW)
-        consec = log.consecutive_anomalies(spec.alert_threshold)
-        cov = log.coefficient_of_variation()
-        failed = state["last_training_error"] is not None
+    def _label(self, spec: JobSpec, now: int, reason: Optional[str] = None, curve_stats=None,
+               thresholds: ev.HealthThresholds = ev.HealthThresholds()) -> ev.HealthSnapshot:
+        """Label one metric G, Y or R, put its health document (no other
+        code does) and return its snapshot.
 
-        if curve_stats is None:
-            # not enough stable history: the series stays under scrutiny,
-            # unless its training failed
-            if not failed and (record is None or len(log) < MIN_EVAL_SCORES):
-                return ev.HealthSnapshot(0.0, 0.0, rate, consec, cov, age, "Y")
-            mv_avg, em_avg = 0.0, 0.0
-            thresholds = ev.HealthThresholds()
-        else:
-            mv_avg, em_avg = curve_stats
-        health = ev.classify_health(
-            mv_avg, em_avg, rate, consec, age, thresholds, last_training_failed=failed,
-        )
-        return ev.HealthSnapshot(mv_avg, em_avg, rate, consec, cov, age, health)
+        ``curve_stats``, the metric's (mv_avg, em_avg), are judged against
+        the fleet's ``thresholds``; without them no curve trigger fires,
+        and a metric with no model or under MIN_EVAL_SCORES scores stays Y
+        unless its training failed.  A given ``reason`` forces R, with the
+        model's real age, and is the document's reason; else the failed
+        training's error is.  An evaluation that raises is labelled again,
+        forced red by its error; a forced red whose statistics cannot be
+        read stores zeros beside the age."""
+        record = self._active_record(spec.metric_id)
+        age, training_error = 0.0, None
+        try:
+            if record is not None:
+                age = (now - record["published_at"]) / (record["expires_at"] - record["published_at"])
+            training_error = self._scoring_state(spec.metric_id)["last_training_error"]
+            log = self._score_log(spec.metric_id)
+            rate = log.anomaly_rate(spec.alert_threshold, last=RATE_WINDOW)
+            consec = log.consecutive_anomalies(spec.alert_threshold)
+            mv_avg, em_avg = curve_stats or (0.0, 0.0)
+            if reason is not None:
+                health = "R"
+            elif curve_stats is None and training_error is None and (record is None or len(log) < MIN_EVAL_SCORES):
+                health = "Y"
+            else:
+                health = ev.classify_health(mv_avg, em_avg, rate, consec, age,
+                                            thresholds if curve_stats else ev.HealthThresholds(),
+                                            last_training_failed=training_error is not None)
+            snapshot = ev.HealthSnapshot(mv_avg, em_avg, rate, consec, log.coefficient_of_variation(), age, health)
+        except Exception as exc:  # noqa: BLE001 - the metric is labelled R regardless
+            self._forget(spec.metric_id)
+            if reason is None:
+                return self._label(spec, now, reason=f"evaluation failed: {exc}")
+            snapshot = ev.HealthSnapshot(0.0, 0.0, 0.0, 0, 0.0, age, "R")
+        if reason is None and training_error is not None:
+            reason = f"training failed: {training_error}"
+        doc = {"at": now, "snapshot": snapshot.to_dict()}
+        if reason is not None:
+            doc["reason"] = reason
+        self.store.put(_doc_name("health", spec.metric_id), doc)
+        return snapshot
 
     def run_evaluation_cycle(self, now: int) -> dict[str, ev.HealthSnapshot]:
         """Label every registered metric G, Y or R (one label per metric).
@@ -602,7 +599,7 @@ class Engine:
         specs = self.jobs()
         self.last_curves = {}
         stats: dict[str, Optional[tuple[float, float]]] = {}
-        errors: dict[str, Exception] = {}
+        reasons: dict[str, str] = {}  # metric -> why its evaluation failed
         for spec in specs:
             metric = spec.metric_id
             try:
@@ -611,8 +608,9 @@ class Engine:
             except AutoAdError:
                 curves = stats[metric] = None
             except Exception as exc:  # noqa: BLE001 - cycle must survive any metric
+                self._forget(metric)
                 curves = stats[metric] = None
-                errors[metric] = exc
+                reasons[metric] = f"evaluation failed: {exc}"
             self.last_curves[metric] = curves
 
         mv_values = [s[0] for s in stats.values() if s is not None]
@@ -622,24 +620,8 @@ class Engine:
             em_red=0.5 * float(np.median(em_values)) if em_values else None,
         )
 
-        out: dict[str, ev.HealthSnapshot] = {}
-        for spec in specs:
-            error = errors.get(spec.metric_id)
-            if error is None:
-                try:
-                    snapshot = self._evaluate_metric(spec, now, thresholds, stats[spec.metric_id])
-                    doc = {"at": now, "snapshot": snapshot.to_dict()}
-                    training_error = self._scoring_state(spec.metric_id)["last_training_error"]
-                    if training_error is not None:
-                        doc["reason"] = f"training failed: {training_error}"
-                    self.store.put(_doc_name("health", spec.metric_id), doc)
-                except Exception as exc:  # noqa: BLE001 - cycle must survive any metric
-                    error = exc
-            if error is not None:
-                self._forget(spec.metric_id)
-                snapshot = self._force_red(spec, now, reason=f"evaluation failed: {error}")
-            out[spec.metric_id] = snapshot
-        return out
+        return {spec.metric_id: self._label(spec, now, reasons.get(spec.metric_id), stats[spec.metric_id],
+                                            thresholds) for spec in specs}
 
     # -- clock ---------------------------------------------------------------------------
 

@@ -106,11 +106,14 @@ def _close(handles: OrderedDict) -> None:
 def _write(fh, data: bytes, truncate: bool = False) -> None:
     """Append ``data`` to a held file in one ``write(2)``, after emptying
     the file if ``truncate``.  Every change the store makes to an appended
-    file comes through here.  A short write raises, so the lengths the
-    store records never run ahead of the file."""
+    file comes through here.  A short write cuts the file back to its
+    length before the write and raises, so the file ends where the lengths
+    the store records say it does."""
     if truncate:
         fh.truncate(0)
-    if data and fh.write(data) != len(data):
+    written = fh.write(data) if data else 0
+    if written != len(data):
+        fh.truncate(fh.tell() - written)
         raise OSError(f"short write to {fh.name}")
 
 
@@ -255,16 +258,17 @@ class Store:
         """Commit ``tick``, with what was put and appended since the last
         commit, by appending its record to the journal; then, once the
         journal has outgrown CHECKPOINT_RATIO times meta.json, compact it
-        into a checkpoint."""
-        self.now = tick
-        pending, self._pending = self._pending, {}
-        self._committed.update(pending)
+        into a checkpoint.  A record that fails to be written commits
+        nothing: the next commit's record carries what this one held."""
         record: dict = {"tick": tick}
-        if pending or self._appended:
-            record.update(docs=pending, lengths={name: self._lengths[name] for name in self._appended})
+        if self._pending or self._appended:
+            record.update(docs=self._pending, lengths={name: self._lengths[name] for name in self._appended})
         data = (_compact(record) + "\n").encode()
         _write(self._handle(JOURNAL), data)
         self._journal_end += len(data)
+        self.now = tick
+        self._committed.update(self._pending)
+        self._pending = {}
         self._appended.clear()
         if self._compaction_due():
             self._checkpoint()

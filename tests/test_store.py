@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import autoad.evaluation as ev
 import autoad.optimizer as optimizer
 import autoad.orchestrator as orch
 import autoad.store as store
@@ -575,6 +576,80 @@ class TestHeldHandles:
         assert fleet_engine(tmp_path).now == 101
 
 
+class ShortWrite(io.FileIO):
+    """A held append handle whose write of the bytes ``cut`` picks stops
+    halfway, as a write to a full disk can."""
+
+    def __init__(self, path, cut):
+        super().__init__(path, "ab")
+        self.cut = cut
+
+    def write(self, data):
+        return super().write(data[: len(data) // 2] if self.cut(data) else data)
+
+
+def hold_short_writes(engine: Engine, name: str, cut) -> None:
+    """Make ``engine``'s held handle of the appended file ``name`` a ShortWrite."""
+    held = engine.store._handles
+    if name in held:
+        held.pop(name).close()
+    held[name] = ShortWrite(engine.root / name, cut)
+
+
+class TestFailedWrites:
+    """A write that stops halfway is cut back, and the engine goes on as
+    if it had never been made."""
+
+    def test_a_torn_journal_write_loses_no_later_tick(self, tmp_path):
+        """The failed tick commits nothing, and the next tick's record
+        carries its documents and lengths: a tick loop that counts the
+        failed tick and goes on ends with the store of an uninterrupted run.
+        The torn tick trains, so its models and labels are put at no other
+        tick, and no checkpoint follows it (the fleet compacts at 96 and 206)."""
+        runs = {}
+        for torn in (False, True):
+            engine = fleet_engine(tmp_path / str(torn))
+            register_fleet(engine)
+            engine.advance_clock(TRAINING_TICKS[2] - 1)
+            if torn:
+                hold_short_writes(engine, store.JOURNAL, lambda data: engine.now == TRAINING_TICKS[2])
+            for _ in range(TRAINING_TICKS[2], 201):
+                try:
+                    engine.advance_clock(1)
+                except OSError as exc:
+                    assert (torn, engine.now) == (True, TRAINING_TICKS[2]), exc
+            engine.close()
+            reopened = fleet_engine(engine.root)
+            reopened.store.repair()
+            files = {name: data for name, data in snapshot(engine.root).items()
+                     if name.split("/")[0] in ("scores", "alerts")}
+            runs[torn] = (reopened.now, reopened.store._committed, files)
+            reopened.close()
+        assert runs[True][0] == 200
+        assert runs[True] == runs[False]
+
+    def test_a_failed_score_append_scores_its_points_again(self, tmp_path):
+        """The metric keeps its scoring position, so the next tick scores
+        the failed tick's points again: up to and including the next
+        training, which the red label makes retune, the rows are an
+        uninterrupted run's, and none is torn."""
+        rows = {}
+        for failing in (False, True):
+            engine = fleet_engine(tmp_path / str(failing))
+            engine.register_job(job_for(make_series()))
+            engine.advance_clock(149)
+            if failing:
+                hold_short_writes(engine, "scores/m1.csv", lambda data: engine.now == 150)
+            engine.advance_clock(1)
+            if failing:
+                assert engine.store.doc("health/m1.json")["reason"].startswith("scoring failed: short write")
+                assert engine._scoring_state("m1")["last_scored"] == 149
+            engine.advance_clock(192 - 150)
+            rows[failing] = (engine.root / "scores" / "m1.csv").read_bytes()
+            engine.close()
+        assert rows[True] == rows[False]
+
+
 class TestCaches:
     def test_registration_after_cached_jobs_is_seen(self, tmp_path):
         engine = fleet_engine(tmp_path)
@@ -1005,3 +1080,89 @@ class TestFailureIsolation:
         assert engine._scoring_state("m1")["last_training_error"] is None
         assert engine._active_record("m1")["published_at"] == 192
         assert "reason" not in stored_doc(tmp_path, "health/m1.json")
+
+    def test_evaluation_that_raises_is_labelled_again_red(self, tmp_path, monkeypatch):
+        """An evaluation whose scoring statistics raise labels its metric
+        again, with reloaded caches, as a forced red carrying the error;
+        the other metric is labelled as usual."""
+        engine = fleet_engine(tmp_path)
+        engine.register_job(job_for(make_series(seed=1), metric="bad", job="jb"))
+        engine.register_job(job_for(make_series(seed=2), metric="good", job="jg"))
+        engine.advance_clock(150)
+        rate, raised = ev.ScoreLog.anomaly_rate, []
+
+        def flaky(log, *args, **kwargs):
+            if log.series_id == "bad" and not raised:
+                raised.append(log)
+                raise RuntimeError("injected")
+            return rate(log, *args, **kwargs)
+
+        monkeypatch.setattr(ev.ScoreLog, "anomaly_rate", flaky)
+        snaps = engine.run_evaluation_cycle(150)
+        log = engine._score_log("bad")
+        assert log is not raised[0]  # the failure dropped the log, and it reloaded
+        doc = engine.store.doc("health/bad.json")  # held for the next tick's commit
+        assert doc["reason"] == "evaluation failed: injected"
+        snapshot = doc["snapshot"]
+        assert (snapshot["health"], snapshot["mv_avg"], snapshot["em_avg"]) == ("R", 0.0, 0.0)
+        assert snapshot["anomaly_rate"] == rate(log, 0.95, last=orch.RATE_WINDOW)
+        assert snapshot["consecutive_anomalies"] == log.consecutive_anomalies(0.95)
+        assert snapshot["model_age_fraction"] == (150 - 144) / 96  # the model's own age
+        assert snapshot == snaps["bad"].to_dict()
+        good = engine.store.doc("health/good.json")
+        assert good == {"at": 150, "snapshot": snaps["good"].to_dict()}
+        assert snaps["good"].health in "GY"
+        assert (good["snapshot"]["mv_avg"], good["snapshot"]["em_avg"]) == \
+            ev.summarize_criteria(*engine.last_curves["good"])
+        engine.close()
+
+    def test_unloadable_score_log_is_labelled_red_with_a_zeroed_snapshot(self, tmp_path, monkeypatch):
+        """A score log that cannot be loaded at all still labels its metric
+        red, with a snapshot of zeros; the other metric is labelled as usual."""
+        engine = fleet_engine(tmp_path)
+        engine.register_job(job_for(make_series(seed=1), metric="bad", job="jb"))
+        engine.register_job(job_for(make_series(seed=2), metric="good", job="jg"))
+        engine.advance_clock(150)
+        engine.close()
+        fresh = fleet_engine(tmp_path)  # no log is cached yet
+        log_of = Engine._log_of
+
+        def unreadable(metric_id, data):
+            if metric_id == "bad":
+                raise ValueError("unreadable log")
+            return log_of(metric_id, data)
+
+        monkeypatch.setattr(fresh, "_log_of", unreadable)
+        snaps = fresh.run_evaluation_cycle(150)
+        doc = fresh.store.doc("health/bad.json")  # held for the next tick's commit
+        assert doc["reason"] == "evaluation failed: unreadable log"
+        assert snaps["bad"].to_dict() == doc["snapshot"]
+        assert doc["snapshot"] == {"mv_avg": 0.0, "em_avg": 0.0, "anomaly_rate": 0.0, "consecutive_anomalies": 0,
+                                   "coefficient_of_variation": 0.0, "model_age_fraction": (150 - 144) / 96,
+                                   "health": "R"}
+        good = fresh.store.doc("health/good.json")
+        assert good == {"at": 150, "snapshot": snaps["good"].to_dict()}
+        assert snaps["good"].health in "GY"
+        assert (good["snapshot"]["mv_avg"], good["snapshot"]["em_avg"]) == \
+            ev.summarize_criteria(*fresh.last_curves["good"])
+        fresh.close()
+
+    def test_a_forced_red_stores_the_models_real_age(self, tmp_path, monkeypatch):
+        """A fresh model that fails to score is labelled R with its own age,
+        so its document does not read as an expiry."""
+        engine = fleet_engine(tmp_path)
+        engine.register_job(job_for(make_series(), ttl=96))
+        engine.advance_clock(99)
+        original = engine._finish_score
+
+        def flaky(spec, *args):
+            if engine.now == 100:
+                raise RuntimeError("injected")
+            return original(spec, *args)
+
+        monkeypatch.setattr(engine, "_finish_score", flaky)
+        engine.advance_clock(1)
+        doc = stored_doc(tmp_path, "health/m1.json")
+        assert (doc["at"], doc["reason"]) == (100, "scoring failed: injected")
+        assert (doc["snapshot"]["health"], doc["snapshot"]["model_age_fraction"]) == ("R", 4 / 96)
+        engine.close()
