@@ -33,7 +33,7 @@ from .errors import (
     UnknownDataset,
 )
 from .optimizer import default_config, tune
-from .orchestrator import Engine, JobSpec, series_to_doc
+from .orchestrator import Engine, JobSpec, series_to_doc, warmup
 from .profiling import profile as profile_series
 from .series import TimeSeries, _parse_timestamp, aggregate, impute, read_csv
 from .structural import fit_structural, forecast
@@ -391,12 +391,10 @@ class BenchReport:
 
 
 def _bench_one(lbs: LabeledBenchSeries, freq: str, config: BenchConfig):
-    train_every = REPLAY_TRAIN_EVERY[freq]
-    warmup = max(30, 2 * train_every)
     records, retunes = replay(lbs, tune_budget=config.tune_budget, seed=config.seed)
     probs, labels = align_labels(lbs, records)
     auc_value = auc(probs, labels) if labels.sum() and labels.sum() < labels.size else float("nan")
-    preds, actuals = rolling_origin_forecast(lbs, FORECAST_HORIZON[freq], warmup)
+    preds, actuals = rolling_origin_forecast(lbs, FORECAST_HORIZON[freq], warmup(REPLAY_TRAIN_EVERY[freq]))
     if preds.size:
         mdape, rmse = forecast_metrics(preds, actuals)
     else:

@@ -44,13 +44,7 @@ def default_alphas() -> np.ndarray:
 
 def default_em_ts(sample_scores, domain) -> np.ndarray:
     """50 log-spaced volume penalties from t_max / 1000 to t_max, t_max the
-    score range over the domain length.
-
-    The grid is ``np.geomspace(t_max / 1000, t_max, 50)`` with its
-    arithmetic written out: equal steps between the decimal logs, raised
-    to powers of 10, both ends pinned.  It gives geomspace's bits without
-    its per-call checks and promotions.
-    """
+    score range over the domain length."""
     lo, hi = domain
     length = hi - lo
     if length <= 0:
@@ -58,15 +52,7 @@ def default_em_ts(sample_scores, domain) -> np.ndarray:
     scores = np.asarray(sample_scores, dtype=float)
     span = float(scores.max() - scores.min()) if scores.size else 0.0
     t_max = max(span, 0.1) / length
-    t_min = t_max / 1000.0
-    log_min, log_max = np.log10(t_min), np.log10(t_max)
-    exponents = np.arange(50.0)
-    exponents *= (log_max - log_min) / 49
-    exponents += log_min
-    exponents[-1] = log_max
-    ts = np.power(10.0, exponents)
-    ts[0], ts[-1] = t_min, t_max
-    return ts
+    return np.geomspace(t_max / 1000.0, t_max, 50)
 
 
 def level_set_volume(us, center: float, scale: float, domain, log_offset: Optional[float] = None) -> np.ndarray:
@@ -231,9 +217,9 @@ def classify_health(
     """Deterministic G/Y/R label; red strictly dominates yellow.
 
     Red fires on any hard trigger (MV too high, EM too low, anomaly rate
-    or consecutive anomalies over their limits, expired model, failed
-    training); yellow on any warning-band trigger at 80% of a hard level
-    or a model past 80% of its life.
+    or consecutive anomalies over their limits, a model at or past the
+    end of its TTL, failed training); yellow on any warning-band trigger
+    at 80% of a hard level or a model past 80% of its life.
     """
     for v in (mv_avg, em_avg, anomaly_rate, model_age_fraction):
         if not math.isfinite(v):

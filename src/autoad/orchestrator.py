@@ -118,6 +118,12 @@ class JobSpec:
         return cls(**fields)
 
 
+def warmup(train_every: int) -> int:
+    """The first tick at which a metric with this training cadence may
+    train: none of its trainings runs before it."""
+    return max(30, 2 * train_every)
+
+
 def series_to_doc(ts: TimeSeries) -> dict:
     values = [None if math.isnan(v) else float(v) for v in ts.values]
     return {"start_epoch": ts.start_epoch, "step": ts.step, "values": values}
@@ -237,9 +243,6 @@ class Engine:
         self._series_cache[spec.metric_id] = series
         return series
 
-    def _warmup(self, spec: JobSpec) -> int:
-        return max(30, 2 * spec.train_every)
-
     # -- model store --------------------------------------------------------
 
     def _active_record(self, metric_id: str) -> Optional[dict]:
@@ -247,7 +250,8 @@ class Engine:
 
     def _detector(self, record: dict):
         """The detector of an active record, loaded once per model_id; it
-        then keeps the live state itself.  It scores up to the model's TTL.
+        then keeps the live state itself.  It scores the steps of the
+        model's TTL, from ``published_at`` to just before ``expires_at``.
 
         A filter model's live state is not stored: its state at
         publication, the record's ``published_state``, is brought forward
@@ -349,13 +353,15 @@ class Engine:
         """Score every due metric's new observations with its active model.
 
         Returns the ScoreRecords written this cycle.  Metrics without a
-        model are skipped silently (they are still warming up); an expired
-        model skips its metric and labels it R.  Any other failure is
-        isolated to its metric: its score log and detector are dropped,
-        its scoring position stays where it was, so the next scoring tick
-        scores the same points again, and it is labelled R with the error
-        as the reason.  Called on its own, the cycle commits nothing: the
-        engine's next tick does.
+        model are skipped silently (they are still warming up).  A model
+        scores the points of its ``model_ttl`` ticks, those before its
+        ``expires_at``, and nothing after: a metric whose model has run out
+        (its training failed) waits for a model, and the evaluation labels
+        it.  A failure is isolated to its metric: its score log and
+        detector are dropped, its scoring position stays where it was, so
+        the next scoring tick scores the same points again, and it is
+        labelled R with the error as the reason.  Called on its own, the
+        cycle commits nothing: the engine's next tick does.
         """
         self.store.repair()
         records: list[dict] = []
@@ -364,11 +370,7 @@ class Engine:
                 continue
             try:
                 record = self._active_record(spec.metric_id)
-                if record is None:
-                    continue
-                if now >= record["expires_at"]:
-                    self._label(spec, now, reason="expired model")
-                else:
+                if record is not None:
                     records.extend(self._score_metric(spec, record, now))
             except Exception as exc:  # noqa: BLE001 - cycle must survive any metric
                 self._forget(spec.metric_id)
@@ -379,7 +381,7 @@ class Engine:
         series = self._series(spec)
         state = self._scoring_state(spec.metric_id)
         start = max(int(state["last_scored"]), int(record["published_at"]))
-        end = min(now, len(series))
+        end = min(now, len(series), int(record["expires_at"]))
         if end <= start:
             return []
 
@@ -436,7 +438,7 @@ class Engine:
         """
         self.store.repair()
         return [self._train_metric(spec, now) for spec in self.jobs()
-                if now % spec.train_every == 0 and now >= self._warmup(spec)]
+                if now % spec.train_every == 0 and now >= warmup(spec.train_every)]
 
     def _tune_seed(self, metric_id: str, generation: int) -> int:
         return (zlib.crc32(metric_id.encode()) + 7919 * generation + self.seed) % (2**31)
@@ -511,10 +513,11 @@ class Engine:
         """(mv, em) curve points for one metric, or None without history.
 
         The curves judge the stable scores against the active model's
-        predictive Gaussian for the newest scored point, over the observed
-        value range padded by 10% on each side; the level-set volumes are
-        exact (:func:`~autoad.evaluation.level_set_volume`), computed once
-        over the distinct stable scores for both curves.  None means there
+        predictive Gaussian for the newest point it scored, the step
+        before ``min(now, expires_at)`` (at least its first), over the
+        observed value range padded by 10% on each side; the level-set
+        volumes are exact (:func:`~autoad.evaluation.level_set_volume`),
+        computed once over the distinct stable scores for both curves.  None means there
         is no model or not enough stable score history yet.
         """
         record = self._active_record(spec.metric_id)
@@ -529,8 +532,8 @@ class Engine:
         span = max(hi - lo, 1e-6 * max(abs(hi), 1.0), 1e-9)
         domain = (lo - 0.1 * span, hi + 0.1 * span)
 
-        # the newest scored point, at least the first after training
-        step = max(now - int(record["published_at"]), 1) - 1
+        # the newest point the model scored, at least its first
+        step = max(min(now, int(record["expires_at"])) - int(record["published_at"]), 1) - 1
         detector = self._detector(record)
         center, scale = detector.predictive(step)
         model = detector.model
@@ -605,8 +608,6 @@ class Engine:
             try:
                 curves = self.metric_curves(spec, now)
                 stats[metric] = None if curves is None else ev.summarize_criteria(*curves)
-            except AutoAdError:
-                curves = stats[metric] = None
             except Exception as exc:  # noqa: BLE001 - cycle must survive any metric
                 self._forget(metric)
                 curves = stats[metric] = None
@@ -643,7 +644,7 @@ class Engine:
             tick = self.now
             if any(tick % s.score_every == 0 for s in specs):
                 self.run_scoring_cycle(tick)
-            if any(tick % s.train_every == 0 and tick >= self._warmup(s) for s in specs):
+            if any(tick % s.train_every == 0 and tick >= warmup(s.train_every) for s in specs):
                 self.run_training_cycle(tick)
                 self.run_evaluation_cycle(tick)
             self.store.commit(tick)

@@ -446,10 +446,8 @@ class StructuralDetector:
 
     def predictive(self, step: int) -> tuple[float, float]:
         """(center, scale) of the predictive Gaussian for ``step`` on the
-        model's scale: the forecast row that :meth:`score` judges it by.
-        A step past the table (a model kept past its TTL) is forecast anew."""
-        if step >= len(self._table):
-            return forecast(self.model, step + 1, transformed=True)[step]
+        model's scale: the forecast row that :meth:`score` judges it by
+        (``step`` below the horizon)."""
         mean, std = self._table[step]
         return float(mean), float(std)
 

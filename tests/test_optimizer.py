@@ -34,7 +34,6 @@ from autoad.optimizer import (
 from autoad.profiling import DataProfile, profile
 from autoad.series import TimeSeries, to_model_scale
 from autoad.stats import gaussian_anomaly_probability
-from autoad.structural import forecast
 
 from .conftest import seasonal_ar_series
 
@@ -671,8 +670,7 @@ class TestDetectors:
     @pytest.mark.parametrize("method", ["structural", "filtering"])
     def test_predictive_gaussian_judges_as_a_one_point_score(self, method, log_scale):
         """The predictive (center, scale) scores candidates across the value
-        range as a one-point score from the same detector state does, and a
-        structural step past the forecast table is forecast anew."""
+        range as a one-point score from the same detector state does."""
         if method == "structural":
             config = ModelConfig(method="structural", log_scale=log_scale, p=2, q=1, l=1)
         else:
@@ -692,6 +690,3 @@ class TestDetectors:
                 detector = load_detector(stored["payload"], stored["state"], horizon=later.size)
                 want.append(detector.score(np.array([step]), np.array([v]))[0][0])
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
-        if method == "structural":
-            step = later.size + 7
-            assert fitted.predictive(step) == forecast(fitted.model, step + 1, transformed=True)[step]

@@ -298,13 +298,16 @@ class TestScoringCycle:
         alerts = (engine.root / "alerts" / "spiky.jsonl").read_text().splitlines()
         assert any(json.loads(a)["observed"] > 40 for a in alerts)
 
-    def test_expired_model_forces_red(self, engine):
+    def test_a_model_scores_through_its_ttl_and_no_later(self, engine):
+        """A model scores the points of its TTL, through tick expires_at,
+        and nothing after; the scoring cycle puts no health document."""
         engine.register_job(job_for(make_series(), train_every=48, ttl=48))
         engine.run_training_cycle(96)
-        engine.run_scoring_cycle(144)  # expires_at == 96 + 48
-        doc = engine.store.doc("health/m1.json")  # held for the next tick's commit
-        assert doc["snapshot"]["health"] == "R"
-        assert doc["reason"] == "expired model"
+        records = engine.run_scoring_cycle(144)  # expires_at == 96 + 48
+        assert [r["timestamp"] for r in records] == [3600 * i for i in range(96, 144)]
+        assert engine.run_scoring_cycle(145) == engine.run_scoring_cycle(160) == []
+        assert engine._scoring_state("m1")["last_scored"] == 144
+        assert engine.store.doc("health/m1.json") is None
 
     def test_score_csv_schema(self, engine):
         engine.register_job(job_for(make_series()))
@@ -405,10 +408,10 @@ class TestEvaluationCycle:
         good = "scores/good.csv"
         assert (engine.root / good).read_bytes() == (alone.root / good).read_bytes()
 
-    def test_expired_structural_model_is_judged_on_a_fresh_forecast(self, engine, monkeypatch):
+    def test_expired_structural_model_is_judged_at_its_last_served_step(self, engine, monkeypatch):
         """Training that keeps failing leaves the structural model past its
-        TTL; the evaluation scorer then uses row horizon - 1 of
-        forecast(model, horizon), past the stored table's end."""
+        TTL; the evaluation then judges by the stored table's last row,
+        step ttl - 1, the newest point the model scored."""
         engine.register_job(job_for(make_series(), ttl=100))
         engine.advance_clock(96)
         record = engine._active_record("m1")
@@ -424,11 +427,12 @@ class TestEvaluationCycle:
         # tick 240's evaluation labelled the metric itself, naming the training's error
         assert stored_doc(engine.root, "health/m1.json")["reason"] == "training failed: forced training failure"
 
-        horizon, ttl = 240 - record["published_at"], record["expires_at"] - record["published_at"]
+        ttl = record["expires_at"] - record["published_at"]
+        assert 240 - record["published_at"] > ttl
+        assert engine._scoring_state("m1")["last_scored"] == record["expires_at"]
         model = StructuralModel.from_dict(record["payload"])
-        table = forecast(model, horizon, transformed=True)
-        assert horizon > ttl and table[ttl - 1] != table[horizon - 1]
-        assert engine._detector(record).predictive(horizon - 1) == table[horizon - 1]
+        table = forecast(model, ttl, transformed=True)
+        assert engine._detector(record).predictive(ttl - 1) == table[ttl - 1]
         # the curves judge the stable scores by that row's level sets
         spec = engine.jobs()[0]
         log = engine._score_log("m1")
@@ -436,7 +440,7 @@ class TestEvaluationCycle:
         obs = log.observations()
         span = obs.max() - obs.min()
         domain = (obs.min() - 0.1 * span, obs.max() + 0.1 * span)
-        mean, std = table[horizon - 1]
+        mean, std = table[ttl - 1]
         offset = model.log_offset if model.log_scale else None
         volume = lambda us: ev.level_set_volume(us, mean, std, domain, offset)
         mv, em = engine.metric_curves(spec, 240)

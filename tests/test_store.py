@@ -23,7 +23,7 @@ import autoad.optimizer as optimizer
 import autoad.orchestrator as orch
 import autoad.store as store
 from autoad import cli
-from autoad.errors import NonConvergence, UnsupportedStore
+from autoad.errors import NonConvergence, NumericalBreakdown, UnsupportedStore
 from autoad.optimizer import ModelConfig
 from autoad.orchestrator import Engine
 from autoad.series import TimeSeries
@@ -425,14 +425,23 @@ class TestCrashRecovery:
         assert 0 < len(checkpoints) <= 1440 // 48
 
     def test_same_tick_training_sees_the_red_label_scoring_held(self, tmp_path):
-        """A model expiring at a training tick is labelled R by that tick's
-        scoring cycle; the training cycle that follows reads the label before
-        it is written and retunes."""
+        """A scoring failure at a training tick labels its metric R in that
+        tick's scoring cycle; the training cycle that follows reads the
+        label before it is written and retunes."""
         engine = fleet_engine(tmp_path)
         engine.register_job(job_for(make_series(), train_every=48, ttl=48))
-        engine.advance_clock(144)  # the model of tick 96 expires at 144
+        original = engine._finish_score
+
+        def flaky(spec, *args):
+            if engine.now == 144:
+                raise RuntimeError("injected")
+            return original(spec, *args)
+
+        engine._finish_score = flaky
+        engine.advance_clock(144)
         assert engine.tune_generation("m1") == 1
         assert (tmp_path / "tunes" / "m1-g1.json").exists()
+        engine.close()
 
     def test_only_a_tick_commits(self, tmp_path):
         """Only a tick commits: cycles called on their own leave the journal
@@ -1166,3 +1175,98 @@ class TestFailureIsolation:
         assert (doc["at"], doc["reason"]) == (100, "scoring failed: injected")
         assert (doc["snapshot"]["health"], doc["snapshot"]["model_age_fraction"]) == ("R", 4 / 96)
         engine.close()
+
+    def test_an_evaluation_that_raises_a_library_error_is_labelled_red(self, tmp_path, monkeypatch):
+        """An evaluation that raises one of the library's own errors is
+        labelled as any other that raises: R, with the error as the
+        reason, and its caches dropped."""
+        engine = fleet_engine(tmp_path)
+        engine.register_job(job_for(make_series(seed=1), metric="bad", job="jb"))
+        engine.register_job(job_for(make_series(seed=2), metric="good", job="jg"))
+        engine.advance_clock(150)
+        original, raised = engine.metric_curves, []
+
+        def flaky(spec, now):
+            if spec.metric_id == "bad":
+                raised.append(engine._score_log("bad"))
+                raise NumericalBreakdown("injected")
+            return original(spec, now)
+
+        monkeypatch.setattr(engine, "metric_curves", flaky)
+        snaps = engine.run_evaluation_cycle(150)
+        doc = engine.store.doc("health/bad.json")  # held for the next tick's commit
+        assert (snaps["bad"].health, doc["reason"]) == ("R", "evaluation failed: injected")
+        assert engine._score_log("bad") is not raised[0]  # the failure dropped the log
+        assert engine.last_curves["bad"] is None
+        assert snaps["good"].health in "GY" and "reason" not in engine.store.doc("health/good.json")
+        engine.close()
+
+    def test_a_metric_whose_fits_fail_is_labelled_only_by_evaluations(self, tmp_path, monkeypatch):
+        """A metric whose fits fail from t192 on keeps a model past its TTL:
+        it scores nothing more, and is labelled R, naming the training's
+        error, by every evaluation and at no other tick; the healthy metric
+        beside it scores as it would alone."""
+        fit = orch.fit_detector
+
+        def fit_unless_minutely(prepared, *args, **kwargs):
+            if prepared.step == 60:  # the failing metric's series, sampled each minute
+                raise NonConvergence("forced fit failure")
+            return fit(prepared, *args, **kwargs)
+
+        def fleet(root, with_failing):
+            eng = fleet_engine(root)
+            eng.register_job(job_for(make_series(seed=1), metric="good", job="jg"))
+            if with_failing:
+                eng.register_job(job_for(make_series(seed=2, step=60), metric="bad", job="jb"))
+            return eng
+
+        with fleet(tmp_path / "alone", False) as alone:
+            alone.advance_clock(480)
+        engine = fleet(tmp_path / "fleet", True)
+        engine.advance_clock(191)
+        put, puts = engine.store.put, {}
+
+        def recorded(name, doc):
+            if name == "health/bad.json":
+                puts[engine.now] = doc
+            return put(name, doc)
+
+        monkeypatch.setattr(engine.store, "put", recorded)
+        monkeypatch.setattr(orch, "fit_detector", fit_unless_minutely)
+        engine.advance_clock(480 - 191)
+        engine.close()
+        assert sorted(puts) == list(range(192, 481, 48))
+        for doc in puts.values():
+            assert doc["snapshot"]["health"] == "R"
+            assert doc["reason"] == "training failed: forced fit failure"
+        assert engine._active_record("bad")["published_at"] == 144
+        assert engine._scoring_state("bad")["last_scored"] == 144 + 96
+        good = "scores/good.csv"
+        assert (engine.root / good).read_bytes() == (alone.root / good).read_bytes()
+
+
+class TestServedTtl:
+    def test_a_model_living_one_training_serves_every_point(self, tmp_path):
+        """With model_ttl == train_every each model scores its points up to
+        the training that replaces it: a healthy metric is never retuned,
+        every observed point from the warm-up on has a score row, and a
+        run reopened every 37 ticks writes the same store."""
+        series = gapped_series(start=300, length=4)
+
+        def run(root, chunk):
+            with fleet_engine(root) as engine:
+                engine.register_job(job_for(series, train_every=48, ttl=48))
+            while True:
+                with fleet_engine(root) as engine:
+                    if engine.now == 480:
+                        return engine.tune_generation("m1")
+                    engine.advance_clock(min(chunk, 480 - engine.now))
+
+        assert run(tmp_path / "single", 480) == 0
+        with fleet_engine(tmp_path / "single") as engine:
+            rows = score_rows(engine, "m1")
+        observed = [i for i in range(orch.warmup(48), 480) if not math.isnan(series.values[i])]
+        assert [int(r["timestamp"]) for r in rows] == [3600 * i for i in observed]
+        assert len(observed) == 480 - 96 - 4
+        assert run(tmp_path / "chunked", 37) == 0
+        assert snapshot(tmp_path / "chunked") == snapshot(tmp_path / "single")
