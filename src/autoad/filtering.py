@@ -16,7 +16,7 @@ cut into passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -36,6 +36,10 @@ _R_FLOOR = 1e-10
 # 11 us at short lengths; a pass costs 0.8 us a point in the loops and 60-65
 # us through lfilter up to 80 points, and the two cross at 64-80 points
 _LOOP_PASS = 64
+# a level pass looks for a covariance rounding cycle once per block of this many
+# steps, a multiple of every period from 1 to 4: at every step, the look cost
+# the loop a fifth (local level) to two fifths (trend) of its time
+_BLOCK = 96
 # the noise scan's q/r ratios: a coarse grid, then steps around its best
 _COARSE_RATIOS = np.logspace(-3.0, 3.0, 7)
 _FINE_STEPS = np.logspace(-0.5, 0.5, 5)
@@ -177,60 +181,79 @@ class FilterState:
                    w_sum=float(data["w_sum"]), eta_sum=float(data["eta_sum"]), s_accum=float(data["s_accum"]))
 
 
-def _gains(model: StateSpaceModel, P: np.ndarray, n: int) -> tuple:
-    """The covariance half of the Kalman recursion: ``n`` >= 1 steps from
-    the posterior covariance ``P``.  It never reads the observations.
-
-    Returns an entry per step run, then the last posterior covariance.  An
-    entry is the innovation variance s, the level gain k0 and the level
-    kernel's coefficients: (s, k0, b1, a1) of b = [0, k0], a = [1, k0 - 1]
-    for a local level, (s, k0, b1, b2, a1, a2) of b = [0, k0 + k1, -k0],
-    a = [1, k0 + k1 - 2, 1 - k0] for a trend.  The covariance converges to
-    the Riccati fixed point (Anderson & Moore 1979, ch. 4).  Once a step's
-    posterior covariance equals the one it started from bit for bit, every
-    later step repeats its entry, so the recursion stops and fewer than
-    ``n`` entries come back.  About one model in fifteen ends in a rounding
-    cycle of two to four covariances instead, and runs to the end.
+def _head(model: StateSpaceModel, P: np.ndarray, delays: tuple, values: np.ndarray) -> tuple:
+    """The covariance recursion and the level kernel in one loop over
+    ``values``, from the posterior covariance ``P``.  Each step appends its
+    entry, the innovation variance s, the level gain k0 and the kernel's
+    coefficients ((s, k0, b1, a1) of b = [0, k0], a = [1, k0 - 1] for a
+    local level, (s, k0, b1, b2, a1, a2) of b = [0, k0 + k1, -k0],
+    a = [1, k0 + k1 - 2, 1 - k0] for a trend), and steps the kernel as
+    :func:`_level_loop` does.  The covariance converges to the Riccati
+    fixed point (Anderson & Moore 1979, ch. 4): once a step's posterior
+    covariance equals the one it started from bit for bit, every later step
+    repeats its entry, and the loop stops.  It also stops after a block of
+    ``_BLOCK`` steps that ends on the covariance it began with.  Returns
+    the entries, levels, delays and last covariance, and whether the loop
+    stopped at the fixed point.
     """
-    r, steps = model.R, []
+    r, steps, level = model.R, [], []
+    entry, predicted = steps.append, level.append
     if model.state_dim == 1:
-        q, p = model.Q.item(), P.item()
-        for _ in range(n):
-            pp = p + q
-            s = pp + r
+        q, p, (z0,) = model.Q.item(), P.item(), delays
+        for start in range(0, values.size, _BLOCK):
+            began = p
+            for x in values[start:start + _BLOCK].tolist():
+                pp = p + q
+                s = pp + r
+                if s <= 0.0:
+                    raise NumericalBreakdown(f"innovation variance {s} <= 0")
+                k0 = pp / s
+                a1 = k0 - 1.0
+                y = z0 + 0.0 * x
+                z0 = x * k0 - y * a1
+                predicted(y)
+                entry((s, k0, k0, a1))
+                p, before = (1.0 - k0) * pp, p
+                if p == before:
+                    return steps, level, (z0,), np.array([[p]]), True
+            if p == began:
+                break
+        return steps, level, (z0,), np.array([[p]]), False
+    (q00, q11), ((p00, p01), (_, p11)), (z0, z1) = model.Q.diagonal().tolist(), P.tolist(), delays
+    for start in range(0, values.size, _BLOCK):
+        began = p00, p01, p11
+        for x in values[start:start + _BLOCK].tolist():
+            # predict with the transition [[1, 1], [0, 1]], then update
+            pp00 = p00 + 2.0 * p01 + p11 + q00
+            pp01 = p01 + p11
+            pp11 = p11 + q11
+            s = pp00 + r
             if s <= 0.0:
                 raise NumericalBreakdown(f"innovation variance {s} <= 0")
-            k0 = pp / s
-            steps.append((s, k0, k0, k0 - 1.0))
-            p, before = (1.0 - k0) * pp, p
-            if p == before:
-                break
-        return steps, np.array([[p]])
-    (q00, q11), ((p00, p01), (_, p11)) = model.Q.diagonal().tolist(), P.tolist()
-    for _ in range(n):
-        # predict with the transition [[1, 1], [0, 1]], then update
-        pp00 = p00 + 2.0 * p01 + p11 + q00
-        pp01 = p01 + p11
-        pp11 = p11 + q11
-        s = pp00 + r
-        if s <= 0.0:
-            raise NumericalBreakdown(f"innovation variance {s} <= 0")
-        k0 = pp00 / s
-        k1 = pp01 / s
-        c = 1.0 - k0
-        steps.append((s, k0, k0 + k1, -k0, k0 + k1 - 2.0, c))
-        b00, b01, b11 = p00, p01, p11
-        p00 = c * pp00
-        p01 = c * pp01
-        p11 = pp11 - k1 * pp01
-        if p00 == b00 and p01 == b01 and p11 == b11:
+            k0 = pp00 / s
+            k1 = pp01 / s
+            c = 1.0 - k0
+            b1 = k0 + k1
+            a1 = b1 - 2.0
+            y = z0 + 0.0 * x
+            z0 = z1 + x * b1 - y * a1
+            z1 = x * -k0 - y * c
+            predicted(y)
+            entry((s, k0, b1, -k0, a1, c))
+            b00, b01, b11 = p00, p01, p11
+            p00 = c * pp00
+            p01 = c * pp01
+            p11 = pp11 - k1 * pp01
+            if p00 == b00 and p01 == b01 and p11 == b11:
+                return steps, level, (z0, z1), np.array([[p00, p01], [p01, p11]]), True
+        if (p00, p01, p11) == began:
             break
-    return steps, np.array([[p00, p01], [p01, p11]])
+    return steps, level, (z0, z1), np.array([[p00, p01], [p01, p11]]), False
 
 
 def _level_loop(steps: list, points: list, delays: tuple) -> tuple:
     """The level kernel one step at a time, each step with its own entry of
-    :func:`_gains`, in ``lfilter``'s transposed direct form II and order:
+    :func:`_head`, in ``lfilter``'s transposed direct form II and order:
     y = z0 + b0 x, z0 = z1 + x b1 - y a1, z1 = x b2 - y a2.  A run at held
     gains gives the bits of ``lfilter(b, a, points, zi=delays)``."""
     level = []
@@ -251,25 +274,48 @@ def _level_loop(steps: list, points: list, delays: tuple) -> tuple:
 
 
 def _level_pass(model: StateSpaceModel, state: FilterState, values: np.ndarray) -> tuple:
-    """The state half of a pass over ``values``, at least one: the entries
-    of :func:`_gains`, each step's predicted level (a list if the pass stays
-    in the loop, an array otherwise), and the new delays and posterior
-    covariance.  Past the covariance fixed point the gains are held and the
-    kernel is exponential smoothing for the local level, Holt's method for
-    the trend (Harvey 1989, sec. 3.3.4).  A held run of at least
-    ``_LOOP_PASS`` steps is one ``lfilter`` call; the rest goes through
-    :func:`_level_loop` with the same bits."""
+    """The state half of a pass over ``values``, at least one, which never
+    reads the forgetting factor: each step's entry of :func:`_head` (fewer
+    only at the covariance fixed point, whose last entry later steps hold),
+    each step's predicted level (a list if the pass stays in the loop, an
+    array otherwise), and the new delays and posterior covariance.
+
+    Past the fixed point the kernel is exponential smoothing for the local
+    level, Holt's method for the trend (Harvey 1989, sec. 3.3.4): a held run
+    of at least ``_LOOP_PASS`` steps is one ``lfilter`` call, a shorter one
+    :func:`_level_loop`, with the same bits.  About one model in fifteen
+    ends in a rounding cycle of covariances instead: the whole blocks left
+    after :func:`_head` stops on one repeat its last block's entries, and
+    the last, partial block runs the recursion again from that covariance,
+    so the bits are those of the full recursion.
+    """
     n = values.size
-    steps, P_post = _gains(model, state.P_post, n)
-    head = len(steps) if n - len(steps) >= _LOOP_PASS else n
-    held = steps + steps[-1:] * (head - len(steps))
-    level, delays = _level_loop(held, values[:head].tolist(), state.delays)
-    if head == n:
+    steps, level, delays, P_post, fixed = _head(model, state.P_post, state.delays, values)
+    while not fixed and len(steps) < n:
+        # stopped on a rounding cycle: its last block repeats for the whole blocks left
+        i, held = len(steps), steps[-_BLOCK:] * ((n - len(steps)) // _BLOCK)
+        more, delays = _level_loop(held, values[i:i + len(held)].tolist(), delays)
+        entries, tail, delays, P_post, fixed = _head(model, P_post, delays, values[i + len(held):])
+        steps += held + entries
+        level += more + tail
+    rest = n - len(steps)
+    if not rest:
         return steps, level, delays, P_post
+    if rest < _LOOP_PASS:
+        more, delays = _level_loop(steps[-1:] * rest, values[n - rest:].tolist(), delays)
+        return steps, level + more, delays, P_post
     ba = steps[-1][2:]
     order = len(ba) // 2
-    tail, zf = lfilter([0.0, *ba[:order]], [1.0, *ba[order:]], values[head:], zi=delays)
+    tail, zf = lfilter([0.0, *ba[:order]], [1.0, *ba[order:]], values[n - rest:], zi=delays)
     return steps, np.concatenate([level, tail]), tuple(zf.tolist()), P_post
+
+
+def _gains(model: StateSpaceModel, P: np.ndarray, n: int) -> tuple:
+    """The covariance half of the Kalman recursion, which no observation
+    enters: the entries of :func:`_level_pass` for ``n`` >= 1 steps from
+    the posterior covariance ``P``, and the last posterior covariance."""
+    steps, _, _, P_post = _level_pass(model, FilterState((0.0,) * model.state_dim, P), np.zeros(n))
+    return steps, P_post
 
 
 def _law_loop(lam: float, sums: tuple, gains: list, points: list, level: list) -> tuple:
@@ -327,7 +373,14 @@ def run_filter(
         raise ValueError("observations must be finite")
     if not values.size:
         return np.empty(0), state, np.empty(0)
-    steps, level, delays, P_post = _level_pass(model, state, values)
+    return _law_pass(model, state, values, _level_pass(model, state, values))
+
+
+def _law_pass(model: StateSpaceModel, state: FilterState, values: np.ndarray, level_pass: tuple) -> tuple:
+    """What :func:`run_filter` returns, from its state half ``level_pass``
+    (what :func:`_level_pass` returns for the same model, state and values):
+    the residual law under the model's forgetting factor."""
+    steps, level, delays, P_post = level_pass
     n, lam, sums = values.size, model.forgetting, (state.w_sum, state.eta_sum, state.s_accum)
     gains = [g[1] for g in steps]  # each step's k0, the last one held past them
     if n < _LOOP_PASS:
@@ -381,12 +434,12 @@ def _select_noise(y: np.ndarray, state_dim: int) -> tuple:
     Scans the 7 ratios of ``_COARSE_RATIOS``, then the 5 of ``_FINE_STEPS``
     times the best, whose middle one is the best itself and reuses its pass;
     R is concentrated out of the likelihood analytically.  Each of the 11
-    passes runs the covariance recursion only until its fixed point, a few
-    to a few hundred steps, and the level kernel of :func:`_level_pass`
-    over the values.  The result depends only on the values and the state
-    size, never on the forgetting factor, and is always one of
-    ``SCAN_RATIOS``.  Only a first fit and the tuner scan: a refit keeps
-    its model's ratio (:func:`scan_ratio`).
+    passes runs the covariance recursion only until its fixed point or its
+    rounding cycle, a few to a few hundred steps, and the level kernel of
+    :func:`_level_pass` over the values.  The result depends only on the
+    values and the state size, never on the forgetting factor, and is
+    always one of ``SCAN_RATIOS``.  Only a first fit and the tuner scan: a
+    refit keeps its model's ratio (:func:`scan_ratio`).
     """
     x0, p0_scale = _initial_state(y, state_dim)
     passes: dict = {}
@@ -421,7 +474,7 @@ def scan_ratio(q: float, r: float) -> float:
 
 
 def fit_filtering(
-    ts: TimeSeries, config: "ModelConfig", noise_memo: Optional[dict] = None,
+    ts: TimeSeries, config: "ModelConfig", memo: Optional[dict] = None,
     ratio: Optional[float] = None,
 ) -> tuple[StateSpaceModel, FilterState, np.ndarray]:
     """Fit the noise parameters by likelihood and warm up the residual law.
@@ -437,13 +490,13 @@ def fit_filtering(
     the final state gives the bits of one pass over the training and the
     new values.
 
-    ``noise_memo`` is an optional dict that a caller fitting several
-    configurations on the same series passes to every call: the noise
-    scan's result is kept there per (transformed training values, state
-    size), and a later call with the same pair reuses it, giving the same
-    model bit for bit.  The caller owns the dict and decides how long it
-    lives; ``None`` scans every time.  A kept ratio neither reads nor
-    fills it.
+    ``memo``, a dict that a caller fitting several configurations on the
+    same series passes to every call, keeps per (transformed training
+    values, state size) what the forgetting factor never enters: the noise
+    scan's model and the state half of its training pass
+    (:func:`_level_pass`).  A later call with the same pair runs only the
+    residual law, with the same bits.  ``None`` keeps none, and a kept
+    ratio neither reads nor fills it.
     """
     if config.method != "filtering":
         raise ValueError("config has no filtering parameters")
@@ -455,22 +508,20 @@ def fit_filtering(
 
     y, offset = fit_scale(ts, config.log_scale)
     m = config.state_dim
-    x0, p0_scale = _initial_state(y, m)
-    if ratio is None:
-        memo = {} if noise_memo is None else noise_memo
-        key = (y.tobytes(), m)
-        if key not in memo:
-            memo[key] = _select_noise(y, m)
-        ratio, r_hat = memo[key]
-    else:
-        _, r_hat = _concentrated_likelihood(y, _noise_model(m, ratio, 1.0, x0, p0_scale))
-
-    r = max(r_hat, _R_FLOOR)
-    model = _noise_model(
-        m, ratio * r, r, x0, p0_scale,
-        forgetting=config.forgetting, log_scale=config.log_scale, log_offset=offset,
-    )
-    probs, state, _ = run_filter(model, y)
+    memo = {} if memo is None or ratio is not None else memo
+    key = (y.tobytes(), m)
+    if key not in memo:
+        x0, p0_scale = _initial_state(y, m)
+        if ratio is None:
+            ratio, r_hat = _select_noise(y, m)
+        else:
+            _, r_hat = _concentrated_likelihood(y, _noise_model(m, ratio, 1.0, x0, p0_scale))
+        r = max(r_hat, _R_FLOOR)
+        noise = _noise_model(m, ratio * r, r, x0, p0_scale)
+        memo[key] = noise, _level_pass(noise, FilterState.initial(noise), y)
+    noise, level_pass = memo[key]
+    model = replace(noise, forgetting=config.forgetting, log_scale=config.log_scale, log_offset=offset)
+    probs, state, _ = _law_pass(model, FilterState.initial(model), y, level_pass)
     return model, state, probs
 
 

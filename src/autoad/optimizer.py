@@ -12,7 +12,9 @@ rather than exceptions.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -104,7 +106,7 @@ def fit_detector(
     ts: TimeSeries,
     prof: Optional[DataProfile],
     config: ModelConfig,
-    noise_memo: Optional[dict] = None,
+    memo: Optional[dict] = None,
     horizon: int = 0,
     ratio: Optional[float] = None,
 ) -> tuple[Detector, np.ndarray]:
@@ -128,14 +130,14 @@ def fit_detector(
     - ``model`` is the fitted model; its ``to_dict()`` is the stored payload.
 
     Only the structural fit reads ``prof``, the profile of ``ts``; a
-    filter fit may be given None.  ``noise_memo`` and ``ratio``, the
-    filter's q/r ratio to keep (None scans for it), are handed to
-    :func:`~autoad.filtering.fit_filtering`.
+    filter fit may be given None.  ``memo`` (see :func:`tune`) is handed
+    to either fit, and ``ratio``, the filter's q/r ratio to keep (None
+    scans for it), to :func:`~autoad.filtering.fit_filtering`.
     """
     if config.method == "structural":
-        model = fit_structural(ts, prof, config)
+        model = fit_structural(ts, prof, config, memo)
         return StructuralDetector(model, horizon), in_sample_probabilities(model)
-    model, state, probs = fit_filtering(ts, config, noise_memo, ratio)
+    model, state, probs = fit_filtering(ts, config, memo, ratio)
     return FilterDetector(model, state), probs
 
 
@@ -241,15 +243,15 @@ def cost(
     labeled: LabeledSeries,
     alpha: float,
     profile: DataProfile,
-    noise_memo: Optional[dict] = None,
+    memo: Optional[dict] = None,
 ) -> float:
     """Convex combination of anomaly cross-entropy and holdout MAPE.
 
     Structural configurations pay alpha*CE + (1-alpha)*MAPE; filtering
     configurations pay CE regardless of alpha.  Any training failure (or
     a series whose missing fraction exceeds the configuration allowance)
-    is absorbed as +inf.  ``noise_memo`` is handed to :func:`fit_detector`;
-    it never changes the cost.
+    is absorbed as +inf.  ``memo`` is handed to :func:`fit_detector`; it
+    never changes the cost.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -272,7 +274,7 @@ def cost(
     holdout = series.values[n_train:]
 
     try:
-        detector, train_probs = fit_detector(train, profile, config, noise_memo, horizon=holdout.size)
+        detector, train_probs = fit_detector(train, profile, config, memo, horizon=holdout.size)
         hold_probs, preds = detector.score(np.arange(holdout.size), holdout)
     except (AutoAdError, np.linalg.LinAlgError):
         return math.inf
@@ -348,18 +350,18 @@ class _CatDensity:
     weights: list
 
     def __post_init__(self):
-        # numpy's Generator.choice(n, p=weights) arithmetic, done once: it
-        # draws one rng.random() and searches this normalised cumulative sum
-        cdf = np.cumsum(self.weights)
-        cdf /= cdf[-1]
-        object.__setattr__(self, "_cdf", cdf)
-        object.__setattr__(self, "_log_weights", np.array([math.log(w) for w in self.weights]))
+        # numpy's Generator.choice(n, p=weights) arithmetic, done once in
+        # Python floats: it draws one rng.random() and bisects this
+        # normalised cumulative sum, summed in order as np.cumsum does
+        cdf = list(accumulate(self.weights))
+        object.__setattr__(self, "_cdf", [c / cdf[-1] for c in cdf])
+        object.__setattr__(self, "_log_weights", [math.log(w) for w in self.weights])
 
     def sample(self, rng):
-        return self.choices[int(self._cdf.searchsorted(rng.random(), side="right"))]
+        return self.choices[bisect_right(self._cdf, rng.random())]
 
-    def log_pdf(self, values) -> np.ndarray:
-        return self._log_weights[[self.choices.index(v) for v in values]]
+    def log_pdf(self, values) -> list:
+        return [self._log_weights[self.choices.index(v)] for v in values]
 
 
 @dataclass(frozen=True)
@@ -401,16 +403,16 @@ class _FloatDensity:
                 return float(x)
         return dim.prior_sample(rng)
 
-    def log_pdf(self, values) -> np.ndarray:
+    def log_pdf(self, values) -> list:
         span = self.dim.hi - self.dim.lo
         if not self.xs.size:
-            return np.full(len(values), -math.log(span))
+            return [-math.log(span)] * len(values)
         bw = self.bw
         x = np.asarray(values, dtype=float)[:, None]
         kernel = np.exp(-0.5 * ((x - self.xs) / bw) ** 2) / (bw * math.sqrt(2 * math.pi))
         dens = (kernel.sum(axis=1) + 1.0 / span) / (self.xs.size + 1.0)
         # math.log, not np.log, whose vector loop may differ from libm in the last bit
-        return np.array([math.log(d) for d in np.maximum(dens, 1e-300).tolist()])
+        return [math.log(d) for d in np.maximum(dens, 1e-300).tolist()]
 
 
 def _densities(dims: list, rows: list[dict], method: Optional[str] = None) -> list:
@@ -460,9 +462,11 @@ def _sample_prior(rng, method, shared, structural, filtering) -> dict:
 def _ranked_candidates(rng, method, shared, structural, filtering, rows: list[dict],
                        costs: list[float]) -> list[tuple[float, dict]]:
     """N_EI candidates drawn from the good densities with their good/bad log
-    density ratios, best first (a stable sort).  Each density scores all
-    candidates in one call, and the scores add up in the order, and so with
-    the bits, of scoring one candidate at a time."""
+    density ratios, best first (a stable sort).  A category is drawn by
+    bisecting its density's cumulative list, as ``Generator.choice`` draws
+    it; each density scores every candidate that carries its dimension in
+    one call, and a candidate's terms add up in the order, and so with the
+    bits, of scoring it alone."""
     order = np.argsort(np.asarray(costs), kind="stable")
     n_good = max(1, math.ceil(GAMMA * len(costs)))
     good_rows = [rows[j] for j in order[:n_good]]
@@ -487,17 +491,17 @@ def _ranked_candidates(rng, method, shared, structural, filtering, rows: list[di
         cands.append(cand)
 
     methods = [cand["method"] for cand in cands]
-    score = good_method.log_pdf(methods) - bad_method.log_pdf(methods)
+    score = [g - b for g, b in zip(good_method.log_pdf(methods), bad_method.log_pdf(methods))]
     for dim, good, bad in zip(shared, good_shared, bad_shared):
         values = [cand[dim.name] for cand in cands]
-        score += good.log_pdf(values) - bad.log_pdf(values)
+        score = [s + (g - b) for s, g, b in zip(score, good.log_pdf(values), bad.log_pdf(values))]
     for name, (branch, good_branch, bad_branch) in branches.items():
         idx = [i for i, m in enumerate(methods) if m == name]
         for dim, good, bad in zip(branch, good_branch, bad_branch):
             values = [cands[i][dim.name] for i in idx]
-            score[idx] += good.log_pdf(values)
-            score[idx] -= bad.log_pdf(values)
-    return [(float(score[i]), cands[i]) for i in np.argsort(-score, kind="stable")]
+            for i, g, b in zip(idx, good.log_pdf(values), bad.log_pdf(values)):
+                score[i] = score[i] + g - b
+    return [(score[i], cands[i]) for i in sorted(range(N_EI), key=lambda i: -score[i])]
 
 
 def prepare_labeled(ts: TimeSeries, seed: int) -> tuple[LabeledSeries, DataProfile]:
@@ -523,13 +527,16 @@ def tune(
     afterwards observed trials are split at the GAMMA cost quantile,
     each dimension is density-modeled within the good and bad sets, and
     the best of N_EI candidates by good/bad density ratio whose cost is not
-    yet known is evaluated; the candidates are scored as arrays, with the
-    bits of scoring them one at a time.  Deterministic given the seed.
+    yet known is evaluated (:func:`_ranked_candidates`).  Deterministic
+    given the seed.
 
-    Filtering trials whose training values (after truncation and the log
-    transform) and state size are the same share one noise-ratio scan:
-    the forgetting factor, which is what tells them apart, never enters
-    it.  The scans are kept for this call only.
+    The trials share per-series work through one memo kept for this call
+    only: filter trials with the same training values (after truncation
+    and the log transform) and state size share the noise scan and the
+    state half of the training pass, which the forgetting factor never
+    enters (:func:`~autoad.filtering.fit_filtering`); structural trials
+    with the same differenced values and frequencies share the Fourier
+    regression (:func:`~autoad.structural.fit_structural`).
     """
     if budget < MIN_BUDGET:
         raise ValueError(f"budget must be at least {MIN_BUDGET}")
@@ -544,7 +551,7 @@ def tune(
     rows: list[dict] = []  # each trial's sampled values
     costs: list[float] = []
     cache: dict[tuple, float] = {}
-    noise_memo: dict = {}  # filtering noise scans of this call only; see fit_filtering
+    memo: dict = {}  # per-series work the trials of this call share
     missing_fraction = prof.missing_fraction
 
     for i in range(budget):
@@ -560,7 +567,7 @@ def tune(
         key = _cost_key(row, missing_fraction)
         c = cache.get(key)
         if c is None:
-            c = cost(config, labeled, alpha, profile=prof, noise_memo=noise_memo)
+            c = cost(config, labeled, alpha, profile=prof, memo=memo)
             cache[key] = c
         trials.append((config, c))
         rows.append(row)

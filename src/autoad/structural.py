@@ -212,12 +212,6 @@ def _yule_walker(r: np.ndarray, p: int) -> np.ndarray:
     return phi
 
 
-def _lags(x: np.ndarray, k: int, start: int) -> np.ndarray:
-    """Rows t = start..n-1 of x_{t-1}, ..., x_{t-k}, zero before x starts."""
-    padded = np.concatenate([np.zeros(k), x])
-    return np.column_stack([padded[start + k - i : x.size + k - i] for i in range(1, k + 1)])
-
-
 def _css_terms(u: np.ndarray, r: np.ndarray, p: int, memo: Optional[dict]) -> tuple:
     """phi, omega, d (phi, omega) / d u and the innovations at ``u``.
 
@@ -248,10 +242,14 @@ def _css_jacobian(u: np.ndarray, r: np.ndarray, p: int, memo: Optional[dict] = N
     ch. 7); the chain rule then goes through the step-up and tanh.
     """
     _, omega, dcoef, eps = _css_terms(u, r, p, memo)
-    ma = np.concatenate([[1.0], omega])
-    lagged = [_lags(lfilter([1.0], ma, r), p, p)] if p else []
-    lagged.append(_lags(lfilter([1.0], ma, eps), omega.size, p))
-    return -np.hstack(lagged) @ dcoef
+    n, q = r.size, omega.size
+    # one filter call over r (when there is an AR part) and eps; rows
+    # t = p..n-1 of their lags 1..p and 1..q, zero before the series starts
+    *fr, fe = lfilter([1.0], np.concatenate([[1.0], omega]), np.stack([r, eps] if p else [eps]))
+    lags = np.zeros((n - p, p + q))
+    for k, (x, lag) in enumerate([(fr[0], i) for i in range(1, p + 1)] + [(fe, j) for j in range(1, q + 1)]):
+        lags[max(lag - p, 0):, k] = x[max(p - lag, 0):n - lag]
+    return -lags @ dcoef
 
 
 def _fit_css(r: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -280,7 +278,16 @@ def _fit_css(r: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return phi, omega
 
 
-def fit_structural(ts: TimeSeries, profile: DataProfile, config: "ModelConfig") -> StructuralModel:
+def _regression(z: np.ndarray, d: int, frequencies: tuple) -> tuple:
+    """The Fourier regression of the differenced values ``z``, the first at
+    step ``d``: its coefficients and its residual."""
+    design = _fourier_design(np.arange(d, d + z.size, dtype=float), frequencies)
+    coef, *_ = np.linalg.lstsq(design, z, rcond=None)
+    return coef, z - design @ coef
+
+
+def fit_structural(ts: TimeSeries, profile: DataProfile, config: "ModelConfig",
+                   memo: Optional[dict] = None) -> StructuralModel:
     """Fit the structural model described by config against a profiled series.
 
     The ARMA part minimizes the CSS of the innovations after the first p:
@@ -288,6 +295,11 @@ def fit_structural(ts: TimeSeries, profile: DataProfile, config: "ModelConfig") 
     :func:`_fit_css` otherwise, whose AR polynomial is stationary and MA
     polynomial invertible at every iterate.  At every order the
     innovations are then one :func:`_css_innovations` filter.
+
+    ``memo``, a dict that a caller fitting several configurations on the
+    same series passes to every call, keeps :func:`_regression` per
+    (differenced values, d, frequencies), so a later call with the same
+    key runs only the ARMA part, with the same bits; ``None`` keeps none.
 
     Raises InsufficientData when the series cannot support the requested
     order and NonConvergence when the CSS optimization breaks down.
@@ -317,14 +329,15 @@ def fit_structural(ts: TimeSeries, profile: DataProfile, config: "ModelConfig") 
     if z.size <= p + q + 2 * l + 1:
         raise InsufficientData("differenced series too short for the requested order")
 
-    t_idx = np.arange(d, n, dtype=float)
-    design = _fourier_design(t_idx, frequencies)
-    coef, *_ = np.linalg.lstsq(design, z, rcond=None)
+    memo = {} if memo is None else memo
+    key = (z.tobytes(), d, frequencies)
+    if key not in memo:
+        memo[key] = _regression(z, d, frequencies)
+    coef, r = memo[key]
     if not np.all(np.isfinite(coef)):
         raise NonConvergence("regression produced non-finite coefficients")
     train_mean = float(coef[0])
     theta = coef[1:]
-    r = z - design @ coef
 
     phi = omega = np.zeros(0)
     if q:

@@ -19,6 +19,7 @@ from autoad.filtering import (
     _law_filter,
     _law_loop,
     _level_loop,
+    _level_pass,
     _LOOP_PASS,
     _noise_model,
     _select_noise,
@@ -592,6 +593,104 @@ class TestTrainingPass:
                 x0, p0_scale = _initial_state(y, state_dim)
                 loglik, _ = _concentrated_likelihood(y, _noise_model(state_dim, rho, 1.0, x0, p0_scale))
                 assert loglik == pytest.approx(want_loglik, rel=1e-9)
+
+
+def full_recursion(model, P, n):
+    """The covariance recursion to the end of ``n`` steps or to its fixed
+    point, one step at a time and never holding a rounding cycle: the
+    entries and the last posterior covariance."""
+    r, steps = model.R, []
+    if model.state_dim == 1:
+        q, p = model.Q.item(), P.item()
+        for _ in range(n):
+            pp = p + q
+            s = pp + r
+            k0 = pp / s
+            steps.append((s, k0, k0, k0 - 1.0))
+            p, before = (1.0 - k0) * pp, p
+            if p == before:
+                break
+        return steps, np.array([[p]])
+    (q00, q11), ((p00, p01), (_, p11)) = model.Q.diagonal().tolist(), P.tolist()
+    for _ in range(n):
+        pp00 = p00 + 2.0 * p01 + p11 + q00
+        pp01 = p01 + p11
+        pp11 = p11 + q11
+        s = pp00 + r
+        k0 = pp00 / s
+        k1 = pp01 / s
+        c = 1.0 - k0
+        steps.append((s, k0, k0 + k1, -k0, k0 + k1 - 2.0, c))
+        b00, b01, b11 = p00, p01, p11
+        p00 = c * pp00
+        p01 = c * pp01
+        p11 = pp11 - k1 * pp01
+        if p00 == b00 and p01 == b01 and p11 == b11:
+            break
+    return steps, np.array([[p00, p01], [p01, p11]])
+
+
+def counted_head(monkeypatch):
+    """The number of steps each call of the covariance loop runs, as a list
+    that fills while the patch holds."""
+    calls = []
+    head = filtering._head
+
+    def counted(*args):
+        result = head(*args)
+        calls.append(len(result[0]))
+        return result
+
+    monkeypatch.setattr(filtering, "_head", counted)
+    return calls
+
+
+class TestRoundingCycle:
+    """A level pass whose covariance ends in a rounding cycle holds the
+    cycle: the covariance arithmetic stops, and the entries, levels, delays
+    and covariance keep the bits of the full recursion."""
+
+    @given(
+        state_dim=st.sampled_from([1, 2]),
+        log_rho=st.floats(-3.0, 3.0),
+        log_p0=st.floats(-3.0, 6.0),
+        log_r=st.floats(-4.0, 4.0),
+        length=st.integers(1, 1500),
+        seed=st.integers(0, 2**16),
+    )
+    # models whose cycle is held from the third block on
+    @example(state_dim=1, log_rho=1.19, log_p0=1.04, log_r=2.39, length=1500, seed=0)
+    @example(state_dim=2, log_rho=-0.07, log_p0=5.3, log_r=-2.39, length=1500, seed=0)
+    @settings(max_examples=300, deadline=None)
+    def test_held_entries_are_the_full_recursions(self, state_dim, log_rho, log_p0, log_r, length, seed):
+        r = 10.0**log_r
+        model = _noise_model(state_dim, 10.0**log_rho * r, r, np.zeros(state_dim), 10.0**log_p0)
+        want, want_P = full_recursion(model, model.P0, length)
+        steps, P_post = _gains(model, model.P0, length)
+        assert np.array(steps).tobytes() == np.array(want).tobytes()
+        assert P_post.tobytes() == want_P.tobytes()
+
+        rng = np.random.default_rng(seed)
+        values = np.cumsum(rng.normal(0, 1, length)) + rng.normal(0, 1, length)
+        state = FilterState.initial(model)
+        _, level, delays, P_post = _level_pass(model, state, values)
+        want_level, want_delays = _level_loop(want + want[-1:] * (length - len(want)), values.tolist(),
+                                              state.delays)
+        assert np.asarray(level).tobytes() == np.array(want_level).tobytes()
+        assert delays == want_delays
+        assert P_post.tobytes() == want_P.tobytes()
+
+    @pytest.mark.parametrize("state_dim, log_rho, log_scale", [(1, -0.95, 0.0), (2, 0.5, 1.0)])
+    def test_the_cycles_of_the_pass_examples_are_held(self, state_dim, log_rho, log_scale, monkeypatch):
+        """The two rounding-cycle models of TestTrainingPass run the
+        covariance arithmetic over a few blocks of their 3,000 points."""
+        series, model = noise_scan_case(state_dim, log_rho, log_scale, seed=0)
+        want, want_P = full_recursion(model, model.P0, series.size)
+        calls = counted_head(monkeypatch)
+        steps, P_post = _gains(model, model.P0, series.size)
+        assert len(steps) == series.size and sum(calls) < series.size / 4
+        assert np.array(steps).tobytes() == np.array(want).tobytes()
+        assert P_post.tobytes() == want_P.tobytes()
 
 
 class TestFitFiltering:

@@ -1,13 +1,13 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from autoad import filtering
+from autoad import filtering, structural
 from autoad.errors import RateTooHigh
 from autoad.optimizer import (
     LabeledSeries,
@@ -611,6 +611,206 @@ class TestProposal:
         # whichever candidates' costs are known
         assert got == want
         assert a.bit_generator.state == b.bit_generator.state
+
+
+# the proposal with its categorical densities as numpy arrays, drawn by
+# ndarray.searchsorted and scored by fancy indexing, its float densities
+# returning arrays and its scores one array: the oracle the proposal's
+# candidates, scores and draws must match bit for bit
+
+
+@dataclass(frozen=True)
+class ArrayCatDensity:
+    choices: tuple
+    weights: list
+
+    def __post_init__(self):
+        cdf = np.cumsum(self.weights)
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_cdf", cdf)
+        object.__setattr__(self, "_log_weights", np.array([math.log(w) for w in self.weights]))
+
+    def sample(self, rng):
+        return self.choices[int(self._cdf.searchsorted(rng.random(), side="right"))]
+
+    def log_pdf(self, values):
+        return self._log_weights[[self.choices.index(v) for v in values]]
+
+
+@dataclass(frozen=True)
+class ArrayFloatDensity:
+    dim: _FloatDim
+    xs: np.ndarray
+    bw: float
+
+    def sample(self, rng):
+        dim, n = self.dim, self.xs.size
+        if not n or rng.random() < 1.0 / (n + 1.0):
+            return dim.prior_sample(rng)
+        center = self.xs[int(rng.integers(n))]
+        for _ in range(50):
+            x = rng.normal(center, self.bw)
+            if dim.lo <= x <= dim.hi:
+                return float(x)
+        return dim.prior_sample(rng)
+
+    def log_pdf(self, values):
+        span = self.dim.hi - self.dim.lo
+        if not self.xs.size:
+            return np.full(len(values), -math.log(span))
+        bw = self.bw
+        x = np.asarray(values, dtype=float)[:, None]
+        kernel = np.exp(-0.5 * ((x - self.xs) / bw) ** 2) / (bw * math.sqrt(2 * math.pi))
+        dens = (kernel.sum(axis=1) + 1.0 / span) / (self.xs.size + 1.0)
+        return np.array([math.log(d) for d in np.maximum(dens, 1e-300).tolist()])
+
+
+def array_densities(dims, rows, method=None):
+    densities = []
+    for dim in dims:
+        observed = [row[dim.name] for row in rows
+                    if dim.name in row and (method is None or row["method"] == method)]
+        if isinstance(dim, _CatDim):
+            densities.append(ArrayCatDensity(dim.choices, oracle_cat_weights(dim.choices, observed)))
+        else:
+            densities.append(ArrayFloatDensity(dim, np.asarray(observed, dtype=float),
+                                               oracle_bandwidth(dim.lo, dim.hi, observed)))
+    return densities
+
+
+def array_ranking(rng, method, shared, structural, filtering, rows, costs):
+    order = np.argsort(np.asarray(costs), kind="stable")
+    n_good = max(1, math.ceil(GAMMA * len(costs)))
+    good_rows = [rows[j] for j in order[:n_good]]
+    bad_rows = [rows[j] for j in order[n_good:]]
+
+    [good_method], [bad_method] = array_densities([method], good_rows), array_densities([method], bad_rows)
+    good_shared, bad_shared = array_densities(shared, good_rows), array_densities(shared, bad_rows)
+    branches = {
+        name: (dims, array_densities(dims, good_rows, name), array_densities(dims, bad_rows, name))
+        for name, dims in (("structural", structural), ("filtering", filtering))
+    }
+
+    cands = []
+    for _ in range(N_EI):
+        cand = {"method": good_method.sample(rng)}
+        for dim, good in zip(shared, good_shared):
+            cand[dim.name] = good.sample(rng)
+        branch, good_branch, _ = branches[cand["method"]]
+        for dim, good in zip(branch, good_branch):
+            cand[dim.name] = good.sample(rng)
+        cands.append(cand)
+
+    methods = [cand["method"] for cand in cands]
+    score = good_method.log_pdf(methods) - bad_method.log_pdf(methods)
+    for dim, good, bad in zip(shared, good_shared, bad_shared):
+        values = [cand[dim.name] for cand in cands]
+        score += good.log_pdf(values) - bad.log_pdf(values)
+    for name, (branch, good_branch, bad_branch) in branches.items():
+        idx = [i for i, m in enumerate(methods) if m == name]
+        for dim, good, bad in zip(branch, good_branch, bad_branch):
+            values = [cands[i][dim.name] for i in idx]
+            score[idx] += good.log_pdf(values)
+            score[idx] -= bad.log_pdf(values)
+    return [(float(score[i]), cands[i]) for i in np.argsort(-score, kind="stable")]
+
+
+@st.composite
+def proposal_histories(draw):
+    """A search space and a history of one or more trials: both branches or
+    one (the other has no rows), costs drawn from a few values (ties, inf)
+    or from an interval."""
+    prof = DataProfile(
+        change_points=draw(st.sampled_from([(), (120,), (120, 250)])),
+        fourier_terms=((1 / 24, 50.0),) * draw(st.integers(0, 3)),
+    )
+    method, shared, structural, filtering = _build_space(prof, 400)
+    methods = draw(st.sampled_from([method.choices, ("structural",), ("filtering",)]))
+    rows = []
+    for _ in range(draw(st.integers(1, 30))):
+        row = {dim.name: draw(dim_values(dim)) for dim in shared}
+        row["method"] = draw(st.sampled_from(methods))
+        branch = structural if row["method"] == "structural" else filtering
+        row.update({dim.name: draw(dim_values(dim)) for dim in branch})
+        rows.append(row)
+    cost_values = draw(st.sampled_from([
+        st.sampled_from([0.25, 0.5, math.inf]),
+        st.one_of(st.floats(0.0, 2.0), st.just(math.inf)),
+    ]))
+    costs = draw(st.lists(cost_values, min_size=len(rows), max_size=len(rows)))
+    return (method, shared, structural, filtering), rows, costs
+
+
+EXAMPLE_SPACE = _build_space(DataProfile(change_points=(120,), fourier_terms=((1 / 24, 50.0),)), 400)
+FILTER_ROW = {"log_scale": True, "truncate_at": None, "max_missing_fraction": 0.5,
+              "decision_threshold": 0.9, "method": "filtering", "state_dim": 2, "forgetting": 0.95}
+STRUCTURAL_ROW = {"log_scale": False, "truncate_at": 120, "max_missing_fraction": 0.3,
+                  "decision_threshold": 0.7, "method": "structural", "p": 1, "q": 2, "l": 1}
+
+
+def typed(ranked):
+    return [(type(score), {name: type(v) for name, v in cand.items()}) for score, cand in ranked]
+
+
+class TestProposalOracle:
+    @given(history=proposal_histories(), seed=st.integers(0, 2**32 - 1))
+    # one row, of infinite cost: a one-row good set, no bad rows and an empty branch
+    @example(history=(EXAMPLE_SPACE, [FILTER_ROW], [math.inf]), seed=0)
+    # four tied structural rows: a one-row good set picked by the stable sort
+    @example(history=(EXAMPLE_SPACE, [STRUCTURAL_ROW] * 4, [0.5] * 4), seed=1)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_array_proposal(self, history, seed):
+        """Values, candidates, their types and the generator's state, for
+        one-row good sets, tied and infinite costs and empty branches."""
+        space, rows, costs = history
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _ranked_candidates(a, *space, rows, costs)
+        want = array_ranking(b, *space, rows, costs)
+        assert got == want
+        assert typed(got) == typed(want)
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+class TestSharedWork:
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_each_key_runs_once_per_tune(self, seed, monkeypatch):
+        """One tune runs the state half of a filter training pass once per
+        (training values, state size) and the Fourier regression once per
+        (differenced values, d, frequencies); a second tune runs them all
+        again, so the memo does not outlive its call."""
+        halves, regressions = [], []
+        level_pass, regression = filtering._level_pass, structural._regression
+
+        def counted_pass(model, state, values):
+            # a training pass starts from a fitted model's initial state; the
+            # scan's models have R = 1 and a scoring pass carries sums
+            if model.R != 1.0 and state.w_sum == 0.0:
+                halves.append((values.tobytes(), model.state_dim))
+            return level_pass(model, state, values)
+
+        def counted_regression(z, d, frequencies):
+            regressions.append((z.tobytes(), d, frequencies))
+            return regression(z, d, frequencies)
+
+        monkeypatch.setattr(filtering, "_level_pass", counted_pass)
+        monkeypatch.setattr(structural, "_regression", counted_regression)
+        series = seasonal_ar_series(n=300)
+        result = tune(series, budget=16, alpha=0.5, seed=seed)
+        # a trial's training values are set by truncation and the log
+        # transform; the differenced values too, with the profile's d
+        filters = {(c.truncate_at, c.log_scale, c.state_dim, c.forgetting)
+                   for c, _ in result.trials if c.method == "filtering"}
+        fits = {(c.truncate_at, c.log_scale, c.p, c.q, c.l) for c, _ in result.trials if c.method == "structural"}
+        filter_keys = {key[:3] for key in filters}
+        fit_keys = {(key[0], key[1], key[4]) for key in fits}
+        assert len(halves) == len(set(halves)) == len(filter_keys)
+        assert len(regressions) == len(set(regressions)) == len(fit_keys)
+        assert len(filters) + len(fits) > len(filter_keys) + len(fit_keys), "no two trials share work"
+
+        again = tune(series, budget=16, alpha=0.5, seed=seed)
+        assert again.to_dict() == result.to_dict()
+        assert len(halves) == 2 * len(filter_keys)
+        assert len(regressions) == 2 * len(fit_keys)
 
 
 class TestDefaultConfig:

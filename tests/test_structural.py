@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_lyapunov, toeplitz
 from scipy.optimize import least_squares, minimize
+from scipy.signal import lfilter
 from scipy.stats import multivariate_normal
 
 from autoad import bench
@@ -22,6 +23,7 @@ from autoad.structural import (
     _css_innovations,
     _css_jacobian,
     _css_residuals,
+    _css_terms,
     _partial_autocorrelations,
     _stationary,
     _step_up,
@@ -246,6 +248,22 @@ class TestPartialAutocorrelations:
         ])
         assert np.allclose(jac, numeric, rtol=0.0, atol=1e-6 * np.max(np.abs(jac)))
 
+    @given(
+        p=st.integers(0, 3),
+        q=st.integers(1, 3),
+        n=st.integers(7, 400),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_jacobian_matches_one_filter_per_input(self, p, q, n, seed):
+        """The Jacobian's one 2-D filter and filled lag matrix give the bits
+        of one 1-D filter per input and stacked lag matrices, at p = 0,
+        q > p and q < p alike."""
+        rng = np.random.default_rng(seed)
+        r = rng.normal(0, 1, n)
+        u = rng.normal(0, 1, p + q)
+        assert np.array_equal(_css_jacobian(u, r, p), stacked_lags_jacobian(u, r, p))
+
     @pytest.mark.parametrize("p,q", [(0, 1), (1, 1), (2, 2), (3, 1)])
     def test_fit_steps_up_each_point_once(self, p, q, monkeypatch):
         """The fit's memo hands each point's coefficients and innovations
@@ -273,6 +291,22 @@ class TestPartialAutocorrelations:
         new_points = sum(1 for i, u in enumerate(asked) if i == 0 or u != asked[i - 1])
         assert len(coefficient_calls) <= new_points + 1  # the last: the coefficients at the optimum
         assert len(coefficient_calls) < 0.6 * len(asked)
+
+
+def stacked_lags_jacobian(u, r, p):
+    """d :func:`_css_residuals` / d u with one 1-D filter per input and a
+    lag matrix per input, stacked side by side."""
+
+    def lags(x, k, start):
+        # rows t = start..n-1 of x_{t-1}, ..., x_{t-k}, zero before x starts
+        padded = np.concatenate([np.zeros(k), x])
+        return np.column_stack([padded[start + k - i: x.size + k - i] for i in range(1, k + 1)])
+
+    _, omega, dcoef, eps = _css_terms(u, r, p, None)
+    ma = np.concatenate([[1.0], omega])
+    lagged = [lags(lfilter([1.0], ma, r), p, p)] if p else []
+    lagged.append(lags(lfilter([1.0], ma, eps), omega.size, p))
+    return -np.hstack(lagged) @ dcoef
 
 
 def fit_outcome(ts, profile, config):
