@@ -36,10 +36,6 @@ _R_FLOOR = 1e-10
 # 11 us at short lengths; a pass costs 0.8 us a point in the loops and 60-65
 # us through lfilter up to 80 points, and the two cross at 64-80 points
 _LOOP_PASS = 64
-# a level pass looks for a covariance rounding cycle once per block of this many
-# steps, a multiple of every period from 1 to 4: at every step, the look cost
-# the loop a fifth (local level) to two fifths (trend) of its time
-_BLOCK = 96
 # the noise scan's q/r ratios: a coarse grid, then steps around its best
 _COARSE_RATIOS = np.logspace(-3.0, 3.0, 7)
 _FINE_STEPS = np.logspace(-0.5, 0.5, 5)
@@ -191,64 +187,58 @@ def _head(model: StateSpaceModel, P: np.ndarray, delays: tuple, values: np.ndarr
     :func:`_level_loop` does.  The covariance converges to the Riccati
     fixed point (Anderson & Moore 1979, ch. 4): once a step's posterior
     covariance equals the one it started from bit for bit, every later step
-    repeats its entry, and the loop stops.  It also stops after a block of
-    ``_BLOCK`` steps that ends on the covariance it began with.  Returns
-    the entries, levels, delays and last covariance, and whether the loop
-    stopped at the fixed point.
+    repeats its entry, and the loop stops.  About one model in fifteen ends
+    in a rounding cycle of two to four covariances instead, and runs to the
+    end.  Returns the entries, levels, delays and last covariance.
     """
+    # a memoryview gives the loop its points as floats one at a time: the
+    # loop mostly stops within a few hundred points of a pass of thousands,
+    # and ndarray.tolist() would convert them all first
     r, steps, level = model.R, [], []
     entry, predicted = steps.append, level.append
     if model.state_dim == 1:
         q, p, (z0,) = model.Q.item(), P.item(), delays
-        for start in range(0, values.size, _BLOCK):
-            began = p
-            for x in values[start:start + _BLOCK].tolist():
-                pp = p + q
-                s = pp + r
-                if s <= 0.0:
-                    raise NumericalBreakdown(f"innovation variance {s} <= 0")
-                k0 = pp / s
-                a1 = k0 - 1.0
-                y = z0 + 0.0 * x
-                z0 = x * k0 - y * a1
-                predicted(y)
-                entry((s, k0, k0, a1))
-                p, before = (1.0 - k0) * pp, p
-                if p == before:
-                    return steps, level, (z0,), np.array([[p]]), True
-            if p == began:
-                break
-        return steps, level, (z0,), np.array([[p]]), False
-    (q00, q11), ((p00, p01), (_, p11)), (z0, z1) = model.Q.diagonal().tolist(), P.tolist(), delays
-    for start in range(0, values.size, _BLOCK):
-        began = p00, p01, p11
-        for x in values[start:start + _BLOCK].tolist():
-            # predict with the transition [[1, 1], [0, 1]], then update
-            pp00 = p00 + 2.0 * p01 + p11 + q00
-            pp01 = p01 + p11
-            pp11 = p11 + q11
-            s = pp00 + r
+        for x in memoryview(values):
+            pp = p + q
+            s = pp + r
             if s <= 0.0:
                 raise NumericalBreakdown(f"innovation variance {s} <= 0")
-            k0 = pp00 / s
-            k1 = pp01 / s
-            c = 1.0 - k0
-            b1 = k0 + k1
-            a1 = b1 - 2.0
+            k0 = pp / s
+            a1 = k0 - 1.0
             y = z0 + 0.0 * x
-            z0 = z1 + x * b1 - y * a1
-            z1 = x * -k0 - y * c
+            z0 = x * k0 - y * a1
             predicted(y)
-            entry((s, k0, b1, -k0, a1, c))
-            b00, b01, b11 = p00, p01, p11
-            p00 = c * pp00
-            p01 = c * pp01
-            p11 = pp11 - k1 * pp01
-            if p00 == b00 and p01 == b01 and p11 == b11:
-                return steps, level, (z0, z1), np.array([[p00, p01], [p01, p11]]), True
-        if (p00, p01, p11) == began:
+            entry((s, k0, k0, a1))
+            p, before = (1.0 - k0) * pp, p
+            if p == before:
+                break
+        return steps, level, (z0,), np.array([[p]])
+    (q00, q11), ((p00, p01), (_, p11)), (z0, z1) = model.Q.diagonal().tolist(), P.tolist(), delays
+    for x in memoryview(values):
+        # predict with the transition [[1, 1], [0, 1]], then update
+        pp00 = p00 + 2.0 * p01 + p11 + q00
+        pp01 = p01 + p11
+        pp11 = p11 + q11
+        s = pp00 + r
+        if s <= 0.0:
+            raise NumericalBreakdown(f"innovation variance {s} <= 0")
+        k0 = pp00 / s
+        k1 = pp01 / s
+        c = 1.0 - k0
+        b1 = k0 + k1
+        a1 = b1 - 2.0
+        y = z0 + 0.0 * x
+        z0 = z1 + x * b1 - y * a1
+        z1 = x * -k0 - y * c
+        predicted(y)
+        entry((s, k0, b1, -k0, a1, c))
+        b00, b01, b11 = p00, p01, p11
+        p00 = c * pp00
+        p01 = c * pp01
+        p11 = pp11 - k1 * pp01
+        if p00 == b00 and p01 == b01 and p11 == b11:
             break
-    return steps, level, (z0, z1), np.array([[p00, p01], [p01, p11]]), False
+    return steps, level, (z0, z1), np.array([[p00, p01], [p01, p11]])
 
 
 def _level_loop(steps: list, points: list, delays: tuple) -> tuple:
@@ -275,29 +265,16 @@ def _level_loop(steps: list, points: list, delays: tuple) -> tuple:
 
 def _level_pass(model: StateSpaceModel, state: FilterState, values: np.ndarray) -> tuple:
     """The state half of a pass over ``values``, at least one, which never
-    reads the forgetting factor: each step's entry of :func:`_head` (fewer
-    only at the covariance fixed point, whose last entry later steps hold),
-    each step's predicted level (a list if the pass stays in the loop, an
-    array otherwise), and the new delays and posterior covariance.
-
-    Past the fixed point the kernel is exponential smoothing for the local
-    level, Holt's method for the trend (Harvey 1989, sec. 3.3.4): a held run
-    of at least ``_LOOP_PASS`` steps is one ``lfilter`` call, a shorter one
-    :func:`_level_loop`, with the same bits.  About one model in fifteen
-    ends in a rounding cycle of covariances instead: the whole blocks left
-    after :func:`_head` stops on one repeat its last block's entries, and
-    the last, partial block runs the recursion again from that covariance,
-    so the bits are those of the full recursion.
-    """
+    reads the forgetting factor: the entries of :func:`_head`, each step's
+    predicted level (a list if the pass stays in the loop, an array
+    otherwise), and the new delays and posterior covariance.  Past the
+    covariance fixed point the gains are held and the kernel is exponential
+    smoothing for the local level, Holt's method for the trend (Harvey
+    1989, sec. 3.3.4).  A held run of at least ``_LOOP_PASS`` steps is one
+    ``lfilter`` call; a shorter one goes through :func:`_level_loop` with
+    the same bits."""
     n = values.size
-    steps, level, delays, P_post, fixed = _head(model, state.P_post, state.delays, values)
-    while not fixed and len(steps) < n:
-        # stopped on a rounding cycle: its last block repeats for the whole blocks left
-        i, held = len(steps), steps[-_BLOCK:] * ((n - len(steps)) // _BLOCK)
-        more, delays = _level_loop(held, values[i:i + len(held)].tolist(), delays)
-        entries, tail, delays, P_post, fixed = _head(model, P_post, delays, values[i + len(held):])
-        steps += held + entries
-        level += more + tail
+    steps, level, delays, P_post = _head(model, state.P_post, state.delays, values)
     rest = n - len(steps)
     if not rest:
         return steps, level, delays, P_post
@@ -308,14 +285,6 @@ def _level_pass(model: StateSpaceModel, state: FilterState, values: np.ndarray) 
     order = len(ba) // 2
     tail, zf = lfilter([0.0, *ba[:order]], [1.0, *ba[order:]], values[n - rest:], zi=delays)
     return steps, np.concatenate([level, tail]), tuple(zf.tolist()), P_post
-
-
-def _gains(model: StateSpaceModel, P: np.ndarray, n: int) -> tuple:
-    """The covariance half of the Kalman recursion, which no observation
-    enters: the entries of :func:`_level_pass` for ``n`` >= 1 steps from
-    the posterior covariance ``P``, and the last posterior covariance."""
-    steps, _, _, P_post = _level_pass(model, FilterState((0.0,) * model.state_dim, P), np.zeros(n))
-    return steps, P_post
 
 
 def _law_loop(lam: float, sums: tuple, gains: list, points: list, level: list) -> tuple:
@@ -434,12 +403,12 @@ def _select_noise(y: np.ndarray, state_dim: int) -> tuple:
     Scans the 7 ratios of ``_COARSE_RATIOS``, then the 5 of ``_FINE_STEPS``
     times the best, whose middle one is the best itself and reuses its pass;
     R is concentrated out of the likelihood analytically.  Each of the 11
-    passes runs the covariance recursion only until its fixed point or its
-    rounding cycle, a few to a few hundred steps, and the level kernel of
-    :func:`_level_pass` over the values.  The result depends only on the
-    values and the state size, never on the forgetting factor, and is
-    always one of ``SCAN_RATIOS``.  Only a first fit and the tuner scan: a
-    refit keeps its model's ratio (:func:`scan_ratio`).
+    passes runs the covariance recursion only until its fixed point, a few
+    to a few hundred steps, and the level kernel of :func:`_level_pass`
+    over the values.  The result depends only on the values and the state
+    size, never on the forgetting factor, and is always one of
+    ``SCAN_RATIOS``.  Only a first fit and the tuner scan: a refit keeps
+    its model's ratio (:func:`scan_ratio`).
     """
     x0, p0_scale = _initial_state(y, state_dim)
     passes: dict = {}
@@ -550,7 +519,7 @@ class FilterDetector:
         first delay as the level, against the residual law (mean, sd): so
         center level + mean / gain0 and scale sd / gain0."""
         state = self._state
-        [(_, gain0, *_)], _ = _gains(self.model, state.P_post, 1)
+        [(_, gain0, *_)], *_ = _head(self.model, state.P_post, state.delays, np.zeros(1))
         sd = math.sqrt(max(state.eta_var, _ETA_VAR_FLOOR))
         return state.delays[0] + state.eta_mean / gain0, sd / gain0
 

@@ -130,12 +130,12 @@ def fit_detector(
     - ``model`` is the fitted model; its ``to_dict()`` is the stored payload.
 
     Only the structural fit reads ``prof``, the profile of ``ts``; a
-    filter fit may be given None.  ``memo`` (see :func:`tune`) is handed
-    to either fit, and ``ratio``, the filter's q/r ratio to keep (None
-    scans for it), to :func:`~autoad.filtering.fit_filtering`.
+    filter fit may be given None.  ``memo`` (see :func:`tune`) and
+    ``ratio``, the filter's q/r ratio to keep (None scans for it), are
+    handed to :func:`~autoad.filtering.fit_filtering`.
     """
     if config.method == "structural":
-        model = fit_structural(ts, prof, config, memo)
+        model = fit_structural(ts, prof, config)
         return StructuralDetector(model, horizon), in_sample_probabilities(model)
     model, state, probs = fit_filtering(ts, config, memo, ratio)
     return FilterDetector(model, state), probs
@@ -530,13 +530,11 @@ def tune(
     yet known is evaluated (:func:`_ranked_candidates`).  Deterministic
     given the seed.
 
-    The trials share per-series work through one memo kept for this call
-    only: filter trials with the same training values (after truncation
-    and the log transform) and state size share the noise scan and the
-    state half of the training pass, which the forgetting factor never
-    enters (:func:`~autoad.filtering.fit_filtering`); structural trials
-    with the same differenced values and frequencies share the Fourier
-    regression (:func:`~autoad.structural.fit_structural`).
+    Filtering trials whose training values (after truncation and the log
+    transform) and state size are the same share one memo entry, kept for
+    this call only: the noise scan and the state half of the training
+    pass, which the forgetting factor, what tells them apart, never enters
+    (:func:`~autoad.filtering.fit_filtering`).
     """
     if budget < MIN_BUDGET:
         raise ValueError(f"budget must be at least {MIN_BUDGET}")
@@ -551,7 +549,7 @@ def tune(
     rows: list[dict] = []  # each trial's sampled values
     costs: list[float] = []
     cache: dict[tuple, float] = {}
-    memo: dict = {}  # per-series work the trials of this call share
+    memo: dict = {}  # filter work the trials of this call share; see fit_filtering
     missing_fraction = prof.missing_fraction
 
     for i in range(budget):

@@ -278,16 +278,7 @@ def _fit_css(r: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return phi, omega
 
 
-def _regression(z: np.ndarray, d: int, frequencies: tuple) -> tuple:
-    """The Fourier regression of the differenced values ``z``, the first at
-    step ``d``: its coefficients and its residual."""
-    design = _fourier_design(np.arange(d, d + z.size, dtype=float), frequencies)
-    coef, *_ = np.linalg.lstsq(design, z, rcond=None)
-    return coef, z - design @ coef
-
-
-def fit_structural(ts: TimeSeries, profile: DataProfile, config: "ModelConfig",
-                   memo: Optional[dict] = None) -> StructuralModel:
+def fit_structural(ts: TimeSeries, profile: DataProfile, config: "ModelConfig") -> StructuralModel:
     """Fit the structural model described by config against a profiled series.
 
     The ARMA part minimizes the CSS of the innovations after the first p:
@@ -295,11 +286,6 @@ def fit_structural(ts: TimeSeries, profile: DataProfile, config: "ModelConfig",
     :func:`_fit_css` otherwise, whose AR polynomial is stationary and MA
     polynomial invertible at every iterate.  At every order the
     innovations are then one :func:`_css_innovations` filter.
-
-    ``memo``, a dict that a caller fitting several configurations on the
-    same series passes to every call, keeps :func:`_regression` per
-    (differenced values, d, frequencies), so a later call with the same
-    key runs only the ARMA part, with the same bits; ``None`` keeps none.
 
     Raises InsufficientData when the series cannot support the requested
     order and NonConvergence when the CSS optimization breaks down.
@@ -329,15 +315,14 @@ def fit_structural(ts: TimeSeries, profile: DataProfile, config: "ModelConfig",
     if z.size <= p + q + 2 * l + 1:
         raise InsufficientData("differenced series too short for the requested order")
 
-    memo = {} if memo is None else memo
-    key = (z.tobytes(), d, frequencies)
-    if key not in memo:
-        memo[key] = _regression(z, d, frequencies)
-    coef, r = memo[key]
+    t_idx = np.arange(d, n, dtype=float)
+    design = _fourier_design(t_idx, frequencies)
+    coef, *_ = np.linalg.lstsq(design, z, rcond=None)
     if not np.all(np.isfinite(coef)):
         raise NonConvergence("regression produced non-finite coefficients")
     train_mean = float(coef[0])
     theta = coef[1:]
+    r = z - design @ coef
 
     phi = omega = np.zeros(0)
     if q:

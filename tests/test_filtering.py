@@ -14,7 +14,6 @@ from autoad.filtering import (
     StateSpaceModel,
     FilterDetector,
     _concentrated_likelihood,
-    _gains,
     _initial_state,
     _law_filter,
     _law_loop,
@@ -231,7 +230,7 @@ def per_step_select_noise(y, state_dim):
 def fixed_point_step(model, state, n):
     """How many steps the covariance recursion runs from ``state`` in a
     pass of ``n`` points; fewer than ``n`` means it reached its fixed point."""
-    return len(_gains(model, state.P_post, n)[0])
+    return len(_level_pass(model, state, np.zeros(n))[0])
 
 
 def random_model(rng, state_dim):
@@ -630,25 +629,9 @@ def full_recursion(model, P, n):
     return steps, np.array([[p00, p01], [p01, p11]])
 
 
-def counted_head(monkeypatch):
-    """The number of steps each call of the covariance loop runs, as a list
-    that fills while the patch holds."""
-    calls = []
-    head = filtering._head
-
-    def counted(*args):
-        result = head(*args)
-        calls.append(len(result[0]))
-        return result
-
-    monkeypatch.setattr(filtering, "_head", counted)
-    return calls
-
-
-class TestRoundingCycle:
-    """A level pass whose covariance ends in a rounding cycle holds the
-    cycle: the covariance arithmetic stops, and the entries, levels, delays
-    and covariance keep the bits of the full recursion."""
+class TestHead:
+    """The one loop of covariance recursion and level kernel keeps the
+    bits of the recursion run alone, then the kernel run alone."""
 
     @given(
         state_dim=st.sampled_from([1, 2]),
@@ -658,38 +641,23 @@ class TestRoundingCycle:
         length=st.integers(1, 1500),
         seed=st.integers(0, 2**16),
     )
-    # models whose cycle is held from the third block on
+    # models that end in a rounding cycle
     @example(state_dim=1, log_rho=1.19, log_p0=1.04, log_r=2.39, length=1500, seed=0)
     @example(state_dim=2, log_rho=-0.07, log_p0=5.3, log_r=-2.39, length=1500, seed=0)
     @settings(max_examples=300, deadline=None)
-    def test_held_entries_are_the_full_recursions(self, state_dim, log_rho, log_p0, log_r, length, seed):
+    def test_entries_and_levels_are_the_full_recursions(self, state_dim, log_rho, log_p0, log_r, length, seed):
         r = 10.0**log_r
         model = _noise_model(state_dim, 10.0**log_rho * r, r, np.zeros(state_dim), 10.0**log_p0)
         want, want_P = full_recursion(model, model.P0, length)
-        steps, P_post = _gains(model, model.P0, length)
-        assert np.array(steps).tobytes() == np.array(want).tobytes()
-        assert P_post.tobytes() == want_P.tobytes()
-
         rng = np.random.default_rng(seed)
         values = np.cumsum(rng.normal(0, 1, length)) + rng.normal(0, 1, length)
         state = FilterState.initial(model)
-        _, level, delays, P_post = _level_pass(model, state, values)
+        steps, level, delays, P_post = _level_pass(model, state, values)
+        assert np.array(steps).tobytes() == np.array(want).tobytes()
         want_level, want_delays = _level_loop(want + want[-1:] * (length - len(want)), values.tolist(),
                                               state.delays)
         assert np.asarray(level).tobytes() == np.array(want_level).tobytes()
         assert delays == want_delays
-        assert P_post.tobytes() == want_P.tobytes()
-
-    @pytest.mark.parametrize("state_dim, log_rho, log_scale", [(1, -0.95, 0.0), (2, 0.5, 1.0)])
-    def test_the_cycles_of_the_pass_examples_are_held(self, state_dim, log_rho, log_scale, monkeypatch):
-        """The two rounding-cycle models of TestTrainingPass run the
-        covariance arithmetic over a few blocks of their 3,000 points."""
-        series, model = noise_scan_case(state_dim, log_rho, log_scale, seed=0)
-        want, want_P = full_recursion(model, model.P0, series.size)
-        calls = counted_head(monkeypatch)
-        steps, P_post = _gains(model, model.P0, series.size)
-        assert len(steps) == series.size and sum(calls) < series.size / 4
-        assert np.array(steps).tobytes() == np.array(want).tobytes()
         assert P_post.tobytes() == want_P.tobytes()
 
 
