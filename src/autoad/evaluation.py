@@ -88,6 +88,14 @@ def level_set_volume(us, center: float, scale: float, domain, log_offset: Option
     return np.maximum(np.minimum(right, hi) - np.maximum(left, lo), 0.0)
 
 
+class Detector:
+    """Both families' level sets, written once: ``predictive``'s, through the log where the model has one."""
+
+    def level_set_volume(self, us, step: int, domain) -> np.ndarray:
+        center, scale = self.predictive(step)
+        return level_set_volume(us, center, scale, domain, self.model.log_offset if self.model.log_scale else None)
+
+
 class ScoreSample:
     """A score sample sorted once, with its distinct scores.
 

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 from scipy.signal import lfilter
 
+from .evaluation import Detector
 from .errors import InsufficientData, NumericalBreakdown
 from .series import TimeSeries, fit_scale, from_model_scale, to_model_scale
 from .stats import gaussian_anomaly_probability
@@ -494,12 +495,11 @@ def fit_filtering(
     return model, state, probs
 
 
-class FilterDetector:
+class FilterDetector(Detector):
     """A fitted filter model and its live filter state.
 
     Scoring advances the state, so consecutive batches give what one pass
-    over them would.  :meth:`state` is the stored form of the live state;
-    the step counts the structural detector needs are not used.
+    over them would.  :meth:`state` is the stored form of the live state.
     """
 
     def __init__(self, model: StateSpaceModel, state: FilterState):

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import AutoAdError, RateTooHigh
-from .filtering import FilterDetector, FilterState, StateSpaceModel, fit_filtering
+from .evaluation import Detector
+from .filtering import FilterDetector, FilterState, StateSpaceModel, fit_filtering, scan_ratio
 from .profiling import DataProfile, profile as profile_series
 from .series import TimeSeries, impute, smooth
 from .stats import mad_std
@@ -99,9 +100,6 @@ class ModelConfig:
         return cls(**{name: data[name] for name in _SHARED}, **data[f"{data['method']}_params"])
 
 
-Detector = Union[StructuralDetector, FilterDetector]
-
-
 def fit_detector(
     ts: TimeSeries,
     prof: Optional[DataProfile],
@@ -115,30 +113,55 @@ def fit_detector(
 
     Returns the detector, set to score the ``horizon`` steps after the
     end of ``ts``, and the anomaly probability of each training point.
-    Every detector has the same four members:
+    Every detector has these five members, and the engine reads no more:
 
     - ``score(steps, values) -> (probs, expected)`` scores raw values and
       gives the expected raw values; ``steps`` counts from the end of
-      training (0 is the first point after it), and a filter, which
-      advances its live state instead, ignores it;
+      training, from 0, and a detector that advances a live state ignores it;
     - ``predictive(step) -> (center, scale)`` is the Gaussian that
       ``score`` would judge the value at ``step`` by, on the model's
-      scale; it changes nothing, and the evaluation cycle's level sets
-      are its intervals;
-    - ``state()`` is the filter state to store (None for a structural
-      detector), which :func:`load_detector` takes back;
+      scale; it changes nothing;
+    - ``level_set_volume(us, step, domain)`` are the lengths in
+      ``domain`` of the raw values' level sets at ``step``;
+    - ``state()`` is the live state to store (a filter's; None for a
+      structural detector), which :func:`load_detector` takes back;
     - ``model`` is the fitted model; its ``to_dict()`` is the stored payload.
 
-    Only the structural fit reads ``prof``, the profile of ``ts``; a
-    filter fit may be given None.  ``memo`` (see :func:`tune`) and
-    ``ratio``, the filter's q/r ratio to keep (None scans for it), are
-    handed to :func:`~autoad.filtering.fit_filtering`.
+    Only a structural fit reads ``prof``, the profile of ``ts``.  ``memo``
+    (see :func:`tune`) and ``ratio``, the filter's q/r ratio to keep (None
+    scans for it), are handed to :func:`~autoad.filtering.fit_filtering`.
     """
     if config.method == "structural":
         model = fit_structural(ts, prof, config)
         return StructuralDetector(model, horizon), in_sample_probabilities(model)
     model, state, probs = fit_filtering(ts, config, memo, ratio)
     return FilterDetector(model, state), probs
+
+
+def train_detector(window: TimeSeries, config: ModelConfig, horizon: int, prof: Optional[DataProfile] = None,
+                   refits: Optional[dict] = None) -> tuple[Detector, ModelConfig, Optional[str]]:
+    """The detector a training publishes, set to score ``horizon`` steps:
+    fitted on the raw ``window`` imputed within ``config.max_missing_fraction``
+    and cut at ``config.truncate_at`` where over 30 points remain.  A
+    structural fit profiles the window unless given ``prof``.  Given
+    ``refits``, the stored payload of the model whose config this fit
+    reuses, a filter keeps its noise ratio.  A failed structural fit falls
+    back to a filter, which scans for its ratio.  Returns the detector, the
+    config it fitted and why it fell back (None if it did not).
+    """
+    if config.method == "structural" and prof is None:
+        prof = profile_series(window)
+    ratio = scan_ratio(refits["Q"][0][0], refits["R"]) if refits and refits["method"] == "filtering" else None
+    ts = impute(window, config.max_missing_fraction)
+    if config.truncate_at is not None and 0 < config.truncate_at < len(ts) - 30:
+        ts = ts.truncated(config.truncate_at)
+    try:
+        return fit_detector(ts, prof, config, horizon=horizon, ratio=ratio)[0], config, None
+    except AutoAdError as exc:
+        if config.method != "structural":
+            raise
+        config = replace(config, method="filtering", p=None, q=None, l=None)
+        return fit_detector(ts, prof, config)[0], config, f"structural fit failed: {exc}"
 
 
 def load_detector(payload: dict, filter_state: Optional[dict], horizon: int) -> Detector:

@@ -42,11 +42,10 @@ from typing import Optional
 import numpy as np
 
 from . import evaluation as ev
-from .errors import AutoAdError, DuplicateId, InvalidSpec
-from .filtering import scan_ratio
-from .optimizer import MIN_BUDGET, ModelConfig, default_config, fit_detector, load_detector, tune
+from .errors import DuplicateId, InvalidSpec
+from .optimizer import MIN_BUDGET, ModelConfig, default_config, load_detector, train_detector, tune
 from .profiling import profile as profile_series
-from .series import TimeSeries, impute, read_csv
+from .series import TimeSeries, read_csv
 from .store import Store
 
 RATE_WINDOW = 48  # scores considered by the anomaly-rate trigger
@@ -250,27 +249,25 @@ class Engine:
 
     def _detector(self, record: dict):
         """The detector of an active record, loaded once per model_id; it
-        then keeps the live state itself.  It scores the steps of the
+        then keeps its live state itself.  It scores the steps of the
         model's TTL, from ``published_at`` to just before ``expires_at``.
 
-        A filter model's live state is not stored: its state at
-        publication, the record's ``published_state``, is brought forward
-        by scoring again the observations of the model's committed rows,
-        which the scores CSV holds from the record's ``scores_offset`` on.
-        The filter gives the same bits however its stream is cut into
-        passes, so this redoes the live state exactly.
+        A live state is not stored: the record's ``published_state`` is
+        brought forward by scoring again the model's committed rows, from
+        the record's ``scores_offset`` in the scores CSV on.  A live state
+        comes out the same however its stream is cut, so this is exact.
         """
         metric_id = record["metric_id"]
         cached = self._detectors.get(metric_id)
         if cached is None or cached[0] != record["model_id"]:
             detector = load_detector(record["payload"], record["published_state"],
                                      horizon=record["expires_at"] - record["published_at"])
-            if record["published_state"] is not None:
+            if detector.state() is not None:
                 data = self.store.committed(_doc_name("scores", metric_id))
                 if metric_id not in self._logs:  # the log reloads from the same read
                     self._logs[metric_id] = self._log_of(metric_id, data)
                 observed = [float(r[2]) for r in _csv_rows(data, record["scores_offset"])]
-                if observed:  # a filter ignores the steps
+                if observed:  # a detector with a live state ignores the steps
                     detector.score(None, np.array(observed))
             cached = self._detectors[metric_id] = (record["model_id"], detector)
         return cached[1]
@@ -286,8 +283,7 @@ class Engine:
             "published_at": now,
             "expires_at": now + spec.model_ttl,
             "tune_generation": generation,
-            # a filter's state at publication (None for a structural model),
-            # and the byte offset in the scores CSV where this model's rows start
+            # the live state at publication and the scores CSV's byte offset where its rows start
             "published_state": detector.state(),
             "scores_offset": self.store.length(_doc_name("scores", spec.metric_id)),
         }
@@ -454,47 +450,24 @@ class Engine:
             health = health_doc["snapshot"]["health"] if health_doc else None
             record = self._active_record(spec.metric_id)
             generation = int(state["tune_generation"])
-            ratio = None
 
             # a red metric tunes unless its newest tune was never published
             # (its fit failed): then it refits as if it were not red
             if health == "R" and generation == (record["tune_generation"] if record else 0):
-                result = tune(
-                    data,
-                    budget=self.tune_budget,
-                    alpha=spec.alpha,
-                    seed=self._tune_seed(spec.metric_id, generation + 1),
-                )
+                result = tune(data, budget=self.tune_budget, alpha=spec.alpha,
+                              seed=self._tune_seed(spec.metric_id, generation + 1))
                 generation += 1
                 state["tune_generation"] = generation
                 self.store.put(_doc_name("state", spec.metric_id), state)
                 self.store.write(f"tunes/{spec.metric_id}-g{generation}.json", result.to_dict())
-                config, prof = result.best_config, result.profile
+                config, prof, refits = result.best_config, result.profile, None
                 outcome["tuned"] = True
             elif record is not None:
-                config = ModelConfig.from_dict(record["config"])
-                # only the structural fit reads the profile, and a filter
-                # refit keeps its model's noise ratio
-                prof = profile_series(data) if config.method == "structural" else None
-                if record["payload"]["method"] == "filtering":
-                    ratio = scan_ratio(record["payload"]["Q"][0][0], record["payload"]["R"])
+                config, prof, refits = ModelConfig.from_dict(record["config"]), None, record["payload"]
             else:
                 prof = profile_series(data)
-                config = default_config(prof, len(data))
-            prepared = impute(data, config.max_missing_fraction)
-            if config.truncate_at is not None and 0 < config.truncate_at < len(prepared) - 30:
-                prepared = prepared.truncated(config.truncate_at)
-
-            try:
-                detector, _ = fit_detector(prepared, prof, config, horizon=spec.model_ttl, ratio=ratio)
-            except AutoAdError as exc:
-                if config.method != "structural":
-                    raise
-                # keep the metric alive on a filter model rather than alert-blind
-                outcome["error"] = f"structural fit failed: {exc}"
-                config = dataclasses.replace(config, method="filtering", p=None, q=None, l=None)
-                detector, _ = fit_detector(prepared, prof, config)
-
+                config, refits = default_config(prof, len(data)), None
+            detector, config, outcome["error"] = train_detector(data, config, spec.model_ttl, prof, refits)
             self._publish_model(spec, now, detector, config, generation)
             outcome["method"] = config.method
             outcome["status"] = "trained" if outcome["error"] is None else "trained_fallback"
@@ -512,13 +485,12 @@ class Engine:
     def metric_curves(self, spec: JobSpec, now: int):
         """(mv, em) curve points for one metric, or None without history.
 
-        The curves judge the stable scores against the active model's
-        predictive Gaussian for the newest point it scored, the step
-        before ``min(now, expires_at)`` (at least its first), over the
-        observed value range padded by 10% on each side; the level-set
-        volumes are exact (:func:`~autoad.evaluation.level_set_volume`),
-        computed once over the distinct stable scores for both curves.  None means there
-        is no model or not enough stable score history yet.
+        The curves judge the stable scores by the active detector's level
+        sets at the newest point it scored, the step before ``min(now,
+        expires_at)`` (at least its first), over the observed value range
+        padded by 10% on each side, one volume call over the distinct
+        stable scores serving both curves.  None means there is no model
+        or not enough stable score history yet.
         """
         record = self._active_record(spec.metric_id)
         if record is None:
@@ -535,12 +507,8 @@ class Engine:
         # the newest point the model scored, at least its first
         step = max(min(now, int(record["expires_at"])) - int(record["published_at"]), 1) - 1
         detector = self._detector(record)
-        center, scale = detector.predictive(step)
-        model = detector.model
-        offset = model.log_offset if model.log_scale else None
-
         sample = ev.ScoreSample(scores)
-        volume = sample.shared_volume(lambda us: ev.level_set_volume(us, center, scale, domain, offset))
+        volume = sample.shared_volume(lambda us: detector.level_set_volume(us, step, domain))
         mv = ev.mv_curve(volume, sample, ev.default_alphas())
         em = ev.em_curve(volume, sample, ev.default_em_ts(sample.sorted, domain))
         return mv, em

@@ -23,6 +23,7 @@ from scipy.linalg import solve_toeplitz
 from scipy.optimize import leastsq
 from scipy.signal import lfilter, lfiltic, unit_impulse
 
+from .evaluation import Detector
 from .errors import InsufficientData, NonConvergence
 from .profiling import DataProfile
 from .series import TimeSeries, fit_scale, from_log, from_model_scale, to_model_scale
@@ -422,7 +423,7 @@ def in_sample_probabilities(model: StructuralModel) -> np.ndarray:
     return probs
 
 
-class StructuralDetector:
+class StructuralDetector(Detector):
     """A fitted structural model scored against its forecast from the end
     of training.
 

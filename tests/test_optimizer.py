@@ -35,7 +35,7 @@ from autoad.profiling import DataProfile, profile
 from autoad.series import TimeSeries, to_model_scale
 from autoad.stats import gaussian_anomaly_probability
 
-from .conftest import seasonal_ar_series
+from .conftest import grid_volume, seasonal_ar_series
 
 ts_of = TimeSeries.from_values
 
@@ -859,7 +859,9 @@ class TestDetectors:
     @pytest.mark.parametrize("method", ["structural", "filtering"])
     def test_predictive_gaussian_judges_as_a_one_point_score(self, method, log_scale):
         """The predictive (center, scale) scores candidates across the value
-        range as a one-point score from the same detector state does."""
+        range as a one-point score from the same detector state does, and
+        the detector's level-set lengths agree, within two grid spacings,
+        with a 300-point midpoint grid of its own one-point stabilities."""
         if method == "structural":
             config = ModelConfig(method="structural", log_scale=log_scale, p=2, q=1, l=1)
         else:
@@ -874,8 +876,17 @@ class TestDetectors:
             center, scale = fitted.predictive(step)
             scaled = to_model_scale(candidates, fitted.model)
             got = gaussian_anomaly_probability(scaled - center, np.full_like(scaled, scale))
-            want = []
-            for v in candidates:
-                detector = load_detector(stored["payload"], stored["state"], horizon=later.size)
-                want.append(detector.score(np.array([step]), np.array([v]))[0][0])
-            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+            def one_point(values):
+                probs = []
+                for v in values:
+                    detector = load_detector(stored["payload"], stored["state"], horizon=later.size)
+                    probs.append(detector.score(np.array([step]), np.array([v]))[0][0])
+                return np.array(probs)
+
+            assert np.allclose(got, one_point(candidates), rtol=0.0, atol=1e-12)
+            domain, n = (candidates[0], candidates[-1]), 300
+            us = np.array([0.0, 0.01, 0.05, 0.3, 0.7, 0.99, 1.0])
+            want = grid_volume(lambda xs: 1.0 - one_point(xs), domain, n)(us)
+            spacing = (domain[1] - domain[0]) / n
+            assert np.all(np.abs(fitted.level_set_volume(us, step, domain) - want) <= 2 * spacing + 1e-12)

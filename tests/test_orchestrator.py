@@ -373,12 +373,12 @@ class TestEvaluationCycle:
         from its first training on.  Its first retune is never published,
         so later trainings refit with the default config rather than tune
         again; the healthy metric beside it scores as it would alone."""
-        fit = orch.fit_detector
+        fit = orch.train_detector
 
-        def fit_unless_minutely(prepared, *args, **kwargs):
-            if prepared.step == 60:  # the failing metric's series, sampled each minute
+        def fit_unless_minutely(window, *args, **kwargs):
+            if window.step == 60:  # the failing metric's series, sampled each minute
                 raise NonConvergence("forced fit failure")
-            return fit(prepared, *args, **kwargs)
+            return fit(window, *args, **kwargs)
 
         def fleet(root, with_failing):
             eng = Engine(root, tune_budget=10, seed=1)
@@ -389,7 +389,7 @@ class TestEvaluationCycle:
 
         with fleet(tmp_path / "alone", False) as alone:
             alone.advance_clock(480)
-        monkeypatch.setattr(orch, "fit_detector", fit_unless_minutely)
+        monkeypatch.setattr(orch, "train_detector", fit_unless_minutely)
         engine = fleet(tmp_path / "fleet", True)
         evaluate, labels = engine.run_evaluation_cycle, {}
 
@@ -420,7 +420,7 @@ class TestEvaluationCycle:
         def boom(*args, **kwargs):
             raise RuntimeError("forced training failure")
 
-        monkeypatch.setattr(orch, "fit_detector", boom)
+        monkeypatch.setattr(orch, "train_detector", boom)
         engine.advance_clock(144)  # trainings at 144, 192 and 240 fail; the model expires at 196
         assert engine._active_record("m1")["model_id"] == record["model_id"]
         assert engine._scoring_state("m1")["last_training_error"] == "forced training failure"

@@ -1039,7 +1039,7 @@ class TestFailureIsolation:
             raise RuntimeError("store down")
 
         engine._scoring_state("m1")["last_scored"] = -1  # a change never written through
-        monkeypatch.setattr(orch, "fit_detector", boom)
+        monkeypatch.setattr(orch, "train_detector", boom)
         report = engine.run_training_cycle(144)
         assert report[0]["status"] == "failed"
         state = engine._scoring_state("m1")
@@ -1206,12 +1206,12 @@ class TestFailureIsolation:
         it scores nothing more, and is labelled R, naming the training's
         error, by every evaluation and at no other tick; the healthy metric
         beside it scores as it would alone."""
-        fit = orch.fit_detector
+        fit = orch.train_detector
 
-        def fit_unless_minutely(prepared, *args, **kwargs):
-            if prepared.step == 60:  # the failing metric's series, sampled each minute
+        def fit_unless_minutely(window, *args, **kwargs):
+            if window.step == 60:  # the failing metric's series, sampled each minute
                 raise NonConvergence("forced fit failure")
-            return fit(prepared, *args, **kwargs)
+            return fit(window, *args, **kwargs)
 
         def fleet(root, with_failing):
             eng = fleet_engine(root)
@@ -1232,7 +1232,7 @@ class TestFailureIsolation:
             return put(name, doc)
 
         monkeypatch.setattr(engine.store, "put", recorded)
-        monkeypatch.setattr(orch, "fit_detector", fit_unless_minutely)
+        monkeypatch.setattr(orch, "train_detector", fit_unless_minutely)
         engine.advance_clock(480 - 191)
         engine.close()
         assert sorted(puts) == list(range(192, 481, 48))
