@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 import autoad.evaluation as ev
 import autoad.optimizer as optimizer
@@ -937,6 +938,160 @@ class TestStoreAlone:
         with pytest.raises(UnsupportedStore, match="schema 2"):
             Store(tmp_path)
         assert snapshot(tmp_path) == before
+
+
+def structural_unless_minutely(ts, *args, fit=optimizer.fit_structural):
+    """A structural fit that fails on a series sampled each minute, so that
+    such a metric's every training publishes a filter."""
+    if ts.step == 60:
+        raise NonConvergence("forced failure")
+    return fit(ts, *args)
+
+
+# where a program may crash: (owner, method), the engine's or its store's
+CRASH_POINTS = [("engine", "run_scoring_cycle"), ("engine", "run_training_cycle"),
+                ("engine", "run_evaluation_cycle"), ("store", "commit"), ("store", "_checkpoint"),
+                ("store", "append")]
+TICKS = st.sampled_from([1, 8, 24, 60])  # how far a rule runs the clock
+
+
+class StoreMachine(RuleBasedStateMachine):
+    """Random engine programs, built on the store alone's round trip
+    (:class:`TestStoreAlone`): jobs registered at any tick, with random
+    cadences, TTLs, gaps, level shifts, quoted ids and model families, run
+    in chunks, reopened, crashed at the k-th call of a cycle or of a store
+    method, and read beside the running engine.  Whatever the program, the
+    store ends byte for byte as one uninterrupted engine that registers the
+    same jobs at the same ticks, and every reader opened on the way sees
+    what that engine had committed at the reader's tick."""
+
+    def __init__(self):
+        super().__init__()
+        self.tmp = tempfile.TemporaryDirectory()
+        self.root, reference = Path(self.tmp.name) / "run", Path(self.tmp.name) / "reference"
+        self.patch = pytest.MonkeyPatch()
+        self.patch.setattr(optimizer, "fit_structural", structural_unless_minutely)
+        self.engine = None  # the running engine; None once it has crashed
+        self.reference = fleet_engine(reference)  # never reopened, never crashed
+        self.specs = []
+
+    def running(self) -> Engine:
+        if self.engine is None:
+            self.engine = fleet_engine(self.root)
+        return self.engine
+
+    def reference_at(self, now: int) -> Engine:
+        """The uninterrupted engine, advanced to ``now``."""
+        if now > self.reference.now:
+            self.reference.advance_clock(now - self.reference.now)
+        assert self.reference.now == now
+        return self.reference
+
+    @precondition(lambda self: len(self.specs) < 5)
+    @rule(metric=csv_ids, n=st.integers(60, 140), seed=st.integers(0, 3), minutely=st.booleans(),
+          train_every=st.sampled_from([8, 12, 16]), score_every=st.sampled_from([1, 2, 5]),
+          ttl=st.sampled_from([0, 1, 3]), shift_at=st.none() | st.integers(40, 120),
+          gap=st.none() | st.tuples(st.integers(20, 130), st.integers(1, 8)))
+    def register(self, metric, n, seed, minutely, train_every, score_every, ttl, shift_at, gap):
+        series = make_series(n, seed, shift_at=shift_at, step=60 if minutely else 3600)
+        if gap is not None:
+            values = series.values.copy()
+            values[gap[0]:sum(gap)] = np.nan
+            series = series.with_values(values)
+        # the index makes the metric unique; a metric sampled each minute trains only filters
+        spec = orch.JobSpec(job_id=f"j{len(self.specs)}", metric_id=f"{metric}{len(self.specs)}",
+                            source={"inline": orch.series_to_doc(series)}, train_every=train_every,
+                            score_every=score_every, model_ttl=ttl * train_every)
+        engine = self.running()
+        engine.register_job(spec)
+        self.reference_at(engine.now).register_job(spec)
+        self.specs.append(spec)
+
+    @rule(k=TICKS)
+    def advance(self, k):
+        self.running().advance_clock(k)
+
+    @rule()
+    def reopen(self):
+        """Close the engine, and check that a store reopened on its
+        directory holds what it committed."""
+        engine = self.running()
+        store = engine.store
+        TestStoreAlone.reopened_equal(store, list(store._committed), list(store._lengths)).close()
+        self.engine = fleet_engine(self.root)
+
+    @rule(point=st.sampled_from(CRASH_POINTS), k=st.integers(1, 8), after=st.booleans(), steps=TICKS)
+    def crash(self, point, k, after, steps):
+        """Run ``steps`` ticks that die at the ``k``-th call of ``point``,
+        before or ``after`` it runs; the directory stays as the crash left
+        it until the next engine's first write."""
+        engine, self.engine = self.running(), None
+        owner = engine if point[0] == "engine" else engine.store
+        original, calls = getattr(owner, point[1]), []
+
+        def crashing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == k and not after:
+                raise Crash(f"before call {k} of {point[1]}")
+            result = original(*args, **kwargs)
+            if len(calls) == k:
+                raise Crash(f"after call {k} of {point[1]}")
+            return result
+
+        setattr(owner, point[1], crashing)
+        try:
+            engine.advance_clock(steps)
+        except Crash:
+            pass
+        finally:
+            engine.close()
+
+    def beside(self) -> tuple[Engine, Engine]:
+        """An engine opened on the directory beside the running one, and
+        the uninterrupted engine at its tick."""
+        reader = fleet_engine(self.root)
+        return reader, self.reference_at(reader.now)
+
+    @rule()
+    def status_beside(self):
+        before = snapshot(self.root)
+        reader, reference = self.beside()
+        assert reader.status() == reference.status()
+        assert snapshot(self.root) == before
+        assert not reader.store._handles
+
+    @precondition(lambda self: self.specs)
+    @rule()
+    def eval_beside(self):
+        """An evaluation beside the running engine labels as one of the
+        uninterrupted engine's committed store does, and writes nothing."""
+        before = snapshot(self.root)
+        reader, reference = self.beside()
+        labels = [json.dumps({m: s.to_dict() for m, s in engine.run_evaluation_cycle(engine.now).items()})
+                  for engine in (reader, fleet_engine(reference.root))]
+        assert labels[0] == labels[1]
+        assert snapshot(self.root) == before
+
+    def teardown(self):
+        try:
+            if self.engine is not None:
+                self.engine.close()
+            # one more tick runs again a tick that crashed, which rewrites the
+            # tunes/ file it may have written whole before its commit
+            engine = fleet_engine(self.root)
+            engine.advance_clock(1)
+            self.reference_at(engine.now)
+            assert snapshot(self.root) == snapshot(self.reference.root)
+            engine.close()
+        finally:
+            self.reference.close()
+            self.patch.undo()
+            self.tmp.cleanup()
+
+
+# a few programs here; CI runs 200, derandomised
+TestStoreMachine = StoreMachine.TestCase
+TestStoreMachine.settings = settings(max_examples=8, stateful_step_count=20, deadline=None)
 
 
 def gapped_series(start=100, length=6):
