@@ -1,4 +1,4 @@
-"""Command-line entry points: register, run, status, eval, bench."""
+"""Command-line entry points: register, run, status, eval, alerts, bench."""
 
 from __future__ import annotations
 
@@ -89,6 +89,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def cmd_alerts(args) -> int:
+    with _engine(args) as engine:
+        specs = [s for s in engine.jobs() if args.metric in (None, s.metric_id)]
+        if args.metric is not None and not specs:
+            print(f"unknown metric {args.metric!r}", file=sys.stderr)
+            return 2
+        print("".join(line + "\n" for spec in specs for line in engine.alerts(spec)), end="")
+    return 0
+
+
 def cmd_bench(args) -> int:
     from .reference_values import NAB_DATA_PATHS
 
@@ -143,6 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-curves")
     p.set_defaults(func=cmd_eval)
 
+    p = sub.add_parser("alerts", help="print the alerts of the committed score rows")
+    p.add_argument("--metric", help="one metric's alerts; all metrics' by default")
+    p.add_argument("--data-dir", required=True)
+    p.set_defaults(func=cmd_alerts)
+
     p = sub.add_parser("bench", help="run the NAB benchmark harness")
     p.add_argument("--nab-dir")
     p.add_argument("--datasets", help="comma-separated dataset names")
@@ -164,7 +179,7 @@ def main(argv=None) -> int:
     if args.tune_budget < MIN_BUDGET:
         parser.error(f"--tune-budget must be at least {MIN_BUDGET}")
     # only register makes a data directory, so a mistyped path is no empty store
-    if args.command in ("run", "status", "eval") and not Path(args.data_dir).is_dir():
+    if args.command in ("run", "status", "eval", "alerts") and not Path(args.data_dir).is_dir():
         print(f"{parser.prog}: error: no data directory {args.data_dir}; register a job there first",
               file=sys.stderr)
         return 2

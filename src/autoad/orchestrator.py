@@ -14,18 +14,19 @@ cycle is inspectable and re-runnable; :class:`~autoad.store.Store` makes
 every write to it (see :mod:`autoad.store` for the layout and the crash
 recovery).  Each tick, and nothing else, ends with a commit: a cycle
 called on its own leaves its changes to the same engine's next tick.  A
-tick that crashed before its commit runs again: its file and
-webhook-stub alerts come out exactly once, its stdout alerts are printed
-again (at-least-once delivery).  A metric whose score rows fail to be
-appended scores the same points at its next scoring tick, so their
-alerts, in any channel, come out at least once.
+tick that crashed before its commit runs again, and a metric whose score
+rows fail to be appended scores the same points at its next scoring
+tick: either way the rows come out exactly once, and the stdout alerts
+of their points are printed again (at-least-once delivery).
 
 What the score rows already hold is not stored twice, so a scoring
 tick's record holds only its metrics' scoring positions: the score log
 is the tail of the metric's scores CSV, and a filter model's live state
 is redone from its state at publication over the model's rows in that
 CSV (the redo-from-the-log of ARIES again), both read back when an
-engine first needs them.
+engine first needs them.  A metric's alerts are its committed rows at or
+above its ``alert_threshold`` (:meth:`Engine.alerts`), so no file holds
+them.
 """
 
 from __future__ import annotations
@@ -159,6 +160,13 @@ def _csv_rows(data: bytes, offset: int):
     return rows
 
 
+def _alert_line(metric_id: str, timestamp: int, probability: float, observed: float, expected: float,
+                channel: str) -> str:
+    """One alert as a line of JSON, without its line break."""
+    return json.dumps({"metric_id": metric_id, "timestamp": timestamp, "anomaly_probability": probability,
+                       "observed": observed, "expected": expected, "channel": channel}, sort_keys=True)
+
+
 class Engine:
     """File-backed orchestrator driven by a simulated step clock."""
 
@@ -172,11 +180,13 @@ class Engine:
         workers: int = 1,
         n_mc: int = 10_000,
     ):
-        """``workers`` and ``n_mc`` are ignored: training runs on one
+        """With ``alert_channel="stdout"`` each alert is also printed as its
+        row is scored; :meth:`alerts` reads them back in either channel.
+        ``workers`` and ``n_mc`` are ignored: training runs on one
         thread, and the evaluation volumes are exact, not sampled.  The
         two keywords stay because ``perfbench/workload.py`` passes them,
         and the benchmark harness changes only with the benchmark itself."""
-        if alert_channel not in ("stdout", "file", "webhook_stub"):
+        if alert_channel not in ("stdout", "file"):
             raise ValueError(f"unknown alert channel {alert_channel!r}")
         if tune_budget < MIN_BUDGET:
             raise ValueError(f"tune_budget must be at least {MIN_BUDGET}")
@@ -322,26 +332,15 @@ class Engine:
 
     # -- alerting -----------------------------------------------------------------
 
-    def _emit_alert(self, spec: JobSpec, timestamp: int, probability: float,
-                    observed: float, expected: float) -> dict:
-        event = {
-            "metric_id": spec.metric_id,
-            "timestamp": timestamp,
-            "anomaly_probability": probability,
-            "observed": observed,
-            "expected": expected,
-            "channel": self.alert_channel,
-        }
-        if self.alert_channel == "stdout":
-            print(json.dumps(event, sort_keys=True))
-        else:
-            name = (
-                f"{spec.metric_id}.jsonl"
-                if self.alert_channel == "file"
-                else "webhook_outbox.jsonl"
-            )
-            self.store.append(f"alerts/{name}", json.dumps(event, sort_keys=True) + "\n")
-        return event
+    def alerts(self, spec: JobSpec) -> list[str]:
+        """The metric's alerts, one JSON line per score row at or above its
+        ``alert_threshold``, oldest first: the committed rows, and this
+        engine's own since its last commit (:meth:`Store.committed`).  It
+        changes no file, and beside a running engine it reads none of that
+        engine's uncommitted rows."""
+        data = self.store.committed(_doc_name("scores", spec.metric_id))
+        return [_alert_line(spec.metric_id, int(r[1]), float(r[4]), float(r[2]), float(r[3]), "file")
+                for r in _csv_rows(data, 0) if float(r[4]) >= spec.alert_threshold]
 
     # -- scoring cycle ---------------------------------------------------------------
 
@@ -404,8 +403,8 @@ class Engine:
         timestamp = int(series.start_epoch + index * series.step)
         is_anomaly = prob >= threshold
         log.append(timestamp, prob, observed)
-        if prob >= spec.alert_threshold:
-            self._emit_alert(spec, timestamp, prob, observed, expected)
+        if prob >= spec.alert_threshold and self.alert_channel == "stdout":
+            print(_alert_line(spec.metric_id, timestamp, prob, observed, expected, "stdout"))
         return {
             "metric_id": spec.metric_id,
             "timestamp": timestamp,

@@ -1,10 +1,11 @@
 """The documents and appended files of one data directory, kept as a
 write-ahead log with redo recovery (Mohan et al., "ARIES", 1992):
 
-- ``scores/*.csv`` and ``alerts/*.jsonl`` are appended during a tick.
-  ``jobs/*.json`` and ``tunes/*.json`` are written whole, at once: a job
-  is registered outside any tick, and ``tunes/`` is never read back and
-  a replayed tick rewrites it byte for byte.
+- ``scores/*.csv`` are appended during a tick, and nothing else is: a
+  metric's alerts are read from its committed rows.  ``jobs/*.json`` and
+  ``tunes/*.json`` are written whole, at once: a job is registered
+  outside any tick, and ``tunes/`` is never read back and a replayed
+  tick rewrites it byte for byte.
 - ``meta.json`` is the checkpoint, the one file of documents: every
   metric's committed scoring state, model record and health document,
   under their store names (``state/<m>.json``, ``models/<m>.json``,
@@ -72,10 +73,10 @@ from typing import Optional
 from .errors import UnsupportedStore
 
 JOURNAL = "journal.jsonl"
-SCHEMA = 3  # the layout of meta.json and the documents in it; no other is read
-APPENDED = (("scores", "*.csv"), ("alerts", "*.jsonl"))  # files a tick appends to
-# append handles a store holds open at once: every scores and alerts file
-# and the journal of a fleet of up to 63 metrics, while six stores in one
+SCHEMA = 4  # the layout of the directory, meta.json and its documents; no other is read
+APPENDED = (("scores", "*.csv"),)  # files a tick appends to
+# append handles a store holds open at once: every scores file and the
+# journal of a fleet of up to 127 metrics, while six stores in one
 # process still leave a quarter of the usual soft limit of 1024 descriptors
 # for the files, pipes and sockets the rest of the program opens
 MAX_HANDLES = 128
@@ -131,7 +132,7 @@ class Store:
         # committed (the checkpoint's, with the journal's redone over them)
         self._pending: dict[str, dict] = {}
         self._committed: dict[str, dict] = {}
-        self._appended: set[str] = set()  # scores/ and alerts/ files appended to since the last commit
+        self._appended: set[str] = set()  # scores/ files appended to since the last commit
         self._repaired = False
         self._load()
 
@@ -235,7 +236,7 @@ class Store:
         cut short.  Idempotent."""
         if self._repaired:
             return
-        for sub in ("scores", "alerts", "tunes"):
+        for sub in ("scores", "tunes"):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
         journal = self.root / JOURNAL
         if journal.exists() and journal.stat().st_size > self._journal_end:

@@ -171,3 +171,25 @@ def test_bench_fixture_only(tmp_path, capsys):
     assert (out_dir / "roc_points.csv").exists()
     printed = capsys.readouterr().out
     assert "benchmark complete" in printed
+
+
+def test_alerts_are_the_score_rows_at_the_threshold_and_write_nothing(tmp_path, capsys):
+    job = make_job_file(tmp_path)
+    data_dir = tmp_path / "store"
+    assert main(["register", "--spec", str(job), "--data-dir", str(data_dir)]) == 0
+    assert main(["run", "--until", "240", "--data-dir", str(data_dir)]) == 0
+    capsys.readouterr()
+    before = {p: p.read_bytes() for p in data_dir.rglob("*") if p.is_file()}
+    assert main(["alerts", "--metric", "cli-metric", "--data-dir", str(data_dir)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    with open(data_dir / "scores" / "cli-metric.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if float(r["probability"]) >= 0.95]
+    assert rows
+    assert [(a["timestamp"], a["anomaly_probability"]) for a in map(json.loads, printed)] == \
+        [(int(r["timestamp"]), float(r["probability"])) for r in rows]
+    assert main(["alerts", "--data-dir", str(data_dir)]) == 0  # every metric's, the one here
+    assert capsys.readouterr().out.splitlines() == printed
+    assert main(["alerts", "--metric", "other", "--data-dir", str(data_dir)]) == 2
+    assert "unknown metric 'other'" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in data_dir.rglob("*") if p.is_file()} == before
+    assert not (data_dir / "alerts").exists()

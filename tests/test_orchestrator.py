@@ -235,6 +235,7 @@ class TestTrainingCycle:
         kept = engine._active_record("m1")["payload"]
         assert filtering.scan_ratio(kept["Q"][0][0], kept["R"]) == \
             filtering.scan_ratio(first["Q"][0][0], first["R"])
+        engine.store.commit(144)  # so the reopened engine's retune replaces the stored filter
 
         after_tune = []
 
@@ -277,26 +278,31 @@ class TestScoringCycle:
         # yields probability ~0 and no alert
         values = np.full(200, 25.0)
         series = TimeSeries.from_values(values, step=3600)
-        engine.register_job(job_for(series, metric="flat", job="jf", train_every=48, ttl=96))
+        spec = job_for(series, metric="flat", job="jf", train_every=48, ttl=96)
+        engine.register_job(spec)
         engine.run_training_cycle(96)
         records = engine.run_scoring_cycle(97)
         assert records[0]["probability"] <= 1e-9
-        assert not (engine.root / "alerts" / "flat.jsonl").exists()
+        assert engine.alerts(spec) == []
 
     def test_spike_alerts(self, engine):
         series = make_series()
         values = series.values.copy()
         values[100] += 50.0  # enormous spike well past any forecast band
         spiked = TimeSeries.from_values(values, step=3600)
-        engine.register_job(job_for(spiked, metric="spiky", job="js"))
+        spec = job_for(spiked, metric="spiky", job="js")
+        engine.register_job(spec)
         engine.run_training_cycle(96)
         records = []
         for t in range(97, 102):
             records.extend(engine.run_scoring_cycle(t))
         spike_rec = [r for r in records if r["observed"] > 40][0]
         assert spike_rec["probability"] > 0.999
-        alerts = (engine.root / "alerts" / "spiky.jsonl").read_text().splitlines()
-        assert any(json.loads(a)["observed"] > 40 for a in alerts)
+        alerts = [json.loads(a) for a in engine.alerts(spec)]
+        assert [(a["timestamp"], a["anomaly_probability"]) for a in alerts] == \
+            [(r["timestamp"], r["probability"]) for r in records if r["probability"] >= spec.alert_threshold]
+        assert any(a["observed"] > 40 and a["channel"] == "file" for a in alerts)
+        assert not (engine.root / "alerts").exists()  # no file holds them
 
     def test_a_model_scores_through_its_ttl_and_no_later(self, engine):
         """A model scores the points of its TTL, through tick expires_at,
@@ -561,12 +567,15 @@ class TestSourcesAndChannels:
         assert '"metric_id": "ch"' in out
         assert '"channel": "stdout"' in out
 
-    def test_webhook_stub_channel(self, tmp_path):
-        eng = Engine(tmp_path / "w", tune_budget=10, alert_channel="webhook_stub")
-        eng.register_job(self._spiked_job())
+    def test_stdout_alerts_are_the_view_in_their_channel(self, tmp_path, capsys):
+        """A stdout alert is printed as its row is scored, and the line is
+        the one the view reads back, but for its channel."""
+        eng = Engine(tmp_path / "s", tune_budget=10, alert_channel="stdout")
+        spec = self._spiked_job()
+        eng.register_job(spec)
         eng.advance_clock(101)
-        outbox = eng.root / "alerts" / "webhook_outbox.jsonl"
-        assert outbox.exists()
-        event = json.loads(outbox.read_text().splitlines()[0])
-        assert event["channel"] == "webhook_stub"
-        assert event["anomaly_probability"] >= 0.95
+        printed = capsys.readouterr().out.splitlines()
+        assert printed
+        assert [line.replace('"channel": "stdout"', '"channel": "file"') for line in printed] == eng.alerts(spec)
+        with pytest.raises(ValueError, match="webhook_stub"):
+            Engine(tmp_path / "w", alert_channel="webhook_stub")

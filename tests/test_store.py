@@ -36,7 +36,7 @@ from .test_orchestrator import failing_fit, job_for, make_series, mark_red
 RESTART_TICKS = 400
 TRAINING_TICKS = range(96, RESTART_TICKS + 1, 48)  # the fleet's training ticks
 RETUNE_TICK = 336  # the drifted metric's first retune, which only appends
-COMPACTION_TICK = 206  # a scoring tick whose record takes the journal past its bound
+COMPACTION_TICK = 207  # a scoring tick whose record takes the journal past its bound
 STATE_KEYS = {"last_scored", "tune_generation", "last_training_error"}
 MODEL_KEYS = {"model_id", "metric_id", "method", "payload", "config",
               "published_at", "expires_at", "tune_generation", "published_state", "scores_offset"}
@@ -222,7 +222,7 @@ class TestCrashRecovery:
             writes = crash_at_every_write(single_run, tmp_path / str(tick), monkeypatch, tick)
             names = [name for _, name in writes]
             commit = names.index("journal.jsonl")
-            assert {n.split("/")[0] for n in names[:commit]} <= {"scores", "alerts"}
+            assert {n.split("/")[0] for n in names[:commit]} <= {"scores"}
             assert writes[commit + 1:] == [("_atomic_write", "meta.json"), ("_write", "journal.jsonl")]
 
     def test_crash_at_every_write_of_the_retune_tick(self, single_run, tmp_path, monkeypatch):
@@ -232,7 +232,7 @@ class TestCrashRecovery:
         writes = crash_at_every_write(single_run, tmp_path, monkeypatch, RETUNE_TICK)
         names = [name for _, name in writes]
         assert ("_atomic_write", "tunes/drifted-g1.json") in writes
-        assert {n.split("/")[0] for n in names[:-1]} <= {"scores", "alerts", "tunes"}
+        assert {n.split("/")[0] for n in names[:-1]} <= {"scores", "tunes"}
         assert writes[-1] == ("_write", "journal.jsonl")
 
     def test_torn_journal_line_and_uncommitted_rows_are_dropped(self, tmp_path):
@@ -244,7 +244,7 @@ class TestCrashRecovery:
             fh.write('{"docs":{"state/quiet.json":{"last_sc')
         with open(tmp_path / "scores" / "quiet.csv", "a") as fh:
             fh.write("quiet,1,2.0,2.0,0.5,0,quiet-t288-g0\r\n")
-        (tmp_path / "alerts" / "fresh.jsonl").write_text("{}\n")
+        (tmp_path / "scores" / "fresh.csv").write_text(orch.SCORES_HEADER)  # a metric's first, uncommitted rows
         torn = snapshot(tmp_path)
         fresh = fleet_engine(tmp_path)
         assert fresh.now == 300
@@ -348,8 +348,7 @@ class TestCrashRecovery:
 
             monkeypatch.setattr(store, kind, write)
         engine.advance_clock(47)  # ticks 97..143 score and do not train
-        assert sorted(set(writes)) == [("_write", "alerts/drifted.jsonl"), ("_write", "alerts/quiet.jsonl"),
-                                       ("_write", "journal.jsonl"), ("_write", "scores/drifted.csv"),
+        assert sorted(set(writes)) == [("_write", "journal.jsonl"), ("_write", "scores/drifted.csv"),
                                        ("_write", "scores/quiet.csv")]
         assert writes.count(("_write", "journal.jsonl")) == 47
         assert writes.count(("_write", "scores/quiet.csv")) == 47
@@ -539,7 +538,7 @@ class TestHeldHandles:
 
         monkeypatch.setattr(store, "_write", write)
         engine.advance_clock(RESTART_TICKS)
-        assert len(written) == 5  # two scores files, two alerts files and the journal
+        assert len(written) == 3  # two scores files and the journal
         assert max(held) == 2
         assert snapshot(tmp_path) == single_run
 
@@ -615,7 +614,7 @@ class TestFailedWrites:
         carries its documents and lengths: a tick loop that counts the
         failed tick and goes on ends with the store of an uninterrupted run.
         The torn tick trains, so its models and labels are put at no other
-        tick, and no checkpoint follows it (the fleet compacts at 96 and 206)."""
+        tick, and no checkpoint follows it (the fleet compacts at 96 and 207)."""
         runs = {}
         for torn in (False, True):
             engine = fleet_engine(tmp_path / str(torn))
@@ -632,7 +631,7 @@ class TestFailedWrites:
             reopened = fleet_engine(engine.root)
             reopened.store.repair()
             files = {name: data for name, data in snapshot(engine.root).items()
-                     if name.split("/")[0] in ("scores", "alerts")}
+                     if name.split("/")[0] == "scores"}
             runs[torn] = (reopened.now, reopened.store._committed, files)
             reopened.close()
         assert runs[True][0] == 200
@@ -642,11 +641,15 @@ class TestFailedWrites:
         """The metric keeps its scoring position, so the next tick scores
         the failed tick's points again: up to and including the next
         training, which the red label makes retune, the rows are an
-        uninterrupted run's, and none is torn."""
-        rows = {}
+        uninterrupted run's, and none is torn.  The failed tick scores a
+        spike, whose alert comes out once."""
+        rows, alerts = {}, {}
+        values = make_series().values.copy()
+        values[149] += 50.0  # scored at tick 150
+        spec = job_for(TimeSeries.from_values(values, step=3600))
         for failing in (False, True):
             engine = fleet_engine(tmp_path / str(failing))
-            engine.register_job(job_for(make_series()))
+            engine.register_job(spec)
             engine.advance_clock(149)
             if failing:
                 hold_short_writes(engine, "scores/m1.csv", lambda data: engine.now == 150)
@@ -656,8 +659,11 @@ class TestFailedWrites:
                 assert engine._scoring_state("m1")["last_scored"] == 149
             engine.advance_clock(192 - 150)
             rows[failing] = (engine.root / "scores" / "m1.csv").read_bytes()
+            alerts[failing] = engine.alerts(spec)
             engine.close()
         assert rows[True] == rows[False]
+        assert alerts[True] == alerts[False]
+        assert [json.loads(line)["observed"] > 40 for line in alerts[True]].count(True) == 1
 
 
 class TestCaches:
@@ -807,7 +813,7 @@ class TestSchema:
         assert Engine(missing).status() == []
         assert not missing.exists()
 
-    @pytest.mark.parametrize("form", ["no-schema", "schema-1", "schema-2", "pre-journal"])
+    @pytest.mark.parametrize("form", ["no-schema", "schema-1", "schema-2", "schema-3", "pre-journal"])
     def test_store_of_another_schema_is_refused_unchanged(self, tmp_path, form):
         """A new store's first checkpoint writes the schema.  A store whose
         meta.json holds another schema, or none, is refused when an engine
@@ -815,14 +821,14 @@ class TestSchema:
         engine = fleet_engine(tmp_path)
         engine.register_job(job_for(make_series()))
         engine.advance_clock(1)  # the first write checkpoints the new store
-        assert json.loads((tmp_path / "meta.json").read_text())["schema"] == store.SCHEMA == 3
+        assert json.loads((tmp_path / "meta.json").read_text())["schema"] == store.SCHEMA == 4
         engine.advance_clock(99)  # a checkpoint at tick 96, then journal records
         engine.close()
         meta = json.loads((tmp_path / "meta.json").read_text())
         del meta["schema"]
         (tmp_path / "meta.json").write_text(json.dumps(
             {"no-schema": meta, "schema-1": {**meta, "schema": 1}, "schema-2": {**meta, "schema": 2},
-             "pre-journal": {"now": 96}}[form]))
+             "schema-3": {**meta, "schema": 3}, "pre-journal": {"now": 96}}[form]))
         before = snapshot(tmp_path)
         with pytest.raises(UnsupportedStore, match="new data directory"):
             fleet_engine(tmp_path)
@@ -850,7 +856,7 @@ class TestStoreAlone:
         s.repair()
         s.put("state/m.json", {"last_scored": 1})
         s.append("scores/m.csv", "header\r\n")
-        s.append("alerts/m.jsonl", "{}\n")
+        s.append("scores/n.csv", "header\r\n")
         s.commit(1)
         s.put("state/m.json", {"last_scored": 2})
         s.put("health/m.json", {"at": 2})
@@ -859,7 +865,7 @@ class TestStoreAlone:
         s.commit(3)  # a tick with no work
         s.write("tunes/m-g1.json", {"trials": [1, 2]})  # whole, at once, never journaled
         again = self.reopened_equal(s, ["state/m.json", "health/m.json", "models/m.json"],
-                                    ["scores/m.csv", "alerts/m.jsonl", "scores/other.csv"])
+                                    ["scores/m.csv", "scores/n.csv", "scores/other.csv"])
         assert (again.now, again.doc("state/m.json"), again.doc("models/m.json")) == (3, {"last_scored": 2}, None)
         assert again.committed("scores/m.csv") == b"header\r\nrow\r\n"
         assert json.loads((s.root / "tunes" / "m-g1.json").read_text()) == {"trials": [1, 2]}
@@ -873,7 +879,7 @@ class TestStoreAlone:
         s.commit(1)
         committed = snapshot(tmp_path)
         s.append("scores/m.csv", "lost\r\n")
-        s.append("alerts/new.jsonl", "{}\n")
+        s.append("scores/new.csv", "header\r\n")
         s.put("state/m.json", {"last_scored": 2})
         s.close()  # a crash before the commit of tick 2
         crashed = snapshot(tmp_path)
@@ -883,7 +889,7 @@ class TestStoreAlone:
         assert again.committed("scores/m.csv") == b"header\r\n"
         again.repair()
         assert snapshot(tmp_path) == committed
-        assert not (tmp_path / "alerts" / "new.jsonl").exists()
+        assert not (tmp_path / "scores" / "new.csv").exists()
         again.close()
 
     def test_commits_past_the_ratio_checkpoint(self, tmp_path):
@@ -1072,6 +1078,17 @@ class StoreMachine(RuleBasedStateMachine):
         assert labels[0] == labels[1]
         assert snapshot(self.root) == before
 
+    @rule(threshold=st.sampled_from([0.01, 0.5, 0.95]))
+    def alerts_beside(self, threshold):
+        """A reader's alerts, at any threshold, are those of the
+        uninterrupted engine's committed rows, and reading them writes
+        nothing.  A low threshold makes nearly every row an alert."""
+        before = snapshot(self.root)
+        reader, reference = self.beside()
+        specs = [dataclasses.replace(s, alert_threshold=threshold) for s in self.specs]
+        assert [reader.alerts(s) for s in specs] == [reference.alerts(s) for s in specs]
+        assert snapshot(self.root) == before
+
     def teardown(self):
         try:
             if self.engine is not None:
@@ -1082,6 +1099,7 @@ class StoreMachine(RuleBasedStateMachine):
             engine.advance_clock(1)
             self.reference_at(engine.now)
             assert snapshot(self.root) == snapshot(self.reference.root)
+            assert [engine.alerts(s) for s in self.specs] == [self.reference.alerts(s) for s in self.specs]
             engine.close()
         finally:
             self.reference.close()
