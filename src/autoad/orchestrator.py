@@ -16,8 +16,9 @@ recovery).  Each tick, and nothing else, ends with a commit: a cycle
 called on its own leaves its changes to the same engine's next tick.  A
 tick that crashed before its commit runs again, and a metric whose score
 rows fail to be appended scores the same points at its next scoring
-tick: either way the rows come out exactly once, and the stdout alerts
-of their points are printed again (at-least-once delivery).
+tick: either way the rows come out exactly once, and the alerts of
+their points that an engine prints as it scores (``print_alerts``) are
+printed again (at-least-once delivery).
 
 What the score rows already hold is not stored twice, so a scoring
 tick's record holds only its metrics' scoring positions: the score log
@@ -160,11 +161,10 @@ def _csv_rows(data: bytes, offset: int):
     return rows
 
 
-def _alert_line(metric_id: str, timestamp: int, probability: float, observed: float, expected: float,
-                channel: str) -> str:
+def _alert_line(metric_id: str, timestamp: int, probability: float, observed: float, expected: float) -> str:
     """One alert as a line of JSON, without its line break."""
     return json.dumps({"metric_id": metric_id, "timestamp": timestamp, "anomaly_probability": probability,
-                       "observed": observed, "expected": expected, "channel": channel}, sort_keys=True)
+                       "observed": observed, "expected": expected}, sort_keys=True)
 
 
 class Engine:
@@ -174,27 +174,25 @@ class Engine:
         self,
         data_dir,
         tune_budget: int = 20,
-        alert_channel: str = "file",
+        print_alerts: bool = False,
         seed: int = 0,
         *,
         workers: int = 1,
         n_mc: int = 10_000,
     ):
-        """With ``alert_channel="stdout"`` each alert is also printed as its
-        row is scored; :meth:`alerts` reads them back in either channel.
+        """With ``print_alerts`` each alert is also printed as its row is
+        scored, as the line :meth:`alerts` reads back.
         ``workers`` and ``n_mc`` are ignored: training runs on one
         thread, and the evaluation volumes are exact, not sampled.  The
         two keywords stay because ``perfbench/workload.py`` passes them,
         and the benchmark harness changes only with the benchmark itself."""
-        if alert_channel not in ("stdout", "file"):
-            raise ValueError(f"unknown alert channel {alert_channel!r}")
         if tune_budget < MIN_BUDGET:
             raise ValueError(f"tune_budget must be at least {MIN_BUDGET}")
         self.store = Store(data_dir)
         self.root = self.store.root
         self.now = self.store.now  # the tick being run, once advance_clock starts it
         self.tune_budget = tune_budget
-        self.alert_channel = alert_channel
+        self.print_alerts = print_alerts
         self.seed = seed
         self._series_cache: dict[str, TimeSeries] = {}
         # built from the store on first use; _forget drops a metric's log and detector
@@ -339,7 +337,7 @@ class Engine:
         changes no file, and beside a running engine it reads none of that
         engine's uncommitted rows."""
         data = self.store.committed(_doc_name("scores", spec.metric_id))
-        return [_alert_line(spec.metric_id, int(r[1]), float(r[4]), float(r[2]), float(r[3]), "file")
+        return [_alert_line(spec.metric_id, int(r[1]), float(r[4]), float(r[2]), float(r[3]))
                 for r in _csv_rows(data, 0) if float(r[4]) >= spec.alert_threshold]
 
     # -- scoring cycle ---------------------------------------------------------------
@@ -403,8 +401,8 @@ class Engine:
         timestamp = int(series.start_epoch + index * series.step)
         is_anomaly = prob >= threshold
         log.append(timestamp, prob, observed)
-        if prob >= spec.alert_threshold and self.alert_channel == "stdout":
-            print(_alert_line(spec.metric_id, timestamp, prob, observed, expected, "stdout"))
+        if prob >= spec.alert_threshold and self.print_alerts:
+            print(_alert_line(spec.metric_id, timestamp, prob, observed, expected))
         return {
             "metric_id": spec.metric_id,
             "timestamp": timestamp,

@@ -65,7 +65,7 @@ def mark_red(engine, at):
                                       "model_age_fraction": 0.1, "health": "R"}}
     stored_doc(engine.root, "health/m1.json", health)
     engine.close()
-    return Engine(engine.root, tune_budget=engine.tune_budget, alert_channel=engine.alert_channel,
+    return Engine(engine.root, tune_budget=engine.tune_budget, print_alerts=engine.print_alerts,
                   seed=engine.seed)
 
 
@@ -301,7 +301,7 @@ class TestScoringCycle:
         alerts = [json.loads(a) for a in engine.alerts(spec)]
         assert [(a["timestamp"], a["anomaly_probability"]) for a in alerts] == \
             [(r["timestamp"], r["probability"]) for r in records if r["probability"] >= spec.alert_threshold]
-        assert any(a["observed"] > 40 and a["channel"] == "file" for a in alerts)
+        assert any(a["observed"] > 40 for a in alerts)
         assert not (engine.root / "alerts").exists()  # no file holds them
 
     def test_a_model_scores_through_its_ttl_and_no_later(self, engine):
@@ -559,23 +559,28 @@ class TestSourcesAndChannels:
         values[100] += 50.0
         return job_for(TimeSeries.from_values(values, step=3600), metric="ch", job="jch")
 
-    def test_stdout_channel(self, tmp_path, capsys):
-        eng = Engine(tmp_path / "s", tune_budget=10, alert_channel="stdout")
+    def test_printed_alerts(self, tmp_path, capsys):
+        eng = Engine(tmp_path / "s", tune_budget=10, print_alerts=True)
         eng.register_job(self._spiked_job())
         eng.advance_clock(101)
         out = capsys.readouterr().out
         assert '"metric_id": "ch"' in out
-        assert '"channel": "stdout"' in out
+        assert "channel" not in out
 
-    def test_stdout_alerts_are_the_view_in_their_channel(self, tmp_path, capsys):
-        """A stdout alert is printed as its row is scored, and the line is
-        the one the view reads back, but for its channel."""
-        eng = Engine(tmp_path / "s", tune_budget=10, alert_channel="stdout")
+    def test_printed_alerts_are_the_view(self, tmp_path, capsys):
+        """An alert is printed as its row is scored, and the line is byte
+        for byte the one the view reads back."""
+        eng = Engine(tmp_path / "s", tune_budget=10, print_alerts=True)
         spec = self._spiked_job()
         eng.register_job(spec)
         eng.advance_clock(101)
         printed = capsys.readouterr().out.splitlines()
         assert printed
-        assert [line.replace('"channel": "stdout"', '"channel": "file"') for line in printed] == eng.alerts(spec)
-        with pytest.raises(ValueError, match="webhook_stub"):
-            Engine(tmp_path / "w", alert_channel="webhook_stub")
+        assert printed == eng.alerts(spec)
+
+    def test_alerts_are_not_printed_by_default(self, tmp_path, capsys):
+        eng = Engine(tmp_path / "s", tune_budget=10)
+        spec = self._spiked_job()
+        eng.register_job(spec)
+        eng.advance_clock(101)
+        assert eng.alerts(spec) and capsys.readouterr().out == ""
