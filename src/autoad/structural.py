@@ -213,20 +213,22 @@ def _yule_walker(r: np.ndarray, p: int) -> np.ndarray:
     return phi
 
 
-def _css_terms(u: np.ndarray, r: np.ndarray, p: int, memo: Optional[dict]) -> tuple:
-    """phi, omega, d (phi, omega) / d u and the innovations at ``u``.
+def _css_terms(u: np.ndarray, r: np.ndarray, p: int, memo: Optional[dict]) -> list:
+    """phi, omega, d (phi, omega) / d u and the innovations at ``u``, then
+    the Jacobian there once :func:`_css_jacobian` has asked for it.
 
     ``memo`` is a dict one fit passes to every call, or None: it keeps the
     terms of the last ``u`` asked, bit for bit, and a call at that same
     ``u`` reuses them.  Levenberg-Marquardt asks for the Jacobian at the
-    point of the residual call before it almost every time.
+    point of the residual call before it almost every time, and
+    ``leastsq`` asks for the start point's Jacobian twice.
     """
     memo = {} if memo is None else memo
     key = u.tobytes()
     if key not in memo:
         memo.clear()
         phi, omega, dcoef = _css_coefficients(u, p)
-        memo[key] = phi, omega, dcoef, _css_innovations(phi, omega, r)
+        memo[key] = [phi, omega, dcoef, _css_innovations(phi, omega, r)]
     return memo[key]
 
 
@@ -240,9 +242,13 @@ def _css_jacobian(u: np.ndarray, r: np.ndarray, p: int, memo: Optional[dict] = N
 
     d eps_t / d phi_i is -r_{t-i} and d eps_t / d omega_j is -eps_{t-j},
     each filtered through 1 / (1 + omega(B)) (Box, Jenkins & Reinsel,
-    ch. 7); the chain rule then goes through the step-up and tanh.
+    ch. 7); the chain rule then goes through the step-up and tanh.  It is
+    kept in ``memo`` beside the terms at ``u`` (:func:`_css_terms`).
     """
-    _, omega, dcoef, eps = _css_terms(u, r, p, memo)
+    terms = _css_terms(u, r, p, memo)
+    if len(terms) == 5:
+        return terms[4]
+    _, omega, dcoef, eps = terms
     n, q = r.size, omega.size
     # one filter call over r (when there is an AR part) and eps; rows
     # t = p..n-1 of their lags 1..p and 1..q, zero before the series starts
@@ -250,7 +256,8 @@ def _css_jacobian(u: np.ndarray, r: np.ndarray, p: int, memo: Optional[dict] = N
     lags = np.zeros((n - p, p + q))
     for k, (x, lag) in enumerate([(fr[0], i) for i in range(1, p + 1)] + [(fe, j) for j in range(1, q + 1)]):
         lags[max(lag - p, 0):, k] = x[max(p - lag, 0):n - lag]
-    return -lags @ dcoef
+    terms.append(-lags @ dcoef)
+    return terms[4]
 
 
 def _fit_css(r: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -275,7 +282,7 @@ def _fit_css(r: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
                     ftol=1e-12, xtol=1e-10, gtol=1e-8, maxfev=100 * n, diag=np.ones(n))
     if not np.all(np.isfinite(u)):
         raise NonConvergence("CSS optimization diverged")
-    phi, omega, _, _ = _css_terms(u, r, p, memo)
+    phi, omega = _css_terms(u, r, p, memo)[:2]
     return phi, omega
 
 

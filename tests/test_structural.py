@@ -292,6 +292,25 @@ class TestPartialAutocorrelations:
         assert len(coefficient_calls) <= new_points + 1  # the last: the coefficients at the optimum
         assert len(coefficient_calls) < 0.6 * len(asked)
 
+    @pytest.mark.parametrize("p,q", [(0, 1), (1, 1), (2, 2), (3, 1)])
+    def test_fit_computes_one_jacobian_per_point(self, p, q, monkeypatch):
+        """``leastsq`` asks for the start point's Jacobian twice, to check
+        its shape and in its first iteration; the fit's memo computes one
+        Jacobian per distinct point, so a repeated point gets the same
+        array back."""
+        r, _ = simulate_arma([0.5, -0.2, 0.1][:p], [0.4, 0.2][:q], 800, seed=p + 7 * q)
+        asked, jacobian = [], structural._css_jacobian
+
+        def recorded(u, *args):
+            asked.append((u.tobytes(), jacobian(u, *args)))
+            return asked[-1][1]
+
+        monkeypatch.setattr(structural, "_css_jacobian", recorded)
+        structural._fit_css(r, p, q)
+        assert asked[0][0] == asked[1][0]
+        # every array asked for is held here, so no two of them share an id
+        assert len({id(jac) for _, jac in asked}) == len({u for u, _ in asked}) == len(asked) - 1
+
 
 def stacked_lags_jacobian(u, r, p):
     """d :func:`_css_residuals` / d u with one 1-D filter per input and a
