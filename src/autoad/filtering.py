@@ -44,84 +44,65 @@ _FINE_STEPS = np.logspace(-0.5, 0.5, 5)
 SCAN_RATIOS = tuple(sorted({float(c * f) for c in _COARSE_RATIOS for f in _FINE_STEPS}))
 
 
+def _matrix(upper) -> list:
+    """The symmetric matrix [[a]] or [[a, b], [b, c]] of ``upper``, (a,) or (a, b, c), as nested lists."""
+    return [[upper[0]]] if len(upper) == 1 else [[upper[0], upper[1]], [upper[1], upper[2]]]
+
+
+def _diagonal(d) -> tuple:
+    """The upper triangle of the diagonal matrix of ``d``."""
+    return (d[0],) if len(d) == 1 else (d[0], 0.0, d[1])
+
+
 @dataclass(frozen=True)
 class StateSpaceModel:
     """Canonical local-level / local-linear-trend state space.
 
-    state_dim 1 is a random-walk level; state_dim 2 adds a random-walk
-    slope that feeds the level.  Q must be diagonal and non-negative (the
-    filter reads only its diagonal), P0 symmetric PSD and R positive.
+    One state is a random-walk level; two add a random-walk slope that feeds
+    it.  ``q`` holds each state's noise variance and ``p0`` the initial
+    covariance p0·I; :meth:`to_dict` writes the matrices Q and P0.
     """
 
-    state_dim: int
-    Q: np.ndarray
+    q: tuple
     R: float
-    x0: np.ndarray
-    P0: np.ndarray
+    x0: tuple
+    p0: float
     forgetting: float = 0.99
     log_scale: bool = False
     log_offset: float = 0.0
 
     def __post_init__(self):
-        if self.state_dim not in (1, 2):
-            raise ValueError("state_dim must be 1 or 2")
-        for name in ("Q", "x0", "P0"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        m = self.state_dim
-        if self.Q.shape != (m, m) or self.P0.shape != (m, m) or self.x0.shape != (m,):
-            raise ValueError("Q, P0 must be mxm and x0 length m")
-        if self.R <= 0:
+        object.__setattr__(self, "q", tuple(map(float, self.q)))
+        object.__setattr__(self, "x0", tuple(map(float, self.x0)))
+        if len(self.q) not in (1, 2) or len(self.x0) != len(self.q):
+            raise ValueError("q and x0 must have the same length, 1 or 2")
+        if not min(self.q) >= 0.0:
+            raise ValueError("q must be non-negative")
+        if not self.R > 0:
             raise ValueError("R must be positive")
-        q, p = self.Q.tolist(), self.P0.tolist()
-        if m == 2 and (q[0][1] != 0.0 or q[1][0] != 0.0):
-            raise ValueError("Q must be diagonal")
-        if not all(q[i][i] >= 0.0 for i in range(m)):
-            raise ValueError("Q must have non-negative diagonal entries")
-        if m == 2 and p[0][1] != p[1][0]:
-            raise ValueError("P0 must be symmetric")
-        # the smaller eigenvalue of a symmetric matrix of size 1 or 2, in closed form
-        a, b, c = p[0][0], p[0][-1] if m == 2 else 0.0, p[-1][-1]
-        if not 0.5 * (a + c) - math.hypot(0.5 * (a - c), b) >= -1e-10:
-            raise ValueError("P0 must be positive semi-definite")
+        if not 0.0 <= self.p0 < math.inf:
+            raise ValueError("p0 must be non-negative and finite")
+
+    @property
+    def state_dim(self) -> int:
+        return len(self.q)
 
     @classmethod
     def local_level(cls, q: float, r: float, x0: float = 0.0, p0: float = 1.0, **kw):
-        return cls(
-            state_dim=1,
-            Q=np.array([[q]]),
-            R=r,
-            x0=np.array([x0]),
-            P0=np.array([[p0]]),
-            **kw,
-        )
+        return cls(q=(q,), R=r, x0=(x0,), p0=p0, **kw)
 
     @classmethod
-    def local_linear_trend(
-        cls,
-        q_level: float,
-        q_slope: float,
-        r: float,
-        x0=(0.0, 0.0),
-        p0: float = 1.0,
-        **kw,
-    ):
-        return cls(
-            state_dim=2,
-            Q=np.diag([q_level, q_slope]).astype(float),
-            R=r,
-            x0=np.asarray(x0, dtype=float),
-            P0=np.eye(2) * p0,
-            **kw,
-        )
+    def local_linear_trend(cls, q_level: float, q_slope: float, r: float, x0=(0.0, 0.0), p0: float = 1.0, **kw):
+        return cls(q=(q_level, q_slope), R=r, x0=x0, p0=p0, **kw)
 
     def to_dict(self) -> dict:
         return {
             "method": "filtering",
             "state_dim": self.state_dim,
-            "Q": self.Q.tolist(),
+            "Q": _matrix(_diagonal(self.q)),
             "R": self.R,
-            "x0": self.x0.tolist(),
-            "P0": self.P0.tolist(),
+            "x0": list(self.x0),
+            "P0": _matrix(_diagonal((self.p0,) * self.state_dim)),
             "forgetting": self.forgetting,
             "log_scale": self.log_scale,
             "log_offset": self.log_offset,
@@ -129,35 +110,34 @@ class StateSpaceModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StateSpaceModel":
-        return cls(
-            state_dim=int(data["state_dim"]),
-            Q=np.asarray(data["Q"], dtype=float),
-            R=float(data["R"]),
-            x0=np.asarray(data["x0"], dtype=float),
-            P0=np.asarray(data["P0"], dtype=float),
-            forgetting=float(data["forgetting"]),
-            log_scale=bool(data["log_scale"]),
-            log_offset=float(data["log_offset"]),
-        )
+        """The model :meth:`to_dict` wrote; refuses a Q or P0 that no model holds."""
+        Q, P0 = data["Q"], data["P0"]
+        q, p0 = [row[i] for i, row in enumerate(Q)], P0[0][0]
+        if len(q) != data["state_dim"] or Q != _matrix(_diagonal(q)) or P0 != _matrix(_diagonal([p0] * len(q))):
+            raise ValueError("a stored Q must be diagonal and P0 a multiple of the identity")
+        return cls(q=q, R=float(data["R"]), x0=data["x0"], p0=float(p0),
+                   forgetting=float(data["forgetting"]), log_scale=bool(data["log_scale"]),
+                   log_offset=float(data["log_offset"]))
 
 
 @dataclass(frozen=True)
 class FilterState:
     """What a :func:`run_filter` pass carries to the next one: the level
     kernel's ``delays`` (the posterior level for a local level; the next
-    predicted level and minus the posterior level for a trend), the posterior
-    covariance, and the forgetting sums of weight, residuals and squares."""
+    predicted level and minus the posterior level for a trend), the
+    posterior covariance's entries ``P_post``, (p,) or (p00, p01, p11), and
+    the forgetting sums of weight, residuals and squares."""
 
     delays: tuple
-    P_post: np.ndarray
+    P_post: tuple
     w_sum: float = 0.0
     eta_sum: float = 0.0
     s_accum: float = 0.0
 
     @classmethod
     def initial(cls, model: StateSpaceModel) -> "FilterState":
-        x = model.x0.tolist()
-        return cls(delays=tuple(x) if model.state_dim == 1 else (x[0] + x[1], -x[0]), P_post=model.P0.copy())
+        x = model.x0
+        return cls(delays=x if len(x) == 1 else (x[0] + x[1], -x[0]), P_post=_diagonal((model.p0,) * len(x)))
 
     @property
     def eta_mean(self) -> float:
@@ -168,21 +148,22 @@ class FilterState:
         return self.s_accum / self.w_sum if self.w_sum else 0.0
 
     def to_dict(self) -> dict:
-        return {"delays": list(self.delays), "P_post": self.P_post.tolist(), "w_sum": self.w_sum,
+        return {"delays": list(self.delays), "P_post": _matrix(self.P_post), "w_sum": self.w_sum,
                 "eta_sum": self.eta_sum, "s_accum": self.s_accum}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FilterState":
         """The state :meth:`to_dict` wrote."""
-        return cls(delays=tuple(map(float, data["delays"])), P_post=np.asarray(data["P_post"], dtype=float),
+        return cls(delays=tuple(map(float, data["delays"])),
+                   P_post=tuple(float(v) for i, row in enumerate(data["P_post"]) for v in row[i:]),
                    w_sum=float(data["w_sum"]), eta_sum=float(data["eta_sum"]), s_accum=float(data["s_accum"]))
 
 
-def _head(model: StateSpaceModel, P: np.ndarray, delays: tuple, values: np.ndarray) -> tuple:
+def _head(model: StateSpaceModel, P: tuple, delays: tuple, values: np.ndarray) -> tuple:
     """The covariance recursion and the level kernel in one loop over
-    ``values``, from the posterior covariance ``P``.  Each step appends its
-    entry, the innovation variance s, the level gain k0 and the kernel's
-    coefficients ((s, k0, b1, a1) of b = [0, k0], a = [1, k0 - 1] for a
+    ``values``, from the posterior covariance's entries ``P``.  Each step
+    appends its entry, the innovation variance s, the level gain k0 and the
+    kernel's coefficients ((s, k0, b1, a1) of b = [0, k0], a = [1, k0 - 1] for a
     local level, (s, k0, b1, b2, a1, a2) of b = [0, k0 + k1, -k0],
     a = [1, k0 + k1 - 2, 1 - k0] for a trend), and steps the kernel as
     :func:`_level_loop` does.  The covariance converges to the Riccati
@@ -190,7 +171,8 @@ def _head(model: StateSpaceModel, P: np.ndarray, delays: tuple, values: np.ndarr
     covariance equals the one it started from bit for bit, every later step
     repeats its entry, and the loop stops.  About one model in fifteen ends
     in a rounding cycle of two to four covariances instead, and runs to the
-    end.  Returns the entries, levels, delays and last covariance.
+    end.  Returns the steps' entries, the levels, the delays and the last
+    posterior covariance, in the form of ``P``.
     """
     # a memoryview gives the loop its points as floats one at a time: the
     # loop mostly stops within a few hundred points of a pass of thousands,
@@ -198,7 +180,7 @@ def _head(model: StateSpaceModel, P: np.ndarray, delays: tuple, values: np.ndarr
     r, steps, level = model.R, [], []
     entry, predicted = steps.append, level.append
     if model.state_dim == 1:
-        q, p, (z0,) = model.Q.item(), P.item(), delays
+        (q,), (p,), (z0,) = model.q, P, delays
         for x in memoryview(values):
             pp = p + q
             s = pp + r
@@ -213,8 +195,8 @@ def _head(model: StateSpaceModel, P: np.ndarray, delays: tuple, values: np.ndarr
             p, before = (1.0 - k0) * pp, p
             if p == before:
                 break
-        return steps, level, (z0,), np.array([[p]])
-    (q00, q11), ((p00, p01), (_, p11)), (z0, z1) = model.Q.diagonal().tolist(), P.tolist(), delays
+        return steps, level, (z0,), (p,)
+    (q00, q11), (p00, p01, p11), (z0, z1) = model.q, P, delays
     for x in memoryview(values):
         # predict with the transition [[1, 1], [0, 1]], then update
         pp00 = p00 + 2.0 * p01 + p11 + q00
@@ -239,7 +221,7 @@ def _head(model: StateSpaceModel, P: np.ndarray, delays: tuple, values: np.ndarr
         p11 = pp11 - k1 * pp01
         if p00 == b00 and p01 == b01 and p11 == b11:
             break
-    return steps, level, (z0, z1), np.array([[p00, p01], [p01, p11]])
+    return steps, level, (z0, z1), (p00, p01, p11)
 
 
 def _level_loop(steps: list, points: list, delays: tuple) -> tuple:
@@ -268,7 +250,7 @@ def _level_pass(model: StateSpaceModel, state: FilterState, values: np.ndarray) 
     """The state half of a pass over ``values``, at least one, which never
     reads the forgetting factor: the entries of :func:`_head`, each step's
     predicted level (a list if the pass stays in the loop, an array
-    otherwise), and the new delays and posterior covariance.  Past the
+    otherwise), and the new delays and posterior covariance's entries.  Past the
     covariance fixed point the gains are held and the kernel is exponential
     smoothing for the local level, Holt's method for the trend (Harvey
     1989, sec. 3.3.4).  A held run of at least ``_LOOP_PASS`` steps is one
@@ -361,11 +343,9 @@ def _law_pass(model: StateSpaceModel, state: FilterState, values: np.ndarray, le
     return np.asarray(probs), FilterState(delays, P_post, *sums), np.asarray(level)
 
 
-def _noise_model(state_dim: int, q: float, r: float, x0: np.ndarray, p0: float, **kw) -> StateSpaceModel:
+def _noise_model(state_dim: int, q: float, r: float, x0, p0: float, **kw) -> StateSpaceModel:
     """Local level, or local linear trend with slope noise two orders below level noise."""
-    if state_dim == 1:
-        return StateSpaceModel.local_level(q=q, r=r, x0=float(x0[0]), p0=p0, **kw)
-    return StateSpaceModel.local_linear_trend(q_level=q, q_slope=q * 0.01, r=r, x0=x0, p0=p0, **kw)
+    return StateSpaceModel(q=(q, q * 0.01)[:state_dim], R=r, x0=x0, p0=p0, **kw)
 
 
 def _concentrated_likelihood(values: np.ndarray, model: StateSpaceModel):

@@ -151,7 +151,8 @@ def train_detector(window: TimeSeries, config: ModelConfig, horizon: int, prof: 
     """
     if config.method == "structural" and prof is None:
         prof = profile_series(window)
-    ratio = scan_ratio(refits["Q"][0][0], refits["R"]) if refits and refits["method"] == "filtering" else None
+    kept = StateSpaceModel.from_dict(refits) if refits and refits["method"] == "filtering" else None
+    ratio = None if kept is None else scan_ratio(kept.q[0], kept.R)
     ts = impute(window, config.max_missing_fraction)
     if config.truncate_at is not None and 0 < config.truncate_at < len(ts) - 30:
         ts = ts.truncated(config.truncate_at)

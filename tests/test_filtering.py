@@ -45,22 +45,22 @@ def filtering_config(state_dim=1, forgetting=0.99, log_scale=False):
 def oracle_recursion(model, observations):
     """Textbook Kalman recursion written directly with numpy matrix ops.
 
-    Starts from the model's x0/P0 and builds the observation row A and
+    Starts from the model's x0 and p0·I and builds the observation row A and
     transition C from ``state_dim``.  Each step's level residual (the
     posterior minus the prior level) is scored, before it is absorbed,
     against the exponentially weighted mean and variance of the earlier
     residuals, summed out in full with weights forgetting**age, through
     the two-sided Gaussian tail erf(|z| / sqrt 2) with the variance
-    floored at 1e-12.  Returns the final x and P, each step's
+    floored at 1e-12.  Returns the final x, P's upper triangle, each step's
     probability, level residual, innovation and innovation variance,
     and the final residual mean and variance.
     """
     m = model.state_dim
     A = np.eye(1, m)
     C = np.array([[1.0]]) if m == 1 else np.array([[1.0, 1.0], [0.0, 1.0]])
-    Q, R, lam = model.Q, model.R, model.forgetting
+    Q, R, lam = np.diag(model.q), model.R, model.forgetting
     x = np.array(model.x0, dtype=float)
-    P = np.array(model.P0, dtype=float)
+    P = model.p0 * np.eye(m)
     I = np.eye(m)
     etas, innovations, variances = [], [], []
     for y in observations:
@@ -90,7 +90,7 @@ def oracle_recursion(model, observations):
     probs = np.array([math.erf(v / math.sqrt(2.0)) for v in z])
     return {
         "x": x,
-        "P": P,
+        "P": P[np.triu_indices(m)],
         "probs": probs,
         "etas": e,
         "innovations": np.array(innovations),
@@ -109,25 +109,40 @@ def posterior(state):
     return np.array([-z1, z0 + z1])
 
 
+def initial_covariance(model):
+    """The entries of the initial covariance p0·I: (p0,) or (p0, 0, p0)."""
+    return (model.p0,) if model.state_dim == 1 else (model.p0, 0.0, model.p0)
+
+
+def covariance(entries):
+    """The symmetric matrix of a covariance's entries (p,) or (p00, p01, p11)."""
+    if len(entries) == 1:
+        return np.array([entries])
+    p00, p01, p11 = entries
+    return np.array([[p00, p01], [p01, p11]])
+
+
 def sized(m, x0, x1, p00, p01, p11):
-    """(x, P) of size ``m`` from the local linear trend's entries."""
+    """(x, P's entries) of size ``m`` from the local linear trend's entries."""
     if m == 1:
-        return np.array([x0]), np.array([[p00]])
-    return np.array([x0, x1]), np.array([[p00, p01], [p01, p11]])
+        return np.array([x0]), (p00,)
+    return np.array([x0, x1]), (p00, p01, p11)
 
 
 def reference_kalman_pass(model, x, P, values):
     """Every step of the Kalman predict/update recursion in its textbook
     state form, covariance included, with per-step lists, from the
     posterior (x, P): the reference the level kernel must match to
-    rounding.  Returns the per-step predicted level, level residual,
+    rounding.  ``P`` holds the covariance's entries, (p,) or (p00, p01,
+    p11).  Returns the per-step predicted level, level residual,
     innovation and innovation variance, then the last posterior and prior
-    as (x, P) of the model's size; ``values`` holds at least one point."""
+    as (x, P's entries) of the model's size; ``values`` holds at least one
+    point."""
     m = model.state_dim
-    q00, q11 = (model.Q.item(), 0.0) if m == 1 else model.Q.diagonal().tolist()
+    q00, q11 = (*model.q, 0.0)[:2]
     r = model.R
-    x0, x1 = (x.item(), 0.0) if m == 1 else x.tolist()
-    p00, p01, p11 = (P.item(), 0.0, 0.0) if m == 1 else (P[0, 0], P[0, 1], P[1, 1])
+    x0, x1 = (*x, 0.0)[:2]
+    p00, p01, p11 = (*P, 0.0, 0.0)[:3]
     n = len(values)
     level, eta, innovation, s_innov = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
     for i, y in enumerate(values):
@@ -160,7 +175,7 @@ def reference_kalman_pass(model, x, P, values):
 def reference_likelihood(values, model):
     """The concentrated likelihood from the reference pass's per-step
     lists, summed in order by ``np.cumsum``."""
-    _, _, nu, s, _, _ = reference_kalman_pass(model, model.x0, model.P0, values.tolist())
+    _, _, nu, s, _, _ = reference_kalman_pass(model, model.x0, initial_covariance(model), values.tolist())
     sum_log_s = float(np.cumsum(list(map(math.log, s)))[-1])
     nu, s = np.array(nu), np.array(s)
     sum_ratio = float(np.cumsum(nu * nu / s)[-1])
@@ -194,7 +209,7 @@ def reference_training_pass(model, values):
     the per-step weighted Welford recursion over its level residuals: the
     probabilities, final state entries and levels a training pass must
     match to rounding."""
-    level, eta, _, _, (x, P), _ = reference_kalman_pass(model, model.x0, model.P0, values.tolist())
+    level, eta, _, _, (x, P), _ = reference_kalman_pass(model, model.x0, initial_covariance(model), values.tolist())
     lam = model.forgetting
     w_sum = mean = s_accum = var = 0.0
     probs = []
@@ -263,7 +278,7 @@ def oracle_deviation(model, ys) -> float:
     oracle = oracle_recursion(model, ys)
     return max(
         float(np.max(np.abs(posterior(state) - oracle["x"]))),
-        float(np.max(np.abs(state.P_post - oracle["P"]))),
+        float(np.max(np.abs(np.subtract(state.P_post, oracle["P"])))),
         float(np.max(np.abs(probs - oracle["probs"]))),
         abs(state.eta_mean - oracle["eta_mean"]),
         abs(state.eta_var - oracle["eta_var"]),
@@ -277,7 +292,7 @@ class TestKalmanStep:
         k = 1.1 / 2.1
         assert state.delays[0] == pytest.approx(k, rel=1e-12)
         assert state.delays[0] - level[0] == pytest.approx(k, rel=1e-12)
-        assert state.P_post[0, 0] == pytest.approx((1 - k) * 1.1)
+        assert state.P_post[0] == pytest.approx((1 - k) * 1.1)
         assert level.tolist() == [0.0]
 
     def test_noiseless_constant_tracking(self):
@@ -329,15 +344,15 @@ class TestKalmanStep:
         assert state.to_dict() == whole_state.to_dict()
 
     def test_covariances_stay_symmetric_psd_long_run(self, rng):
-        """10^5 randomized steps across fresh models keep P symmetric PSD."""
+        """10^5 randomized steps across fresh models keep P PSD; its
+        entries hold a symmetric P by their form."""
         steps_total = 0
         while steps_total < 100_000:
             model = random_model(rng, 2 if steps_total % 2 else 1)
             state = FilterState.initial(model)
             for chunk in rng.normal(0, 5, (100, 100)):
                 _, state, _ = run_filter(model, chunk, state)
-                assert np.array_equal(state.P_post, state.P_post.T)
-                assert np.linalg.eigvalsh(state.P_post).min() >= -1e-12
+                assert np.linalg.eigvalsh(covariance(state.P_post)).min() >= -1e-12
             steps_total += 10_000
 
     def test_rejects_non_finite_observation(self):
@@ -555,7 +570,7 @@ class TestTrainingPass:
         assert np.max(np.abs(level - want_level)) <= 1e-9 * np.max(np.abs(want_level))
         for got, key in ((posterior(state), "x_post"), (state.P_post, "P_post")):
             expected = want[key]
-            assert np.max(np.abs(got - expected)) <= 1e-9 * np.max(np.abs(expected)), key
+            assert np.max(np.abs(np.subtract(got, expected))) <= 1e-9 * np.max(np.abs(expected)), key
         sd = math.sqrt(want["eta_var"])
         assert abs(state.eta_mean - want["eta_mean"]) <= 1e-9 * max(abs(want["eta_mean"]), sd)
         for key in ("eta_var", "w_sum", "s_accum"):
@@ -597,10 +612,10 @@ class TestTrainingPass:
 def full_recursion(model, P, n):
     """The covariance recursion to the end of ``n`` steps or to its fixed
     point, one step at a time and never holding a rounding cycle: the
-    entries and the last posterior covariance."""
+    entries and the last posterior covariance's entries."""
     r, steps = model.R, []
     if model.state_dim == 1:
-        q, p = model.Q.item(), P.item()
+        (q,), (p,) = model.q, P
         for _ in range(n):
             pp = p + q
             s = pp + r
@@ -609,8 +624,8 @@ def full_recursion(model, P, n):
             p, before = (1.0 - k0) * pp, p
             if p == before:
                 break
-        return steps, np.array([[p]])
-    (q00, q11), ((p00, p01), (_, p11)) = model.Q.diagonal().tolist(), P.tolist()
+        return steps, (p,)
+    (q00, q11), (p00, p01, p11) = model.q, P
     for _ in range(n):
         pp00 = p00 + 2.0 * p01 + p11 + q00
         pp01 = p01 + p11
@@ -626,7 +641,7 @@ def full_recursion(model, P, n):
         p11 = pp11 - k1 * pp01
         if p00 == b00 and p01 == b01 and p11 == b11:
             break
-    return steps, np.array([[p00, p01], [p01, p11]])
+    return steps, (p00, p01, p11)
 
 
 class TestHead:
@@ -648,7 +663,7 @@ class TestHead:
     def test_entries_and_levels_are_the_full_recursions(self, state_dim, log_rho, log_p0, log_r, length, seed):
         r = 10.0**log_r
         model = _noise_model(state_dim, 10.0**log_rho * r, r, np.zeros(state_dim), 10.0**log_p0)
-        want, want_P = full_recursion(model, model.P0, length)
+        want, want_P = full_recursion(model, initial_covariance(model), length)
         rng = np.random.default_rng(seed)
         values = np.cumsum(rng.normal(0, 1, length)) + rng.normal(0, 1, length)
         state = FilterState.initial(model)
@@ -658,7 +673,7 @@ class TestHead:
                                               state.delays)
         assert np.asarray(level).tobytes() == np.array(want_level).tobytes()
         assert delays == want_delays
-        assert P_post.tobytes() == want_P.tobytes()
+        assert np.array(P_post).tobytes() == np.array(want_P).tobytes()
 
 
 class TestFitFiltering:
@@ -668,7 +683,7 @@ class TestFitFiltering:
         level = np.cumsum(rng.normal(0, math.sqrt(0.1), n))
         y = level + rng.normal(0, 1.0, n)
         model, _, _ = fit_filtering(ts_of(y), filtering_config())
-        ratio = model.Q[0, 0] / model.R
+        ratio = model.q[0] / model.R
         assert 0.1 / 3 <= ratio <= 0.1 * 3
 
     def test_constant_series_floors(self):
@@ -679,7 +694,7 @@ class TestFitFiltering:
     def test_white_noise_prediction_variance(self, rng):
         y = rng.normal(0, 1, 1000)
         model, state, probs = fit_filtering(ts_of(y), filtering_config())
-        pred_var = state.P_post[0, 0] + model.Q[0, 0] + model.R
+        pred_var = state.P_post[0] + model.q[0] + model.R
         assert 0.8 <= pred_var <= 1.2
         # the warm-up pass is a run_filter over the training values
         again, again_state, _ = run_filter(model, y)
@@ -783,11 +798,11 @@ class TestKeptRatio:
         y = 50.0 + np.cumsum(rng.normal(0, 0.5, 600)) + rng.normal(0, 1, 600)
         config = filtering_config(state_dim, 0.99, log_scale)
         model, state, probs = fit_filtering(ts_of(y), config)
-        rho = scan_ratio(model.Q[0, 0], model.R)
+        rho = scan_ratio(model.q[0], model.R)
         assert rho == _select_noise(fit_scale(ts_of(y), log_scale)[0], state_dim)[0]
         kept, kept_state, kept_probs = fit_filtering(ts_of(y), config, ratio=rho)
-        for name in ("Q", "x0", "P0"):
-            assert (getattr(kept, name) == getattr(model, name)).all()
+        for name in ("q", "x0", "p0"):
+            assert getattr(kept, name) == getattr(model, name)
         assert kept.R == model.R and kept.to_dict() == model.to_dict()
         assert (kept_probs == probs).all() and kept_state.to_dict() == state.to_dict()
 
@@ -797,7 +812,7 @@ class TestAnomalyProbability:
         model = StateSpaceModel.local_level(q=0.1, r=1.0)
         state = FilterState(
             delays=(0.0,),
-            P_post=np.array([[0.25]]),
+            P_post=(0.25,),
             w_sum=100.0,
             eta_sum=0.0,
             s_accum=4.0,
@@ -812,7 +827,7 @@ class TestAnomalyProbability:
         model = StateSpaceModel.local_level(q=0.1, r=1.0)
         state = FilterState(
             delays=(0.0,),
-            P_post=np.array([[0.25]]),
+            P_post=(0.25,),
             w_sum=100.0,
             eta_sum=0.0,
             s_accum=4.0,
@@ -836,7 +851,7 @@ class TestAnomalyProbability:
         model = StateSpaceModel.local_level(q=0.1, r=1.0)
         state = FilterState(
             delays=(0.0,),
-            P_post=np.array([[0.25]]),
+            P_post=(0.25,),
             w_sum=50.0,
             eta_sum=5.0,
             s_accum=4.5,
@@ -864,12 +879,63 @@ class TestAnomalyProbability:
         stepped = [run_filter(model, [v], state)[0][0] for v in scaled]
         assert np.allclose(got, stepped, rtol=0.0, atol=1e-12)
         _, _, _, s, _, (x_prior, P_prior) = reference_kalman_pass(model, posterior(state), state.P_post, [0.0])
-        gain0 = float(P_prior[0, 0]) / s[0]
+        gain0 = P_prior[0] / s[0]
         assert center == pytest.approx(float(x_prior[0]) + state.eta_mean / gain0, rel=1e-10, abs=0.0)
         assert scale == math.sqrt(max(state.eta_var, 1e-12)) / gain0
 
 
+def one_step_states():
+    """A local level and a trend, each with its initial state and its state
+    after one observation, and the stored forms of all four.  Every number
+    is exact in binary: the level's step has gain 1/2 and the trend's gains
+    3/8 and 1/8."""
+    level = StateSpaceModel.local_level(q=0.5, r=1.0, x0=0.0, p0=0.5)
+    trend = StateSpaceModel.local_linear_trend(q_level=1.0, q_slope=0.5, r=5.0, x0=(1.5, -0.25), p0=1.0)
+    stored_level = {"method": "filtering", "state_dim": 1, "Q": [[0.5]], "R": 1.0, "x0": [0.0],
+                    "P0": [[0.5]], "forgetting": 0.99, "log_scale": False, "log_offset": 0.0}
+    stored_trend = {"method": "filtering", "state_dim": 2, "Q": [[1.0, 0.0], [0.0, 0.5]], "R": 5.0,
+                    "x0": [1.5, -0.25], "P0": [[1.0, 0.0], [0.0, 1.0]], "forgetting": 0.99,
+                    "log_scale": False, "log_offset": 0.0}
+    return [
+        (level, 2.0, stored_level,
+         {"delays": [0.0], "P_post": [[0.5]], "w_sum": 0.0, "eta_sum": 0.0, "s_accum": 0.0},
+         {"delays": [1.0], "P_post": [[0.5]], "w_sum": 1.0, "eta_sum": 1.0, "s_accum": 0.0}),
+        # the trend predicts 1.25 and sees 9.25: level 4.25, slope 0.75
+        (trend, 9.25, stored_trend,
+         {"delays": [1.25, -1.5], "P_post": [[1.0, 0.0], [0.0, 1.0]], "w_sum": 0.0, "eta_sum": 0.0,
+          "s_accum": 0.0},
+         {"delays": [5.0, -4.25], "P_post": [[1.875, 0.625], [0.625, 1.375]], "w_sum": 1.0,
+          "eta_sum": 3.0, "s_accum": 0.0}),
+    ]
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("model, point, stored, initial, stepped", one_step_states(), ids=["level", "trend"])
+    def test_stored_form_is_nested_lists(self, model, point, stored, initial, stepped):
+        """The model and its states store their covariances as the matrices
+        Q, P0 and P_post, and read back as the same model and states."""
+        state = FilterState.initial(model)
+        _, after, _ = run_filter(model, [point], state)
+        assert model.to_dict() == stored
+        assert state.to_dict() == initial
+        assert after.to_dict() == stepped
+        assert StateSpaceModel.from_dict(stored) == model
+        assert FilterState.from_dict(initial) == state
+        assert FilterState.from_dict(stepped) == after
+        assert after.P_post == tuple(v for i, row in enumerate(stepped["P_post"]) for v in row[i:])
+
+    @pytest.mark.parametrize("key, matrix", [
+        ("Q", [[1.0, 0.5], [0.5, 1.0]]),
+        ("Q", [[1.0, 0.0]]),
+        ("P0", [[1.0, 0.0], [0.0, 2.0]]),
+        ("P0", [[1.0, 0.2], [0.2, 1.0]]),
+        ("P0", [[1.0]]),
+    ], ids=["off-diagonal Q", "non-square Q", "non-isotropic P0", "off-diagonal P0", "P0 of one state"])
+    def test_refuses_a_stored_covariance_no_model_holds(self, key, matrix):
+        stored = one_step_states()[1][2]
+        with pytest.raises(ValueError, match="stored Q must be diagonal and P0 a multiple of the identity"):
+            StateSpaceModel.from_dict({**stored, key: matrix})
+
     def test_model_and_state_round_trip(self, rng):
         y = rng.normal(0, 1, 200)
         model, state, _ = fit_filtering(ts_of(y), filtering_config(state_dim=2, forgetting=0.95))
@@ -883,46 +949,31 @@ class TestSerialization:
 
 
 class TestModelValidation:
-    """The filter reads only Q's diagonal and P0's upper triangle, so a
-    model is checked for exactly what those entries must satisfy."""
+    """A model holds each state's noise variance, the observation noise,
+    the initial state and the initial covariance's scale, and is checked
+    for what each must satisfy."""
 
-    @staticmethod
-    def trend(Q, P0):
-        return StateSpaceModel(state_dim=2, Q=np.array(Q), R=1.0, x0=np.zeros(2), P0=np.array(P0))
-
-    def test_rejects_off_diagonal_Q(self):
-        with pytest.raises(ValueError, match="Q must be diagonal"):
-            self.trend([[0.5, 0.49], [0.49, 0.5]], np.eye(2))
-
-    def test_rejects_negative_Q_diagonal(self):
-        with pytest.raises(ValueError, match="non-negative diagonal"):
-            self.trend([[0.5, 0.0], [0.0, -1e-3]], np.eye(2))
-        with pytest.raises(ValueError, match="non-negative diagonal"):
+    def test_rejects_negative_q(self):
+        with pytest.raises(ValueError, match="q must be non-negative"):
+            StateSpaceModel.local_linear_trend(q_level=0.5, q_slope=-1e-3, r=1.0)
+        with pytest.raises(ValueError, match="q must be non-negative"):
             StateSpaceModel.local_level(q=-0.1, r=1.0)
 
-    def test_rejects_asymmetric_P0(self):
-        with pytest.raises(ValueError, match="P0 must be symmetric"):
-            self.trend(np.diag([0.5, 0.1]), [[1.0, 0.2], [0.0, 1.0]])
+    def test_rejects_non_positive_R(self):
+        for r in (0.0, -1.0):
+            with pytest.raises(ValueError, match="R must be positive"):
+                StateSpaceModel.local_level(q=0.1, r=r)
 
-    def test_rejects_indefinite_P0(self):
-        with pytest.raises(ValueError, match="P0 must be positive semi-definite"):
-            self.trend(np.diag([0.5, 0.1]), [[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(ValueError, match="P0 must be positive semi-definite"):
-            StateSpaceModel.local_level(q=0.1, r=1.0, p0=-1.0)
+    def test_rejects_negative_or_infinite_p0(self):
+        for p0 in (-1.0, math.inf):
+            with pytest.raises(ValueError, match="p0 must be non-negative and finite"):
+                StateSpaceModel.local_level(q=0.1, r=1.0, p0=p0)
 
-    def test_accepts_singular_psd_P0_and_zero_Q(self):
-        model = self.trend(np.zeros((2, 2)), [[1.0, 1.0], [1.0, 1.0]])
-        assert model.P0.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+    def test_rejects_q_and_x0_of_other_lengths(self):
+        for q, x0 in (((0.1, 0.01), (0.0,)), ((0.1,), (0.0, 0.0)), ((0.1, 0.01, 0.001), (0.0, 0.0, 0.0))):
+            with pytest.raises(ValueError, match="same length, 1 or 2"):
+                StateSpaceModel(q=q, R=1.0, x0=x0, p0=1.0)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5))
-    def test_closed_form_psd_check_agrees_with_eigvalsh(self, a, b, c):
-        P0 = np.array([[a, b], [b, c]])
-        smallest = np.linalg.eigvalsh(P0).min()
-        if abs(smallest + 1e-10) < 1e-9:
-            return  # too close to the tolerance for two roundings to agree
-        if smallest >= -1e-10:
-            self.trend(np.diag([0.5, 0.1]), P0)
-        else:
-            with pytest.raises(ValueError, match="positive semi-definite"):
-                self.trend(np.diag([0.5, 0.1]), P0)
+    def test_accepts_zero_q_and_p0(self):
+        model = StateSpaceModel.local_linear_trend(q_level=0.0, q_slope=0.0, r=1.0, p0=0.0)
+        assert (model.q, model.p0, model.state_dim) == ((0.0, 0.0), 0.0, 2)
