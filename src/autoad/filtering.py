@@ -163,8 +163,8 @@ def _head(model: StateSpaceModel, P: tuple, delays: tuple, values: np.ndarray) -
     """The covariance recursion and the level kernel in one loop over
     ``values``, from the posterior covariance's entries ``P``.  Each step
     appends its entry, the innovation variance s, the level gain k0 and the
-    kernel's coefficients ((s, k0, b1, a1) of b = [0, k0], a = [1, k0 - 1] for a
-    local level, (s, k0, b1, b2, a1, a2) of b = [0, k0 + k1, -k0],
+    kernel's coefficients ((s, k0, b1, a1) of b = [0, k0], a = [1, k0 - 1]
+    for a local level, (s, k0, b1, b2, a1, a2) of b = [0, k0 + k1, -k0],
     a = [1, k0 + k1 - 2, 1 - k0] for a trend), and steps the kernel as
     :func:`_level_loop` does.  The covariance converges to the Riccati
     fixed point (Anderson & Moore 1979, ch. 4): once a step's posterior
@@ -250,10 +250,10 @@ def _level_pass(model: StateSpaceModel, state: FilterState, values: np.ndarray) 
     """The state half of a pass over ``values``, at least one, which never
     reads the forgetting factor: the entries of :func:`_head`, each step's
     predicted level (a list if the pass stays in the loop, an array
-    otherwise), and the new delays and posterior covariance's entries.  Past the
-    covariance fixed point the gains are held and the kernel is exponential
-    smoothing for the local level, Holt's method for the trend (Harvey
-    1989, sec. 3.3.4).  A held run of at least ``_LOOP_PASS`` steps is one
+    otherwise), and the new delays and posterior covariance's entries.
+    Past the covariance fixed point the gains are held and the kernel is
+    exponential smoothing for the local level, Holt's method for the trend
+    (Harvey 1989, sec. 3.3.4).  A held run of at least ``_LOOP_PASS`` steps is one
     ``lfilter`` call; a shorter one goes through :func:`_level_loop` with
     the same bits."""
     n = values.size
